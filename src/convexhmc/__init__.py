@@ -1,8 +1,9 @@
 """HMC sampling on strongly log-concave targets, with a verification lab."""
 
-from .potentials import (ConvexityReport, Potential, PotentialError, SeparablePotential,
-                         make_gaussian, make_perturbed_quadratic, make_ridge_logistic,
-                         make_separable, product_potential, validate_convexity)
+from .potentials import (ConvexHMCError, ConvexityReport, Potential, PotentialError,
+                         SeparablePotential, make_gaussian, make_perturbed_quadratic,
+                         make_ridge_logistic, make_separable, product_potential,
+                         validate_convexity)
 from .integrators import (GoodSetSpec, IntegratorError, IntegratorSpec, PhasePoint,
                           default_good_set, energy_error, euler_step, exact_gaussian_flow,
                           flow_trajectory, guarded_step, hamiltonian, integrate,

@@ -23,7 +23,7 @@ from .kernels import default_integration_time, run_chain
 from .metrics import w1_assignment, w1_exact_1d, w1_sliced
 from .precondition import build_rounding, verify_rounding
 from .scaling import run_scaling_study
-from .potentials import SeparablePotential
+from .potentials import ConvexHMCError, SeparablePotential
 
 
 def _out_dir(config):
@@ -406,8 +406,8 @@ def main(argv=None) -> int:
     try:
         conf, base = _config_from_args(args)
         summary = run_experiment(conf, base_dir=base)
-    except cfg.ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+    except ConvexHMCError as exc:
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     print(cfg.dumps(summary), end="")
     return 0 if summary.get("pass", True) else 1

@@ -16,11 +16,11 @@ from jsonschema import Draft202012Validator
 
 from .integrators import IntegratorSpec
 from .kernels import KernelSpec, default_integration_time
-from .potentials import (Potential, make_gaussian, make_perturbed_quadratic,
+from .potentials import (ConvexHMCError, Potential, make_gaussian, make_perturbed_quadratic,
                          make_ridge_logistic, make_separable)
 
 
-class ConfigError(ValueError):
+class ConfigError(ConvexHMCError, ValueError):
     pass
 
 

@@ -15,16 +15,16 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.special import logsumexp
 
-from .integrators import (GoodSetSpec, IntegratorSpec, PhasePoint, hamiltonian,
-                          integrate, guarded_step, reference_flow)
+from .integrators import (GoodSetSpec, PhasePoint, hamiltonian, integrate, guarded_step,
+                          reference_flow)
 from .kernels import (CostLedger, KernelSpec, MomentumSource,
                       default_integration_time, ideal_step)
-from .potentials import Potential, SeparablePotential
+from .potentials import ConvexHMCError, Potential, SeparablePotential, uniform_ball
 
 DISTANCE_FLOOR = 1e-12
 
 
-class CouplingError(RuntimeError):
+class CouplingError(ConvexHMCError, RuntimeError):
     pass
 
 
@@ -140,10 +140,7 @@ def _metropolis_shared(pot, spec, x, p, u, ledger):
 def _pairs_with_shared_momenta(pot: Potential, trials: int, rng: np.random.Generator):
     radius = math.sqrt(pot.dim / pot.m2)
     while True:
-        g = rng.standard_normal((2 * trials, pot.dim))
-        g /= np.linalg.norm(g, axis=1, keepdims=True)
-        r = radius * rng.random(2 * trials) ** (1.0 / pot.dim)
-        qs = g * r[:, None]
+        qs = uniform_ball(rng, 2 * trials, pot.dim, radius)
         x0, y0 = qs[:trials], qs[trials:]
         if np.all(np.linalg.norm(x0 - y0, axis=1) > 1e-6 * radius):
             break
@@ -181,9 +178,7 @@ def _batch_kernel_step(pot: Potential, spec: KernelSpec, x0: np.ndarray,
                        ledger: Optional[CostLedger] = None) -> np.ndarray:
     start = PhasePoint(x0, momenta)
     if spec.kind == "ideal":
-        if pot.is_gaussian:
-            return integrate(pot, IntegratorSpec("exact_gaussian", T=spec.T), start).q
-        return reference_flow(pot, start, spec.T, tol=spec.integrator.theta).q
+        return ideal_step(pot, spec.T, x0, momenta, tol=spec.integrator.theta)
     prop = integrate(pot, spec.integrator, start, ledger)
     if spec.kind == "unadjusted":
         return prop.q

@@ -1,4 +1,4 @@
-"""Hamiltonian flow maps: exact, Euler, leapfrog, reference and guarded.
+"""Hamiltonian flow maps: exact, Euler, leapfrog, fourth-order reference and guarded.
 
 The composed integrator follows the convention that an accuracy parameter
 theta and order k translate into ceil(T / theta^(1/k)) oracle applications,
@@ -15,13 +15,16 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .potentials import Potential
+from .potentials import ConvexHMCError, Potential
 
 SCHEMES = ("exact_gaussian", "euler", "leapfrog", "reference", "guarded")
 _ORACLE_ORDER = {"euler": 1, "leapfrog": 2, "guarded": 2}
+_W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
+_TRIPLE_JUMP = (_W1, 1.0 - 2.0 * _W1, _W1)  # Yoshida (1990), fourth order
+_MAX_DOUBLINGS = 16
 
 
-class IntegratorError(RuntimeError):
+class IntegratorError(ConvexHMCError, RuntimeError):
     pass
 
 
@@ -45,8 +48,8 @@ class PhasePoint:
 class IntegratorSpec:
     """Identifies one numerical flow map.
 
-    For the ``reference`` scheme, ``theta`` is the convergence tolerance of
-    the step-halving refinement rather than an oracle step.
+    For the ``reference`` scheme, ``theta`` is the tolerance of the
+    fourth-order, step-doubling, per-row refinement, not an oracle step.
     """
 
     scheme: str
@@ -170,31 +173,33 @@ def exact_gaussian_flow(eigs: Sequence[float], x: PhasePoint, T: float) -> Phase
     return PhasePoint(q, p)
 
 
-def reference_flow(pot: Potential, x: PhasePoint, T: float, tol: float = 1e-10) -> PhasePoint:
-    """High-resolution stand-in for the exact flow on generic targets.
+def _triple_jump_path(pot, q, p, h, n, segments):
+    """Rows of (q, p) at the start and after each of ``segments`` runs of n steps.
 
-    Runs the leapfrog composition, halving theta until two consecutive
-    refinements land within ``tol`` of each other (positions and momenta).
+    A step of length h is Yoshida's triple jump, leapfrog substeps of w1 h,
+    w0 h and w1 h.  Adjacent half-kicks are merged: 1 + 3 n segments
+    gradient calls in all.  Returns shape (rows, segments + 1, 2, d).
     """
-    if tol <= 0.0:
-        raise IntegratorError(f"tol must be positive, got {tol}")
-    if T == 0.0:
+    drifts = np.tile(_TRIPLE_JUMP, n) * h
+    kicks = 0.5 * (drifts + np.roll(drifts, -1))
+    path = [np.stack([q, p], axis=-2)]
+    g = pot.gradient(q)
+    p = p - 0.5 * drifts[0] * g
+    for _ in range(segments):
+        for drift, kick in zip(drifts, kicks):
+            q = q + drift * p
+            g = pot.gradient(q)
+            p = p - kick * g
+        path.append(np.stack([q, p + 0.5 * drifts[0] * g], axis=-2))
+    return np.stack(path, axis=1)
+
+
+def reference_flow(pot: Potential, x: PhasePoint, T: float, tol: float = 1e-10) -> PhasePoint:
+    """High-resolution stand-in for the exact flow: ``flow_trajectory``'s endpoint."""
+    if T == 0.0 and tol > 0.0:  # flow_trajectory rejects tol <= 0
         return x
-    theta = (T / 8.0) ** 2
-    prev = None
-    for _ in range(31):
-        h = math.sqrt(theta)
-        n = math.ceil(T / h)
-        h = T / n  # land exactly on T; the proxy should not inherit the overshoot
-        q, p = _leapfrog_run(pot, x.q, x.p, h, n)
-        if prev is not None:
-            dq = np.max(np.linalg.norm(q - prev[0], axis=-1))
-            dp = np.max(np.linalg.norm(p - prev[1], axis=-1))
-            if max(dq, dp) < tol:
-                return PhasePoint(q, p)
-        prev = (q, p)
-        theta *= 0.5
-    raise IntegratorError(f"reference flow did not converge to tol={tol} within 30 halvings")
+    _, qs, ps = flow_trajectory(pot, x, T, 1, tol)
+    return PhasePoint(qs[-1], ps[-1])
 
 
 def flow_trajectory(pot: Potential, x: PhasePoint, T: float, snapshots: int,
@@ -202,28 +207,26 @@ def flow_trajectory(pot: Potential, x: PhasePoint, T: float, snapshots: int,
     """Converged trajectory sampled at times j*T/snapshots, j = 0..snapshots.
 
     Returns (times, qs, ps) with qs[j], ps[j] the phase point at times[j].
+    Steps double from 2 until two consecutive triple-jump runs of a row agree
+    to ``tol`` in q and p at every snapshot (a NaN never agrees).  Converged
+    rows leave the batch: later levels integrate only the rows still open.
     """
-    if snapshots < 1:
-        raise IntegratorError("need at least one snapshot")
-    times = np.linspace(0.0, T, snapshots + 1)
-    substeps = 1
-    prev = None
-    for _ in range(31):
-        h = (T / snapshots) / substeps
-        q, p = np.asarray(x.q, dtype=float), np.asarray(x.p, dtype=float)
-        qs, ps = [q], [p]
-        for _ in range(snapshots):
-            q, p = _leapfrog_run(pot, q, p, h, substeps)
-            qs.append(q)
-            ps.append(p)
-        qs, ps = np.stack(qs), np.stack(ps)
+    if snapshots < 1 or not tol > 0.0:
+        raise IntegratorError(f"need snapshots >= 1 and tol > 0, got {snapshots} and {tol}")
+    q, p = x.q.reshape(-1, pot.dim), x.p.reshape(-1, pot.dim)
+    path = np.empty((len(q), snapshots + 1, 2, pot.dim))
+    todo, prev, n = np.arange(len(q)), None, 2
+    for _ in range(_MAX_DOUBLINGS + 1):
+        cur = _triple_jump_path(pot, q[todo], p[todo], T / (snapshots * n), n, snapshots)
         if prev is not None:
-            err = max(np.max(np.abs(qs - prev[0])), np.max(np.abs(ps - prev[1])))
-            if err < tol:
-                return times, qs, ps
-        prev = (qs, ps)
-        substeps *= 2
-    raise IntegratorError(f"trajectory refinement did not converge to tol={tol}")
+            pending = ~(np.max(np.linalg.norm(cur - prev, axis=-1), axis=(1, 2)) < tol)
+            path[todo[~pending]] = cur[~pending]
+            todo, cur = todo[pending], cur[pending]
+            if todo.size == 0:
+                path = np.moveaxis(path, 0, 2).reshape((snapshots + 1, 2) + x.q.shape)
+                return np.linspace(0.0, T, snapshots + 1), path[:, 0], path[:, 1]
+        prev, n = cur, 2 * n
+    raise IntegratorError(f"flow did not converge to tol={tol} within {_MAX_DOUBLINGS} doublings")
 
 
 def integrate(pot: Potential, spec: IntegratorSpec, x: PhasePoint, ledger=None) -> PhasePoint:

@@ -15,12 +15,12 @@ from typing import Optional
 import numpy as np
 
 from .integrators import IntegratorSpec, PhasePoint, hamiltonian, integrate
-from .potentials import Potential
+from .potentials import ConvexHMCError, Potential
 
 KERNEL_KINDS = ("ideal", "unadjusted", "metropolis")
 
 
-class KernelError(RuntimeError):
+class KernelError(ConvexHMCError, RuntimeError):
     pass
 
 

@@ -14,10 +14,12 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
+from .potentials import ConvexHMCError
+
 ASSIGNMENT_GUARD = 2048
 
 
-class MetricError(ValueError):
+class MetricError(ConvexHMCError, ValueError):
     pass
 
 

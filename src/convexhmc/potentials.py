@@ -20,7 +20,11 @@ from scipy.optimize import minimize
 from scipy.special import expit
 
 
-class PotentialError(ValueError):
+class ConvexHMCError(Exception):
+    """Base of every error convexhmc raises on bad input or failed numerics."""
+
+
+class PotentialError(ConvexHMCError, ValueError):
     pass
 
 
@@ -306,7 +310,7 @@ def product_potential(block: Potential, copies: int) -> SeparablePotential:
     return make_separable([block] * copies)
 
 
-def _uniform_ball(rng: np.random.Generator, n: int, dim: int, radius: float) -> np.ndarray:
+def uniform_ball(rng: np.random.Generator, n: int, dim: int, radius: float) -> np.ndarray:
     g = rng.standard_normal((n, dim))
     g /= np.linalg.norm(g, axis=1, keepdims=True)
     r = radius * rng.random(n) ** (1.0 / dim)
@@ -325,8 +329,8 @@ def validate_convexity(pot: Potential, samples: int, radius: float, seed: int,
     if samples < 1:
         raise PotentialError(f"samples must be >= 1, got {samples}")
     rng = np.random.default_rng(seed)
-    xs = _uniform_ball(rng, samples, pot.dim, radius)
-    ys = _uniform_ball(rng, samples, pot.dim, radius)
+    xs = uniform_ball(rng, samples, pot.dim, radius)
+    ys = uniform_ball(rng, samples, pot.dim, radius)
     delta = xs - ys
     norms = np.linalg.norm(delta, axis=1)
     keep = norms > 1e-12

@@ -12,10 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .potentials import Potential
+from .potentials import ConvexHMCError, Potential
 
 
-class PreconditionError(RuntimeError):
+class PreconditionError(ConvexHMCError, RuntimeError):
     pass
 
 

@@ -27,14 +27,14 @@ import numpy as np
 from .integrators import IntegratorSpec, PhasePoint, integrate
 from .kernels import CostLedger, default_integration_time
 from .metrics import w1_assignment
-from .potentials import Potential, make_gaussian
+from .potentials import ConvexHMCError, Potential, make_gaussian
 
 WORKERS_ENV = "CONVEXHMC_WORKERS"
 # only Gaussian families admit the exact reference samples the W1 budget needs
 FAMILIES = ("standard_gaussian",)
 
 
-class ScalingError(RuntimeError):
+class ScalingError(ConvexHMCError, RuntimeError):
     pass
 
 

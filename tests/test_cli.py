@@ -81,6 +81,17 @@ class TestConfigValidation:
                      "--seed", "0", "--out", str(tmp_path)])
         assert code == 2
 
+    def test_domain_error_exits_2_without_traceback(self, tmp_path, capsys):
+        # exit 1 means a failed certificate; an out-of-range T is a usage error
+        target = tmp_path / "target.json"
+        target.write_text(json.dumps({"kind": "gaussian", "eigenvalues": [1.0, 4.0]}))
+        code = main(["certify", "--target-config", str(target), "--T", "10",
+                     "--seed", "0", "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("CouplingError: T must lie in")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
 
 class TestDistanceCommand:
     def test_prints_w1_and_prokhorov(self, tmp_path, capsys, monkeypatch):

@@ -1,13 +1,16 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from convexhmc import (CostLedger, GoodSetSpec, IntegratorError, IntegratorSpec,
                        PhasePoint, default_integration_time, energy_error, euler_step,
                        exact_gaussian_flow, flow_trajectory, guarded_step, hamiltonian,
                        integrate, leapfrog_step, make_gaussian, make_perturbed_quadratic,
                        product_potential, reference_flow)
+from convexhmc import integrators
 
 UNIT = make_gaussian([1.0])
 
@@ -153,6 +156,109 @@ class TestReferenceFlow:
         x = pp(0.5, -0.5)
         out = reference_flow(UNIT, x, 0.0)
         assert out.q[0] == 0.5 and out.p[0] == -0.5
+
+
+def coords(d):
+    return st.lists(st.floats(-3.0, 3.0), min_size=d, max_size=d).map(np.array)
+
+
+@st.composite
+def gaussian_cases(draw):
+    """(eigenvalues, phase point, T) for a random Gaussian of dimension 1-4."""
+    d = draw(st.integers(1, 4))
+    eigs = draw(st.lists(st.floats(0.1, 10.0), min_size=d, max_size=d))
+    return eigs, PhasePoint(draw(coords(d)), draw(coords(d))), draw(st.floats(0.01, 1.5))
+
+
+def counted(pot):
+    """``pot`` with a gradient that adds the rows it evaluates to ``rows[0]``."""
+    rows = [0]
+
+    def gradient(q, inner=pot.gradient):
+        rows[0] += np.asarray(q).size // pot.dim
+        return inner(q)
+
+    return dataclasses.replace(pot, gradient=gradient), rows
+
+
+PERTURBED = make_perturbed_quadratic(3, 0.2, seed=2)
+
+
+class TestReferenceFlowProperties:
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(gaussian_cases())
+    def test_matches_exact_gaussian_flow(self, case):
+        eigs, x, T = case
+        ref = reference_flow(make_gaussian(eigs), x, T, tol=1e-10)
+        exact = exact_gaussian_flow(eigs, x, T)
+        assert np.linalg.norm(ref.q - exact.q) <= 1e-9
+        assert np.linalg.norm(ref.p - exact.p) <= 1e-9
+
+    @settings(max_examples=20, deadline=None, database=None)
+    @given(st.integers(2, 6).flatmap(lambda n: st.tuples(*[coords(6)] * n)))
+    def test_batch_rows_match_rows_alone(self, rows):
+        tol = 1e-8
+        states = np.array(rows)
+        x = PhasePoint(states[:, :3], states[:, 3:])
+        batch = reference_flow(PERTURBED, x, 0.3, tol=tol)
+        for i in range(len(states)):
+            alone = reference_flow(PERTURBED, PhasePoint(x.q[i], x.p[i]), 0.3, tol=tol)
+            assert alone.q.shape == (3,)
+            assert np.linalg.norm(batch.q[i] - alone.q) <= 2.0 * tol
+            assert np.linalg.norm(batch.p[i] - alone.p) <= 2.0 * tol
+
+    @settings(max_examples=30, deadline=None, database=None)
+    @given(coords(3), coords(3), st.floats(0.01, 0.5), st.integers(1, 8))
+    def test_triple_jump_is_time_reversible(self, q, p, h, n):
+        # a symmetric composition: flip p, run again, flip p gives the start back
+        fwd = integrators._triple_jump_path(PERTURBED, q[None], p[None], h, n, 1)[0, 0]
+        back = integrators._triple_jump_path(PERTURBED, fwd[0][None], -fwd[1][None], h, n, 1)[0, 0]
+        scale = 1.0 + np.max(np.abs(fwd))
+        np.testing.assert_allclose(back[0], q, atol=1e-12 * scale)
+        np.testing.assert_allclose(-back[1], p, atol=1e-12 * scale)
+
+    @settings(max_examples=5, deadline=None, database=None)
+    @given(coords(1), coords(1), st.sampled_from([1e-2, 1e-4, 1e-6]))
+    def test_stiff_gaussian_never_returns_nonfinite(self, q, p, tol):
+        # the coarse levels blow up to ~1e60 at eigenvalue 1e4 and T = 1
+        try:
+            out = reference_flow(make_gaussian([1e4]), PhasePoint(q, p), 1.0, tol=tol)
+        except IntegratorError:
+            return
+        assert np.all(np.isfinite(out.q)) and np.all(np.isfinite(out.p))
+
+    def test_converged_row_leaves_the_batch(self):
+        # a low-energy row converges levels before a high-energy one and
+        # stops paying for it
+        low, high = np.full(3, 0.01), np.full(3, 10.0)
+        pot, rows = counted(PERTURBED)
+        reference_flow(pot, PhasePoint(high, high), 0.3)
+        alone = rows[0]
+        rows[0] = 0
+        reference_flow(pot, PhasePoint(np.array([low, high]), np.array([low, high])), 0.3)
+        assert rows[0] < 2 * alone
+
+    def test_flow_trajectory_shares_the_refinement(self):
+        x = PhasePoint(np.array([[1.0, -0.5, 0.2], [0.3, 0.1, 0.0]]),
+                       np.array([[0.1, 0.4, -0.6], [-1.0, 0.2, 0.5]]))
+        times, qs, ps = flow_trajectory(PERTURBED, x, 0.3, 3, tol=1e-10)
+        end = reference_flow(PERTURBED, x, 0.3, tol=1e-10)
+        assert qs.shape == ps.shape == (4, 2, 3) and times[-1] == 0.3
+        np.testing.assert_array_equal(qs[0], x.q)
+        np.testing.assert_allclose(qs[-1], end.q, atol=1e-9)
+        np.testing.assert_allclose(ps[-1], end.p, atol=1e-9)
+
+    def test_nan_never_converges(self, monkeypatch):
+        # NaN differences compare false against tol; they must not end the loop
+        monkeypatch.setattr(integrators, "_MAX_DOUBLINGS", 4)
+        pot = dataclasses.replace(UNIT, gradient=lambda q: np.full_like(q, np.nan))
+        with pytest.raises(IntegratorError, match="within 4 doublings"):
+            reference_flow(pot, pp(1.0, 0.3), 1.0)
+
+    def test_nonpositive_tol_raises_even_at_zero_time(self):
+        for T in (0.0, 1.0):
+            with pytest.raises(IntegratorError, match="tol > 0"):
+                reference_flow(UNIT, pp(1.0, 0.3), T, tol=0.0)
 
 
 class TestGuardedStep:
