@@ -8,9 +8,9 @@ from .integrators import (GoodSetSpec, IntegratorError, IntegratorSpec, PhasePoi
                           default_good_set, energy_error, euler_step, exact_gaussian_flow,
                           flow_trajectory, guarded_step, hamiltonian, integrate,
                           leapfrog_step, reference_flow)
-from .kernels import (ChainTrace, CostLedger, KernelSpec, MomentumSource,
+from .kernels import (ChainTrace, CostLedger, KernelSpec, MomentumSource, carry,
                       default_integration_time, ideal_step, metropolis_step, run_chain,
-                      unadjusted_step)
+                      transition, unadjusted_step)
 from .coupling import (CouplingReport, DriftReport, contraction_bound,
                        contraction_certificate, couple_synchronous, drift_check,
                        good_set_statistics, kernel_contraction_bound)

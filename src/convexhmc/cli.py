@@ -53,8 +53,8 @@ def _task_sample(config, base_dir, out):
     steps = run.get("steps", 1000)
     trace = run_chain(pot, spec, np.zeros(pot.dim), steps, run["seed"])
     header = ["step"] + [f"q{j}" for j in range(pot.dim)] + ["H", "accepted"]
-    rows = ([i] + list(trace.states[i]) + [trace.hamiltonians[i], int(trace.accepted[i])]
-            for i in range(len(trace)))
+    rows = ([i] + trace.states[i].tolist()
+            + [float(trace.hamiltonians[i]), int(trace.accepted[i])] for i in range(len(trace)))
     cfg.write_csv(os.path.join(out, "sample.csv"), header, rows)
     return {
         "task": "sample",
@@ -62,7 +62,8 @@ def _task_sample(config, base_dir, out):
         "seed": run["seed"],
         "acceptance_rate": float(np.mean(trace.accepted[1:])) if steps else 1.0,
         "gradient_evals": trace.ledger.gradient_evals,
-        "pass": True,
+        "diverged_at": trace.diverged_at,
+        "pass": trace.diverged_at is None,
     }
 
 

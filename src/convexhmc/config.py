@@ -257,6 +257,8 @@ def build_kernel_spec(kernel: dict, pot: Potential) -> KernelSpec:
 
 
 def format_number(v) -> str:
+    if type(v) is float:
+        return repr(v)
     if isinstance(v, (bool, np.bool_)):
         return "1" if v else "0"
     if isinstance(v, (int, np.integer)):

@@ -15,10 +15,9 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.special import logsumexp
 
-from .integrators import (GoodSetSpec, PhasePoint, hamiltonian, integrate, guarded_step,
-                          reference_flow)
-from .kernels import (CostLedger, KernelSpec, MomentumSource,
-                      default_integration_time, ideal_step)
+from .integrators import GoodSetSpec, PhasePoint, guarded_step, reference_flow
+from .kernels import (CostLedger, KernelSpec, MomentumSource, default_integration_time,
+                      transition)
 from .potentials import ConvexHMCError, Potential, SeparablePotential, uniform_ball
 
 DISTANCE_FLOOR = 1e-12
@@ -103,21 +102,14 @@ def couple_synchronous(pot: Potential, spec: KernelSpec, x0: np.ndarray, y0: np.
     x = np.array(x0, dtype=float)
     y = np.array(y0, dtype=float)
     source = MomentumSource(seed, pot.dim)
-    ledger = CostLedger()
     distances = np.empty(steps + 1)
     distances[0] = np.linalg.norm(x - y)
+    carried_x = carried_y = None
     for i in range(steps):
         p = source.next_momentum()
-        if spec.kind == "ideal":
-            x = ideal_step(pot, spec.T, x, p, tol=spec.integrator.theta)
-            y = ideal_step(pot, spec.T, y, p, tol=spec.integrator.theta)
-        elif spec.kind == "unadjusted":
-            x = integrate(pot, spec.integrator, PhasePoint(x, p), ledger).q
-            y = integrate(pot, spec.integrator, PhasePoint(y, p), ledger).q
-        else:
-            u = source.next_uniform()
-            x = _metropolis_shared(pot, spec, x, p, u, ledger)
-            y = _metropolis_shared(pot, spec, y, p, u, ledger)
+        u = source.next_uniform() if spec.kind == "metropolis" else None
+        x, _, _, carried_x = transition(pot, spec, x, p, u, carried_x)
+        y, _, _, carried_y = transition(pot, spec, y, p, u, carried_y)
         distances[i + 1] = np.linalg.norm(x - y)
     rate, degenerate = _fit_geometric_rate(distances)
     bound = kernel_contraction_bound(pot)
@@ -126,15 +118,6 @@ def couple_synchronous(pot: Potential, spec: KernelSpec, x0: np.ndarray, y0: np.
         violations = int(np.sum(distances[1:] > bound * distances[:-1] + 1e-9))
     return CouplingReport(distances=distances, fitted_rate=rate, bound=bound,
                           violations=violations, degenerate=degenerate)
-
-
-def _metropolis_shared(pot, spec, x, p, u, ledger):
-    start = PhasePoint(x, p)
-    prop = integrate(pot, spec.integrator, start, ledger)
-    d_h = hamiltonian(pot, prop) - hamiltonian(pot, start)
-    if d_h <= 0.0 or u < math.exp(-d_h):
-        return prop.q
-    return np.array(x, dtype=float)
 
 
 def _pairs_with_shared_momenta(pot: Potential, trials: int, rng: np.random.Generator):
@@ -176,15 +159,7 @@ def contraction_certificate(pot: Potential, T: float, trials: int, seed: int,
 def _batch_kernel_step(pot: Potential, spec: KernelSpec, x0: np.ndarray,
                        momenta: np.ndarray, uniforms: np.ndarray,
                        ledger: Optional[CostLedger] = None) -> np.ndarray:
-    start = PhasePoint(x0, momenta)
-    if spec.kind == "ideal":
-        return ideal_step(pot, spec.T, x0, momenta, tol=spec.integrator.theta)
-    prop = integrate(pot, spec.integrator, start, ledger)
-    if spec.kind == "unadjusted":
-        return prop.q
-    d_h = hamiltonian(pot, prop) - hamiltonian(pot, start)
-    accept = (d_h <= 0.0) | (uniforms < np.exp(-np.minimum(np.maximum(d_h, 0.0), 700.0)))
-    return np.where(accept[:, None], prop.q, x0)
+    return transition(pot, spec, x0, momenta, uniforms, None, ledger)[0]
 
 
 def drift_check(pot: Potential, spec: KernelSpec, radii: Sequence[float],

@@ -30,10 +30,11 @@ class IntegratorError(ConvexHMCError, RuntimeError):
 
 @dataclass(frozen=True)
 class PhasePoint:
-    """Position/momentum pair; arrays of shape (..., d) carry batches."""
+    """Position/momentum pair, and grad U(q) when known; (..., d) arrays carry batches."""
 
     q: np.ndarray
     p: np.ndarray
+    g: Optional[np.ndarray] = None
 
     def __post_init__(self):
         q = np.asarray(self.q, dtype=float)
@@ -133,17 +134,12 @@ def hamiltonian(pot: Potential, x: PhasePoint) -> np.ndarray:
 
 def euler_step(pot: Potential, x: PhasePoint, theta: float) -> PhasePoint:
     """One first-order oracle step: (q + p theta, p - theta U'(q))."""
-    g = pot.gradient(x.q)
-    return PhasePoint(x.q + x.p * theta, x.p - theta * g)
+    return PhasePoint(*_euler_run(pot, x.q, x.p, theta, 1))
 
 
 def leapfrog_step(pot: Potential, x: PhasePoint, theta: float) -> PhasePoint:
     """One second-order oracle step of internal length sqrt(theta)."""
-    h = math.sqrt(theta)
-    p_half = x.p - 0.5 * h * pot.gradient(x.q)
-    q_new = x.q + h * p_half
-    p_new = p_half - 0.5 * h * pot.gradient(q_new)
-    return PhasePoint(q_new, p_new)
+    return PhasePoint(*_leapfrog_run(pot, x.q, x.p, math.sqrt(theta), 1))
 
 
 def _euler_run(pot, q, p, theta, n):
@@ -154,13 +150,18 @@ def _euler_run(pot, q, p, theta, n):
     return q, p
 
 
-def _leapfrog_run(pot, q, p, h, n):
+def _leapfrog_run(pot, q, p, h, n, g=None):
+    """n leapfrog steps returning (q, p, gradient at q); one gradient per
+    point serves both half-kicks there: n + 1 calls, or n given the first."""
     half = 0.5 * h
+    if n and g is None:
+        g = pot.gradient(q)
     for _ in range(n):
-        p = p - half * pot.gradient(q)
+        p = p - half * g
         q = q + h * p
-        p = p - half * pot.gradient(q)
-    return q, p
+        g = pot.gradient(q)
+        p = p - half * g
+    return q, p, g
 
 
 def exact_gaussian_flow(eigs: Sequence[float], x: PhasePoint, T: float) -> PhasePoint:
@@ -233,7 +234,9 @@ def integrate(pot: Potential, spec: IntegratorSpec, x: PhasePoint, ledger=None) 
     """Apply the flow map identified by ``spec`` from phase point ``x``.
 
     Oracle schemes take exactly ceil(T/theta^(1/k)) steps and charge the
-    ledger with (gradient evals per oracle call) * (step count).
+    ledger, per row, with (gradient evals per oracle call) * (step count), the
+    paper's cost model.  Leapfrog starts from ``x.g`` when given and returns
+    its end gradient in ``g``.
     """
     if spec.scheme == "exact_gaussian":
         if not pot.is_gaussian:
@@ -243,14 +246,14 @@ def integrate(pot: Potential, spec: IntegratorSpec, x: PhasePoint, ledger=None) 
         return reference_flow(pot, x, spec.T, tol=spec.theta)
     if spec.scheme == "guarded":
         raise IntegratorError("guarded scheme needs a GoodSetSpec; call guarded_step")
-    n = spec.oracle_steps
+    n, g = spec.oracle_steps, None
     if spec.scheme == "euler":
         q, p = _euler_run(pot, x.q, x.p, spec.theta, n)
     else:
-        q, p = _leapfrog_run(pot, x.q, x.p, math.sqrt(spec.theta), n)
+        q, p, g = _leapfrog_run(pot, x.q, x.p, math.sqrt(spec.theta), n, x.g)
     if ledger is not None:
-        ledger.gradient_evals += spec.gradient_evals_per_oracle * n
-    return PhasePoint(q, p)
+        ledger.gradient_evals += spec.gradient_evals_per_oracle * n * (q.size // q.shape[-1])
+    return PhasePoint(q, p, g)
 
 
 def guarded_step(pot: Potential, spec: IntegratorSpec, good: GoodSetSpec,

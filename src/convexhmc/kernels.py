@@ -14,10 +14,12 @@ from typing import Optional
 
 import numpy as np
 
-from .integrators import IntegratorSpec, PhasePoint, hamiltonian, integrate
+from .integrators import IntegratorSpec, PhasePoint, integrate
 from .potentials import ConvexHMCError, Potential
 
 KERNEL_KINDS = ("ideal", "unadjusted", "metropolis")
+# a flow energy error beyond this (Stan's threshold), or not finite, marks a divergence
+DIVERGENCE_DH = 1000.0
 
 
 class KernelError(ConvexHMCError, RuntimeError):
@@ -31,20 +33,18 @@ def default_integration_time(pot: Potential) -> float:
 
 @dataclass
 class CostLedger:
-    """Counters realizing the gradient-evaluation cost model."""
+    """Counters realizing the paper's gradient-evaluation cost model.
+
+    ``gradient_evals`` is the modelled count, 1 per Euler and 2 per leapfrog
+    oracle step.  Real calls are fewer: adjacent leapfrog half-kicks share a
+    gradient, and a chain carries the one at its state, so a carried leapfrog
+    step of n oracle steps makes n calls.
+    """
 
     gradient_evals: int = 0
     kernel_steps: int = 0
     accepted: int = 0
     rejected: int = 0
-
-    def merge(self, other: "CostLedger") -> "CostLedger":
-        return CostLedger(
-            self.gradient_evals + other.gradient_evals,
-            self.kernel_steps + other.kernel_steps,
-            self.accepted + other.accepted,
-            self.rejected + other.rejected,
-        )
 
 
 class MomentumSource:
@@ -96,17 +96,17 @@ class KernelSpec:
 
     kind: str
     integrator: IntegratorSpec
-    T: Optional[float] = None
 
     def __post_init__(self):
         if self.kind not in KERNEL_KINDS:
             raise KernelError(f"unknown kernel kind {self.kind!r}; expected one of {KERNEL_KINDS}")
         if self.kind == "ideal" and self.integrator.scheme not in ("exact_gaussian", "reference"):
             raise KernelError("ideal kernel needs the exact_gaussian or reference scheme")
-        if self.T is None:
-            object.__setattr__(self, "T", self.integrator.T)
-        elif not np.isclose(self.T, self.integrator.T):
-            raise KernelError(f"kernel T={self.T} disagrees with integrator T={self.integrator.T}")
+
+    @property
+    def T(self) -> float:
+        """Integration time of one step: the integrator's."""
+        return self.integrator.T
 
 
 @dataclass
@@ -118,6 +118,7 @@ class ChainTrace:
     seed: int
     accepted: np.ndarray = field(default=None)
     hamiltonians: np.ndarray = field(default=None)
+    diverged_at: Optional[int] = None
 
     def __len__(self) -> int:
         return len(self.states)
@@ -134,29 +135,65 @@ def ideal_step(pot: Potential, T: float, x: np.ndarray, p: np.ndarray,
     return integrate(pot, spec, point).q
 
 
+def carry(pot: Potential, spec: KernelSpec, x: np.ndarray) -> tuple:
+    """(U(x), grad U(x)) for ``transition`` to carry; the gradient only for
+    leapfrog, the one scheme whose flow evaluates it at its end point."""
+    return pot.value(x), pot.gradient(x) if spec.integrator.scheme == "leapfrog" else None
+
+
+def transition(pot: Potential, spec: KernelSpec, x: np.ndarray, p: np.ndarray, u=None,
+               carried: Optional[tuple] = None, ledger: Optional[CostLedger] = None) -> tuple:
+    """One kernel step of the rows x (shape (..., d)): (x', accepted, dH, carried').
+
+    ``p`` holds the momenta, ``u`` the Metropolis uniforms and ``carried`` is
+    ``carry(pot, spec, x)``, usually the step before's carried'.  A Metropolis
+    row accepts iff u < exp(-dH), dH = H(proposal) - H(x, p), and then takes
+    the proposal's pair; a rejected row keeps its own.  Without ``carried``
+    only a Metropolis step evaluates U; the others return no dH or carried'.
+    """
+    if spec.kind == "ideal":
+        q = ideal_step(pot, spec.T, x, p, tol=spec.integrator.theta)
+        d_h, after = None, None if carried is None else (pot.value(q), None)
+    else:
+        if carried is None and spec.kind == "metropolis":
+            carried = carry(pot, spec, x)
+        u_x, g_x = (None, None) if carried is None else carried
+        prop = integrate(pot, spec.integrator, PhasePoint(x, p, g_x), ledger)
+        q, d_h, after = prop.q, None, None
+        if carried is not None:
+            u_q = pot.value(q)
+            d_h = (u_q + 0.5 * (prop.p * prop.p).sum(-1)) - (u_x + 0.5 * (p * p).sum(-1))
+            after = (u_q, prop.g)
+    if spec.kind == "metropolis":
+        ok = (d_h <= 0.0) | (u < np.exp(-np.maximum(d_h, 0.0)))
+        taken = int(np.count_nonzero(ok))
+        if taken < ok.size:  # np.where is slow next to a step of one row
+            g = None if g_x is None else np.where(ok[..., None], prop.g, g_x)
+            q, after = np.where(ok[..., None], q, x), (np.where(ok, u_q, u_x), g)
+        if ledger is not None:
+            ledger.accepted += taken
+            ledger.rejected += ok.size - taken
+    else:
+        ok = np.ones(np.shape(q)[:-1], dtype=bool)
+    if ledger is not None:
+        ledger.kernel_steps += ok.size
+    return q, ok, d_h, after
+
+
 def unadjusted_step(pot: Potential, spec: KernelSpec, x: np.ndarray, p: np.ndarray,
                     ledger: CostLedger) -> np.ndarray:
     """Position output of the numerical flow; ledger charged per oracle call."""
-    out = integrate(pot, spec.integrator, PhasePoint(x, p), ledger)
-    ledger.kernel_steps += 1
-    return out.q
+    return transition(pot, spec, x, p, ledger=ledger)[0]
 
 
 def metropolis_step(pot: Potential, spec: KernelSpec, x: np.ndarray, p: np.ndarray,
-                    u: float, ledger: CostLedger) -> tuple[np.ndarray, bool]:
-    """Propose the full phase output and accept iff u < min(1, exp(-dH))."""
+                    u: float, ledger: CostLedger, carried: Optional[tuple] = None):
+    """Propose the full phase output and accept iff u < min(1, exp(-dH)):
+    returns (x', accepted), or given ``carried``, ``transition``'s 4-tuple."""
     if not 0.0 <= u <= 1.0:
         raise KernelError(f"uniform variate must lie in [0, 1], got {u}")
-    start = PhasePoint(x, p)
-    prop = integrate(pot, spec.integrator, start, ledger)
-    d_h = hamiltonian(pot, prop) - hamiltonian(pot, start)
-    accepted = bool(d_h <= 0.0 or u < math.exp(-d_h))
-    ledger.kernel_steps += 1
-    if accepted:
-        ledger.accepted += 1
-        return prop.q, True
-    ledger.rejected += 1
-    return np.array(x, dtype=float), False
+    step = transition(pot, spec, x, p, u, carried, ledger)
+    return step if carried is not None else (step[0], bool(step[1]))
 
 
 def run_chain(pot: Potential, spec: KernelSpec, x0: np.ndarray, i_max: int,
@@ -167,6 +204,8 @@ def run_chain(pot: Potential, spec: KernelSpec, x0: np.ndarray, i_max: int,
     that moves the chain out of X_i; the final row stores U(X_imax).  The
     ``accepted`` flag marks whether the transition into the row's state was
     an accepted proposal (always true for non-Metropolis kernels).
+    ``diverged_at`` is the first step whose flow energy error is not finite
+    or exceeds ``DIVERGENCE_DH`` in size.
     """
     if i_max < 0:
         raise KernelError(f"i_max must be nonnegative, got {i_max}")
@@ -179,18 +218,19 @@ def run_chain(pot: Potential, spec: KernelSpec, x0: np.ndarray, i_max: int,
     accepted = np.ones(i_max + 1, dtype=bool)
     energies = np.empty(i_max + 1)
     states[0] = x
+    carried = carry(pot, spec, x)
+    diverged_at = None
     for i in range(i_max):
         p = source.next_momentum()
-        energies[i] = pot.value(x) + 0.5 * float(p @ p)
-        if spec.kind == "ideal":
-            x = ideal_step(pot, spec.T, x, p, tol=spec.integrator.theta)
-            ledger.kernel_steps += 1
-        elif spec.kind == "unadjusted":
-            x = unadjusted_step(pot, spec, x, p, ledger)
+        energies[i] = carried[0] + 0.5 * float(p @ p)
+        if spec.kind == "metropolis":
+            x, accepted[i + 1], d_h, carried = metropolis_step(
+                pot, spec, x, p, source.next_uniform(), ledger, carried)
         else:
-            x, ok = metropolis_step(pot, spec, x, p, source.next_uniform(), ledger)
-            accepted[i + 1] = ok
+            x, _, d_h, carried = transition(pot, spec, x, p, None, carried, ledger)
+        if diverged_at is None and d_h is not None and not abs(d_h) <= DIVERGENCE_DH:
+            diverged_at = i
         states[i + 1] = x
-    energies[i_max] = pot.value(x)
-    return ChainTrace(states=states, ledger=ledger, seed=seed,
-                      accepted=accepted, hamiltonians=energies)
+    energies[i_max] = carried[0]
+    return ChainTrace(states=states, ledger=ledger, seed=seed, accepted=accepted,
+                      hamiltonians=energies, diverged_at=diverged_at)

@@ -60,10 +60,6 @@ class Potential:
     def is_gaussian(self) -> bool:
         return self.precision_eigenvalues is not None
 
-    @property
-    def condition_ratio(self) -> float:
-        return self.M2 / self.m2
-
 
 @dataclass(frozen=True)
 class SeparablePotential(Potential):
@@ -71,10 +67,6 @@ class SeparablePotential(Potential):
 
     block_dim: int = 1
     blocks: tuple = ()
-
-    @property
-    def n_blocks(self) -> int:
-        return len(self.blocks)
 
 
 @dataclass(frozen=True)
@@ -102,7 +94,7 @@ def make_gaussian(precision_eigenvalues: Sequence[float]) -> Potential:
 
     def value(q):
         q = np.asarray(q, dtype=float)
-        return 0.5 * np.sum(eigs * q * q, axis=-1)
+        return 0.5 * (eigs * q * q).sum(-1)
 
     def gradient(q):
         q = np.asarray(q, dtype=float)

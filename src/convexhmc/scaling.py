@@ -24,8 +24,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .integrators import IntegratorSpec, PhasePoint, integrate
-from .kernels import CostLedger, default_integration_time
+from .integrators import IntegratorSpec
+from .kernels import CostLedger, KernelSpec, default_integration_time, transition
 from .metrics import w1_assignment
 from .potentials import ConvexHMCError, Potential, make_gaussian
 
@@ -81,25 +81,14 @@ def chain_length(pot: Potential, epsilon: float, c: float = 1.0, floor: int = 50
 
 def _endpoints(pot: Potential, kernel: str, scheme: str, theta: float, T: float,
                steps: int, replicas: int, seed: int, ledger: CostLedger) -> np.ndarray:
-    spec = IntegratorSpec(scheme, theta=theta, T=T)
+    spec = KernelSpec(kernel, IntegratorSpec(scheme, theta=theta, T=T))
     rng = np.random.default_rng(seed)
     x = np.zeros((replicas, pot.dim))
-    per_oracle = spec.gradient_evals_per_oracle
-    n = spec.oracle_steps
+    carried = None
     for _ in range(steps):
         p = rng.standard_normal((replicas, pot.dim))
-        start = PhasePoint(x, p)
-        out = integrate(pot, spec, start)
-        if kernel == "metropolis":
-            d_h = (pot.value(out.q) + 0.5 * np.sum(out.p**2, axis=-1)
-                   - pot.value(x) - 0.5 * np.sum(p * p, axis=-1))
-            accept = (d_h <= 0.0) | (rng.random(replicas)
-                                     < np.exp(-np.minimum(np.maximum(d_h, 0.0), 700.0)))
-            x = np.where(accept[:, None], out.q, x)
-        else:
-            x = out.q
-        ledger.gradient_evals += per_oracle * n * replicas
-        ledger.kernel_steps += replicas
+        u = rng.random(replicas) if kernel == "metropolis" else None
+        x, _, _, carried = transition(pot, spec, x, p, u, carried, ledger)
     return x
 
 

@@ -45,6 +45,19 @@ class TestSampleCommand:
         assert read(out_a / "sample_summary.json") == read(out_b / "sample_summary.json")
 
 
+    def test_diverged_run_fails(self, tmp_path):
+        # one Euler step of length 50 on eigenvalue 4 sends H past 1000 at once
+        target = tmp_path / "target.json"
+        target.write_text(json.dumps({"kind": "gaussian", "eigenvalues": [1.0, 4.0]}))
+        out = tmp_path / "run"
+        code = main(["sample", "--target-config", str(target), "--kernel", "unadjusted",
+                     "--scheme", "euler", "--theta", "50", "--steps", "400", "--seed", "1",
+                     "--out", str(out)])
+        summary = json.loads((out / "sample_summary.json").read_text())
+        assert code == 1
+        assert summary["pass"] is False and summary["diverged_at"] == 0
+
+
 class TestCertifyCommand:
     def test_known_pass(self, gaussian_target, tmp_path):
         out = tmp_path / "cert"

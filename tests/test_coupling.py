@@ -6,7 +6,7 @@ import pytest
 from convexhmc import (GoodSetSpec, IntegratorSpec, KernelSpec, contraction_bound,
                        contraction_certificate, couple_synchronous, default_good_set,
                        default_integration_time, drift_check, good_set_statistics,
-                       make_gaussian, make_perturbed_quadratic, product_potential)
+                       make_gaussian, make_perturbed_quadratic, product_potential, run_chain)
 from convexhmc.coupling import CouplingError
 
 SPHERICAL = make_gaussian([1.0, 1.0, 1.0, 1.0])
@@ -51,6 +51,20 @@ class TestCoupleSynchronous:
         cushion = 2.0 * 6.0 * theta * T * (pot.M2 / math.sqrt(pot.m2)) * math.sqrt(h_cap)
         d = report.distances
         assert np.all(d[1:] <= (1.0 - kappa) * d[:-1] + cushion)
+
+    @pytest.mark.parametrize("kind, scheme, theta", [
+        ("metropolis", "leapfrog", 0.2), ("metropolis", "euler", 0.1),
+        ("unadjusted", "leapfrog", 0.01), ("ideal", "reference", 1e-10)])
+    def test_equals_two_chains_run_alone(self, kind, scheme, theta):
+        # a synchronous coupling is two chains on the same seed
+        pot = make_perturbed_quadratic(3, 0.1, seed=7)
+        spec = KernelSpec(kind, IntegratorSpec(scheme, theta=theta, T=0.5))
+        x0, y0 = np.array([1.0, 0.0, -1.0]), np.array([-0.5, 0.8, 0.2])
+        report = couple_synchronous(pot, spec, x0, y0, steps=30, seed=11)
+        xs = run_chain(pot, spec, x0, 30, seed=11).states
+        ys = run_chain(pot, spec, y0, 30, seed=11).states
+        np.testing.assert_array_equal(report.distances,
+                                      [np.linalg.norm(x - y) for x, y in zip(xs, ys)])
 
     def test_rate_improves_toward_unit_condition_number(self):
         rates = []

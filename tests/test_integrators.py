@@ -95,6 +95,34 @@ class TestComposedIntegrator:
         integrate(UNIT, spec, pp(1.0, 0.0), ledger)
         assert ledger.gradient_evals == 10
 
+    def test_leapfrog_evaluates_each_gradient_once(self):
+        # the ledger charges the paper's 2 gradients per oracle step; the run
+        # evaluates one per point, n + 1 in all, or n from a known first one
+        pot, rows = counted(PERTURBED)
+        spec = IntegratorSpec("leapfrog", theta=0.01, T=0.5)
+        n, h = spec.oracle_steps, math.sqrt(spec.theta)
+        x = PhasePoint(np.array([0.3, -0.1, 0.5]), np.array([0.2, 0.4, -1.0]))
+        ledger = CostLedger()
+        out = integrate(pot, spec, x, ledger)
+        assert rows[0] == n + 1 and ledger.gradient_evals == 2 * n
+        np.testing.assert_array_equal(out.g, PERTURBED.gradient(out.q))
+        warm = integrate(pot, spec, PhasePoint(x.q, x.p, PERTURBED.gradient(x.q)))
+        assert rows[0] == 2 * n + 1
+        q, p = x.q, x.p  # the unmerged loop, two gradient calls per step
+        for _ in range(n):
+            p = p - 0.5 * h * PERTURBED.gradient(q)
+            q = q + h * p
+            p = p - 0.5 * h * PERTURBED.gradient(q)
+        for got in (out, warm):
+            np.testing.assert_array_equal(got.q, q)
+            np.testing.assert_array_equal(got.p, p)
+
+    def test_ledger_charges_every_row(self):
+        ledger = CostLedger()
+        integrate(UNIT, IntegratorSpec("euler", theta=0.1, T=0.5),
+                  PhasePoint(np.zeros((3, 1)), np.ones((3, 1))), ledger)
+        assert ledger.gradient_evals == 3 * 5
+
     def test_euler_matches_exact_at_small_theta(self):
         # position gap bounded by 6 theta T (M2/sqrt(m2)) sqrt(H)
         T, theta = 0.25, 1e-4

@@ -2,14 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from convexhmc import (CostLedger, IntegratorSpec, KernelSpec, MomentumSource,
                        default_integration_time, effective_sample_size,
                        ideal_step, make_gaussian, make_perturbed_quadratic,
                        metropolis_step, run_chain, unadjusted_step)
 from convexhmc.kernels import KernelError
+from test_integrators import counted
 
 UNIT = make_gaussian([1.0])
+PERTURBED = make_perturbed_quadratic(2, 0.2, seed=1)
 
 
 def exact_kernel(T=None):
@@ -200,5 +203,50 @@ class TestRunChain:
             run_chain(UNIT, exact_kernel(), np.zeros(2), 5, seed=0)
         with pytest.raises(KernelError):
             KernelSpec("ideal", IntegratorSpec("euler", theta=0.1, T=0.3))
-        with pytest.raises(KernelError):
-            KernelSpec("unadjusted", IntegratorSpec("euler", theta=0.1, T=0.3), T=0.4)
+
+
+class TestCarriedState:
+    def test_metropolis_chain_gradient_calls(self):
+        # N steps of n oracle steps evaluate N n + 1 gradients, rejections
+        # included, while the ledger charges the paper's 2 N n
+        pot, rows = counted(PERTURBED)
+        spec = KernelSpec("metropolis", IntegratorSpec("leapfrog", theta=0.2, T=1.2))
+        n = spec.integrator.oracle_steps
+        trace = run_chain(pot, spec, np.array([0.5, -0.5]), 200, seed=4)
+        assert trace.ledger.rejected > 0
+        assert rows[0] == 200 * n + 1
+        assert trace.ledger.gradient_evals == 2 * 200 * n
+
+    @settings(max_examples=30, deadline=None, database=None)
+    @given(st.sampled_from(["metropolis", "unadjusted"]), st.sampled_from(["leapfrog", "euler"]),
+           st.floats(0.01, 0.5), st.integers(0, 2**32 - 1))
+    def test_run_chain_composes_single_steps(self, kind, scheme, theta, seed):
+        # run_chain carries U and grad U; stepping from scratch each time must agree
+        spec = KernelSpec(kind, IntegratorSpec(scheme, theta=theta, T=0.8))
+        steps = 40
+        x = np.array([1.0, -0.5])
+        trace = run_chain(PERTURBED, spec, x, steps, seed)
+        source = MomentumSource(seed, PERTURBED.dim)
+        ledger = CostLedger()
+        states, energies, accepted = [x], [], [True]
+        for _ in range(steps):
+            p = source.next_momentum()
+            energies.append(PERTURBED.value(x) + 0.5 * float(p @ p))
+            if kind == "metropolis":
+                x, ok = metropolis_step(PERTURBED, spec, x, p, source.next_uniform(), ledger)
+            else:
+                x, ok = unadjusted_step(PERTURBED, spec, x, p, ledger), True
+            states.append(x)
+            accepted.append(ok)
+        energies.append(PERTURBED.value(x))
+        assert np.array_equal(trace.states, np.array(states), equal_nan=True)
+        assert np.array_equal(trace.hamiltonians, np.array(energies), equal_nan=True)
+        assert np.array_equal(trace.accepted, np.array(accepted))
+        assert trace.ledger == ledger
+
+    def test_divergence_recorded(self):
+        pot = make_gaussian([1.0, 4.0])
+        spec = KernelSpec("unadjusted", IntegratorSpec("euler", theta=50.0, T=0.088))
+        assert run_chain(pot, spec, np.zeros(2), 5, seed=1).diverged_at == 0
+        calm = KernelSpec("metropolis", IntegratorSpec("leapfrog", theta=1e-3, T=0.088))
+        assert run_chain(pot, calm, np.zeros(2), 200, seed=1).diverged_at is None
