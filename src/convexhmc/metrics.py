@@ -17,6 +17,8 @@ from scipy.spatial.distance import cdist
 from .potentials import ConvexHMCError
 
 ASSIGNMENT_GUARD = 2048
+# rows per block of the dual lower bound: a 32 x n temporary, not n x n
+DUAL_BLOCK_ROWS = 32
 
 
 class MetricError(ConvexHMCError, ValueError):
@@ -71,11 +73,35 @@ def w1_assignment(a, b) -> float:
         raise MetricError(f"batch shapes differ: {pa.shape} vs {pb.shape}")
     if pa.shape[0] > ASSIGNMENT_GUARD:
         raise MetricError(f"assignment solver capped at n <= {ASSIGNMENT_GUARD}, got {pa.shape[0]}")
-    cost = cdist(pa, pb)
-    rows, cols = linear_sum_assignment(cost)
+    return assignment(cdist(pa, pb))[0]
+
+
+def assignment(cost: np.ndarray) -> tuple[float, np.ndarray]:
+    """Exact W1 of a square cost matrix and its optimal matching (row i -> cols[i])."""
+    _, cols = linear_sum_assignment(cost)
+    return matching_cost(cost, cols), cols
+
+
+def matching_cost(cost: np.ndarray, cols: np.ndarray) -> float:
+    """Mean cost of the matching row i -> cols[i]: an upper bound on W1."""
     # summing the matched costs in sorted order makes the value invariant
     # under swapping the two batches
-    return float(np.sort(cost[rows, cols]).mean())
+    return float(np.sort(cost[np.arange(cost.shape[0]), cols]).mean())
+
+
+def w1_lower_bound(cost: np.ndarray) -> float:
+    """Dual lower bound on W1 from the double c-transform of a square cost matrix.
+
+    u = row minima and v = column minima of (c - u) satisfy u_i + v_j <= c_ij,
+    so mean(u) + mean(v) never exceeds the optimal matching's mean cost.  v is
+    reduced over row blocks so no second n x n array is allocated.
+    """
+    u = cost.min(axis=1)
+    v = np.full(cost.shape[1], np.inf)
+    for start in range(0, cost.shape[0], DUAL_BLOCK_ROWS):
+        stop = start + DUAL_BLOCK_ROWS
+        np.minimum(v, (cost[start:stop] - u[start:stop, None]).min(axis=0), out=v)
+    return float(u.mean() + v.mean())
 
 
 def w1_sliced(a, b, directions: int, seed: int) -> float:

@@ -3,10 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.spatial.distance import cdist
 
 from convexhmc import (SampleBatch, effective_sample_size, gaussian_moment_test,
                        prokhorov_upper, w1_assignment, w1_exact_1d, w1_sliced)
-from convexhmc.metrics import MetricError
+from convexhmc.metrics import MetricError, assignment, matching_cost, w1_lower_bound
 
 
 def brute_force_w1(a, b):
@@ -79,6 +81,51 @@ class TestAssignment:
             assert ab >= 0.0
             assert w1_assignment(a, a) == 0.0
             assert ab <= w1_assignment(a, c) + w1_assignment(c, b) + 1e-9
+
+
+@st.composite
+def batch_pairs(draw):
+    """(a, b, perm): two (n, d) batches, n in [1, 64] and d in [1, 8], and a permutation."""
+    n, d = draw(st.integers(1, 64)), draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.standard_normal((n, d)) * draw(st.floats(1e-3, 1e3))
+    b = rng.standard_normal((n, d)) * draw(st.floats(1e-3, 1e3)) + draw(st.floats(-10.0, 10.0))
+    if draw(st.booleans()):
+        b[: n // 2] = a[: n // 2]  # ties: some points shared exactly
+    return a, b, np.array(draw(st.permutations(range(n))))
+
+
+class TestAssignmentBounds:
+    @settings(max_examples=80, deadline=None, database=None)
+    @given(batch_pairs())
+    def test_bounds_bracket_exact_w1(self, case):
+        a, b, perm = case
+        cost = cdist(a, b)
+        w1 = w1_assignment(a, b)
+        # the bounds and the solver sum in different orders, so allow rounding
+        rounding = 1e-12 * w1
+        assert w1_lower_bound(cost) <= w1 + rounding
+        assert w1 <= matching_cost(cost, perm) + rounding
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(batch_pairs())
+    def test_solver_matching_cost_is_w1_bit_for_bit(self, case):
+        a, b, _ = case
+        cost = cdist(a, b)
+        w1, cols = assignment(cost)
+        assert w1 == w1_assignment(a, b)
+        assert matching_cost(cost, cols) == w1_assignment(a, b)
+
+    def test_lower_bound_matches_unblocked_dual(self):
+        cost = cdist(*np.random.default_rng(12).standard_normal((2, 100, 3)))
+        u = cost.min(axis=1)
+        v = (cost - u[:, None]).min(axis=0)
+        assert w1_lower_bound(cost) == float(u.mean() + v.mean())
+
+    def test_lower_bound_is_tight_when_row_minima_match(self):
+        a = np.array([[0.0], [5.0], [10.0]])
+        cost = cdist(a, a + 0.5)
+        assert w1_lower_bound(cost) == pytest.approx(0.5, abs=1e-15)
 
 
 class TestSliced:
