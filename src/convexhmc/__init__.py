@@ -2,19 +2,17 @@
 
 from .potentials import (ConvexHMCError, ConvexityReport, Potential, PotentialError,
                          SeparablePotential, make_gaussian, make_perturbed_quadratic,
-                         make_ridge_logistic, make_separable, product_potential,
-                         validate_convexity)
+                         make_ridge_logistic, make_separable, validate_convexity)
 from .integrators import (GoodSetSpec, IntegratorError, IntegratorSpec, PhasePoint,
-                          default_good_set, energy_error, euler_step, exact_gaussian_flow,
-                          flow_trajectory, guarded_step, hamiltonian, integrate,
-                          leapfrog_step, reference_flow)
+                          default_good_set, exact_gaussian_flow, flow_trajectory,
+                          guarded_step, hamiltonian, integrate, reference_flow)
 from .kernels import (ChainTrace, CostLedger, KernelSpec, MomentumSource, carry,
                       default_integration_time, ideal_step, metropolis_step, run_chain,
-                      transition, unadjusted_step)
+                      transition)
 from .coupling import (CouplingReport, DriftReport, contraction_bound,
                        contraction_certificate, couple_synchronous, drift_check,
                        good_set_statistics, kernel_contraction_bound)
-from .metrics import (MomentTestResult, SampleBatch, effective_sample_size,
+from .metrics import (MomentTestResult, effective_sample_size,
                       gaussian_moment_test, prokhorov_upper, w1_assignment, w1_exact_1d,
                       w1_sliced)
 from .precondition import (RoundingReport, RoundingTransform, build_rounding, hessian_at,

@@ -23,7 +23,7 @@ from .kernels import default_integration_time, run_chain
 from .metrics import w1_assignment, w1_exact_1d, w1_sliced
 from .precondition import build_rounding, verify_rounding
 from .scaling import run_scaling_study
-from .potentials import ConvexHMCError, SeparablePotential
+from .potentials import ConvexHMCError, SeparablePotential, uniform_ball
 
 
 def _out_dir(config):
@@ -73,15 +73,10 @@ def _task_couple(config, base_dir, out):
     run = config["run"]
     opts = config.get("couple", {})
     rng = np.random.default_rng(run["seed"])
-
-    def ball_point():
-        # starting convention |x0| <= sqrt(d/m2)
-        g = rng.standard_normal(pot.dim)
-        radius = math.sqrt(pot.dim / pot.m2) * rng.random() ** (1.0 / pot.dim)
-        return g / np.linalg.norm(g) * radius
-
-    x0 = np.asarray(opts.get("x0", ball_point()), dtype=float)
-    y0 = np.asarray(opts.get("y0", ball_point()), dtype=float)
+    radius = math.sqrt(pot.dim / pot.m2)  # starting convention |x0| <= sqrt(d/m2)
+    # both starts are drawn, given or not, so a given x0 leaves y0's draw unchanged
+    x0 = opts.get("x0", uniform_ball(rng, 1, pot.dim, radius)[0])
+    y0 = opts.get("y0", uniform_ball(rng, 1, pot.dim, radius)[0])
     report = couple_synchronous(pot, spec, x0, y0, run.get("steps", 200), run["seed"])
     cfg.write_csv(os.path.join(out, "couple.csv"), ["step", "distance"],
                   ((i, d) for i, d in enumerate(report.distances)))
@@ -197,15 +192,14 @@ def _task_verify_rounding(config, base_dir, out):
 def _task_scaling(config, base_dir, out):
     opts = config["scaling"]
     run = config["run"]
-    metric = config.get("metric", {})
     result = run_scaling_study(
         family=opts.get("family", "standard_gaussian"),
         scheme=opts["scheme"],
         dims=opts["dims"],
-        epsilon=opts.get("epsilon", metric.get("epsilon", 0.05)),
+        epsilon=opts.get("epsilon", 0.05),
         seed=run["seed"],
         kernel=opts.get("kernel", "unadjusted"),
-        replicas=opts.get("replicas", metric.get("reference_samples", 1024)),
+        replicas=opts.get("replicas", 1024),
     )
     cfg.write_csv(os.path.join(out, "scaling.csv"),
                   ["dim", "theta", "oracle_steps", "chain_steps", "replicas",

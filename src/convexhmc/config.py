@@ -71,10 +71,9 @@ _TARGET_SCHEMA = {
 _INTEGRATOR_SCHEMA = {
     "type": "object",
     "properties": {
-        "scheme": {"enum": ["exact_gaussian", "euler", "leapfrog", "reference", "guarded"]},
+        "scheme": {"enum": ["exact_gaussian", "euler", "leapfrog", "reference"]},
         "theta": {"type": "number", "exclusiveMinimum": 0},
         "T": {"type": "number", "minimum": 0},
-        "k": {"enum": [1, 2]},
     },
     "required": ["scheme"],
     "additionalProperties": False,
@@ -110,14 +109,6 @@ EXPERIMENT_SCHEMA = {
         "target": {"$dynamicRef": "#target"},
         "kernel": _KERNEL_SCHEMA,
         "run": _RUN_SCHEMA,
-        "metric": {
-            "type": "object",
-            "properties": {
-                "epsilon": {"type": "number", "exclusiveMinimum": 0},
-                "reference_samples": {"type": "integer", "minimum": 1},
-            },
-            "additionalProperties": False,
-        },
         "couple": {
             "type": "object",
             "properties": {
@@ -214,12 +205,19 @@ def validate_target(target: dict) -> None:
         raise ConfigError("invalid target config:\n  " + "\n  ".join(lines))
 
 
-def load_json(path: str) -> Any:
+def _open(path: str):
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        return open(path, "r", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot open ({exc.strerror})") from exc
+
+
+def load_json(path: str) -> Any:
+    with _open(path) as fh:
+        try:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: malformed JSON ({exc})") from exc
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}: malformed JSON ({exc})") from exc
 
 
 def load_logistic_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
@@ -252,7 +250,7 @@ def build_kernel_spec(kernel: dict, pot: Potential) -> KernelSpec:
     scheme = integ["scheme"]
     T = integ.get("T", default_integration_time(pot))
     theta = integ.get("theta", 1e-10 if scheme in ("reference", "exact_gaussian") else 1e-3)
-    spec = IntegratorSpec(scheme=scheme, theta=theta, T=T, order=integ.get("k"))
+    spec = IntegratorSpec(scheme=scheme, theta=theta, T=T)
     return KernelSpec(kind=kernel["kind"], integrator=spec)
 
 
@@ -298,26 +296,13 @@ def _plain(obj):
     return obj
 
 
-def save_trajectory_csv(path: str, pot, times, qs, ps) -> None:
-    """Dump an integrated trajectory as rows (t, q..., p..., H)."""
-    times = np.asarray(times, dtype=float)
-    qs = np.asarray(qs, dtype=float)
-    ps = np.asarray(ps, dtype=float)
-    d = qs.shape[-1]
-    header = (["t"] + [f"q{j}" for j in range(d)] + [f"p{j}" for j in range(d)] + ["H"])
-    energies = pot.value(qs) + 0.5 * np.sum(ps * ps, axis=-1)
-    rows = ([times[i]] + list(qs[i]) + list(ps[i]) + [energies[i]]
-            for i in range(len(times)))
-    write_csv(path, header, rows)
-
-
 def load_points_csv(path: str) -> np.ndarray:
     pts = np.loadtxt(path, delimiter=",", ndmin=2, skiprows=_header_rows(path))
     return pts
 
 
 def _header_rows(path: str) -> int:
-    with open(path, "r", encoding="utf-8") as fh:
+    with _open(path) as fh:
         first = fh.readline()
     try:
         [float(tok) for tok in first.strip().split(",") if tok]

@@ -16,8 +16,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .integrators import GoodSetSpec, PhasePoint, guarded_step, reference_flow
-from .kernels import (CostLedger, KernelSpec, MomentumSource, default_integration_time,
-                      transition)
+from .kernels import KernelSpec, MomentumSource, default_integration_time, transition
 from .potentials import ConvexHMCError, Potential, SeparablePotential, uniform_ball
 
 DISTANCE_FLOOR = 1e-12
@@ -59,9 +58,8 @@ class DriftReport:
 
     ``log_means[i]`` estimates log E[exp |X_1|] for starts of norm
     ``radii[i]``; ``log_se`` are delta-method standard errors of the log.
-    The affine envelope est <= slope * e^r + intercept uses the largest
-    radius for the slope, so ``slope`` estimates the per-step decay factor
-    where the contraction branch dominates.
+    ``slope`` is est / e^r at the largest radius, so it estimates the
+    per-step decay factor where the contraction branch dominates.
     """
 
     radii: np.ndarray
@@ -69,7 +67,6 @@ class DriftReport:
     log_se: np.ndarray
     log_a_hat: float
     slope: float
-    intercept_log: float
     feasible: bool
 
     @property
@@ -101,6 +98,9 @@ def couple_synchronous(pot: Potential, spec: KernelSpec, x0: np.ndarray, y0: np.
         raise CouplingError(f"steps must be >= 1, got {steps}")
     x = np.array(x0, dtype=float)
     y = np.array(y0, dtype=float)
+    if x.shape != (pot.dim,) or y.shape != (pot.dim,):
+        raise CouplingError(
+            f"x0 and y0 must have shape ({pot.dim},), got {x.shape} and {y.shape}")
     source = MomentumSource(seed, pot.dim)
     distances = np.empty(steps + 1)
     distances[0] = np.linalg.norm(x - y)
@@ -156,19 +156,12 @@ def contraction_certificate(pot: Potential, T: float, trials: int, seed: int,
     return float(np.max(d1 / d0))
 
 
-def _batch_kernel_step(pot: Potential, spec: KernelSpec, x0: np.ndarray,
-                       momenta: np.ndarray, uniforms: np.ndarray,
-                       ledger: Optional[CostLedger] = None) -> np.ndarray:
-    return transition(pot, spec, x0, momenta, uniforms, None, ledger)[0]
-
-
 def drift_check(pot: Potential, spec: KernelSpec, radii: Sequence[float],
                 replicas: int, seed: int) -> DriftReport:
     """Estimate E[exp |X_1|] from starts of each norm, in log space.
 
     Reports the smallest A making every radius satisfy
-    E[exp |X_1|] <= e^(r-1) + A, together with the affine envelope
-    (slope from the largest radius, log intercept covering the rest).
+    E[exp |X_1|] <= e^(r-1) + A, and the decay slope at the largest radius.
     """
     if replicas < 100:
         raise CouplingError(f"need replicas >= 100 for stable estimates, got {replicas}")
@@ -185,7 +178,7 @@ def drift_check(pot: Potential, spec: KernelSpec, radii: Sequence[float],
         x0 = r * dirs
         momenta = rng.standard_normal((replicas, pot.dim))
         uniforms = rng.random(replicas)
-        x1 = _batch_kernel_step(pot, spec, x0, momenta, uniforms)
+        x1 = transition(pot, spec, x0, momenta, uniforms)[0]
         v = np.linalg.norm(x1, axis=1)
         log_m1 = logsumexp(v) - math.log(replicas)
         log_m2 = logsumexp(2.0 * v) - math.log(replicas)
@@ -202,19 +195,10 @@ def drift_check(pot: Potential, spec: KernelSpec, radii: Sequence[float],
         log_a_hat = -math.inf
     top = int(np.argmax(radii))
     slope = float(np.exp(log_means[top] - radii[top]))
-    # intercept: max over radii of est_r - slope * e^r, evaluated stably
-    intercept_parts = []
-    for i in range(radii.size):
-        log_slope_term = math.log(slope) + radii[i] if slope > 0.0 else -math.inf
-        diff = log_means[i] - log_slope_term
-        if diff > 0.0:
-            intercept_parts.append(log_slope_term + math.log(math.expm1(diff)))
-    intercept_log = max(intercept_parts) if intercept_parts else -math.inf
     feasible = bool(np.all(log_means <= np.logaddexp(radii - 1.0,
                                                      np.full_like(radii, log_a_hat)) + 1e-12))
     return DriftReport(radii=radii, log_means=log_means, log_se=log_ses,
-                       log_a_hat=float(log_a_hat), slope=slope,
-                       intercept_log=float(intercept_log), feasible=feasible)
+                       log_a_hat=float(log_a_hat), slope=slope, feasible=feasible)
 
 
 def good_set_statistics(pot: SeparablePotential, spec: KernelSpec, good: GoodSetSpec,

@@ -17,8 +17,8 @@ import numpy as np
 
 from .potentials import ConvexHMCError, Potential
 
-SCHEMES = ("exact_gaussian", "euler", "leapfrog", "reference", "guarded")
-_ORACLE_ORDER = {"euler": 1, "leapfrog": 2, "guarded": 2}
+SCHEMES = ("exact_gaussian", "euler", "leapfrog", "reference")
+_ORACLE_ORDER = {"euler": 1, "leapfrog": 2}
 _W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
 _TRIPLE_JUMP = (_W1, 1.0 - 2.0 * _W1, _W1)  # Yoshida (1990), fourth order
 _MAX_DOUBLINGS = 16
@@ -56,7 +56,6 @@ class IntegratorSpec:
     scheme: str
     theta: float = 1e-3
     T: float = 1.0
-    order: Optional[int] = None
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
@@ -65,11 +64,11 @@ class IntegratorSpec:
             raise IntegratorError(f"theta must be positive, got {self.theta}")
         if self.T < 0.0:
             raise IntegratorError(f"T must be nonnegative, got {self.T}")
-        if self.order is None:
-            object.__setattr__(self, "order", _ORACLE_ORDER.get(self.scheme))
-        elif self.scheme in _ORACLE_ORDER and self.order != _ORACLE_ORDER[self.scheme]:
-            raise IntegratorError(
-                f"scheme {self.scheme!r} has order {_ORACLE_ORDER[self.scheme]}, got {self.order}")
+
+    @property
+    def order(self) -> Optional[int]:
+        """Order k of the oracle scheme (1 Euler, 2 leapfrog); None for the others."""
+        return _ORACLE_ORDER.get(self.scheme)
 
     @property
     def oracle_steps(self) -> int:
@@ -132,17 +131,8 @@ def hamiltonian(pot: Potential, x: PhasePoint) -> np.ndarray:
     return pot.value(x.q) + 0.5 * np.sum(np.asarray(x.p) ** 2, axis=-1)
 
 
-def euler_step(pot: Potential, x: PhasePoint, theta: float) -> PhasePoint:
-    """One first-order oracle step: (q + p theta, p - theta U'(q))."""
-    return PhasePoint(*_euler_run(pot, x.q, x.p, theta, 1))
-
-
-def leapfrog_step(pot: Potential, x: PhasePoint, theta: float) -> PhasePoint:
-    """One second-order oracle step of internal length sqrt(theta)."""
-    return PhasePoint(*_leapfrog_run(pot, x.q, x.p, math.sqrt(theta), 1))
-
-
 def _euler_run(pot, q, p, theta, n):
+    """n first-order oracle steps (q, p) -> (q + theta p, p - theta U'(q))."""
     for _ in range(n):
         g = pot.gradient(q)
         q = q + theta * p
@@ -244,8 +234,6 @@ def integrate(pot: Potential, spec: IntegratorSpec, x: PhasePoint, ledger=None) 
         return exact_gaussian_flow(pot.precision_eigenvalues, x, spec.T)
     if spec.scheme == "reference":
         return reference_flow(pot, x, spec.T, tol=spec.theta)
-    if spec.scheme == "guarded":
-        raise IntegratorError("guarded scheme needs a GoodSetSpec; call guarded_step")
     n, g = spec.oracle_steps, None
     if spec.scheme == "euler":
         q, p = _euler_run(pot, x.q, x.p, spec.theta, n)
@@ -261,8 +249,9 @@ def guarded_step(pot: Potential, spec: IntegratorSpec, good: GoodSetSpec,
     """Toy integrator: high-order map inside the good set, Euler outside.
 
     Both branches run for the same theta and T; the Euler branch composes
-    with order k = 1, the good-set branch with the leapfrog oracle (k = 2).
-    Batches are split row-by-row according to membership.
+    with order k = 1, the good-set branch with the leapfrog oracle (k = 2);
+    only ``spec``'s theta and T are read.  Batches are split row-by-row
+    according to membership.
     """
     if pot.dim % good.block_dim:
         raise IntegratorError("potential dimension is not a multiple of the good-set block size")
@@ -279,8 +268,3 @@ def guarded_step(pot: Potential, spec: IntegratorSpec, good: GoodSetSpec,
             q[mask], p[mask] = out.q, out.p
     return PhasePoint(q, p)
 
-
-def energy_error(pot: Potential, spec: IntegratorSpec, x: PhasePoint,
-                 ledger=None) -> np.ndarray:
-    """|H(flow(x)) - H(x)| for the map identified by ``spec``."""
-    return np.abs(hamiltonian(pot, integrate(pot, spec, x, ledger)) - hamiltonian(pot, x))

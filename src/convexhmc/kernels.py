@@ -58,13 +58,11 @@ class MomentumSource:
 
     _BLOCK = 256
 
-    def __init__(self, seed, dim: int):
+    def __init__(self, seed: int, dim: int):
         if dim < 1:
             raise KernelError(f"dimension must be >= 1, got {dim}")
-        self.seed = seed
         self.dim = dim
-        ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-        mom_ss, unif_ss = ss.spawn(2)
+        mom_ss, unif_ss = np.random.SeedSequence(seed).spawn(2)
         self._mom = np.random.Generator(np.random.PCG64(mom_ss))
         self._unif = np.random.Generator(np.random.PCG64(unif_ss))
         self._mom_buf = np.empty((0, dim))
@@ -103,11 +101,6 @@ class KernelSpec:
         if self.kind == "ideal" and self.integrator.scheme not in ("exact_gaussian", "reference"):
             raise KernelError("ideal kernel needs the exact_gaussian or reference scheme")
 
-    @property
-    def T(self) -> float:
-        """Integration time of one step: the integrator's."""
-        return self.integrator.T
-
 
 @dataclass
 class ChainTrace:
@@ -115,7 +108,6 @@ class ChainTrace:
 
     states: np.ndarray
     ledger: CostLedger
-    seed: int
     accepted: np.ndarray = field(default=None)
     hamiltonians: np.ndarray = field(default=None)
     diverged_at: Optional[int] = None
@@ -124,15 +116,10 @@ class ChainTrace:
         return len(self.states)
 
 
-def ideal_step(pot: Potential, T: float, x: np.ndarray, p: np.ndarray,
-               tol: float = 1e-10) -> np.ndarray:
-    """Position after the ideal Hamiltonian flow for time T."""
-    point = PhasePoint(np.asarray(x, dtype=float), np.asarray(p, dtype=float))
-    if pot.is_gaussian:
-        spec = IntegratorSpec("exact_gaussian", T=T)
-    else:
-        spec = IntegratorSpec("reference", theta=tol, T=T)
-    return integrate(pot, spec, point).q
+def ideal_step(pot: Potential, spec: KernelSpec, x: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Position after the ideal Hamiltonian flow: ``spec``'s exact_gaussian or
+    reference scheme, run as given."""
+    return integrate(pot, spec.integrator, PhasePoint(x, p)).q
 
 
 def carry(pot: Potential, spec: KernelSpec, x: np.ndarray) -> tuple:
@@ -152,7 +139,7 @@ def transition(pot: Potential, spec: KernelSpec, x: np.ndarray, p: np.ndarray, u
     only a Metropolis step evaluates U; the others return no dH or carried'.
     """
     if spec.kind == "ideal":
-        q = ideal_step(pot, spec.T, x, p, tol=spec.integrator.theta)
+        q = ideal_step(pot, spec, x, p)
         d_h, after = None, None if carried is None else (pot.value(q), None)
     else:
         if carried is None and spec.kind == "metropolis":
@@ -180,20 +167,13 @@ def transition(pot: Potential, spec: KernelSpec, x: np.ndarray, p: np.ndarray, u
     return q, ok, d_h, after
 
 
-def unadjusted_step(pot: Potential, spec: KernelSpec, x: np.ndarray, p: np.ndarray,
-                    ledger: CostLedger) -> np.ndarray:
-    """Position output of the numerical flow; ledger charged per oracle call."""
-    return transition(pot, spec, x, p, ledger=ledger)[0]
-
-
 def metropolis_step(pot: Potential, spec: KernelSpec, x: np.ndarray, p: np.ndarray,
-                    u: float, ledger: CostLedger, carried: Optional[tuple] = None):
+                    u: float, ledger: CostLedger, carried: Optional[tuple] = None) -> tuple:
     """Propose the full phase output and accept iff u < min(1, exp(-dH)):
-    returns (x', accepted), or given ``carried``, ``transition``'s 4-tuple."""
+    ``transition``'s (x', accepted, dH, carried') for one chain."""
     if not 0.0 <= u <= 1.0:
         raise KernelError(f"uniform variate must lie in [0, 1], got {u}")
-    step = transition(pot, spec, x, p, u, carried, ledger)
-    return step if carried is not None else (step[0], bool(step[1]))
+    return transition(pot, spec, x, p, u, carried, ledger)
 
 
 def run_chain(pot: Potential, spec: KernelSpec, x0: np.ndarray, i_max: int,
@@ -232,5 +212,5 @@ def run_chain(pot: Potential, spec: KernelSpec, x0: np.ndarray, i_max: int,
             diverged_at = i
         states[i + 1] = x
     energies[i_max] = carried[0]
-    return ChainTrace(states=states, ledger=ledger, seed=seed, accepted=accepted,
+    return ChainTrace(states=states, ledger=ledger, accepted=accepted,
                       hamiltonians=energies, diverged_at=diverged_at)

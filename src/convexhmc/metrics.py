@@ -25,31 +25,8 @@ class MetricError(ConvexHMCError, ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class SampleBatch:
-    """Equal-weight point cloud; rows are points."""
-
-    points: np.ndarray
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        if pts.ndim != 2 or pts.shape[0] < 1:
-            raise MetricError("points must be a nonempty (n, d) matrix")
-        if not np.all(np.isfinite(pts)):
-            raise MetricError("points must be finite")
-        object.__setattr__(self, "points", pts)
-
-    @property
-    def n(self) -> int:
-        return self.points.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.points.shape[1]
-
-
 def _points(batch) -> np.ndarray:
-    pts = batch.points if isinstance(batch, SampleBatch) else np.asarray(batch, dtype=float)
+    pts = np.asarray(batch, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
     return pts

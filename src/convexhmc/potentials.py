@@ -2,7 +2,7 @@
 
 A target density pi(q) ~ exp(-U(q)) enters every experiment through its
 potential U, the gradient U', and curvature bounds m2 <= eig(Hess U) <= M2.
-All constructors translate coordinates so that the unique minimizer sits at
+All constructors translate coordinates so that the unique minimum sits at
 the origin with U(0) = 0, which makes energy and drift bounds directly
 checkable.
 
@@ -51,10 +51,6 @@ class Potential:
             raise PotentialError(f"need 0 < m2 <= M2, got m2={self.m2}, M2={self.M2}")
         if self.M3 is not None and self.M3 < 0.0:
             raise PotentialError(f"M3 must be nonnegative, got {self.M3}")
-
-    @property
-    def minimizer(self) -> np.ndarray:
-        return np.zeros(self.dim)
 
     @property
     def is_gaussian(self) -> bool:
@@ -115,7 +111,7 @@ def make_perturbed_quadratic(dim: int, amplitude: float, seed: int) -> Potential
     """Generic non-Gaussian strongly convex target.
 
     U0(q) = 1/2 |q|^2 + amplitude * sum_i cos(q_i + phi_i) with seeded random
-    phases, recentred so the minimizer is the origin and U(0) = 0.  The
+    phases, recentred so the minimum is at the origin and U(0) = 0.  The
     Hessian is diagonal with entries 1 - amplitude*cos(.), hence
     m2 = 1 - amplitude and M2 = 1 + amplitude.
     """
@@ -142,7 +138,7 @@ def make_perturbed_quadratic(dim: int, amplitude: float, seed: int) -> Potential
             break
         x = x - g
     if np.linalg.norm(raw_gradient(x)) > 1e-10:
-        raise PotentialError("perturbed-quadratic minimizer search did not converge")
+        raise PotentialError("perturbed-quadratic minimum search did not converge")
     shift = x
     offset = raw_value(shift)
 
@@ -168,7 +164,7 @@ def make_ridge_logistic(features: np.ndarray, labels: Sequence[float], ridge: fl
     """Ridge-regularized logistic-regression posterior potential.
 
     U0(q) = sum_i log(1 + exp(-y_i <x_i, q>)) + ridge/2 |q|^2, recentred at
-    its numerical minimizer.  Curvature bounds are the conservative
+    its numerical minimum.  Curvature bounds are the conservative
     m2 = ridge and M2 = ridge + sigma_max(X^T X)/4.
     """
     X = np.asarray(features, dtype=float)
@@ -225,7 +221,7 @@ def make_ridge_logistic(features: np.ndarray, labels: Sequence[float], ridge: fl
                 break
             shift = shift - np.linalg.solve(raw_hessian(shift), g)
     if np.linalg.norm(raw_gradient(shift)) > 1e-9:
-        raise PotentialError("logistic minimizer search did not converge")
+        raise PotentialError("logistic minimum search did not converge")
     offset = raw_value(shift)
 
     def value(q):
@@ -296,10 +292,6 @@ def make_separable(blocks: Sequence[Potential]) -> SeparablePotential:
         block_dim=m,
         blocks=blocks,
     )
-
-
-def product_potential(block: Potential, copies: int) -> SeparablePotential:
-    return make_separable([block] * copies)
 
 
 def uniform_ball(rng: np.random.Generator, n: int, dim: int, radius: float) -> np.ndarray:

@@ -26,8 +26,6 @@ every decision and every reported number equals an all-exact run.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -38,12 +36,17 @@ from .kernels import CostLedger, KernelSpec, default_integration_time, transitio
 from . import metrics
 from .potentials import ConvexHMCError, Potential, make_gaussian
 
-WORKERS_ENV = "CONVEXHMC_WORKERS"
 # only Gaussian families admit the exact reference samples the W1 budget needs
 FAMILIES = ("standard_gaussian",)
 # a bound decides a theta only when it clears floor + epsilon by this relative
 # margin, far above float rounding, so it never flips an exact decision
 BOUND_MARGIN = 1e-9
+# theta halves at most this often before a row fails, then this many
+# log-scale bisection steps refine the first theta that passed
+MAX_HALVINGS = 20
+REFINE_STEPS = 5
+# the 50 in the chain length I of the module docstring
+MIN_CHAIN_STEPS = 50
 
 
 class ScalingError(ConvexHMCError, RuntimeError):
@@ -67,7 +70,6 @@ class ScalingRow:
 @dataclass(frozen=True)
 class ScalingResult:
     scheme: str
-    order: int
     epsilon: float
     rows: tuple
     slope: Optional[float]
@@ -86,9 +88,9 @@ def _family_potential(family: str, dim: int) -> Potential:
     raise ScalingError(f"unknown family {family!r}; expected one of {FAMILIES}")
 
 
-def chain_length(pot: Potential, epsilon: float, c: float = 1.0, floor: int = 50) -> int:
+def chain_length(pot: Potential, epsilon: float) -> int:
     ratio = pot.M2 / pot.m2
-    return max(floor, math.ceil(c * ratio**2 * math.log(ratio / epsilon)))
+    return max(MIN_CHAIN_STEPS, math.ceil(ratio**2 * math.log(ratio / epsilon)))
 
 
 def _endpoints(pot: Potential, kernel: str, scheme: str, theta: float, T: float,
@@ -109,8 +111,8 @@ def _gaussian_reference(pot: Potential, replicas: int, seed: int) -> np.ndarray:
     return rng.standard_normal((replicas, pot.dim)) / np.sqrt(pot.precision_eigenvalues)
 
 
-def _run_row(args) -> ScalingRow:
-    (family, kernel, scheme, order, dim, epsilon, replicas, seed, max_halvings, refine) = args
+def _run_row(family: str, kernel: str, scheme: str, dim: int, epsilon: float,
+             replicas: int, seed: int) -> ScalingRow:
     pot = _family_potential(family, dim)
     T = default_integration_time(pot)
     steps = chain_length(pot, epsilon)
@@ -138,13 +140,13 @@ def _run_row(args) -> ScalingRow:
 
     # the first oracle step theta^(1/k) is T itself, so no accepted step
     # integrates past the kernel's time
-    theta = T**order
+    theta = T**IntegratorSpec(scheme).order
     passed, excess, ledger, ends = measure(theta)
     if not passed:
-        for attempt in range(max_halvings + 1):
-            if attempt == max_halvings:
+        for attempt in range(MAX_HALVINGS + 1):
+            if attempt == MAX_HALVINGS:
                 raise ScalingError(
-                    f"theta bisection exhausted {max_halvings} halvings at d={dim} "
+                    f"theta bisection exhausted {MAX_HALVINGS} halvings at d={dim} "
                     f"without reaching the W1 budget {epsilon}")
             theta /= 2.0
             passed, excess, ledger, ends = measure(theta)
@@ -152,7 +154,7 @@ def _run_row(args) -> ScalingRow:
                 break
         lo, hi = math.log(theta), math.log(theta * 2.0)
         best = (theta, excess, ledger, ends)
-        for _ in range(refine):
+        for _ in range(REFINE_STEPS):
             mid = 0.5 * (lo + hi)
             mid_passed, *mid_rest = measure(math.exp(mid))
             if mid_passed:
@@ -178,23 +180,13 @@ def _run_row(args) -> ScalingRow:
     )
 
 
-def _worker_count() -> int:
-    raw = os.environ.get(WORKERS_ENV, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def run_scaling_study(family: str, scheme: str, dims: Sequence[int], epsilon: float,
-                      seed: int, kernel: str = "unadjusted", replicas: int = 1024,
-                      max_halvings: int = 20, refine: int = 5) -> ScalingResult:
+                      seed: int, kernel: str = "unadjusted",
+                      replicas: int = 1024) -> ScalingResult:
     """Fit the gradient-evaluation exponent over a list of dimensions.
 
     ``epsilon`` is the absolute budget on the floor-corrected excess W1 of
-    the replica-endpoint batch against an exact reference batch.  Rows run
-    in a process pool when the CONVEXHMC_WORKERS environment variable asks
-    for more than one worker; outputs are identical either way.
+    the replica-endpoint batch against an exact reference batch.
     """
     dims = [int(d) for d in dims]
     if any(b <= a for a, b in zip(dims, dims[1:])):
@@ -207,15 +199,8 @@ def run_scaling_study(family: str, scheme: str, dims: Sequence[int], epsilon: fl
         raise ScalingError("replicas capped at 2048 by the exact assignment solver")
     if kernel not in ("unadjusted", "metropolis"):
         raise ScalingError(f"kernel must be unadjusted or metropolis, got {kernel!r}")
-    order = 1 if scheme == "euler" else 2
-    jobs = [(family, kernel, scheme, order, d, epsilon, replicas, seed + i, max_halvings,
-             refine) for i, d in enumerate(dims)]
-    workers = _worker_count()
-    if workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = tuple(pool.map(_run_row, jobs))
-    else:
-        rows = tuple(_run_row(job) for job in jobs)
+    rows = tuple(_run_row(family, kernel, scheme, d, epsilon, replicas, seed + i)
+                 for i, d in enumerate(dims))
     slope = stderr = None
     if len(rows) >= 2:
         x = np.log([r.dim for r in rows])
@@ -225,5 +210,5 @@ def run_scaling_study(family: str, scheme: str, dims: Sequence[int], epsilon: fl
         resid = y - (y.mean() + slope * xc)
         dof = max(len(rows) - 2, 1)
         stderr = float(np.sqrt(np.dot(resid, resid) / dof / np.dot(xc, xc)))
-    return ScalingResult(scheme=scheme, order=order, epsilon=float(epsilon),
+    return ScalingResult(scheme=scheme, epsilon=float(epsilon),
                          rows=rows, slope=slope, slope_stderr=stderr)

@@ -4,10 +4,9 @@ import os
 import numpy as np
 import pytest
 
-from convexhmc import PhasePoint, flow_trajectory, make_gaussian
+from convexhmc import PhasePoint, flow_trajectory, hamiltonian, make_gaussian
 from convexhmc.cli import main, run_experiment
-from convexhmc.config import (ConfigError, build_potential, save_trajectory_csv,
-                              validate_config, write_csv)
+from convexhmc.config import ConfigError, build_potential, validate_config, write_csv
 
 
 @pytest.fixture
@@ -103,6 +102,55 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("CouplingError: T must lie in")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("integrator, couple, error", [
+        # a start of the wrong length for the 2-d target
+        ({"scheme": "leapfrog"}, {"x0": [1, 2, 3]},
+         "CouplingError: x0 and y0 must have shape (2,), got (3,) and (2,)\n"),
+        # the order comes from the scheme, and guarded is no scheme
+        ({"scheme": "leapfrog", "k": 2}, {}, "ConfigError: invalid experiment config"),
+        ({"scheme": "guarded"}, {}, "ConfigError: invalid experiment config"),
+    ], ids=["x0-length", "k-field", "guarded-scheme"])
+    def test_bad_run_config_exits_2(self, tmp_path, capsys, integrator, couple, error):
+        conf = {"task": "couple", "target": {"kind": "gaussian", "eigenvalues": [1.0, 4.0]},
+                "kernel": {"kind": "metropolis", "integrator": integrator},
+                "run": {"steps": 5, "seed": 0}, "couple": couple}
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps(conf))
+        code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(error) and "Traceback" not in err
+
+    def test_ideal_kernel_runs_the_scheme_it_is_given(self, tmp_path, capsys):
+        # exact_gaussian has no closed form on a perturbed target
+        target = tmp_path / "target.json"
+        target.write_text(json.dumps({"kind": "perturbed", "dim": 2, "amplitude": 0.1,
+                                      "seed": 1}))
+        code = main(["couple", "--target-config", str(target), "--kernel", "ideal",
+                     "--scheme", "exact_gaussian", "--steps", "3", "--seed", "0",
+                     "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "IntegratorError: exact_gaussian scheme requires a Gaussian potential\n"
+
+    @pytest.mark.parametrize("command", ["target", "distance", "points", "data_csv"])
+    def test_missing_input_file_exits_2(self, tmp_path, capsys, gaussian_target, command):
+        missing = str(tmp_path / "nope.csv")
+        logistic = tmp_path / "logistic.json"
+        logistic.write_text(json.dumps({"kind": "logistic", "data_csv": missing, "ridge": 1.0}))
+        argv = {
+            "target": ["sample", "--target-config", str(tmp_path / "nope.json"), "--seed", "0"],
+            "distance": ["distance", missing, missing],
+            "points": ["verify-rounding", "--target-config", gaussian_target,
+                       "--points", missing],
+            "data_csv": ["certify", "--target-config", str(logistic), "--seed", "0"],
+        }[command]
+        code = main(argv + ["--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("ConfigError: ") and "nope." in err
         assert err.count("\n") == 1 and "Traceback" not in err
 
 
@@ -209,7 +257,9 @@ class TestFileFormats:
         start = PhasePoint(np.array([1.0, 0.5]), np.array([0.0, -0.2]))
         times, qs, ps = flow_trajectory(pot, start, T=0.3, snapshots=5, tol=1e-8)
         path = tmp_path / "traj.csv"
-        save_trajectory_csv(str(path), pot, times, qs, ps)
+        energies = hamiltonian(pot, PhasePoint(qs, ps))
+        write_csv(str(path), ["t", "q0", "q1", "p0", "p1", "H"],
+                  np.column_stack([times, qs, ps, energies]))
         rows = path.read_text().strip().split("\n")
         assert rows[0] == "t,q0,q1,p0,p1,H"
         assert len(rows) == 7
@@ -238,14 +288,3 @@ class TestScalingSmoke:
         for dim, theta, oracle_steps, chain_steps, replicas, evals, per_chain, *_ in rows:
             assert evals == chain_steps * oracle_steps * replicas  # euler: 1 eval/oracle
             assert per_chain == chain_steps * oracle_steps
-
-    def test_worker_pool_is_deterministic(self, tmp_path, monkeypatch):
-        args = ["scaling", "--scheme", "euler", "--dims", "2,4,8", "--epsilon", "0.5",
-                "--replicas", "32", "--seed", "9"]
-        out_serial, out_pool = tmp_path / "serial", tmp_path / "pool"
-        monkeypatch.setenv("CONVEXHMC_WORKERS", "1")
-        assert main(args + ["--out", str(out_serial)]) == 0
-        monkeypatch.setenv("CONVEXHMC_WORKERS", "3")
-        assert main(args + ["--out", str(out_pool)]) == 0
-        assert read(out_serial / "scaling.csv") == read(out_pool / "scaling.csv")
-        assert read(out_serial / "scaling_summary.json") == read(out_pool / "scaling_summary.json")

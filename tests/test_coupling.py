@@ -6,7 +6,8 @@ import pytest
 from convexhmc import (GoodSetSpec, IntegratorSpec, KernelSpec, contraction_bound,
                        contraction_certificate, couple_synchronous, default_good_set,
                        default_integration_time, drift_check, good_set_statistics,
-                       make_gaussian, make_perturbed_quadratic, product_potential, run_chain)
+                       make_gaussian, make_perturbed_quadratic, make_separable, run_chain,
+                       transition)
 from convexhmc.coupling import CouplingError
 
 SPHERICAL = make_gaussian([1.0, 1.0, 1.0, 1.0])
@@ -128,9 +129,7 @@ class TestDriftCheck:
         spec = ideal_spec(pot)
         rng = np.random.default_rng(0)
         momenta = rng.standard_normal((2000, 4))
-        from convexhmc.coupling import _batch_kernel_step
-        x1 = _batch_kernel_step(pot, spec, np.zeros((2000, 4)), momenta,
-                                rng.random(2000))
+        x1 = transition(pot, spec, np.zeros((2000, 4)), momenta, rng.random(2000))[0]
         lhs = np.linalg.norm(x1, axis=1)
         rhs = np.linalg.norm(momenta, axis=1) / math.sqrt(2.0 * pot.m2)
         assert np.all(lhs <= rhs + 1e-9)
@@ -160,7 +159,7 @@ class TestDriftCheck:
 
 class TestGoodSetStatistics:
     def setup_method(self):
-        self.pot = product_potential(make_gaussian([1.0]), 16)
+        self.pot = make_separable([make_gaussian([1.0])] * 16)
         T = default_integration_time(self.pot)
         self.spec = KernelSpec("unadjusted", IntegratorSpec("leapfrog", theta=0.01, T=T))
 
@@ -175,7 +174,7 @@ class TestGoodSetStatistics:
         assert freq == 1.0
 
     def test_default_good_set_rarely_exits(self):
-        pot = product_potential(make_gaussian([1.0]), 64)
+        pot = make_separable([make_gaussian([1.0])] * 64)
         T = default_integration_time(pot)
         spec = KernelSpec("unadjusted", IntegratorSpec("leapfrog", theta=0.01, T=T))
         good = default_good_set(pot.dim, 1)

@@ -6,10 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from convexhmc import (CostLedger, GoodSetSpec, IntegratorError, IntegratorSpec,
-                       PhasePoint, default_integration_time, energy_error, euler_step,
-                       exact_gaussian_flow, flow_trajectory, guarded_step, hamiltonian,
-                       integrate, leapfrog_step, make_gaussian, make_perturbed_quadratic,
-                       product_potential, reference_flow)
+                       PhasePoint, default_integration_time, exact_gaussian_flow,
+                       flow_trajectory, guarded_step, hamiltonian, integrate, make_gaussian,
+                       make_perturbed_quadratic, make_separable, reference_flow)
 from convexhmc import integrators
 
 UNIT = make_gaussian([1.0])
@@ -17,6 +16,21 @@ UNIT = make_gaussian([1.0])
 
 def pp(q, p):
     return PhasePoint(np.atleast_1d(np.asarray(q, float)), np.atleast_1d(np.asarray(p, float)))
+
+
+def euler_step(pot, x, theta):
+    # T = theta is exactly one Euler oracle step
+    return integrate(pot, IntegratorSpec("euler", theta=theta, T=theta), x)
+
+
+def leapfrog_step(pot, x, theta):
+    # T = theta^(1/2) is exactly one leapfrog oracle step of internal length sqrt(theta)
+    return integrate(pot, IntegratorSpec("leapfrog", theta=theta, T=theta ** 0.5), x)
+
+
+def energy_error(pot, spec, x):
+    """|H(flow(x)) - H(x)| for the map identified by ``spec``."""
+    return np.abs(hamiltonian(pot, integrate(pot, spec, x)) - hamiltonian(pot, x))
 
 
 def sample_states(pot, n, seed, energy_cap=None):
@@ -40,7 +54,7 @@ class TestOracles:
         assert out.p[0] == pytest.approx(-0.1)
 
     def test_euler_zero_step(self):
-        out = euler_step(UNIT, pp(1.3, -0.4), 0.0)
+        out = integrate(UNIT, IntegratorSpec("euler", theta=0.1, T=0.0), pp(1.3, -0.4))
         assert out.q[0] == 1.3 and out.p[0] == -0.4
 
     def test_euler_single_step_by_hand(self):
@@ -137,9 +151,15 @@ class TestComposedIntegrator:
         with pytest.raises(IntegratorError):
             integrate(pot, IntegratorSpec("exact_gaussian", T=0.3), pp([1.0, 0.0], [0.0, 0.0]))
 
-    def test_order_must_match_scheme(self):
-        with pytest.raises(IntegratorError):
+    def test_order_comes_from_scheme(self):
+        # k is the scheme's, never a second setting; guarded_step is no scheme
+        assert IntegratorSpec("euler").order == 1
+        assert IntegratorSpec("leapfrog").order == 2
+        assert IntegratorSpec("reference").order is None
+        with pytest.raises(TypeError):
             IntegratorSpec("euler", theta=0.1, T=1.0, order=2)
+        with pytest.raises(IntegratorError, match="unknown scheme"):
+            IntegratorSpec("guarded")
 
 
 class TestExactGaussianFlow:
@@ -291,8 +311,8 @@ class TestReferenceFlowProperties:
 
 class TestGuardedStep:
     def setup_method(self):
-        self.pot = product_potential(make_perturbed_quadratic(1, 0.1, seed=4), 4)
-        self.spec = IntegratorSpec("guarded", theta=0.01, T=0.3)
+        self.pot = make_separable([make_perturbed_quadratic(1, 0.1, seed=4)] * 4)
+        self.spec = IntegratorSpec("leapfrog", theta=0.01, T=0.3)
         self.good = GoodSetSpec(g_inf=10.0, g_2=0.5, block_dim=1)
 
     def test_inside_runs_leapfrog(self):

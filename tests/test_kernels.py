@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from convexhmc import (CostLedger, IntegratorSpec, KernelSpec, MomentumSource,
-                       default_integration_time, effective_sample_size,
+from convexhmc import (CostLedger, IntegratorError, IntegratorSpec, KernelSpec,
+                       MomentumSource, default_integration_time, effective_sample_size,
                        ideal_step, make_gaussian, make_perturbed_quadratic,
-                       metropolis_step, run_chain, unadjusted_step)
+                       metropolis_step, run_chain, transition)
 from convexhmc.kernels import KernelError
 from test_integrators import counted
 
@@ -41,24 +41,38 @@ class TestMomentumSource:
 
 class TestIdealStep:
     def test_quarter_period_from_rest(self):
-        out = ideal_step(UNIT, math.pi / 2.0, np.array([1.0]), np.array([0.0]))
+        out = ideal_step(UNIT, exact_kernel(math.pi / 2.0), np.array([1.0]), np.array([0.0]))
         assert out[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_zero_time(self):
-        out = ideal_step(UNIT, 0.0, np.array([1.3]), np.array([-0.2]))
+        out = ideal_step(UNIT, exact_kernel(0.0), np.array([1.3]), np.array([-0.2]))
         assert out[0] == 1.3
 
     def test_momentum_transfer(self):
-        out = ideal_step(UNIT, math.pi / 2.0, np.array([0.0]), np.array([1.0]))
+        out = ideal_step(UNIT, exact_kernel(math.pi / 2.0), np.array([0.0]), np.array([1.0]))
         assert out[0] == pytest.approx(1.0)
 
     def test_reference_fallback_matches_exact(self):
         pot = make_perturbed_quadratic(2, 0.0, seed=0)  # quadratic but not tagged Gaussian
         assert not pot.is_gaussian
         x, p = np.array([0.8, -0.1]), np.array([0.2, 0.5])
-        out = ideal_step(pot, 0.3, x, p)
+        out = ideal_step(pot, KernelSpec("ideal", IntegratorSpec("reference", 1e-10, 0.3)), x, p)
         expected = np.cos(0.3) * x + np.sin(0.3) * p
         np.testing.assert_allclose(out, expected, atol=1e-9)
+
+    def test_runs_the_scheme_it_is_given(self):
+        # reference on a Gaussian runs the reference flow, within 1e-9 of the
+        # closed form; exact_gaussian on a non-Gaussian target is an error
+        pot = make_gaussian([1.0, 4.0, 0.5])
+        rng = np.random.default_rng(3)
+        x, p = rng.standard_normal((2, 50, 3))
+        T = default_integration_time(pot)
+        ref = ideal_step(pot, KernelSpec("ideal", IntegratorSpec("reference", 1e-10, T)), x, p)
+        exact = ideal_step(pot, exact_kernel(T), x, p)
+        np.testing.assert_allclose(ref, exact, rtol=0, atol=1e-9)
+        assert not np.array_equal(ref, exact)
+        with pytest.raises(IntegratorError, match="requires a Gaussian"):
+            ideal_step(PERTURBED, exact_kernel(), x[0, :2], p[0, :2])
 
 
 class TestUnadjustedStep:
@@ -67,18 +81,18 @@ class TestUnadjustedStep:
         spec = KernelSpec("unadjusted", IntegratorSpec("euler", theta=T, T=T))
         ledger = CostLedger()
         x, p = np.array([1.0, -1.0]), np.array([0.5, 0.5])
-        out = unadjusted_step(make_gaussian([1.0, 1.0]), spec, x, p, ledger)
+        out = transition(make_gaussian([1.0, 1.0]), spec, x, p, ledger=ledger)[0]
         np.testing.assert_allclose(out, x + p * T)
         assert ledger.gradient_evals == 1
 
     def test_theta_to_zero_approaches_ideal(self):
         T = default_integration_time(UNIT)
         x, p = np.array([1.0]), np.array([0.4])
-        target = ideal_step(UNIT, T, x, p)
+        target = ideal_step(UNIT, exact_kernel(T), x, p)
         gaps = []
         for theta in (T / 4.0, T / 16.0, T / 64.0):
             spec = KernelSpec("unadjusted", IntegratorSpec("euler", theta=theta, T=T))
-            out = unadjusted_step(UNIT, spec, x, p, CostLedger())
+            out = transition(UNIT, spec, x, p, ledger=CostLedger())[0]
             gaps.append(abs(out[0] - target[0]))
         assert gaps[2] < gaps[1] < gaps[0]
         assert gaps[2] < 1e-2
@@ -88,7 +102,7 @@ class TestUnadjustedStep:
         ledger = CostLedger()
         x = np.array([0.3])
         for _ in range(7):
-            x = unadjusted_step(UNIT, spec, x, np.array([0.1]), ledger)
+            x = transition(UNIT, spec, x, np.array([0.1]), ledger=ledger)[0]
         assert ledger.gradient_evals == 7 * spec.integrator.oracle_steps * 2
         assert ledger.kernel_steps == 7
 
@@ -96,14 +110,14 @@ class TestUnadjustedStep:
 class TestMetropolisStep:
     def test_energy_decrease_always_accepted(self):
         spec = KernelSpec("metropolis", IntegratorSpec("exact_gaussian", T=0.3))
-        out, ok = metropolis_step(UNIT, spec, np.array([1.0]), np.array([0.0]),
-                                  u=1.0 - 1e-12, ledger=CostLedger())
+        out, ok, _, _ = metropolis_step(UNIT, spec, np.array([1.0]), np.array([0.0]),
+                                        u=1.0 - 1e-12, ledger=CostLedger())
         assert ok
 
     def test_u_zero_always_accepted(self):
         spec = KernelSpec("metropolis", IntegratorSpec("euler", theta=0.05, T=0.3))
-        _, ok = metropolis_step(UNIT, spec, np.array([2.0]), np.array([1.0]), u=0.0,
-                                ledger=CostLedger())
+        _, ok, _, _ = metropolis_step(UNIT, spec, np.array([2.0]), np.array([1.0]), u=0.0,
+                                      ledger=CostLedger())
         assert ok
 
     def test_exact_flow_accepts_everything(self):
@@ -116,8 +130,8 @@ class TestMetropolisStep:
         # gigantic Euler step destroys energy, forcing rejection for u near 1
         spec = KernelSpec("metropolis", IntegratorSpec("euler", theta=0.3, T=0.3))
         x = np.array([3.0])
-        out, ok = metropolis_step(UNIT, spec, x, np.array([3.0]), u=1.0 - 1e-9,
-                                  ledger=CostLedger())
+        out, ok, _, _ = metropolis_step(UNIT, spec, x, np.array([3.0]), u=1.0 - 1e-9,
+                                        ledger=CostLedger())
         if not ok:
             np.testing.assert_array_equal(out, x)
 
@@ -162,8 +176,8 @@ class TestRunChain:
             np.testing.assert_array_equal(p_a, p_b)
             h_y = pot.value(y) + 0.5 * float(p_b @ p_b)
             budget += 6.0 * theta * T * math.sqrt(h_y)
-            x = ideal_step(pot, T, x, p_a)
-            y = unadjusted_step(pot, unadj, y, p_b, CostLedger())
+            x = ideal_step(pot, ideal, x, p_a)
+            y = transition(pot, unadj, y, p_b, ledger=CostLedger())[0]
             assert abs(x[0] - y[0]) <= budget + 1e-12
 
     def test_metropolis_preserves_first_four_moments(self):
@@ -233,9 +247,10 @@ class TestCarriedState:
             p = source.next_momentum()
             energies.append(PERTURBED.value(x) + 0.5 * float(p @ p))
             if kind == "metropolis":
-                x, ok = metropolis_step(PERTURBED, spec, x, p, source.next_uniform(), ledger)
+                x, ok = metropolis_step(PERTURBED, spec, x, p, source.next_uniform(),
+                                        ledger)[:2]
             else:
-                x, ok = unadjusted_step(PERTURBED, spec, x, p, ledger), True
+                x, ok = transition(PERTURBED, spec, x, p, ledger=ledger)[0], True
             states.append(x)
             accepted.append(ok)
         energies.append(PERTURBED.value(x))

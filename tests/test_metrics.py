@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.spatial.distance import cdist
 
-from convexhmc import (SampleBatch, effective_sample_size, gaussian_moment_test,
-                       prokhorov_upper, w1_assignment, w1_exact_1d, w1_sliced)
+from convexhmc import (effective_sample_size, gaussian_moment_test, prokhorov_upper,
+                       w1_assignment, w1_exact_1d, w1_sliced)
 from convexhmc.metrics import MetricError, assignment, matching_cost, w1_lower_bound
 
 
@@ -144,8 +144,7 @@ class TestSliced:
 
     def test_never_exceeds_assignment(self):
         rng = np.random.default_rng(6)
-        a = SampleBatch(rng.standard_normal((256, 4)))
-        b = SampleBatch(rng.standard_normal((256, 4)))
+        a, b = rng.standard_normal((2, 256, 4))
         assert w1_sliced(a, b, directions=32, seed=2) <= w1_assignment(a, b) + 1e-12
 
     def test_equals_assignment_in_1d(self):

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from convexhmc import (PotentialError, make_gaussian, make_perturbed_quadratic,
-                       make_ridge_logistic, make_separable, product_potential,
-                       validate_convexity)
+                       make_ridge_logistic, make_separable, validate_convexity)
 
 
 def fd_gradient(pot, x, h=1e-6):
@@ -32,7 +31,7 @@ def shipped_targets():
         ("gaussian", make_gaussian([1.0, 4.0])),
         ("perturbed", make_perturbed_quadratic(4, 0.2, seed=3)),
         ("logistic", make_ridge_logistic(X, y, ridge=0.7)),
-        ("separable", product_potential(make_perturbed_quadratic(2, 0.1, seed=5), 3)),
+        ("separable", make_separable([make_perturbed_quadratic(2, 0.1, seed=5)] * 3)),
     ]
 
 
@@ -142,7 +141,7 @@ class TestSeparable:
         np.testing.assert_array_equal(pot.gradient(q), expected)
 
     def test_gaussian_blocks_stay_gaussian(self):
-        pot = product_potential(make_gaussian([1.0, 4.0]), 3)
+        pot = make_separable([make_gaussian([1.0, 4.0])] * 3)
         assert pot.is_gaussian
         np.testing.assert_array_equal(pot.precision_eigenvalues,
                                       [1.0, 4.0] * 3)
