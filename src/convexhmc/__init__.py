@@ -5,10 +5,10 @@ from .potentials import (ConvexHMCError, ConvexityReport, Potential, PotentialEr
                          make_ridge_logistic, make_separable, validate_convexity)
 from .integrators import (GoodSetSpec, IntegratorError, IntegratorSpec, PhasePoint,
                           default_good_set, exact_gaussian_flow, flow_trajectory,
-                          guarded_step, hamiltonian, integrate, reference_flow)
+                          flow_map, guarded_step, hamiltonian, integrate, reference_flow)
 from .kernels import (ChainTrace, CostLedger, KernelSpec, MomentumSource, carry,
                       default_integration_time, ideal_step, metropolis_step, run_chain,
-                      transition)
+                      stepper, transition)
 from .coupling import (CouplingReport, DriftReport, contraction_bound,
                        contraction_certificate, couple_synchronous, drift_check,
                        good_set_statistics, kernel_contraction_bound)

@@ -12,6 +12,7 @@ import argparse
 import math
 import os
 import sys
+from dataclasses import astuple
 
 import numpy as np
 
@@ -46,16 +47,24 @@ def run_experiment(config: dict, base_dir: str = ".", out_dir: str | None = None
     return summary
 
 
+def _warn_overshoot(spec):
+    """Say on stderr when one oracle step is longer than T: each flow then runs past T."""
+    k, theta, T = spec.integrator.order, spec.integrator.theta, spec.integrator.T
+    if k and 0.0 < T < theta ** (1.0 / k):
+        print(f"convexhmc: warning: the oracle step theta^(1/{k}) = {theta ** (1.0 / k)!r} "
+              f"exceeds T = {T!r}; each flow integrates for that step", file=sys.stderr)
+
+
 def _task_sample(config, base_dir, out):
     pot = cfg.build_potential(config["target"], base_dir)
     spec = cfg.build_kernel_spec(config["kernel"], pot)
+    _warn_overshoot(spec)
     run = config["run"]
     steps = run.get("steps", 1000)
     trace = run_chain(pot, spec, np.zeros(pot.dim), steps, run["seed"])
     header = ["step"] + [f"q{j}" for j in range(pot.dim)] + ["H", "accepted"]
-    rows = ([i] + trace.states[i].tolist()
-            + [float(trace.hamiltonians[i]), int(trace.accepted[i])] for i in range(len(trace)))
-    cfg.write_csv(os.path.join(out, "sample.csv"), header, rows)
+    cfg.write_csv(os.path.join(out, "sample.csv"), header,
+                  [range(len(trace)), *trace.states.T, trace.hamiltonians, trace.accepted])
     return {
         "task": "sample",
         "steps": steps,
@@ -70,6 +79,7 @@ def _task_sample(config, base_dir, out):
 def _task_couple(config, base_dir, out):
     pot = cfg.build_potential(config["target"], base_dir)
     spec = cfg.build_kernel_spec(config["kernel"], pot)
+    _warn_overshoot(spec)
     run = config["run"]
     opts = config.get("couple", {})
     rng = np.random.default_rng(run["seed"])
@@ -79,7 +89,7 @@ def _task_couple(config, base_dir, out):
     y0 = opts.get("y0", uniform_ball(rng, 1, pot.dim, radius)[0])
     report = couple_synchronous(pot, spec, x0, y0, run.get("steps", 200), run["seed"])
     cfg.write_csv(os.path.join(out, "couple.csv"), ["step", "distance"],
-                  ((i, d) for i, d in enumerate(report.distances)))
+                  [range(len(report.distances)), report.distances])
     return {
         "task": "couple",
         "fitted_rate": report.fitted_rate,
@@ -99,7 +109,7 @@ def _task_certify(config, base_dir, out):
     bound = contraction_bound(pot, T)
     passed = worst <= bound + 1e-6
     cfg.write_csv(os.path.join(out, "certify.csv"), ["T", "worst_ratio", "bound"],
-                  [(T, worst, bound)])
+                  [[T], [worst], [bound]])
     return {"task": "certify", "T": T, "worst_ratio": worst, "bound": bound, "pass": passed}
 
 
@@ -111,8 +121,7 @@ def _task_drift(config, base_dir, out):
                          run["seed"])
     cfg.write_csv(os.path.join(out, "drift.csv"),
                   ["radius", "log_mean", "log_se", "slope"],
-                  ((r, m, s, sl) for r, m, s, sl in
-                   zip(report.radii, report.log_means, report.log_se, report.slopes)))
+                  [report.radii, report.log_means, report.log_se, report.slopes])
     passed = bool(report.feasible and report.slope <= math.exp(-1.0)
                   + 3.0 * report.log_se[int(np.argmax(report.radii))] * report.slope)
     return {
@@ -139,7 +148,7 @@ def _task_goodset(config, base_dir, out):
                                run.get("replicas", 200), run["seed"])
     cfg.write_csv(os.path.join(out, "goodset.csv"),
                   ["g_inf", "g_2", "block_dim", "exit_frequency"],
-                  [(good.g_inf, good.g_2, good.block_dim, freq)])
+                  [[good.g_inf], [good.g_2], [good.block_dim], [freq]])
     return {"task": "goodset", "exit_frequency": freq, "g_inf": good.g_inf,
             "g_2": good.g_2, "pass": True}
 
@@ -161,21 +170,22 @@ def _task_distance(config, base_dir, out):
     return summary
 
 
-def _task_precondition(config, base_dir, out):
+def _rounding(config, base_dir):
     pot = cfg.build_potential(config["target"], base_dir)
     opts = config.get("precondition", {})
     anchor = np.asarray(opts.get("anchor", np.zeros(pot.dim)), dtype=float)
-    transform = build_rounding(pot, anchor)
+    return pot, opts, anchor, build_rounding(pot, anchor)
+
+
+def _task_precondition(config, base_dir, out):
+    pot, _, anchor, transform = _rounding(config, base_dir)
     cfg.write_csv(os.path.join(out, "rounding_matrix.csv"),
-                  [f"c{j}" for j in range(pot.dim)], transform.matrix)
+                  [f"c{j}" for j in range(pot.dim)], transform.matrix.T)
     return {"task": "precondition", "anchor": list(anchor), "dim": pot.dim, "pass": True}
 
 
 def _task_verify_rounding(config, base_dir, out):
-    pot = cfg.build_potential(config["target"], base_dir)
-    opts = config.get("precondition", {})
-    anchor = np.asarray(opts.get("anchor", np.zeros(pot.dim)), dtype=float)
-    transform = build_rounding(pot, anchor)
+    pot, opts, _, transform = _rounding(config, base_dir)
     points = cfg.load_points_csv(os.path.join(base_dir, opts["points_csv"]))
     report = verify_rounding(pot, transform, points)
     return {
@@ -205,9 +215,7 @@ def _task_scaling(config, base_dir, out):
                   ["dim", "theta", "oracle_steps", "chain_steps", "replicas",
                    "gradient_evals", "gradient_evals_per_chain", "excess_w1",
                    "raw_w1", "reference_floor"],
-                  ((r.dim, r.theta, r.oracle_steps, r.chain_steps, r.replicas,
-                    r.gradient_evals, r.gradient_evals_per_chain, r.achieved_excess_w1,
-                    r.raw_w1, r.reference_floor) for r in result.rows))
+                  list(zip(*map(astuple, result.rows))))
     return {
         "task": "scaling",
         "kernel": opts.get("kernel", "unadjusted"),
@@ -355,11 +363,8 @@ def _config_from_args(args) -> tuple[dict, str]:
     target = cfg.load_json(args.target_config)
     base = os.path.dirname(os.path.abspath(args.target_config))
     conf: dict = {"target": target, "out": args.out}
-    if args.command == "sample":
-        conf.update(task="sample", kernel=_kernel_block(args),
-                    run={"steps": args.steps, "seed": args.seed})
-    elif args.command == "couple":
-        conf.update(task="couple", kernel=_kernel_block(args),
+    if args.command in ("sample", "couple"):
+        conf.update(task=args.command, kernel=_kernel_block(args),
                     run={"steps": args.steps, "seed": args.seed})
     elif args.command == "certify":
         certify = {"trials": args.trials}
@@ -383,16 +388,11 @@ def _config_from_args(args) -> tuple[dict, str]:
                             "integrator": {"scheme": "leapfrog", "theta": args.theta}},
                     goodset=goodset,
                     run={"seed": args.seed, "steps": args.steps, "replicas": args.replicas})
-    elif args.command == "precondition":
-        pre = {}
+    elif args.command in ("precondition", "verify-rounding"):
+        pre = {} if args.command == "precondition" else {"points_csv": args.points}
         if args.anchor is not None:
             pre["anchor"] = args.anchor
-        conf.update(task="precondition", precondition=pre)
-    elif args.command == "verify-rounding":
-        pre = {"points_csv": args.points}
-        if args.anchor is not None:
-            pre["anchor"] = args.anchor
-        conf.update(task="verify_rounding", precondition=pre)
+        conf.update(task=args.command.replace("-", "_"), precondition=pre)
     return conf, base
 
 

@@ -185,24 +185,35 @@ EXPERIMENT_SCHEMA = {
     "additionalProperties": False,
 }
 
+_TASK_BLOCKS = {  # the config blocks each task reads; verify_rounding also reads points_csv
+    "sample": "target kernel run", "couple": "target kernel run",
+    "certify": "target certify run", "drift": "target kernel drift run",
+    "goodset": "target kernel goodset run", "distance": "distance", "precondition": "target",
+    "verify_rounding": "target precondition", "scaling": "scaling run"}
+_POINTS = {"properties": {"precondition": {"required": ["points_csv"]}}}
 _VALIDATOR = Draft202012Validator(EXPERIMENT_SCHEMA)
+_BY_TASK = {  # one validator per task, so a config pays for its own task's checks only
+    task: Draft202012Validator({**EXPERIMENT_SCHEMA, "required": ["task", *blocks.split()],
+                                "allOf": [_POINTS] if task == "verify_rounding" else []})
+    for task, blocks in _TASK_BLOCKS.items()}
 _TARGET_VALIDATOR = Draft202012Validator(
     {"$defs": {"target": {"$dynamicAnchor": "target", **_TARGET_SCHEMA}},
      "$dynamicRef": "#target"})
 
 
-def validate_config(config: dict) -> None:
-    errors = sorted(_VALIDATOR.iter_errors(config), key=lambda e: e.json_path)
+def _validate(validator, what: str, obj: dict) -> None:
+    errors = sorted(validator.iter_errors(obj), key=lambda e: e.json_path)
     if errors:
-        lines = [f"{e.json_path}: {e.message}" for e in errors]
-        raise ConfigError("invalid experiment config:\n  " + "\n  ".join(lines))
+        raise ConfigError(f"invalid {what}: "
+                          + "; ".join(f"{e.json_path}: {e.message}" for e in errors))
+
+
+def validate_config(config: dict) -> None:
+    _validate(_BY_TASK.get(str(config.get("task")), _VALIDATOR), "experiment config", config)
 
 
 def validate_target(target: dict) -> None:
-    errors = sorted(_TARGET_VALIDATOR.iter_errors(target), key=lambda e: e.json_path)
-    if errors:
-        lines = [f"{e.json_path}: {e.message}" for e in errors]
-        raise ConfigError("invalid target config:\n  " + "\n  ".join(lines))
+    _validate(_TARGET_VALIDATOR, "target config", target)
 
 
 def _open(path: str):
@@ -264,11 +275,28 @@ def format_number(v) -> str:
     return repr(float(v))
 
 
-def write_csv(path: str, header: list[str], rows) -> None:
+CSV_BLOCK = 256  # rows formatted at a time; a whole-trace list would raise peak memory
+
+
+def _format_column(col: np.ndarray):
+    """``format_number`` of every value, with one formatter for the column."""
+    if col.dtype.kind == "f":
+        return map(float.__repr__, col.tolist())
+    if col.dtype.kind in "biu":  # int.__repr__(True) is "1"
+        return map(int.__repr__, col.tolist())
+    return map(format_number, col)
+
+
+def write_csv(path: str, header: list[str], columns) -> None:
+    """Write one column (an array, sequence or range) per header name,
+    formatting ``CSV_BLOCK`` rows at a time."""
+    if len(columns) != len(header):
+        raise ValueError(f"{path}: {len(columns)} columns for {len(header)} header names")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(format_number(v) for v in row) + "\n")
+        for a in range(0, len(columns[0]), CSV_BLOCK):
+            cells = [_format_column(np.asarray(c[a:a + CSV_BLOCK])) for c in columns]
+            fh.writelines(",".join(row) + "\n" for row in zip(*cells))
 
 
 def write_json(path: str, obj: dict) -> None:

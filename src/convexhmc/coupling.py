@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .integrators import GoodSetSpec, PhasePoint, guarded_step, reference_flow
-from .kernels import KernelSpec, MomentumSource, default_integration_time, transition
+from .kernels import KernelSpec, MomentumSource, default_integration_time, stepper
 from .potentials import ConvexHMCError, Potential, SeparablePotential, uniform_ball
 
 DISTANCE_FLOOR = 1e-12
@@ -104,12 +104,12 @@ def couple_synchronous(pot: Potential, spec: KernelSpec, x0: np.ndarray, y0: np.
     source = MomentumSource(seed, pot.dim)
     distances = np.empty(steps + 1)
     distances[0] = np.linalg.norm(x - y)
-    carried_x = carried_y = None
+    step, carried_x, carried_y = stepper(pot, spec), None, None
     for i in range(steps):
         p = source.next_momentum()
         u = source.next_uniform() if spec.kind == "metropolis" else None
-        x, _, _, carried_x = transition(pot, spec, x, p, u, carried_x)
-        y, _, _, carried_y = transition(pot, spec, y, p, u, carried_y)
+        x, _, _, carried_x = step(x, p, u, carried_x)
+        y, _, _, carried_y = step(y, p, u, carried_y)
         distances[i + 1] = np.linalg.norm(x - y)
     rate, degenerate = _fit_geometric_rate(distances)
     bound = kernel_contraction_bound(pot)
@@ -171,6 +171,7 @@ def drift_check(pot: Potential, spec: KernelSpec, radii: Sequence[float],
     ss = np.random.SeedSequence(seed)
     log_means = np.empty(radii.size)
     log_ses = np.empty(radii.size)
+    step = stepper(pot, spec)
     for i, r in enumerate(radii):
         rng = np.random.Generator(np.random.PCG64(ss.spawn(1)[0]))
         dirs = rng.standard_normal((replicas, pot.dim))
@@ -178,7 +179,7 @@ def drift_check(pot: Potential, spec: KernelSpec, radii: Sequence[float],
         x0 = r * dirs
         momenta = rng.standard_normal((replicas, pot.dim))
         uniforms = rng.random(replicas)
-        x1 = transition(pot, spec, x0, momenta, uniforms)[0]
+        x1 = step(x0, momenta, uniforms)[0]
         v = np.linalg.norm(x1, axis=1)
         log_m1 = logsumexp(v) - math.log(replicas)
         log_m2 = logsumexp(2.0 * v) - math.log(replicas)

@@ -131,29 +131,6 @@ def hamiltonian(pot: Potential, x: PhasePoint) -> np.ndarray:
     return pot.value(x.q) + 0.5 * np.sum(np.asarray(x.p) ** 2, axis=-1)
 
 
-def _euler_run(pot, q, p, theta, n):
-    """n first-order oracle steps (q, p) -> (q + theta p, p - theta U'(q))."""
-    for _ in range(n):
-        g = pot.gradient(q)
-        q = q + theta * p
-        p = p - theta * g
-    return q, p
-
-
-def _leapfrog_run(pot, q, p, h, n, g=None):
-    """n leapfrog steps returning (q, p, gradient at q); one gradient per
-    point serves both half-kicks there: n + 1 calls, or n given the first."""
-    half = 0.5 * h
-    if n and g is None:
-        g = pot.gradient(q)
-    for _ in range(n):
-        p = p - half * g
-        q = q + h * p
-        g = pot.gradient(q)
-        p = p - half * g
-    return q, p, g
-
-
 def exact_gaussian_flow(eigs: Sequence[float], x: PhasePoint, T: float) -> PhasePoint:
     """Closed-form Hamiltonian flow for U(q) = 1/2 sum lambda_i q_i^2."""
     lam = np.asarray(eigs, dtype=float)
@@ -220,27 +197,53 @@ def flow_trajectory(pot: Potential, x: PhasePoint, T: float, snapshots: int,
     raise IntegratorError(f"flow did not converge to tol={tol} within {_MAX_DOUBLINGS} doublings")
 
 
-def integrate(pot: Potential, spec: IntegratorSpec, x: PhasePoint, ledger=None) -> PhasePoint:
-    """Apply the flow map identified by ``spec`` from phase point ``x``.
-
-    Oracle schemes take exactly ceil(T/theta^(1/k)) steps and charge the
-    ledger, per row, with (gradient evals per oracle call) * (step count), the
-    paper's cost model.  Leapfrog starts from ``x.g`` when given and returns
-    its end gradient in ``g``.
-    """
-    if spec.scheme == "exact_gaussian":
-        if not pot.is_gaussian:
-            raise IntegratorError("exact_gaussian scheme requires a Gaussian potential")
-        return exact_gaussian_flow(pot.precision_eigenvalues, x, spec.T)
-    if spec.scheme == "reference":
-        return reference_flow(pot, x, spec.T, tol=spec.theta)
-    n, g = spec.oracle_steps, None
+def flow_map(pot: Potential, spec: IntegratorSpec):
+    """The flow ``spec`` names, resolved once: f(q, p, g = grad U(q) or None) ->
+    (q', p', g').  Euler takes n = ``spec.oracle_steps`` steps (q, p) -> (q +
+    theta p, p - theta U'(q)).  Leapfrog takes n steps of length sqrt(theta),
+    one gradient per point serving both half-kicks there (n + 1 calls, or n
+    given g), and returns the end gradient."""
+    grad, theta, T = pot.gradient, spec.theta, spec.T
+    n = spec.oracle_steps if spec.order else 0
     if spec.scheme == "euler":
-        q, p = _euler_run(pot, x.q, x.p, spec.theta, n)
-    else:
-        q, p, g = _leapfrog_run(pot, x.q, x.p, math.sqrt(spec.theta), n, x.g)
-    if ledger is not None:
-        ledger.gradient_evals += spec.gradient_evals_per_oracle * n * (q.size // q.shape[-1])
+        def euler(q, p, g=None):
+            for _ in range(n):
+                g = grad(q)
+                q = q + theta * p
+                p = p - theta * g
+            return q, p, None
+        return euler
+    if spec.scheme == "leapfrog":
+        h, half = math.sqrt(theta), 0.5 * math.sqrt(theta)
+
+        def leapfrog(q, p, g=None):
+            if n and g is None:
+                g = grad(q)
+            for _ in range(n):
+                p = p - half * g
+                q = q + h * p
+                g = grad(q)
+                p = p - half * g
+            return q, p, g
+        return leapfrog
+    if spec.scheme == "exact_gaussian" and not pot.is_gaussian:
+        raise IntegratorError("exact_gaussian scheme requires a Gaussian potential")
+
+    def ideal(q, p, g=None):
+        x = PhasePoint(q, p, g)
+        x = (reference_flow(pot, x, T, theta) if spec.scheme == "reference"
+             else exact_gaussian_flow(pot.precision_eigenvalues, x, T))
+        return x.q, x.p, x.g
+    return ideal
+
+
+def integrate(pot: Potential, spec: IntegratorSpec, x: PhasePoint, ledger=None) -> PhasePoint:
+    """``flow_map(pot, spec)`` from ``x``.  Oracle schemes charge the ledger, per
+    row, (gradient evals per oracle call) * (step count): the paper's cost model."""
+    q, p, g = flow_map(pot, spec)(x.q, x.p, x.g)
+    if ledger is not None and spec.order:
+        ledger.gradient_evals += spec.gradient_evals_per_oracle * spec.oracle_steps * (
+            q.size // q.shape[-1])
     return PhasePoint(q, p, g)
 
 

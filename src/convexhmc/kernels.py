@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .integrators import IntegratorSpec, PhasePoint, integrate
+from .integrators import IntegratorSpec, PhasePoint, flow_map, integrate
 from .potentials import ConvexHMCError, Potential
 
 KERNEL_KINDS = ("ideal", "unadjusted", "metropolis")
@@ -117,60 +117,66 @@ class ChainTrace:
 
 
 def ideal_step(pot: Potential, spec: KernelSpec, x: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Position after the ideal Hamiltonian flow: ``spec``'s exact_gaussian or
-    reference scheme, run as given."""
+    """Position after ``spec``'s exact_gaussian or reference flow, run as given."""
     return integrate(pot, spec.integrator, PhasePoint(x, p)).q
 
 
 def carry(pot: Potential, spec: KernelSpec, x: np.ndarray) -> tuple:
-    """(U(x), grad U(x)) for ``transition`` to carry; the gradient only for
+    """(U(x), grad U(x)) for a kernel step to carry; the gradient only for
     leapfrog, the one scheme whose flow evaluates it at its end point."""
     return pot.value(x), pot.gradient(x) if spec.integrator.scheme == "leapfrog" else None
 
 
-def transition(pot: Potential, spec: KernelSpec, x: np.ndarray, p: np.ndarray, u=None,
-               carried: Optional[tuple] = None, ledger: Optional[CostLedger] = None) -> tuple:
-    """One kernel step of the rows x (shape (..., d)): (x', accepted, dH, carried').
+def stepper(pot: Potential, spec: KernelSpec):
+    """step(x, p, u=None, carried=None, ledger=None) -> (x', accepted, dH, carried'):
+    ``spec``'s kernel step on rows x (shape (..., d)), flow map and ledger charge
+    resolved once.  ``u`` holds Metropolis uniforms; ``carried`` is ``carry(pot,
+    spec, x)``, usually the step before's carried'.  A Metropolis row accepts iff
+    u < exp(-dH), dH = H(proposal) - H(x, p), and then takes the proposal's pair.
+    Without ``carried`` only a Metropolis step evaluates U; the others return no
+    dH or carried'."""
+    value, integ, metropolis = pot.value, spec.integrator, spec.kind == "metropolis"
+    add = np.add.reduce  # ndarray.sum without its Python wrapper
+    flow = flow_map(pot, integ)
+    charge = integ.gradient_evals_per_oracle * integ.oracle_steps if integ.order else 0
 
-    ``p`` holds the momenta, ``u`` the Metropolis uniforms and ``carried`` is
-    ``carry(pot, spec, x)``, usually the step before's carried'.  A Metropolis
-    row accepts iff u < exp(-dH), dH = H(proposal) - H(x, p), and then takes
-    the proposal's pair; a rejected row keeps its own.  Without ``carried``
-    only a Metropolis step evaluates U; the others return no dH or carried'.
-    """
-    if spec.kind == "ideal":
-        q = ideal_step(pot, spec, x, p)
-        d_h, after = None, None if carried is None else (pot.value(q), None)
-    else:
-        if carried is None and spec.kind == "metropolis":
+    def step(x, p, u=None, carried=None, ledger=None):
+        if carried is None and metropolis:
             carried = carry(pot, spec, x)
         u_x, g_x = (None, None) if carried is None else carried
-        prop = integrate(pot, spec.integrator, PhasePoint(x, p, g_x), ledger)
-        q, d_h, after = prop.q, None, None
+        q, p_q, g_q = flow(x, p, g_x)
+        d_h = after = None
         if carried is not None:
-            u_q = pot.value(q)
-            d_h = (u_q + 0.5 * (prop.p * prop.p).sum(-1)) - (u_x + 0.5 * (p * p).sum(-1))
-            after = (u_q, prop.g)
-    if spec.kind == "metropolis":
-        ok = (d_h <= 0.0) | (u < np.exp(-np.maximum(d_h, 0.0)))
-        taken = int(np.count_nonzero(ok))
-        if taken < ok.size:  # np.where is slow next to a step of one row
-            g = None if g_x is None else np.where(ok[..., None], prop.g, g_x)
-            q, after = np.where(ok[..., None], q, x), (np.where(ok, u_q, u_x), g)
+            u_q = value(q)
+            d_h = (u_q + 0.5 * add(p_q * p_q, -1)) - (u_x + 0.5 * add(p * p, -1))
+            after = (u_q, g_q)
+        if metropolis:
+            ok = (d_h <= 0.0) | (u < np.exp(-np.maximum(d_h, 0.0)))
+            taken = int(np.count_nonzero(ok))
+            if taken < ok.size:  # np.where is slow next to a step of one row
+                g = None if g_x is None else np.where(ok[..., None], g_q, g_x)
+                q, after = np.where(ok[..., None], q, x), (np.where(ok, u_q, u_x), g)
+            if ledger is not None:
+                ledger.accepted += taken
+                ledger.rejected += ok.size - taken
+        else:
+            ok = np.ones(q.shape[:-1], dtype=bool)
         if ledger is not None:
-            ledger.accepted += taken
-            ledger.rejected += ok.size - taken
-    else:
-        ok = np.ones(np.shape(q)[:-1], dtype=bool)
-    if ledger is not None:
-        ledger.kernel_steps += ok.size
-    return q, ok, d_h, after
+            ledger.gradient_evals += charge * ok.size
+            ledger.kernel_steps += ok.size
+        return q, ok, d_h, after
+    return step
+
+
+def transition(pot: Potential, spec: KernelSpec, x: np.ndarray, p: np.ndarray, u=None,
+               carried: Optional[tuple] = None, ledger: Optional[CostLedger] = None) -> tuple:
+    """One step of ``stepper(pot, spec)``; a loop builds the stepper once instead."""
+    return stepper(pot, spec)(x, p, u, carried, ledger)
 
 
 def metropolis_step(pot: Potential, spec: KernelSpec, x: np.ndarray, p: np.ndarray,
                     u: float, ledger: CostLedger, carried: Optional[tuple] = None) -> tuple:
-    """Propose the full phase output and accept iff u < min(1, exp(-dH)):
-    ``transition``'s (x', accepted, dH, carried') for one chain."""
+    """``transition`` for one chain, which accepts iff u < min(1, exp(-dH))."""
     if not 0.0 <= u <= 1.0:
         raise KernelError(f"uniform variate must lie in [0, 1], got {u}")
     return transition(pot, spec, x, p, u, carried, ledger)
@@ -199,15 +205,13 @@ def run_chain(pot: Potential, spec: KernelSpec, x0: np.ndarray, i_max: int,
     energies = np.empty(i_max + 1)
     states[0] = x
     carried = carry(pot, spec, x)
+    step, uniform = stepper(pot, spec), spec.kind == "metropolis"
     diverged_at = None
     for i in range(i_max):
         p = source.next_momentum()
         energies[i] = carried[0] + 0.5 * float(p @ p)
-        if spec.kind == "metropolis":
-            x, accepted[i + 1], d_h, carried = metropolis_step(
-                pot, spec, x, p, source.next_uniform(), ledger, carried)
-        else:
-            x, _, d_h, carried = transition(pot, spec, x, p, None, carried, ledger)
+        u = source.next_uniform() if uniform else None
+        x, accepted[i + 1], d_h, carried = step(x, p, u, carried, ledger)
         if diverged_at is None and d_h is not None and not abs(d_h) <= DIVERGENCE_DH:
             diverged_at = i
         states[i + 1] = x

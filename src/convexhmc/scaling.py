@@ -32,7 +32,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .integrators import IntegratorSpec
-from .kernels import CostLedger, KernelSpec, default_integration_time, transition
+from .kernels import CostLedger, KernelSpec, default_integration_time, stepper
 from . import metrics
 from .potentials import ConvexHMCError, Potential, make_gaussian
 
@@ -95,14 +95,14 @@ def chain_length(pot: Potential, epsilon: float) -> int:
 
 def _endpoints(pot: Potential, kernel: str, scheme: str, theta: float, T: float,
                steps: int, replicas: int, seed: int, ledger: CostLedger) -> np.ndarray:
-    spec = KernelSpec(kernel, IntegratorSpec(scheme, theta=theta, T=T))
+    step = stepper(pot, KernelSpec(kernel, IntegratorSpec(scheme, theta=theta, T=T)))
     rng = np.random.default_rng(seed)
     x = np.zeros((replicas, pot.dim))
     carried = None
     for _ in range(steps):
         p = rng.standard_normal((replicas, pot.dim))
         u = rng.random(replicas) if kernel == "metropolis" else None
-        x, _, _, carried = transition(pot, spec, x, p, u, carried, ledger)
+        x, _, _, carried = step(x, p, u, carried, ledger)
     return x
 
 

@@ -6,7 +6,8 @@ import pytest
 
 from convexhmc import PhasePoint, flow_trajectory, hamiltonian, make_gaussian
 from convexhmc.cli import main, run_experiment
-from convexhmc.config import ConfigError, build_potential, validate_config, write_csv
+from convexhmc.config import (CSV_BLOCK, ConfigError, build_potential, format_number,
+                              validate_config, write_csv)
 
 
 @pytest.fixture
@@ -135,6 +136,41 @@ class TestConfigValidation:
         assert code == 2
         assert err == "IntegratorError: exact_gaussian scheme requires a Gaussian potential\n"
 
+    @pytest.mark.parametrize("conf, error", [
+        ({"task": "sample", "target": {"kind": "gaussian", "eigenvalues": [1.0]},
+          "kernel": {"kind": "metropolis", "integrator": {"scheme": "leapfrog"}}},
+         "$: 'run' is a required property"),
+        ({"task": "verify_rounding", "target": {"kind": "gaussian", "eigenvalues": [1.0]}},
+         "$: 'precondition' is a required property"),
+        ({"task": "verify_rounding", "target": {"kind": "gaussian", "eigenvalues": [1.0]},
+          "precondition": {"anchor": [0.0]}},
+         "$.precondition: 'points_csv' is a required property"),
+    ], ids=["sample-run", "verify-precondition", "verify-points"])
+    def test_missing_block_exits_2(self, tmp_path, capsys, conf, error):
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps(conf))
+        code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"ConfigError: invalid experiment config: {error}\n"
+
+    @pytest.mark.parametrize("command", ["sample", "couple"])
+    def test_overshooting_step_is_reported(self, tmp_path, capsys, command):
+        # a leapfrog step sqrt(0.01) = 0.1 integrates past T = 0.088
+        target = tmp_path / "target.json"
+        target.write_text(json.dumps({"kind": "gaussian", "eigenvalues": [1.0, 4.0]}))
+        argv = [command, "--target-config", str(target), "--kernel", "metropolis",
+                "--scheme", "leapfrog", "--T", "0.088", "--steps", "20", "--seed", "1"]
+        for theta, out in (("0.01", "long"), ("0.001", "short")):
+            assert main(argv + ["--theta", theta, "--out", str(tmp_path / out)]) == 0
+            captured = capsys.readouterr()
+            assert captured.out == (tmp_path / out / f"{command}_summary.json").read_text()
+            if theta == "0.01":
+                assert captured.err == ("convexhmc: warning: the oracle step theta^(1/2) = 0.1 "
+                                        "exceeds T = 0.088; each flow integrates for that step\n")
+            else:
+                assert captured.err == ""
+
     @pytest.mark.parametrize("command", ["target", "distance", "points", "data_csv"])
     def test_missing_input_file_exits_2(self, tmp_path, capsys, gaussian_target, command):
         missing = str(tmp_path / "nope.csv")
@@ -158,8 +194,8 @@ class TestDistanceCommand:
     def test_prints_w1_and_prokhorov(self, tmp_path, capsys, monkeypatch):
         rng = np.random.default_rng(0)
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_csv(str(a), ["x0", "x1"], rng.standard_normal((32, 2)))
-        write_csv(str(b), ["x0", "x1"], rng.standard_normal((32, 2)))
+        write_csv(str(a), ["x0", "x1"], rng.standard_normal((32, 2)).T)
+        write_csv(str(b), ["x0", "x1"], rng.standard_normal((32, 2)).T)
         workdir = tmp_path / "cwd"
         workdir.mkdir()
         monkeypatch.chdir(workdir)
@@ -187,7 +223,7 @@ class TestPreconditionCommands:
                                       "seed": 5}))
         pts = tmp_path / "pts.csv"
         rng = np.random.default_rng(1)
-        write_csv(str(pts), ["x0", "x1"], rng.standard_normal((20, 2)))
+        write_csv(str(pts), ["x0", "x1"], rng.standard_normal((20, 2)).T)
         out = tmp_path / "ver"
         code = main(["verify-rounding", "--target-config", str(target),
                      "--points", str(pts), "--out", str(out)])
@@ -245,12 +281,28 @@ class TestFileFormats:
         rows = np.column_stack([np.where(rng.random(12) < 0.5, -1.0, 1.0),
                                 rng.standard_normal((12, 2))])
         data = tmp_path / "data.csv"
-        write_csv(str(data), ["label", "f0", "f1"], rows)
+        write_csv(str(data), ["label", "f0", "f1"], rows.T)
         pot = build_potential({"kind": "logistic", "data_csv": "data.csv", "ridge": 0.5},
                               base_dir=str(tmp_path))
         assert pot.dim == 2
         assert pot.m2 == 0.5
         assert np.linalg.norm(pot.gradient(np.zeros(2))) <= 1e-8
+
+    @pytest.mark.parametrize("rows", [0, 1, CSV_BLOCK - 1, CSV_BLOCK, CSV_BLOCK + 1])
+    def test_column_writer_matches_per_value_writer(self, tmp_path, rows):
+        rng = np.random.default_rng(rows)
+        special = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e300, 0.1])
+        floats = rng.standard_normal(rows)
+        floats[: min(rows, special.size)] = special[: min(rows, special.size)]
+        columns = [np.arange(rows), floats, rng.standard_normal(rows) * 1e-7,
+                   rng.random(rows) < 0.5, rng.integers(-(2**62), 2**62, rows)]
+        header = ["i", "a", "b", "ok", "big"]
+        write_csv(str(tmp_path / "new.csv"), header, columns)
+        with open(tmp_path / "old.csv", "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(",".join(header) + "\n")
+            for row in zip(*columns):
+                fh.write(",".join(format_number(v) for v in row) + "\n")
+        assert read(tmp_path / "new.csv") == read(tmp_path / "old.csv")
 
     def test_trajectory_dump_format(self, tmp_path):
         pot = make_gaussian([1.0, 4.0])
@@ -259,7 +311,7 @@ class TestFileFormats:
         path = tmp_path / "traj.csv"
         energies = hamiltonian(pot, PhasePoint(qs, ps))
         write_csv(str(path), ["t", "q0", "q1", "p0", "p1", "H"],
-                  np.column_stack([times, qs, ps, energies]))
+                  np.column_stack([times, qs, ps, energies]).T)
         rows = path.read_text().strip().split("\n")
         assert rows[0] == "t,q0,q1,p0,p1,H"
         assert len(rows) == 7

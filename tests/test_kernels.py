@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from convexhmc import (CostLedger, IntegratorError, IntegratorSpec, KernelSpec,
-                       MomentumSource, default_integration_time, effective_sample_size,
-                       ideal_step, make_gaussian, make_perturbed_quadratic,
-                       metropolis_step, run_chain, transition)
+                       MomentumSource, PhasePoint, carry, default_integration_time,
+                       effective_sample_size, ideal_step, integrate, make_gaussian,
+                       make_perturbed_quadratic, metropolis_step, run_chain, stepper,
+                       transition)
 from convexhmc.kernels import KernelError
 from test_integrators import counted
 
@@ -265,3 +266,52 @@ class TestCarriedState:
         assert run_chain(pot, spec, np.zeros(2), 5, seed=1).diverged_at == 0
         calm = KernelSpec("metropolis", IntegratorSpec("leapfrog", theta=1e-3, T=0.088))
         assert run_chain(pot, calm, np.zeros(2), 200, seed=1).diverged_at is None
+
+
+class TestStepper:
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(st.sampled_from(["metropolis", "unadjusted"]), st.sampled_from(["leapfrog", "euler"]),
+           st.floats(0.01, 2.0), st.integers(1, 6), st.booleans(), st.integers(0, 2**32 - 1))
+    def test_batch_equals_single_rows(self, kind, scheme, theta, rows, carried, seed):
+        # one call on an (n, d) batch is n one-row calls, bit for bit, ledger included
+        spec = KernelSpec(kind, IntegratorSpec(scheme, theta=theta, T=0.8))
+        step = stepper(PERTURBED, spec)
+        rng = np.random.default_rng(seed)
+        x, p = 2.0 * rng.standard_normal((2, rows, PERTURBED.dim))
+        u = rng.random(rows)
+        state = carry(PERTURBED, spec, x) if carried else None
+        batch_ledger, row_ledger = CostLedger(), CostLedger()
+        q, ok, d_h, after = step(x, p, u, state, batch_ledger)
+        for i in range(rows):
+            state_i = carry(PERTURBED, spec, x[i]) if carried else None
+            q_i, ok_i, d_h_i, after_i = step(x[i], p[i], u[i], state_i, row_ledger)
+            assert np.array_equal(q[i], q_i, equal_nan=True)
+            assert ok[i] == ok_i
+            if d_h is None:
+                assert d_h_i is None and after is None and after_i is None
+                continue
+            assert np.array_equal(d_h[i], d_h_i, equal_nan=True)
+            assert np.array_equal(after[0][i], after_i[0], equal_nan=True)
+            if scheme == "leapfrog":
+                assert np.array_equal(after[1][i], after_i[1], equal_nan=True)
+            else:
+                assert after[1] is None and after_i[1] is None
+        assert batch_ledger == row_ledger
+        assert batch_ledger.kernel_steps == rows
+
+    @pytest.mark.parametrize("scheme", ["euler", "leapfrog"])
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_integrate_and_step_count_the_same_gradients(self, scheme, warm):
+        pot, calls = counted(PERTURBED)
+        spec = KernelSpec("unadjusted", IntegratorSpec(scheme, theta=0.05, T=0.7))
+        x, p = np.array([[0.4, -1.0], [1.5, 0.2]]), np.array([[0.3, 0.3], [-1.0, 0.5]])
+        g = PERTURBED.gradient(x) if warm and scheme == "leapfrog" else None
+        flow_ledger, step_ledger = CostLedger(), CostLedger()
+        flow = integrate(pot, spec.integrator, PhasePoint(x, p, g), flow_ledger)
+        flow_rows, calls[0] = calls[0], 0
+        q = stepper(pot, spec)(x, p, None, None if g is None else (PERTURBED.value(x), g),
+                               step_ledger)[0]
+        assert calls[0] == flow_rows
+        assert flow_rows == 2 * (spec.integrator.oracle_steps + (scheme == "leapfrog" and not warm))
+        assert np.array_equal(q, flow.q)
+        assert step_ledger.gradient_evals == flow_ledger.gradient_evals
