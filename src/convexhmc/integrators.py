@@ -1,10 +1,12 @@
 """Hamiltonian flow maps: exact, Euler, leapfrog, fourth-order reference and guarded.
 
 The composed integrator follows the convention that an accuracy parameter
-theta and order k translate into ceil(T / theta^(1/k)) oracle applications,
-each advancing time theta^(1/k).  In particular the leapfrog oracle's
-internal step length is sqrt(theta).  The final step is taken at full
-length, so the composed map can overshoot time T by less than one step.
+theta and order k translate into the smallest n with n theta^(1/k) >= T
+oracle applications, each advancing time theta^(1/k).  In particular the
+leapfrog oracle's internal step length is sqrt(theta).  The final step is
+taken at full length, so the composed map can overshoot time T by less
+than one step.  On a Gaussian target both oracle maps are linear, and the
+n-step map is applied in closed form.
 """
 
 from __future__ import annotations
@@ -72,12 +74,19 @@ class IntegratorSpec:
 
     @property
     def oracle_steps(self) -> int:
-        """Oracle applications taken by the composed map: ceil(T/theta^(1/k))."""
+        """Oracle applications taken by the composed map: the smallest n with
+        n theta^(1/k) >= T.  ceil(T/theta^(1/k)) is that n or, when the
+        quotient rounds a few ulps above an integer, one more; the count below
+        it is taken when that many steps of the flow's own length reach T, or
+        when (T/n)^k <= theta, the form in which a theta for n steps is made."""
         if self.scheme not in _ORACLE_ORDER:
             raise IntegratorError(f"scheme {self.scheme!r} does not step an oracle")
         if self.T == 0.0:
             return 0
-        return math.ceil(self.T / self.theta ** (1.0 / self.order))
+        T, theta, k = self.T, self.theta, self.order
+        n = max(math.ceil(T / theta ** (1.0 / k)), 1) - 1
+        step = theta if k == 1 else math.sqrt(theta)
+        return n if n and (n * step >= T or (T / n) ** k <= theta) else n + 1
 
     @property
     def gradient_evals_per_oracle(self) -> int:
@@ -197,14 +206,40 @@ def flow_trajectory(pot: Potential, x: PhasePoint, T: float, snapshots: int,
     raise IntegratorError(f"flow did not converge to tol={tol} within {_MAX_DOUBLINGS} doublings")
 
 
+def _oracle_matrix(spec: IntegratorSpec, lam: np.ndarray) -> np.ndarray:
+    """One oracle step on U(q) = 1/2 sum lam_i q_i^2 as a 2x2 map of (q_i, p_i)
+    per coordinate, shape (d, 2, 2): Euler [[1, theta], [-theta lam, 1]],
+    leapfrog K D K with half-kick K = [[1, 0], [-h lam/2, 1]], drift
+    D = [[1, h], [0, 1]] and h = sqrt(theta)."""
+    def per_coordinate(a, b, c, e):
+        return np.stack(np.broadcast_arrays(a, b, c, e), axis=-1).reshape(lam.shape + (2, 2))
+
+    if spec.scheme == "euler":
+        return per_coordinate(1.0, spec.theta, -spec.theta * lam, 1.0)
+    h = math.sqrt(spec.theta)
+    kick = per_coordinate(1.0, 0.0, -0.5 * h * lam, 1.0)
+    return kick @ np.array([[1.0, h], [0.0, 1.0]]) @ kick
+
+
 def flow_map(pot: Potential, spec: IntegratorSpec):
     """The flow ``spec`` names, resolved once: f(q, p, g = grad U(q) or None) ->
     (q', p', g').  Euler takes n = ``spec.oracle_steps`` steps (q, p) -> (q +
     theta p, p - theta U'(q)).  Leapfrog takes n steps of length sqrt(theta),
     one gradient per point serving both half-kicks there (n + 1 calls, or n
-    given g), and returns the end gradient."""
+    given g), and returns the end gradient.  On a Gaussian target both are
+    linear: the n steps are the per-coordinate matrix power M^n, built here
+    once, and the flow calls no gradient (leapfrog's g' is lam q')."""
     grad, theta, T = pot.gradient, spec.theta, spec.T
     n = spec.oracle_steps if spec.order else 0
+    if spec.order and pot.is_gaussian:
+        lam = pot.precision_eigenvalues
+        a, b, c, e = np.linalg.matrix_power(_oracle_matrix(spec, lam), n).reshape(-1, 4).T.copy()
+        end_gradient = spec.scheme == "leapfrog"
+
+        def linear(q, p, g=None):
+            q_n = a * q + b * p
+            return q_n, c * q + e * p, lam * q_n if end_gradient else None
+        return linear
     if spec.scheme == "euler":
         def euler(q, p, g=None):
             for _ in range(n):

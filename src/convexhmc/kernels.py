@@ -38,7 +38,8 @@ class CostLedger:
     ``gradient_evals`` is the modelled count, 1 per Euler and 2 per leapfrog
     oracle step.  Real calls are fewer: adjacent leapfrog half-kicks share a
     gradient, and a chain carries the one at its state, so a carried leapfrog
-    step of n oracle steps makes n calls.
+    step of n oracle steps makes n calls.  A Gaussian target's flow is a
+    closed-form linear map and makes none.
     """
 
     gradient_evals: int = 0

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from convexhmc import (CostLedger, GoodSetSpec, IntegratorError, IntegratorSpec,
+from convexhmc import (CostLedger, GoodSetSpec, IntegratorError, IntegratorSpec, KernelSpec,
                        PhasePoint, default_integration_time, exact_gaussian_flow,
                        flow_trajectory, guarded_step, hamiltonian, integrate, make_gaussian,
-                       make_perturbed_quadratic, make_separable, reference_flow)
+                       make_perturbed_quadratic, make_separable, reference_flow, run_chain)
 from convexhmc import integrators
 
 UNIT = make_gaussian([1.0])
@@ -131,6 +131,19 @@ class TestComposedIntegrator:
             np.testing.assert_array_equal(got.q, q)
             np.testing.assert_array_equal(got.p, p)
 
+    def test_theta_formed_for_n_steps_takes_n(self):
+        # ceil(T / theta^(1/k)) took n + 1 steps for about 5% of these pairs
+        for T in (0.08838834764831843, 0.35355339059327373, 0.5, 1.0, 1.2):
+            for scheme, k in (("euler", 1), ("leapfrog", 2)):
+                for n in range(1, 2000):
+                    assert IntegratorSpec(scheme, theta=(T / n) ** k, T=T).oracle_steps == n
+
+    def test_step_that_lands_on_T_is_not_repeated(self):
+        # 15 sqrt(theta) == T exactly, yet T / sqrt(theta) rounds above 15
+        T, theta = 0.08838834764831843, 3.472222222222221e-05
+        assert 15 * math.sqrt(theta) == T
+        assert IntegratorSpec("leapfrog", theta=theta, T=T).oracle_steps == 15
+
     def test_ledger_charges_every_row(self):
         ledger = CostLedger()
         integrate(UNIT, IntegratorSpec("euler", theta=0.1, T=0.5),
@@ -160,6 +173,63 @@ class TestComposedIntegrator:
             IntegratorSpec("euler", theta=0.1, T=1.0, order=2)
         with pytest.raises(IntegratorError, match="unknown scheme"):
             IntegratorSpec("guarded")
+
+
+def hidden(pot):
+    """``pot`` with its eigenvalues hidden, so flows run the generic oracle loops."""
+    return dataclasses.replace(pot, precision_eigenvalues=None)
+
+
+@st.composite
+def linear_flow_cases(draw):
+    """(eigenvalues, spec, n, q, p): 1-6 eigenvalues in [0.1, 100], spec for
+    n = 0-4000 oracle steps over T <= 1, and phase points of shape (d,) or
+    (rows, d)."""
+    d = draw(st.integers(1, 6))
+    eigs = draw(st.lists(st.floats(0.1, 100.0), min_size=d, max_size=d))
+    scheme, k = draw(st.sampled_from([("euler", 1), ("leapfrog", 2)]))
+    n = draw(st.integers(0, 4000))
+    T = draw(st.floats(0.01, 1.0)) if n else 0.0
+    shape = (d,) if draw(st.booleans()) else (draw(st.integers(1, 4)), d)
+    q, p = (draw(st.lists(st.floats(-3.0, 3.0), min_size=math.prod(shape),
+                          max_size=math.prod(shape)).map(lambda v: np.reshape(v, shape)))
+            for _ in range(2))
+    return eigs, IntegratorSpec(scheme, theta=(T / n) ** k if n else 0.1, T=T), n, q, p
+
+
+class TestClosedFormOracleFlow:
+    """On a Gaussian target, flow_map runs the oracle schemes as M^n per coordinate."""
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(linear_flow_cases())
+    def test_matches_generic_loop(self, case):
+        eigs, spec, n, q, p = case
+        assert spec.oracle_steps == n
+        pot = make_gaussian(eigs)
+        closed = integrators.flow_map(pot, spec)(q, p, None)
+        loop = integrators.flow_map(hidden(pot), spec)(q, p, None)
+        scale = 1.0 + max(np.max(np.abs(v)) for v in (q, p, *loop) if v is not None)
+        for got, want in zip(closed[:2], loop[:2]):
+            assert got.shape == q.shape
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10 * scale)
+        if spec.scheme == "euler":
+            assert closed[2] is None and loop[2] is None
+        elif spec.oracle_steps:
+            np.testing.assert_allclose(closed[2], loop[2], rtol=0.0,
+                                       atol=1e-10 * scale * max(eigs))
+
+    @pytest.mark.parametrize("scheme,theta,T", [("leapfrog", 0.01, 1.2), ("euler", 0.01, 0.5)])
+    def test_metropolis_chain_matches_generic_loop(self, scheme, theta, T):
+        pot = make_gaussian([0.5, 1.0, 4.0])
+        spec = KernelSpec("metropolis", IntegratorSpec(scheme, theta=theta, T=T))
+        x0 = np.array([1.0, -0.5, 0.3])
+        closed = run_chain(pot, spec, x0, 2000, seed=12)
+        loop = run_chain(hidden(pot), spec, x0, 2000, seed=12)
+        assert 0 < closed.ledger.rejected
+        np.testing.assert_array_equal(closed.accepted, loop.accepted)
+        assert closed.ledger == loop.ledger
+        np.testing.assert_allclose(closed.states, loop.states, rtol=0.0, atol=1e-10)
+        np.testing.assert_allclose(closed.hamiltonians, loop.hamiltonians, rtol=0.0, atol=1e-10)
 
 
 class TestExactGaussianFlow:

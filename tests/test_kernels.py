@@ -232,6 +232,17 @@ class TestCarriedState:
         assert rows[0] == 200 * n + 1
         assert trace.ledger.gradient_evals == 2 * 200 * n
 
+    def test_gaussian_chain_calls_no_gradient_in_its_flow(self):
+        # the closed-form flow makes no call; only the initial carry does,
+        # while the ledger still charges the paper's 2 N n
+        pot, rows = counted(make_gaussian([0.5, 2.0]))
+        spec = KernelSpec("metropolis", IntegratorSpec("leapfrog", theta=0.2, T=1.2))
+        n = spec.integrator.oracle_steps
+        trace = run_chain(pot, spec, np.array([0.5, -0.5]), 200, seed=4)
+        assert trace.ledger.rejected > 0
+        assert rows[0] == 1
+        assert trace.ledger.gradient_evals == 2 * 200 * n
+
     @settings(max_examples=30, deadline=None, database=None)
     @given(st.sampled_from(["metropolis", "unadjusted"]), st.sampled_from(["leapfrog", "euler"]),
            st.floats(0.01, 0.5), st.integers(0, 2**32 - 1))

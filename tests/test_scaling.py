@@ -6,6 +6,7 @@ import pytest
 
 from convexhmc import default_integration_time, make_gaussian, metrics, scaling
 from convexhmc.scaling import run_scaling_study
+from test_integrators import counted
 
 
 def counting_solver(monkeypatch):
@@ -67,3 +68,19 @@ def test_leapfrog_step_never_exceeds_integration_time():
     for row in study.rows:
         T = default_integration_time(make_gaussian([1.0] * row.dim))
         assert math.sqrt(row.theta) <= T
+
+
+def test_gaussian_study_row_calls_no_gradient(monkeypatch):
+    # the Euler chain runs in closed form; the ledger still charges n per step and replica
+    calls = []
+
+    def family_potential(family, dim):
+        pot, rows = counted(make_gaussian([1.0] * dim))
+        calls.append(rows)
+        return pot
+
+    monkeypatch.setattr(scaling, "_family_potential", family_potential)
+    row = run_scaling_study("standard_gaussian", "euler", [4], epsilon=0.3, seed=5,
+                            replicas=64).rows[0]
+    assert calls == [[0]]
+    assert row.gradient_evals == row.oracle_steps * row.chain_steps * row.replicas
