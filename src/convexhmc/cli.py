@@ -27,22 +27,21 @@ from .scaling import run_scaling_study
 from .potentials import ConvexHMCError, SeparablePotential, uniform_ball
 
 
-def _out_dir(config):
-    path = config.get("out", ".")
-    os.makedirs(path, exist_ok=True)
-    return path
-
-
 def run_experiment(config: dict, base_dir: str = ".", out_dir: str | None = None) -> dict:
     """Dispatch one experiment; returns the summary, written to disk when
     an output directory applies (the distance task prints only unless one
-    is given)."""
+    is given).  The target and kernel spec are built once, for the tasks
+    that read them."""
     cfg.validate_config({k: v for k, v in config.items() if k != "out"})
     task = config["task"]
+    blocks = cfg.TASK_BLOCKS[task].split()
+    pot = cfg.build_potential(config["target"], base_dir) if "target" in blocks else None
+    spec = cfg.build_kernel_spec(config["kernel"], pot) if "kernel" in blocks else None
     if out_dir is None and task == "distance" and config.get("out") is None:
-        return _TASKS[task](config, base_dir, None)
-    out = out_dir if out_dir is not None else _out_dir(config)
-    summary = _TASKS[task](config, base_dir, out)
+        return _TASKS[task](config, pot, spec, base_dir, None)
+    out = out_dir if out_dir is not None else config.get("out", ".")
+    os.makedirs(out, exist_ok=True)
+    summary = _TASKS[task](config, pot, spec, base_dir, out)
     cfg.write_json(os.path.join(out, f"{task}_summary.json"), summary)
     return summary
 
@@ -55,9 +54,7 @@ def _warn_overshoot(spec):
               f"exceeds T = {T!r}; each flow integrates for that step", file=sys.stderr)
 
 
-def _task_sample(config, base_dir, out):
-    pot = cfg.build_potential(config["target"], base_dir)
-    spec = cfg.build_kernel_spec(config["kernel"], pot)
+def _task_sample(config, pot, spec, base_dir, out):
     _warn_overshoot(spec)
     run = config["run"]
     steps = run.get("steps", 1000)
@@ -76,9 +73,7 @@ def _task_sample(config, base_dir, out):
     }
 
 
-def _task_couple(config, base_dir, out):
-    pot = cfg.build_potential(config["target"], base_dir)
-    spec = cfg.build_kernel_spec(config["kernel"], pot)
+def _task_couple(config, pot, spec, base_dir, out):
     _warn_overshoot(spec)
     run = config["run"]
     opts = config.get("couple", {})
@@ -100,8 +95,7 @@ def _task_couple(config, base_dir, out):
     }
 
 
-def _task_certify(config, base_dir, out):
-    pot = cfg.build_potential(config["target"], base_dir)
+def _task_certify(config, pot, spec, base_dir, out):
     opts = config["certify"]
     T = opts.get("T", default_integration_time(pot))
     worst = contraction_certificate(pot, T, opts["trials"], config["run"]["seed"],
@@ -113,9 +107,7 @@ def _task_certify(config, base_dir, out):
     return {"task": "certify", "T": T, "worst_ratio": worst, "bound": bound, "pass": passed}
 
 
-def _task_drift(config, base_dir, out):
-    pot = cfg.build_potential(config["target"], base_dir)
-    spec = cfg.build_kernel_spec(config["kernel"], pot)
+def _task_drift(config, pot, spec, base_dir, out):
     run = config["run"]
     report = drift_check(pot, spec, config["drift"]["radii"], run.get("replicas", 1000),
                          run["seed"])
@@ -133,11 +125,9 @@ def _task_drift(config, base_dir, out):
     }
 
 
-def _task_goodset(config, base_dir, out):
-    pot = cfg.build_potential(config["target"], base_dir)
+def _task_goodset(config, pot, spec, base_dir, out):
     if not isinstance(pot, SeparablePotential):
         raise cfg.ConfigError("goodset task needs a separable target")
-    spec = cfg.build_kernel_spec(config["kernel"], pot)
     opts = config["goodset"]
     block = opts["block_dim"]
     default = default_good_set(pot.dim, block)
@@ -153,7 +143,7 @@ def _task_goodset(config, base_dir, out):
             "g_2": good.g_2, "pass": True}
 
 
-def _task_distance(config, base_dir, out):
+def _task_distance(config, pot, spec, base_dir, out):
     opts = config["distance"]
     a = cfg.load_points_csv(os.path.join(base_dir, opts["a_csv"]))
     b = cfg.load_points_csv(os.path.join(base_dir, opts["b_csv"]))
@@ -170,24 +160,23 @@ def _task_distance(config, base_dir, out):
     return summary
 
 
-def _rounding(config, base_dir):
-    pot = cfg.build_potential(config["target"], base_dir)
-    opts = config.get("precondition", {})
-    anchor = np.asarray(opts.get("anchor", np.zeros(pot.dim)), dtype=float)
-    return pot, opts, anchor, build_rounding(pot, anchor)
+def _rounding(config, pot):
+    anchor = config.get("precondition", {}).get("anchor", np.zeros(pot.dim))
+    anchor = np.asarray(anchor, dtype=float)
+    return anchor, build_rounding(pot, anchor)
 
 
-def _task_precondition(config, base_dir, out):
-    pot, _, anchor, transform = _rounding(config, base_dir)
+def _task_precondition(config, pot, spec, base_dir, out):
+    anchor, transform = _rounding(config, pot)
     cfg.write_csv(os.path.join(out, "rounding_matrix.csv"),
                   [f"c{j}" for j in range(pot.dim)], transform.matrix.T)
     return {"task": "precondition", "anchor": list(anchor), "dim": pot.dim, "pass": True}
 
 
-def _task_verify_rounding(config, base_dir, out):
-    pot, opts, _, transform = _rounding(config, base_dir)
-    points = cfg.load_points_csv(os.path.join(base_dir, opts["points_csv"]))
-    report = verify_rounding(pot, transform, points)
+def _task_verify_rounding(config, pot, spec, base_dir, out):
+    _, transform = _rounding(config, pot)
+    path = config["precondition"]["points_csv"]
+    report = verify_rounding(pot, transform, cfg.load_points_csv(os.path.join(base_dir, path)))
     return {
         "task": "verify_rounding",
         "min_eigenvalue": report.min_eigenvalue,
@@ -199,11 +188,11 @@ def _task_verify_rounding(config, base_dir, out):
     }
 
 
-def _task_scaling(config, base_dir, out):
+def _task_scaling(config, pot, spec, base_dir, out):
     opts = config["scaling"]
     run = config["run"]
     result = run_scaling_study(
-        family=opts.get("family", "standard_gaussian"),
+        family="standard_gaussian",
         scheme=opts["scheme"],
         dims=opts["dims"],
         epsilon=opts.get("epsilon", 0.05),
@@ -242,11 +231,25 @@ _TASKS = {
 }
 
 
-def _add_common(p, seed_required=True):
-    p.add_argument("--target-config", required=True,
-                   help="path to a JSON file holding the target block")
-    p.add_argument("--seed", type=int, required=seed_required)
-    p.add_argument("--out", default=".", help="output directory")
+class _FieldHelp(argparse.HelpFormatter):
+    """Shows each flag's value as the dotted config field it sets (a flag with
+    choices shows them instead, and names its field in its help)."""
+
+    def _get_default_metavar_for_optional(self, action):
+        return action.dest
+
+
+def _task_parser(sub, name, help, target=True, seed=True, out=".", **fixed):
+    """A subcommand that sets config ``task`` plus the dotted ``fixed`` fields."""
+    p = sub.add_parser(name, help=help, formatter_class=_FieldHelp)
+    p.set_defaults(task=name.replace("-", "_"), **fixed)
+    if target:
+        p.add_argument("--target-config", dest="target", required=True, metavar="PATH",
+                       help="JSON file holding the target block")
+    if seed:
+        p.add_argument("--seed", dest="run.seed", type=int, required=True)
+    p.add_argument("--out", default=out, help="output directory")
+    return p
 
 
 def _parse_vector(text):
@@ -254,74 +257,71 @@ def _parse_vector(text):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Each flag's ``dest`` is the dotted config field it sets."""
     parser = argparse.ArgumentParser(prog="convexhmc",
                                      description="HMC sampling and verification experiments")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("sample", help="run one chain and dump its trace")
-    _add_common(p)
-    p.add_argument("--kernel", choices=["ideal", "unadjusted", "metropolis"],
-                   default="metropolis")
-    p.add_argument("--scheme", choices=["exact_gaussian", "euler", "leapfrog", "reference"],
-                   default="leapfrog")
-    p.add_argument("--theta", type=float, default=1e-3)
-    p.add_argument("--T", type=float, default=None)
-    p.add_argument("--steps", type=int, default=1000)
+    for name, help, kind, schemes, scheme, theta, steps in (
+            ("sample", "run one chain and dump its trace", "metropolis",
+             ["exact_gaussian", "euler", "leapfrog", "reference"], "leapfrog", 1e-3, 1000),
+            ("couple", "synchronous coupling of two chains", "ideal", None, "exact_gaussian",
+             1e-10, 200)):
+        p = _task_parser(sub, name, help)
+        p.add_argument("--kernel", dest="kernel.kind", default=kind, help="kernel.kind",
+                       choices=["ideal", "unadjusted", "metropolis"])
+        p.add_argument("--scheme", dest="kernel.integrator.scheme", choices=schemes,
+                       default=scheme, help="kernel.integrator.scheme")
+        p.add_argument("--theta", dest="kernel.integrator.theta", type=float, default=theta)
+        p.add_argument("--T", dest="kernel.integrator.T", type=float)
+        p.add_argument("--steps", dest="run.steps", type=int, default=steps)
 
-    p = sub.add_parser("couple", help="synchronous coupling of two chains")
-    _add_common(p)
-    p.add_argument("--kernel", choices=["ideal", "unadjusted", "metropolis"], default="ideal")
-    p.add_argument("--scheme", default="exact_gaussian")
-    p.add_argument("--theta", type=float, default=1e-10)
-    p.add_argument("--T", type=float, default=None)
-    p.add_argument("--steps", type=int, default=200)
+    p = _task_parser(sub, "certify", "one-step contraction certificate")
+    p.add_argument("--T", dest="certify.T", type=float)
+    p.add_argument("--trials", dest="certify.trials", type=int, default=200)
 
-    p = sub.add_parser("certify", help="one-step contraction certificate")
-    _add_common(p)
-    p.add_argument("--T", type=float, default=None)
-    p.add_argument("--trials", type=int, default=200)
+    p = _task_parser(sub, "drift", "exponential-moment drift check", **{
+        "kernel.kind": "ideal", "kernel.integrator.scheme": "reference",
+        "kernel.integrator.theta": 1e-10})
+    p.add_argument("--radii", dest="drift.radii", type=_parse_vector, required=True)
+    p.add_argument("--replicas", dest="run.replicas", type=int, default=1000)
 
-    p = sub.add_parser("drift", help="exponential-moment drift check")
-    _add_common(p)
-    p.add_argument("--radii", type=_parse_vector, required=True)
-    p.add_argument("--replicas", type=int, default=1000)
+    p = _task_parser(sub, "goodset", "good-set exit statistics", **{
+        "kernel.kind": "unadjusted", "kernel.integrator.scheme": "leapfrog"})
+    p.add_argument("--block-dim", dest="goodset.block_dim", type=int, default=1)
+    p.add_argument("--g-inf", dest="goodset.g_inf", type=float)
+    p.add_argument("--g-2", dest="goodset.g_2", type=float)
+    p.add_argument("--theta", dest="kernel.integrator.theta", type=float, default=1e-2)
+    p.add_argument("--steps", dest="run.steps", type=int, default=100)
+    p.add_argument("--replicas", dest="run.replicas", type=int, default=200)
 
-    p = sub.add_parser("goodset", help="good-set exit statistics")
-    _add_common(p)
-    p.add_argument("--block-dim", type=int, default=1)
-    p.add_argument("--g-inf", type=float, default=None)
-    p.add_argument("--g-2", type=float, default=None)
-    p.add_argument("--theta", type=float, default=1e-2)
-    p.add_argument("--steps", type=int, default=100)
-    p.add_argument("--replicas", type=int, default=200)
+    # prints the summary, and writes it only when --out names a directory
+    p = _task_parser(sub, "distance", "W1 between two CSV point files", target=False,
+                     seed=False, out=None)
+    p.add_argument("distance.a_csv")
+    p.add_argument("distance.b_csv")
+    p.add_argument("--method", dest="distance.method", default="assignment",
+                   choices=["assignment", "sliced", "exact_1d"], help="distance.method")
+    p.add_argument("--directions", dest="distance.directions", type=int, default=64)
+    p.add_argument("--seed", dest="distance.seed", type=int, default=0)
 
-    p = sub.add_parser("distance", help="W1 between two CSV point files")
-    p.add_argument("a_csv")
-    p.add_argument("b_csv")
-    p.add_argument("--method", choices=["assignment", "sliced", "exact_1d"],
-                   default="assignment")
-    p.add_argument("--directions", type=int, default=64)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None, help="also write the summary JSON here")
+    p = _task_parser(sub, "precondition", "estimate a rounding matrix", seed=False)
+    p.add_argument("--anchor", dest="precondition.anchor", type=_parse_vector)
 
-    p = sub.add_parser("precondition", help="estimate a rounding matrix")
-    _add_common(p, seed_required=False)
-    p.add_argument("--anchor", type=_parse_vector, default=None)
+    p = _task_parser(sub, "verify-rounding", "sandwich check on bulk points", seed=False)
+    p.add_argument("--anchor", dest="precondition.anchor", type=_parse_vector)
+    p.add_argument("--points", dest="precondition.points_csv", type=os.path.abspath,
+                   required=True, help="CSV of bulk points")
 
-    p = sub.add_parser("verify-rounding", help="sandwich check on bulk points")
-    _add_common(p, seed_required=False)
-    p.add_argument("--anchor", type=_parse_vector, default=None)
-    p.add_argument("--points", required=True, help="CSV of bulk points")
-
-    p = sub.add_parser("scaling", help="dimension-scaling study")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--family", choices=["standard_gaussian"], default="standard_gaussian")
-    p.add_argument("--kernel", choices=["unadjusted", "metropolis"], default="unadjusted")
-    p.add_argument("--scheme", choices=["euler", "leapfrog"], required=True)
-    p.add_argument("--dims", type=lambda s: [int(t) for t in s.split(",")], required=True)
-    p.add_argument("--epsilon", type=float, default=0.05)
-    p.add_argument("--replicas", type=int, default=1024)
+    p = _task_parser(sub, "scaling", "dimension-scaling study", target=False)
+    p.add_argument("--kernel", dest="scaling.kernel", choices=["unadjusted", "metropolis"],
+                   default="unadjusted", help="scaling.kernel")
+    p.add_argument("--scheme", dest="scaling.scheme", choices=["euler", "leapfrog"],
+                   required=True, help="scaling.scheme")
+    p.add_argument("--dims", dest="scaling.dims", required=True,
+                   type=lambda s: [int(t) for t in s.split(",")])
+    p.add_argument("--epsilon", dest="scaling.epsilon", type=float, default=0.05)
+    p.add_argument("--replicas", dest="scaling.replicas", type=int, default=1024)
 
     p = sub.add_parser("run", help="run a full JSON experiment config")
     p.add_argument("--config", required=True)
@@ -329,71 +329,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _kernel_block(args):
-    integrator = {"scheme": args.scheme, "theta": args.theta}
-    if getattr(args, "T", None) is not None:
-        integrator["T"] = args.T
-    return {"kind": args.kernel, "integrator": integrator}
-
-
 def _config_from_args(args) -> tuple[dict, str]:
-    base = "."
+    """The experiment config the flags name, and the directory its paths are relative to."""
     if args.command == "run":
         conf = cfg.load_json(args.config)
-        base = os.path.dirname(os.path.abspath(args.config))
+        if not isinstance(conf, dict):
+            raise cfg.ConfigError(f"{args.config}: a run config must be a JSON object")
         if args.out is not None:
             conf["out"] = args.out
-        return conf, base
-    if args.command == "distance":
-        return {
-            "task": "distance",
-            "distance": {"a_csv": args.a_csv, "b_csv": args.b_csv, "method": args.method,
-                         "directions": args.directions, "seed": args.seed},
-            "out": args.out,
-        }, base
-    if args.command == "scaling":
-        return {
-            "task": "scaling",
-            "scaling": {"family": args.family, "kernel": args.kernel, "scheme": args.scheme,
-                        "dims": args.dims, "epsilon": args.epsilon,
-                        "replicas": args.replicas},
-            "run": {"seed": args.seed},
-            "out": args.out,
-        }, base
-    target = cfg.load_json(args.target_config)
-    base = os.path.dirname(os.path.abspath(args.target_config))
-    conf: dict = {"target": target, "out": args.out}
-    if args.command in ("sample", "couple"):
-        conf.update(task=args.command, kernel=_kernel_block(args),
-                    run={"steps": args.steps, "seed": args.seed})
-    elif args.command == "certify":
-        certify = {"trials": args.trials}
-        if args.T is not None:
-            certify["T"] = args.T
-        conf.update(task="certify", certify=certify, run={"seed": args.seed})
-    elif args.command == "drift":
-        conf.update(task="drift",
-                    kernel={"kind": "ideal", "integrator": {"scheme": "reference",
-                                                            "theta": 1e-10}},
-                    drift={"radii": args.radii},
-                    run={"seed": args.seed, "replicas": args.replicas})
-    elif args.command == "goodset":
-        goodset = {"block_dim": args.block_dim}
-        if args.g_inf is not None:
-            goodset["g_inf"] = args.g_inf
-        if args.g_2 is not None:
-            goodset["g_2"] = args.g_2
-        conf.update(task="goodset",
-                    kernel={"kind": "unadjusted",
-                            "integrator": {"scheme": "leapfrog", "theta": args.theta}},
-                    goodset=goodset,
-                    run={"seed": args.seed, "steps": args.steps, "replicas": args.replicas})
-    elif args.command in ("precondition", "verify-rounding"):
-        pre = {} if args.command == "precondition" else {"points_csv": args.points}
-        if args.anchor is not None:
-            pre["anchor"] = args.anchor
-        conf.update(task=args.command.replace("-", "_"), precondition=pre)
-    return conf, base
+        return conf, os.path.dirname(os.path.abspath(args.config))
+    fields = {k: v for k, v in vars(args).items() if v is not None and k != "command"}
+    path = fields.pop("target", None)
+    conf = {} if path is None else {"target": cfg.load_json(path)}
+    for key, value in fields.items():
+        *blocks, field = key.split(".")
+        node = conf
+        for block in blocks:
+            node = node.setdefault(block, {})
+        node[field] = value
+    return conf, "." if path is None else os.path.dirname(os.path.abspath(path))
 
 
 def main(argv=None) -> int:

@@ -8,6 +8,7 @@ identical configs produce byte-identical artifacts.
 from __future__ import annotations
 
 import json
+import math
 import os
 from typing import Any
 
@@ -169,7 +170,6 @@ EXPERIMENT_SCHEMA = {
         "scaling": {
             "type": "object",
             "properties": {
-                "family": {"enum": ["standard_gaussian"]},
                 "kernel": {"enum": ["unadjusted", "metropolis"]},
                 "scheme": {"enum": ["euler", "leapfrog"]},
                 "dims": {"type": "array", "items": {"type": "integer", "minimum": 1},
@@ -185,7 +185,7 @@ EXPERIMENT_SCHEMA = {
     "additionalProperties": False,
 }
 
-_TASK_BLOCKS = {  # the config blocks each task reads; verify_rounding also reads points_csv
+TASK_BLOCKS = {  # the config blocks each task reads; verify_rounding also reads points_csv
     "sample": "target kernel run", "couple": "target kernel run",
     "certify": "target certify run", "drift": "target kernel drift run",
     "goodset": "target kernel goodset run", "distance": "distance", "precondition": "target",
@@ -195,17 +195,29 @@ _VALIDATOR = Draft202012Validator(EXPERIMENT_SCHEMA)
 _BY_TASK = {  # one validator per task, so a config pays for its own task's checks only
     task: Draft202012Validator({**EXPERIMENT_SCHEMA, "required": ["task", *blocks.split()],
                                 "allOf": [_POINTS] if task == "verify_rounding" else []})
-    for task, blocks in _TASK_BLOCKS.items()}
+    for task, blocks in TASK_BLOCKS.items()}
 _TARGET_VALIDATOR = Draft202012Validator(
     {"$defs": {"target": {"$dynamicAnchor": "target", **_TARGET_SCHEMA}},
      "$dynamicRef": "#target"})
 
 
+def _non_finite(obj, path: str = "$"):
+    """One message per NaN or infinite number in ``obj``: the schema's bounds pass NaN."""
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _non_finite(value, f"{path}.{key}")
+    elif isinstance(obj, list):
+        for i, value in enumerate(obj):
+            yield from _non_finite(value, f"{path}[{i}]")
+    elif isinstance(obj, float) and not math.isfinite(obj):
+        yield f"{path}: {obj!r} is not a finite number"
+
+
 def _validate(validator, what: str, obj: dict) -> None:
     errors = sorted(validator.iter_errors(obj), key=lambda e: e.json_path)
-    if errors:
-        raise ConfigError(f"invalid {what}: "
-                          + "; ".join(f"{e.json_path}: {e.message}" for e in errors))
+    problems = [f"{e.json_path}: {e.message}" for e in errors] + list(_non_finite(obj))
+    if problems:
+        raise ConfigError(f"invalid {what}: " + "; ".join(problems))
 
 
 def validate_config(config: dict) -> None:
@@ -233,7 +245,7 @@ def load_json(path: str) -> Any:
 
 def load_logistic_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
     """CSV rows are (label, feature_1, ..., feature_d); header optional."""
-    data = np.loadtxt(path, delimiter=",", ndmin=2, skiprows=_header_rows(path))
+    data = load_points_csv(path)
     if data.shape[1] < 2:
         raise ConfigError(f"{path}: need a label column plus at least one feature column")
     return data[:, 1:], data[:, 0]
@@ -325,15 +337,21 @@ def _plain(obj):
 
 
 def load_points_csv(path: str) -> np.ndarray:
-    pts = np.loadtxt(path, delimiter=",", ndmin=2, skiprows=_header_rows(path))
-    return pts
-
-
-def _header_rows(path: str) -> int:
+    """One point per numeric CSV row; a first row that is not numeric is a header."""
     with _open(path) as fh:
-        first = fh.readline()
+        lines = fh.readlines()
+    rows = lines[1:] if lines and _is_header(lines[0]) else lines
+    if not any(row.strip() for row in rows):
+        raise ConfigError(f"{path}: no data rows")
     try:
-        [float(tok) for tok in first.strip().split(",") if tok]
-        return 0
+        return np.loadtxt(rows, delimiter=",", ndmin=2)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: malformed CSV ({exc})") from exc
+
+
+def _is_header(line: str) -> bool:
+    try:
+        [float(tok) for tok in line.strip().split(",") if tok]
+        return False
     except ValueError:
-        return 1
+        return True

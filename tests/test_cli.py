@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from convexhmc import PhasePoint, flow_trajectory, hamiltonian, make_gaussian
-from convexhmc.cli import main, run_experiment
+from convexhmc.cli import _config_from_args, build_parser, main, run_experiment
 from convexhmc.config import (CSV_BLOCK, ConfigError, build_potential, format_number,
                               validate_config, write_csv)
 
@@ -340,3 +340,256 @@ class TestScalingSmoke:
         for dim, theta, oracle_steps, chain_steps, replicas, evals, per_chain, *_ in rows:
             assert evals == chain_steps * oracle_steps * replicas  # euler: 1 eval/oracle
             assert per_chain == chain_steps * oracle_steps
+
+
+GAUSS = {"kind": "gaussian", "eigenvalues": [1.0, 4.0]}
+
+
+def one_line_error(capsys, argv, prefix):
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(prefix), err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    return err
+
+
+class TestArgvToConfig:
+    """Each subcommand, with and without each optional flag, builds the config
+    its flags name.  These are the parent design's configs, save where a field
+    went (``scaling.family``) or an unset value became an absent one (the
+    distance task's ``"out": None`` and precondition's empty block)."""
+
+    T = {"target": GAUSS, "out": "."}
+    CASES = {
+        "sample": (["sample", "--seed", "1"], {
+            **T, "task": "sample", "run": {"steps": 1000, "seed": 1},
+            "kernel": {"kind": "metropolis", "integrator": {"scheme": "leapfrog",
+                                                            "theta": 0.001}}}),
+        "sample-all": (["sample", "--seed", "1", "--kernel", "unadjusted", "--scheme", "euler",
+                        "--theta", "0.05", "--T", "0.5", "--steps", "40", "--out", "o"], {
+            "target": GAUSS, "out": "o", "task": "sample", "run": {"steps": 40, "seed": 1},
+            "kernel": {"kind": "unadjusted",
+                       "integrator": {"scheme": "euler", "theta": 0.05, "T": 0.5}}}),
+        "couple": (["couple", "--seed", "2"], {
+            **T, "task": "couple", "run": {"steps": 200, "seed": 2},
+            "kernel": {"kind": "ideal", "integrator": {"scheme": "exact_gaussian",
+                                                       "theta": 1e-10}}}),
+        "couple-all": (["couple", "--seed", "2", "--kernel", "metropolis", "--scheme",
+                        "leapfrog", "--theta", "0.001", "--T", "0.3", "--steps", "30"], {
+            **T, "task": "couple", "run": {"steps": 30, "seed": 2},
+            "kernel": {"kind": "metropolis",
+                       "integrator": {"scheme": "leapfrog", "theta": 0.001, "T": 0.3}}}),
+        "certify": (["certify", "--seed", "3"], {
+            **T, "task": "certify", "certify": {"trials": 200}, "run": {"seed": 3}}),
+        "certify-all": (["certify", "--seed", "3", "--T", "0.3", "--trials", "20"], {
+            **T, "task": "certify", "certify": {"trials": 20, "T": 0.3}, "run": {"seed": 3}}),
+        "drift": (["drift", "--seed", "4", "--radii", "2,8"], {
+            **T, "task": "drift", "drift": {"radii": [2.0, 8.0]},
+            "kernel": {"kind": "ideal", "integrator": {"scheme": "reference", "theta": 1e-10}},
+            "run": {"seed": 4, "replicas": 1000}}),
+        "drift-all": (["drift", "--seed", "4", "--radii", "3", "--replicas", "50"], {
+            **T, "task": "drift", "drift": {"radii": [3.0]},
+            "kernel": {"kind": "ideal", "integrator": {"scheme": "reference", "theta": 1e-10}},
+            "run": {"seed": 4, "replicas": 50}}),
+        "goodset": (["goodset", "--seed", "5"], {
+            **T, "task": "goodset", "goodset": {"block_dim": 1},
+            "kernel": {"kind": "unadjusted", "integrator": {"scheme": "leapfrog", "theta": 0.01}},
+            "run": {"seed": 5, "steps": 100, "replicas": 200}}),
+        "goodset-all": (["goodset", "--seed", "5", "--block-dim", "2", "--g-inf", "3",
+                         "--g-2", "2", "--theta", "0.02", "--steps", "10", "--replicas", "20"], {
+            **T, "task": "goodset", "goodset": {"block_dim": 2, "g_inf": 3.0, "g_2": 2.0},
+            "kernel": {"kind": "unadjusted", "integrator": {"scheme": "leapfrog", "theta": 0.02}},
+            "run": {"seed": 5, "steps": 10, "replicas": 20}}),
+        "precondition": (["precondition"], {**T, "task": "precondition"}),
+        "precondition-all": (["precondition", "--anchor", "0.1,0.2", "--out", "o"], {
+            "target": GAUSS, "out": "o", "task": "precondition",
+            "precondition": {"anchor": [0.1, 0.2]}}),
+        "verify-rounding": (["verify-rounding", "--points", "POINTS"], {
+            **T, "task": "verify_rounding", "precondition": {"points_csv": "POINTS"}}),
+        "verify-rounding-all": (["verify-rounding", "--points", "POINTS", "--anchor", "0,0.5"], {
+            **T, "task": "verify_rounding",
+            "precondition": {"points_csv": "POINTS", "anchor": [0.0, 0.5]}}),
+    }
+    NO_TARGET = {
+        "distance": (["distance", "a.csv", "b.csv"], {
+            "task": "distance", "distance": {"a_csv": "a.csv", "b_csv": "b.csv",
+                                             "method": "assignment", "directions": 64,
+                                             "seed": 0}}),
+        "distance-all": (["distance", "a.csv", "b.csv", "--method", "sliced", "--directions",
+                          "16", "--seed", "3", "--out", "o"], {
+            "task": "distance", "out": "o", "distance": {
+                "a_csv": "a.csv", "b_csv": "b.csv", "method": "sliced", "directions": 16,
+                "seed": 3}}),
+        "scaling": (["scaling", "--seed", "6", "--scheme", "euler", "--dims", "2,4"], {
+            "task": "scaling", "out": ".", "run": {"seed": 6},
+            "scaling": {"kernel": "unadjusted", "scheme": "euler", "dims": [2, 4],
+                        "epsilon": 0.05, "replicas": 1024}}),
+        "scaling-all": (["scaling", "--seed", "6", "--scheme", "leapfrog", "--dims", "4",
+                         "--kernel", "metropolis", "--epsilon", "0.5", "--replicas", "64",
+                         "--out", "o"], {
+            "task": "scaling", "out": "o", "run": {"seed": 6},
+            "scaling": {"kernel": "metropolis", "scheme": "leapfrog", "dims": [4],
+                        "epsilon": 0.5, "replicas": 64}}),
+    }
+
+    @staticmethod
+    def config(argv):
+        return _config_from_args(build_parser().parse_args(argv))
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_target_tasks(self, tmp_path, case):
+        target = tmp_path / "cfgs" / "t.json"
+        target.parent.mkdir()
+        target.write_text(json.dumps(GAUSS))
+        points = str(tmp_path / "bulk.csv")
+        argv, expected = json.loads(json.dumps(self.CASES[case]).replace("POINTS", points))
+        conf, base = self.config([argv[0], "--target-config", str(target), *argv[1:]])
+        assert conf == expected
+        assert base == str(tmp_path / "cfgs")
+
+    @pytest.mark.parametrize("case", sorted(NO_TARGET))
+    def test_tasks_without_target(self, case):
+        argv, expected = self.NO_TARGET[case]
+        assert self.config(argv) == (expected, ".")
+
+    @pytest.mark.parametrize("out", [None, "elsewhere"])
+    def test_run_config(self, tmp_path, out):
+        conf = {"task": "certify", "target": GAUSS, "certify": {"trials": 5},
+                "run": {"seed": 1}, "out": "res"}
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps(conf))
+        argv = ["run", "--config", str(path)] + (["--out", out] if out else [])
+        assert self.config(argv) == ({**conf, "out": out or "res"}, str(tmp_path))
+
+    @pytest.mark.parametrize("argv", [
+        ["scaling", "--seed", "1", "--scheme", "euler", "--dims", "2",
+         "--family", "standard_gaussian"],
+        ["precondition", "--target-config", "t.json", "--seed", "1"],
+        ["verify-rounding", "--target-config", "t.json", "--points", "p.csv", "--seed", "1"],
+    ], ids=["scaling-family", "precondition-seed", "verify-rounding-seed"])
+    def test_removed_options_exit_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_scaling_family_field_is_gone(self, tmp_path, capsys):
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({"task": "scaling", "run": {"seed": 1}, "scaling": {
+            "family": "standard_gaussian", "scheme": "euler", "dims": [2]}}))
+        one_line_error(capsys, ["run", "--config", str(path)],
+                       "ConfigError: invalid experiment config: $.scaling: Additional "
+                       "properties are not allowed ('family' was unexpected)")
+
+    @pytest.mark.parametrize("command", ["drift", "goodset"])
+    def test_argv_runs_as_its_config(self, tmp_path, capsys, command):
+        target = tmp_path / "t.json"
+        block = {"kind": "gaussian", "eigenvalues": [1.0]}
+        target.write_text(json.dumps({"kind": "separable", "block": block, "copies": 3}))
+        argv = {"drift": ["drift", "--radii", "2,8", "--replicas", "100"],
+                "goodset": ["goodset", "--steps", "10", "--replicas", "20"]}[command]
+        argv += ["--target-config", str(target), "--seed", "4", "--out", str(tmp_path / "a")]
+        code = main(argv)
+        printed = capsys.readouterr().out
+        conf, _ = self.config(argv)
+        summary = run_experiment({**conf, "out": str(tmp_path / "b")})
+        assert printed == (tmp_path / "a" / f"{command}_summary.json").read_text()
+        assert json.loads(printed) == json.loads(json.dumps(summary))
+        assert code == (0 if summary["pass"] else 1)
+        assert read(tmp_path / "a" / f"{command}.csv") == read(tmp_path / "b" / f"{command}.csv")
+
+    def test_help_names_each_field(self, capsys):
+        parser = build_parser()
+        subparsers = next(a for a in parser._actions if a.dest == "command").choices
+        for name, sub in subparsers.items():
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args([name, "--help"])
+            assert exc.value.code == 0
+            text = " ".join(capsys.readouterr().out.split())
+            for action in sub._actions:
+                if name != "run" and action.dest not in ("help", "target"):
+                    assert action.dest in text, (name, action.dest)
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("rows", ["label,f0,f1\n1,0.2,0.1\n-1,0.1,0.3x\n", "1,0.2\n1,0.2,0.3\n",
+                                      "label,f0\n", ""], ids=["cell", "ragged", "header", "empty"])
+    def test_malformed_data_csv_exits_2(self, tmp_path, capsys, rows):
+        data = tmp_path / "data.csv"
+        data.write_text(rows)
+        target = tmp_path / "t.json"
+        target.write_text(json.dumps({"kind": "logistic", "data_csv": "data.csv", "ridge": 1.0}))
+        err = one_line_error(capsys, ["sample", "--target-config", str(target), "--seed", "0",
+                                      "--out", str(tmp_path / "out")], "ConfigError: ")
+        assert str(data) in err
+
+    @pytest.mark.parametrize("rows", ["abc\n", "1,2\nabc,3\n"], ids=["header-only", "cell"])
+    def test_malformed_points_csv_exits_2(self, tmp_path, capsys, monkeypatch, rows):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "a.csv").write_text(rows)
+        err = one_line_error(capsys, ["distance", "a.csv", "a.csv"], "ConfigError: ./a.csv: ")
+        assert not (tmp_path / "distance_summary.json").exists()
+
+    @pytest.mark.parametrize("flags, field", [
+        (["--theta", "nan"], "$.kernel.integrator.theta: nan"),
+        (["--theta", "inf"], "$.kernel.integrator.theta: inf"),
+        (["--T", "nan"], "$.kernel.integrator.T: nan"),
+        (["--T=-inf"], "$.kernel.integrator.T: -inf"),
+    ])
+    def test_non_finite_flag_exits_2(self, tmp_path, capsys, gaussian_target, flags, field):
+        err = one_line_error(capsys, ["sample", "--target-config", gaussian_target, "--seed",
+                                      "0", *flags, "--out", str(tmp_path / "out")],
+                             "ConfigError: invalid experiment config: ")
+        assert f"{field} is not a finite number" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text, field", [
+        ('{"task": "scaling", "run": {"seed": 1}, '
+         '"scaling": {"scheme": "euler", "dims": [2], "epsilon": NaN}}',
+         "invalid experiment config: $.scaling.epsilon: nan"),
+        ('{"task": "certify", "run": {"seed": 1}, "certify": {"trials": 5}, '
+         '"target": {"kind": "gaussian", "eigenvalues": [1.0, Infinity]}}',
+         "invalid experiment config: $.target.eigenvalues[1]: inf"),
+    ], ids=["scaling-epsilon", "target-eigenvalue"])
+    def test_non_finite_config_exits_2(self, tmp_path, capsys, text, field):
+        path = tmp_path / "exp.json"
+        path.write_text(text)
+        err = one_line_error(capsys, ["run", "--config", str(path), "--out", str(tmp_path)],
+                             "ConfigError: ")
+        assert f"{field} is not a finite number" in err
+
+    def test_non_finite_target_file_exits_2(self, tmp_path, capsys):
+        target = tmp_path / "t.json"
+        target.write_text('{"kind": "gaussian", "eigenvalues": [NaN]}')
+        one_line_error(capsys, ["precondition", "--target-config", str(target),
+                                "--out", str(tmp_path)],
+                       "ConfigError: invalid experiment config: $.target.eigenvalues[0]: nan "
+                       "is not a finite number")
+
+    @pytest.mark.parametrize("text", ["[1]", "3", '"sample"', "null"])
+    def test_non_object_run_config_exits_2(self, tmp_path, capsys, text):
+        path = tmp_path / "exp.json"
+        path.write_text(text)
+        one_line_error(capsys, ["run", "--config", str(path)],
+                       f"ConfigError: {path}: a run config must be a JSON object")
+
+
+class TestPointsPath:
+    def test_cli_points_resolve_from_working_directory(self, tmp_path, monkeypatch):
+        (tmp_path / "cfgs").mkdir()
+        (tmp_path / "data").mkdir()
+        (tmp_path / "cfgs" / "t.json").write_text(json.dumps(GAUSS))
+        rng = np.random.default_rng(2)
+        write_csv(str(tmp_path / "data" / "bulk.csv"), ["x0", "x1"],
+                  rng.standard_normal((10, 2)).T)
+        monkeypatch.chdir(tmp_path)
+        assert main(["verify-rounding", "--target-config", "cfgs/t.json",
+                     "--points", "data/bulk.csv", "--out", "a"]) == 0
+        # a run config's points_csv stays relative to the config file
+        (tmp_path / "cfgs" / "exp.json").write_text(json.dumps({
+            "task": "verify_rounding", "target": GAUSS,
+            "precondition": {"points_csv": "../data/bulk.csv"}}))
+        assert main(["run", "--config", "cfgs/exp.json", "--out", "b"]) == 0
+        assert read(tmp_path / "a" / "verify_rounding_summary.json") == read(
+            tmp_path / "b" / "verify_rounding_summary.json")
