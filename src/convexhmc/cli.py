@@ -38,10 +38,10 @@ def run_experiment(config: dict, base_dir: str = ".", out_dir: str | None = None
     pot = cfg.build_potential(config["target"], base_dir) if "target" in blocks else None
     spec = cfg.build_kernel_spec(config["kernel"], pot) if "kernel" in blocks else None
     if out_dir is None and task == "distance" and config.get("out") is None:
-        return _TASKS[task](config, pot, spec, base_dir, None)
+        return {**_TASKS[task](config, pot, spec, base_dir, None), "task": task}
     out = out_dir if out_dir is not None else config.get("out", ".")
     os.makedirs(out, exist_ok=True)
-    summary = _TASKS[task](config, pot, spec, base_dir, out)
+    summary = {**_TASKS[task](config, pot, spec, base_dir, out), "task": task}
     cfg.write_json(os.path.join(out, f"{task}_summary.json"), summary)
     return summary
 
@@ -63,7 +63,6 @@ def _task_sample(config, pot, spec, base_dir, out):
     cfg.write_csv(os.path.join(out, "sample.csv"), header,
                   [range(len(trace)), *trace.states.T, trace.hamiltonians, trace.accepted])
     return {
-        "task": "sample",
         "steps": steps,
         "seed": run["seed"],
         "acceptance_rate": float(np.mean(trace.accepted[1:])) if steps else 1.0,
@@ -86,7 +85,6 @@ def _task_couple(config, pot, spec, base_dir, out):
     cfg.write_csv(os.path.join(out, "couple.csv"), ["step", "distance"],
                   [range(len(report.distances)), report.distances])
     return {
-        "task": "couple",
         "fitted_rate": report.fitted_rate,
         "bound": report.bound,
         "violations": report.violations,
@@ -104,7 +102,7 @@ def _task_certify(config, pot, spec, base_dir, out):
     passed = worst <= bound + 1e-6
     cfg.write_csv(os.path.join(out, "certify.csv"), ["T", "worst_ratio", "bound"],
                   [[T], [worst], [bound]])
-    return {"task": "certify", "T": T, "worst_ratio": worst, "bound": bound, "pass": passed}
+    return {"T": T, "worst_ratio": worst, "bound": bound, "pass": passed}
 
 
 def _task_drift(config, pot, spec, base_dir, out):
@@ -117,7 +115,6 @@ def _task_drift(config, pot, spec, base_dir, out):
     passed = bool(report.feasible and report.slope <= math.exp(-1.0)
                   + 3.0 * report.log_se[int(np.argmax(report.radii))] * report.slope)
     return {
-        "task": "drift",
         "log_a_hat": report.log_a_hat,
         "slope": report.slope,
         "feasible": report.feasible,
@@ -139,7 +136,7 @@ def _task_goodset(config, pot, spec, base_dir, out):
     cfg.write_csv(os.path.join(out, "goodset.csv"),
                   ["g_inf", "g_2", "block_dim", "exit_frequency"],
                   [[good.g_inf], [good.g_2], [good.block_dim], [freq]])
-    return {"task": "goodset", "exit_frequency": freq, "g_inf": good.g_inf,
+    return {"exit_frequency": freq, "g_inf": good.g_inf,
             "g_2": good.g_2, "pass": True}
 
 
@@ -154,7 +151,7 @@ def _task_distance(config, pot, spec, base_dir, out):
         w1 = w1_exact_1d(a, b)
     else:
         w1 = w1_sliced(a, b, opts.get("directions", 64), opts.get("seed", 0))
-    summary = {"task": "distance", "w1": w1, "method": method, "pass": True}
+    summary = {"w1": w1, "method": method, "pass": True}
     if method == "assignment":
         summary["prokhorov_upper"] = math.sqrt(w1)
     return summary
@@ -170,7 +167,7 @@ def _task_precondition(config, pot, spec, base_dir, out):
     anchor, transform = _rounding(config, pot)
     cfg.write_csv(os.path.join(out, "rounding_matrix.csv"),
                   [f"c{j}" for j in range(pot.dim)], transform.matrix.T)
-    return {"task": "precondition", "anchor": list(anchor), "dim": pot.dim, "pass": True}
+    return {"anchor": list(anchor), "dim": pot.dim, "pass": True}
 
 
 def _task_verify_rounding(config, pot, spec, base_dir, out):
@@ -178,7 +175,6 @@ def _task_verify_rounding(config, pot, spec, base_dir, out):
     path = config["precondition"]["points_csv"]
     report = verify_rounding(pot, transform, cfg.load_points_csv(os.path.join(base_dir, path)))
     return {
-        "task": "verify_rounding",
         "min_eigenvalue": report.min_eigenvalue,
         "max_eigenvalue": report.max_eigenvalue,
         "lower": report.lower,
@@ -206,7 +202,6 @@ def _task_scaling(config, pot, spec, base_dir, out):
                    "raw_w1", "reference_floor"],
                   list(zip(*map(astuple, result.rows))))
     return {
-        "task": "scaling",
         "kernel": opts.get("kernel", "unadjusted"),
         "scheme": result.scheme,
         "epsilon": result.epsilon,
@@ -262,17 +257,18 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="HMC sampling and verification experiments")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, help, kind, schemes, scheme, theta, steps in (
+    # an unset --theta takes the scheme's default in config.build_kernel_spec
+    for name, help, kind, schemes, scheme, steps in (
             ("sample", "run one chain and dump its trace", "metropolis",
-             ["exact_gaussian", "euler", "leapfrog", "reference"], "leapfrog", 1e-3, 1000),
+             ["exact_gaussian", "euler", "leapfrog", "reference"], "leapfrog", 1000),
             ("couple", "synchronous coupling of two chains", "ideal", None, "exact_gaussian",
-             1e-10, 200)):
+             200)):
         p = _task_parser(sub, name, help)
         p.add_argument("--kernel", dest="kernel.kind", default=kind, help="kernel.kind",
                        choices=["ideal", "unadjusted", "metropolis"])
         p.add_argument("--scheme", dest="kernel.integrator.scheme", choices=schemes,
                        default=scheme, help="kernel.integrator.scheme")
-        p.add_argument("--theta", dest="kernel.integrator.theta", type=float, default=theta)
+        p.add_argument("--theta", dest="kernel.integrator.theta", type=float)
         p.add_argument("--T", dest="kernel.integrator.T", type=float)
         p.add_argument("--steps", dest="run.steps", type=int, default=steps)
 

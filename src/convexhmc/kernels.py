@@ -64,29 +64,18 @@ class MomentumSource:
             raise KernelError(f"dimension must be >= 1, got {dim}")
         self.dim = dim
         mom_ss, unif_ss = np.random.SeedSequence(seed).spawn(2)
-        self._mom = np.random.Generator(np.random.PCG64(mom_ss))
-        self._unif = np.random.Generator(np.random.PCG64(unif_ss))
-        self._mom_buf = np.empty((0, dim))
-        self._mom_at = 0
-        self._unif_buf = np.empty(0)
-        self._unif_at = 0
+        mom = np.random.Generator(np.random.PCG64(mom_ss))
+        unif = np.random.Generator(np.random.PCG64(unif_ss))
+        # next_momentum() -> (dim,) array, next_uniform() -> float
+        self.next_momentum = self._rows(lambda: mom.standard_normal((self._BLOCK, dim))).__next__
+        self.next_uniform = self._rows(lambda: unif.random(self._BLOCK).tolist()).__next__
 
-    def next_momentum(self) -> np.ndarray:
-        if self._mom_at >= len(self._mom_buf):
-            # filling a block consumes the generator exactly like repeated draws
-            self._mom_buf = self._mom.standard_normal((self._BLOCK, self.dim))
-            self._mom_at = 0
-        out = self._mom_buf[self._mom_at]
-        self._mom_at += 1
-        return out
-
-    def next_uniform(self) -> float:
-        if self._unif_at >= len(self._unif_buf):
-            self._unif_buf = self._unif.random(self._BLOCK)
-            self._unif_at = 0
-        out = self._unif_buf[self._unif_at]
-        self._unif_at += 1
-        return float(out)
+    @staticmethod
+    def _rows(draw):
+        """Rows of successive blocks; a block consumes its generator exactly like
+        repeated one-at-a-time draws."""
+        while True:
+            yield from draw()
 
 
 @dataclass(frozen=True)

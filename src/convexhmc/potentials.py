@@ -41,7 +41,6 @@ class Potential:
     gradient: Callable[[np.ndarray], np.ndarray]
     m2: float
     M2: float
-    M3: Optional[float] = None
     precision_eigenvalues: Optional[np.ndarray] = None
 
     def __post_init__(self):
@@ -49,8 +48,6 @@ class Potential:
             raise PotentialError(f"dimension must be >= 1, got {self.dim}")
         if not (0.0 < self.m2 <= self.M2):
             raise PotentialError(f"need 0 < m2 <= M2, got m2={self.m2}, M2={self.M2}")
-        if self.M3 is not None and self.M3 < 0.0:
-            raise PotentialError(f"M3 must be nonnegative, got {self.M3}")
 
     @property
     def is_gaussian(self) -> bool:
@@ -62,7 +59,6 @@ class SeparablePotential(Potential):
     """A potential that splits into independent blocks of equal dimension."""
 
     block_dim: int = 1
-    blocks: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -102,9 +98,23 @@ def make_gaussian(precision_eigenvalues: Sequence[float]) -> Potential:
         gradient=gradient,
         m2=float(eigs.min()),
         M2=float(eigs.max()),
-        M3=0.0,
         precision_eigenvalues=eigs,
     )
+
+
+def _recentred(raw_value, raw_gradient, shift: np.ndarray, m2: float, M2: float) -> Potential:
+    """U(q) = raw(q + shift) - raw(shift), for ``shift`` the minimizer of raw."""
+    offset = raw_value(shift)
+
+    def value(q):
+        q = np.asarray(q, dtype=float)
+        return raw_value(q + shift) - offset
+
+    def gradient(q):
+        q = np.asarray(q, dtype=float)
+        return raw_gradient(q + shift)
+
+    return Potential(dim=shift.size, value=value, gradient=gradient, m2=m2, M2=M2)
 
 
 def make_perturbed_quadratic(dim: int, amplitude: float, seed: int) -> Potential:
@@ -139,43 +149,27 @@ def make_perturbed_quadratic(dim: int, amplitude: float, seed: int) -> Potential
         x = x - g
     if np.linalg.norm(raw_gradient(x)) > 1e-10:
         raise PotentialError("perturbed-quadratic minimum search did not converge")
-    shift = x
-    offset = raw_value(shift)
-
-    def value(q):
-        q = np.asarray(q, dtype=float)
-        return raw_value(q + shift) - offset
-
-    def gradient(q):
-        q = np.asarray(q, dtype=float)
-        return raw_gradient(q + shift)
-
-    return Potential(
-        dim=dim,
-        value=value,
-        gradient=gradient,
-        m2=1.0 - a,
-        M2=1.0 + a,
-        M3=a,
-    )
+    return _recentred(raw_value, raw_gradient, x, 1.0 - a, 1.0 + a)
 
 
 def make_ridge_logistic(features: np.ndarray, labels: Sequence[float], ridge: float) -> Potential:
     """Ridge-regularized logistic-regression posterior potential.
 
-    U0(q) = sum_i log(1 + exp(-y_i <x_i, q>)) + ridge/2 |q|^2, recentred at
-    its numerical minimum.  Curvature bounds are the conservative
-    m2 = ridge and M2 = ridge + sigma_max(X^T X)/4.
+    U0(q) = sum_i log(1 + exp(-y_i <x_i, q>)) + ridge/2 |q|^2 over at least
+    one data row, recentred at its numerical minimum.  Curvature bounds are
+    the conservative m2 = ridge and M2 = ridge + sigma_max(X^T X)/4.
     """
     X = np.asarray(features, dtype=float)
     if X.ndim != 2:
         raise PotentialError("features must be a 2-d matrix")
+    if X.shape[0] == 0:
+        raise PotentialError("need at least one data row")
     if not np.all(np.isfinite(X)):
         raise PotentialError("features must be finite")
     y = np.asarray(labels, dtype=float)
     if y.shape != (X.shape[0],):
         raise PotentialError(f"got {X.shape[0]} rows but {y.size} labels")
-    if y.size and not np.all(np.isin(y, (-1.0, 1.0))):
+    if not np.all(np.isin(y, (-1.0, 1.0))):
         raise PotentialError("labels must be +/-1")
     if ridge <= 0.0:
         raise PotentialError(f"ridge must be positive, got {ridge}")
@@ -183,72 +177,35 @@ def make_ridge_logistic(features: np.ndarray, labels: Sequence[float], ridge: fl
     if dim < 1:
         raise PotentialError("features must have at least one column")
     lam = float(ridge)
-    yX = y[:, None] * X if y.size else np.zeros((0, dim))
+    yX = y[:, None] * X
 
     def raw_value(q):
         q = np.asarray(q, dtype=float)
-        quad = 0.5 * lam * np.sum(q * q, axis=-1)
-        if yX.shape[0] == 0:
-            return quad
         t = q @ yX.T
-        return np.sum(np.logaddexp(0.0, -t), axis=-1) + quad
+        return np.sum(np.logaddexp(0.0, -t), axis=-1) + 0.5 * lam * np.sum(q * q, axis=-1)
 
     def raw_gradient(q):
         q = np.asarray(q, dtype=float)
-        grad = lam * q
-        if yX.shape[0] == 0:
-            return grad
         t = q @ yX.T
-        return grad - expit(-t) @ yX
+        return lam * q - expit(-t) @ yX
 
     def raw_hessian(q):
-        h = lam * np.eye(dim)
-        if yX.shape[0]:
-            t = q @ yX.T
-            s = expit(t) * expit(-t)
-            h = h + (X.T * s) @ X
-        return h
+        t = q @ yX.T
+        s = expit(t) * expit(-t)
+        return lam * np.eye(dim) + (X.T * s) @ X
 
-    if X.shape[0] == 0:
-        shift = np.zeros(dim)
-    else:
-        res = minimize(raw_value, np.zeros(dim), jac=raw_gradient, method="L-BFGS-B",
-                       options={"gtol": 1e-12, "maxiter": 1000})
-        shift = res.x
-        for _ in range(50):  # Newton polish; the problem is smooth and strongly convex
-            g = raw_gradient(shift)
-            if np.linalg.norm(g) <= 1e-12:
-                break
-            shift = shift - np.linalg.solve(raw_hessian(shift), g)
+    res = minimize(raw_value, np.zeros(dim), jac=raw_gradient, method="L-BFGS-B",
+                   options={"gtol": 1e-12, "maxiter": 1000})
+    shift = res.x
+    for _ in range(50):  # Newton polish; the problem is smooth and strongly convex
+        g = raw_gradient(shift)
+        if np.linalg.norm(g) <= 1e-12:
+            break
+        shift = shift - np.linalg.solve(raw_hessian(shift), g)
     if np.linalg.norm(raw_gradient(shift)) > 1e-9:
         raise PotentialError("logistic minimum search did not converge")
-    offset = raw_value(shift)
-
-    def value(q):
-        q = np.asarray(q, dtype=float)
-        return raw_value(q + shift) - offset
-
-    def gradient(q):
-        q = np.asarray(q, dtype=float)
-        return raw_gradient(q + shift)
-
-    if X.shape[0]:
-        sig_max = float(np.linalg.svd(X, compute_uv=False)[0] ** 2)
-        # |f'''| of the logistic loss is bounded by 1/(6 sqrt(3))
-        m3 = float(np.sum(np.linalg.norm(X, axis=1) ** 3)) / (6.0 * np.sqrt(3.0))
-    else:
-        sig_max = 0.0
-        m3 = 0.0
-
-    return Potential(
-        dim=dim,
-        value=value,
-        gradient=gradient,
-        m2=lam,
-        M2=lam + 0.25 * sig_max,
-        M3=m3,
-        precision_eigenvalues=np.full(dim, lam) if X.shape[0] == 0 else None,
-    )
+    sig_max = float(np.linalg.svd(X, compute_uv=False)[0] ** 2)
+    return _recentred(raw_value, raw_gradient, shift, lam, lam + 0.25 * sig_max)
 
 
 def make_separable(blocks: Sequence[Potential]) -> SeparablePotential:
@@ -280,17 +237,14 @@ def make_separable(blocks: Sequence[Potential]) -> SeparablePotential:
             grads = [blocks[i].gradient(parts[..., i, :]) for i in range(nb)]
             return np.concatenate(grads, axis=-1)
 
-    m3s = [b.M3 for b in blocks]
     return SeparablePotential(
         dim=dim,
         value=value,
         gradient=gradient,
         m2=min(b.m2 for b in blocks),
         M2=max(b.M2 for b in blocks),
-        M3=None if any(v is None for v in m3s) else max(m3s),
         precision_eigenvalues=precision,
         block_dim=m,
-        blocks=blocks,
     )
 
 

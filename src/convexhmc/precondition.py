@@ -91,16 +91,12 @@ def transform_potential(pot: Potential, t: RoundingTransform) -> Potential:
         z = np.asarray(z, dtype=float)
         return pot.gradient(z @ a_inv) @ a_inv
 
-    m3 = None
-    if pot.M3 is not None:
-        m3 = pot.M3 * float(inv_sq_eigs.max()) ** 1.5
     return Potential(
         dim=pot.dim,
         value=value,
         gradient=gradient,
         m2=pot.m2 * float(inv_sq_eigs.min()),
         M2=pot.M2 * float(inv_sq_eigs.max()),
-        M3=m3,
     )
 
 

@@ -36,8 +36,6 @@ from .kernels import CostLedger, KernelSpec, default_integration_time, stepper
 from . import metrics
 from .potentials import ConvexHMCError, Potential, make_gaussian
 
-# only Gaussian families admit the exact reference samples the W1 budget needs
-FAMILIES = ("standard_gaussian",)
 # a bound decides a theta only when it clears floor + epsilon by this relative
 # margin, far above float rounding, so it never flips an exact decision
 BOUND_MARGIN = 1e-9
@@ -82,12 +80,6 @@ class ScalingResult:
         raise KeyError(dim)
 
 
-def _family_potential(family: str, dim: int) -> Potential:
-    if family == "standard_gaussian":
-        return make_gaussian(np.ones(dim))
-    raise ScalingError(f"unknown family {family!r}; expected one of {FAMILIES}")
-
-
 def chain_length(pot: Potential, epsilon: float) -> int:
     ratio = pot.M2 / pot.m2
     return max(MIN_CHAIN_STEPS, math.ceil(ratio**2 * math.log(ratio / epsilon)))
@@ -111,9 +103,9 @@ def _gaussian_reference(pot: Potential, replicas: int, seed: int) -> np.ndarray:
     return rng.standard_normal((replicas, pot.dim)) / np.sqrt(pot.precision_eigenvalues)
 
 
-def _run_row(family: str, kernel: str, scheme: str, dim: int, epsilon: float,
-             replicas: int, seed: int) -> ScalingRow:
-    pot = _family_potential(family, dim)
+def _run_row(kernel: str, scheme: str, dim: int, epsilon: float, replicas: int,
+             seed: int) -> ScalingRow:
+    pot = make_gaussian(np.ones(dim))
     T = default_integration_time(pot)
     steps = chain_length(pot, epsilon)
     ref = _gaussian_reference(pot, replicas, seed * 7 + 1)
@@ -188,6 +180,9 @@ def run_scaling_study(family: str, scheme: str, dims: Sequence[int], epsilon: fl
     ``epsilon`` is the absolute budget on the floor-corrected excess W1 of
     the replica-endpoint batch against an exact reference batch.
     """
+    # only a Gaussian family admits the exact reference samples the W1 budget needs
+    if family != "standard_gaussian":
+        raise ScalingError(f"unknown family {family!r}; expected 'standard_gaussian'")
     dims = [int(d) for d in dims]
     if any(b <= a for a, b in zip(dims, dims[1:])):
         raise ScalingError("dims must be strictly increasing")
@@ -199,7 +194,7 @@ def run_scaling_study(family: str, scheme: str, dims: Sequence[int], epsilon: fl
         raise ScalingError("replicas capped at 2048 by the exact assignment solver")
     if kernel not in ("unadjusted", "metropolis"):
         raise ScalingError(f"kernel must be unadjusted or metropolis, got {kernel!r}")
-    rows = tuple(_run_row(family, kernel, scheme, d, epsilon, replicas, seed + i)
+    rows = tuple(_run_row(kernel, scheme, d, epsilon, replicas, seed + i)
                  for i, d in enumerate(dims))
     slope = stderr = None
     if len(rows) >= 2:

@@ -6,8 +6,8 @@ import pytest
 
 from convexhmc import PhasePoint, flow_trajectory, hamiltonian, make_gaussian
 from convexhmc.cli import _config_from_args, build_parser, main, run_experiment
-from convexhmc.config import (CSV_BLOCK, ConfigError, build_potential, format_number,
-                              validate_config, write_csv)
+from convexhmc.config import (CSV_BLOCK, ConfigError, build_kernel_spec, build_potential,
+                              format_number, validate_config, write_csv)
 
 
 @pytest.fixture
@@ -358,14 +358,14 @@ class TestArgvToConfig:
     """Each subcommand, with and without each optional flag, builds the config
     its flags name.  These are the parent design's configs, save where a field
     went (``scaling.family``) or an unset value became an absent one (the
-    distance task's ``"out": None`` and precondition's empty block)."""
+    distance task's ``"out": None``, precondition's empty block, and the
+    ``theta`` of ``sample`` and ``couple``, which defaults by scheme)."""
 
     T = {"target": GAUSS, "out": "."}
     CASES = {
         "sample": (["sample", "--seed", "1"], {
             **T, "task": "sample", "run": {"steps": 1000, "seed": 1},
-            "kernel": {"kind": "metropolis", "integrator": {"scheme": "leapfrog",
-                                                            "theta": 0.001}}}),
+            "kernel": {"kind": "metropolis", "integrator": {"scheme": "leapfrog"}}}),
         "sample-all": (["sample", "--seed", "1", "--kernel", "unadjusted", "--scheme", "euler",
                         "--theta", "0.05", "--T", "0.5", "--steps", "40", "--out", "o"], {
             "target": GAUSS, "out": "o", "task": "sample", "run": {"steps": 40, "seed": 1},
@@ -373,8 +373,7 @@ class TestArgvToConfig:
                        "integrator": {"scheme": "euler", "theta": 0.05, "T": 0.5}}}),
         "couple": (["couple", "--seed", "2"], {
             **T, "task": "couple", "run": {"steps": 200, "seed": 2},
-            "kernel": {"kind": "ideal", "integrator": {"scheme": "exact_gaussian",
-                                                       "theta": 1e-10}}}),
+            "kernel": {"kind": "ideal", "integrator": {"scheme": "exact_gaussian"}}}),
         "couple-all": (["couple", "--seed", "2", "--kernel", "metropolis", "--scheme",
                         "leapfrog", "--theta", "0.001", "--T", "0.3", "--steps", "30"], {
             **T, "task": "couple", "run": {"steps": 30, "seed": 2},
@@ -481,6 +480,20 @@ class TestArgvToConfig:
         one_line_error(capsys, ["run", "--config", str(path)],
                        "ConfigError: invalid experiment config: $.scaling: Additional "
                        "properties are not allowed ('family' was unexpected)")
+
+    @pytest.mark.parametrize("command", ["sample", "couple"])
+    @pytest.mark.parametrize("scheme", ["exact_gaussian", "euler", "leapfrog", "reference"])
+    def test_theta_defaults_by_scheme_on_both_paths(self, tmp_path, command, scheme):
+        # an unset --theta is the config file's by-scheme default: 1e-10 for the
+        # exact and reference flows, 1e-3 for the Euler and leapfrog oracles
+        target = tmp_path / "t.json"
+        target.write_text(json.dumps(GAUSS))
+        kind = "ideal" if scheme in ("exact_gaussian", "reference") else "unadjusted"
+        conf, _ = self.config([command, "--target-config", str(target), "--seed", "1",
+                               "--kernel", kind, "--scheme", scheme])
+        pot = build_potential(GAUSS)
+        from_file = {"kind": kind, "integrator": {"scheme": scheme}}
+        assert build_kernel_spec(conf["kernel"], pot) == build_kernel_spec(from_file, pot)
 
     @pytest.mark.parametrize("command", ["drift", "goodset"])
     def test_argv_runs_as_its_config(self, tmp_path, capsys, command):

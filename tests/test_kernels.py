@@ -34,6 +34,18 @@ class TestMomentumSource:
         assert abs(draws.mean()) < 0.02
         assert abs(draws.var() - 1.0) < 0.03
 
+    def test_streams_match_one_at_a_time_draws(self):
+        # the block buffering is invisible: each stream is its spawned PCG64
+        # generator drawn one value at a time
+        src = MomentumSource(11, 3)
+        mom_ss, unif_ss = np.random.SeedSequence(11).spawn(2)
+        mom = np.random.Generator(np.random.PCG64(mom_ss))
+        unif = np.random.Generator(np.random.PCG64(unif_ss))
+        for _ in range(600):  # crosses two block boundaries
+            np.testing.assert_array_equal(src.next_momentum(), mom.standard_normal(3))
+            u = src.next_uniform()
+            assert type(u) is float and u == unif.random()
+
     def test_different_seeds_differ(self):
         a = MomentumSource(1, 2).next_momentum()
         b = MomentumSource(2, 2).next_momentum()

@@ -73,7 +73,6 @@ class TestPerturbedQuadratic:
         pot = make_perturbed_quadratic(1, 0.1, seed=7)
         assert pot.m2 == pytest.approx(0.9)
         assert pot.M2 == pytest.approx(1.1)
-        assert pot.M3 == pytest.approx(0.1)
 
     def test_hessian_eigenvalues_in_band(self):
         pot = make_perturbed_quadratic(4, 0.2, seed=3)
@@ -94,12 +93,6 @@ class TestPerturbedQuadratic:
 
 
 class TestRidgeLogistic:
-    def test_empty_data_is_quadratic(self):
-        pot = make_ridge_logistic(np.zeros((0, 3)), [], ridge=1.0)
-        assert pot.m2 == pot.M2 == 1.0
-        q = np.array([1.0, 2.0, 0.0])
-        assert pot.value(q) == pytest.approx(2.5)
-
     def test_single_row_lipschitz_bound(self):
         pot = make_ridge_logistic(np.array([[1.0]]), [1.0], ridge=1.0)
         assert pot.M2 == pytest.approx(1.25)
@@ -120,6 +113,8 @@ class TestRidgeLogistic:
             make_ridge_logistic(np.ones((1, 2)), [0.5], ridge=1.0)
         with pytest.raises(PotentialError):
             make_ridge_logistic(np.ones((1, 2)), [1.0], ridge=0.0)
+        with pytest.raises(PotentialError, match="at least one data row"):
+            make_ridge_logistic(np.zeros((0, 3)), [], ridge=1.0)
 
 
 class TestSeparable:

@@ -23,7 +23,7 @@ def quadratic_potential(matrix):
         return q @ m.T
 
     return Potential(dim=m.shape[0], value=value, gradient=gradient,
-                     m2=float(eigs.min()), M2=float(eigs.max()), M3=0.0)
+                     m2=float(eigs.min()), M2=float(eigs.max()))
 
 
 class TestHessianAt:

@@ -74,12 +74,12 @@ def test_gaussian_study_row_calls_no_gradient(monkeypatch):
     # the Euler chain runs in closed form; the ledger still charges n per step and replica
     calls = []
 
-    def family_potential(family, dim):
-        pot, rows = counted(make_gaussian([1.0] * dim))
+    def counted_gaussian(eigenvalues):
+        pot, rows = counted(make_gaussian(eigenvalues))
         calls.append(rows)
         return pot
 
-    monkeypatch.setattr(scaling, "_family_potential", family_potential)
+    monkeypatch.setattr(scaling, "make_gaussian", counted_gaussian)
     row = run_scaling_study("standard_gaussian", "euler", [4], epsilon=0.3, seed=5,
                             replicas=64).rows[0]
     assert calls == [[0]]
