@@ -8,7 +8,7 @@ from .integrators import (GoodSetSpec, IntegratorError, IntegratorSpec, PhasePoi
                           flow_map, guarded_step, hamiltonian, integrate, reference_flow)
 from .kernels import (ChainTrace, CostLedger, KernelSpec, MomentumSource, carry,
                       default_integration_time, ideal_step, metropolis_step, run_chain,
-                      stepper, transition)
+                      stepper)
 from .coupling import (CouplingReport, DriftReport, contraction_bound,
                        contraction_certificate, couple_synchronous, drift_check,
                        good_set_statistics, kernel_contraction_bound)

@@ -36,7 +36,7 @@ def run_experiment(config: dict, base_dir: str = ".", out_dir: str | None = None
     task = config["task"]
     blocks = cfg.TASK_BLOCKS[task].split()
     pot = cfg.build_potential(config["target"], base_dir) if "target" in blocks else None
-    spec = cfg.build_kernel_spec(config["kernel"], pot) if "kernel" in blocks else None
+    spec = cfg.build_kernel_spec(config["kernel"], pot, task) if "kernel" in blocks else None
     if out_dir is None and task == "distance" and config.get("out") is None:
         return {**_TASKS[task](config, pot, spec, base_dir, None), "task": task}
     out = out_dir if out_dir is not None else config.get("out", ".")
@@ -187,13 +187,13 @@ def _task_verify_rounding(config, pot, spec, base_dir, out):
 def _task_scaling(config, pot, spec, base_dir, out):
     opts = config["scaling"]
     run = config["run"]
+    kernel = opts.get("kernel", "unadjusted")
     result = run_scaling_study(
-        family="standard_gaussian",
         scheme=opts["scheme"],
         dims=opts["dims"],
         epsilon=opts.get("epsilon", 0.05),
         seed=run["seed"],
-        kernel=opts.get("kernel", "unadjusted"),
+        kernel=kernel,
         replicas=opts.get("replicas", 1024),
     )
     cfg.write_csv(os.path.join(out, "scaling.csv"),
@@ -202,7 +202,7 @@ def _task_scaling(config, pot, spec, base_dir, out):
                    "raw_w1", "reference_floor"],
                   list(zip(*map(astuple, result.rows))))
     return {
-        "kernel": opts.get("kernel", "unadjusted"),
+        "kernel": kernel,
         "scheme": result.scheme,
         "epsilon": result.epsilon,
         "slope": result.slope,
@@ -257,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="HMC sampling and verification experiments")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # an unset --theta takes the scheme's default in config.build_kernel_spec
+    # an unset --theta takes the task's or scheme's default in config.build_kernel_spec
     for name, help, kind, schemes, scheme, steps in (
             ("sample", "run one chain and dump its trace", "metropolis",
              ["exact_gaussian", "euler", "leapfrog", "reference"], "leapfrog", 1000),
@@ -287,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--block-dim", dest="goodset.block_dim", type=int, default=1)
     p.add_argument("--g-inf", dest="goodset.g_inf", type=float)
     p.add_argument("--g-2", dest="goodset.g_2", type=float)
-    p.add_argument("--theta", dest="kernel.integrator.theta", type=float, default=1e-2)
+    p.add_argument("--theta", dest="kernel.integrator.theta", type=float)
     p.add_argument("--steps", dest="run.steps", type=int, default=100)
     p.add_argument("--replicas", dest="run.replicas", type=int, default=200)
 

@@ -17,6 +17,7 @@ from jsonschema import Draft202012Validator
 
 from .integrators import IntegratorSpec
 from .kernels import KernelSpec, default_integration_time
+from .metrics import ASSIGNMENT_GUARD
 from .potentials import (ConvexHMCError, Potential, make_gaussian, make_perturbed_quadratic,
                          make_ridge_logistic, make_separable)
 
@@ -175,7 +176,7 @@ EXPERIMENT_SCHEMA = {
                 "dims": {"type": "array", "items": {"type": "integer", "minimum": 1},
                          "minItems": 1},
                 "epsilon": {"type": "number", "exclusiveMinimum": 0},
-                "replicas": {"type": "integer", "minimum": 2, "maximum": 2048},
+                "replicas": {"type": "integer", "minimum": 2, "maximum": ASSIGNMENT_GUARD},
             },
             "required": ["scheme", "dims"],
             "additionalProperties": False,
@@ -268,11 +269,16 @@ def build_potential(target: dict, base_dir: str = ".") -> Potential:
     return make_separable([block] * target["copies"])
 
 
-def build_kernel_spec(kernel: dict, pot: Potential) -> KernelSpec:
+# theta of a kernel block that sets none: by task where the task has one, else by scheme
+_THETA_DEFAULTS = {"goodset": 1e-2, "exact_gaussian": 1e-10, "reference": 1e-10,
+                  "euler": 1e-3, "leapfrog": 1e-3}
+
+
+def build_kernel_spec(kernel: dict, pot: Potential, task: str) -> KernelSpec:
     integ = dict(kernel["integrator"])
     scheme = integ["scheme"]
     T = integ.get("T", default_integration_time(pot))
-    theta = integ.get("theta", 1e-10 if scheme in ("reference", "exact_gaussian") else 1e-3)
+    theta = integ.get("theta", _THETA_DEFAULTS.get(task, _THETA_DEFAULTS[scheme]))
     spec = IntegratorSpec(scheme=scheme, theta=theta, T=T)
     return KernelSpec(kind=kernel["kind"], integrator=spec)
 

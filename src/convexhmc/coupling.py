@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .integrators import GoodSetSpec, PhasePoint, guarded_step, reference_flow
-from .kernels import KernelSpec, MomentumSource, default_integration_time, stepper
+from .kernels import KernelSpec, default_integration_time, run_chain, stepper
 from .potentials import ConvexHMCError, Potential, SeparablePotential, uniform_ball
 
 DISTANCE_FLOOR = 1e-12
@@ -87,7 +87,8 @@ def _fit_geometric_rate(distances: np.ndarray) -> tuple[float, bool]:
 
 def couple_synchronous(pot: Potential, spec: KernelSpec, x0: np.ndarray, y0: np.ndarray,
                        steps: int, seed: int) -> CouplingReport:
-    """Run two chains on one momentum source and fit the contraction rate.
+    """Run the chain from x0 and from y0 on one seed, so on the same momenta
+    and uniforms, and fit the contraction rate.
 
     The rate is fit by least squares on log distances over the pre-floor
     segment.  A start below the distance floor yields a degenerate report
@@ -101,16 +102,10 @@ def couple_synchronous(pot: Potential, spec: KernelSpec, x0: np.ndarray, y0: np.
     if x.shape != (pot.dim,) or y.shape != (pot.dim,):
         raise CouplingError(
             f"x0 and y0 must have shape ({pot.dim},), got {x.shape} and {y.shape}")
-    source = MomentumSource(seed, pot.dim)
-    distances = np.empty(steps + 1)
-    distances[0] = np.linalg.norm(x - y)
-    step, carried_x, carried_y = stepper(pot, spec), None, None
-    for i in range(steps):
-        p = source.next_momentum()
-        u = source.next_uniform() if spec.kind == "metropolis" else None
-        x, _, _, carried_x = step(x, p, u, carried_x)
-        y, _, _, carried_y = step(y, p, u, carried_y)
-        distances[i + 1] = np.linalg.norm(x - y)
+    xs = run_chain(pot, spec, x, steps, seed).states
+    ys = run_chain(pot, spec, y, steps, seed).states
+    # a 1-d norm per row pair; an axis=1 norm rounds differently and would move couple.csv
+    distances = np.array([np.linalg.norm(a - b) for a, b in zip(xs, ys)])
     rate, degenerate = _fit_geometric_rate(distances)
     bound = kernel_contraction_bound(pot)
     violations = None

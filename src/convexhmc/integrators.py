@@ -89,8 +89,10 @@ class IntegratorSpec:
         return n if n and (n * step >= T or (T / n) ** k <= theta) else n + 1
 
     @property
-    def gradient_evals_per_oracle(self) -> int:
-        return {"euler": 1, "leapfrog": 2}.get(self.scheme, 0)
+    def gradient_evals(self) -> int:
+        """The paper's modelled per-row cost of one composed flow: k gradients per
+        oracle step of order k (1 Euler, 2 leapfrog); 0 for the other schemes."""
+        return self.order * self.oracle_steps if self.order else 0
 
 
 @dataclass(frozen=True)
@@ -273,12 +275,11 @@ def flow_map(pot: Potential, spec: IntegratorSpec):
 
 
 def integrate(pot: Potential, spec: IntegratorSpec, x: PhasePoint, ledger=None) -> PhasePoint:
-    """``flow_map(pot, spec)`` from ``x``.  Oracle schemes charge the ledger, per
-    row, (gradient evals per oracle call) * (step count): the paper's cost model."""
+    """``flow_map(pot, spec)`` from ``x``, charging the ledger ``spec.gradient_evals``
+    per row."""
     q, p, g = flow_map(pot, spec)(x.q, x.p, x.g)
-    if ledger is not None and spec.order:
-        ledger.gradient_evals += spec.gradient_evals_per_oracle * spec.oracle_steps * (
-            q.size // q.shape[-1])
+    if ledger is not None:
+        ledger.gradient_evals += spec.gradient_evals * (q.size // q.shape[-1])
     return PhasePoint(q, p, g)
 
 

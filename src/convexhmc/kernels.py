@@ -3,7 +3,7 @@
 Every kernel is expressed through its random mapping representation: the
 chain is a deterministic function of the start point and the seeded update
 sequence of momenta (plus uniforms for the Metropolis chain).  Couplings
-are therefore built simply by sharing a ``MomentumSource`` between chains.
+are therefore chains run on one seed.
 """
 
 from __future__ import annotations
@@ -35,11 +35,11 @@ def default_integration_time(pot: Potential) -> float:
 class CostLedger:
     """Counters realizing the paper's gradient-evaluation cost model.
 
-    ``gradient_evals`` is the modelled count, 1 per Euler and 2 per leapfrog
-    oracle step.  Real calls are fewer: adjacent leapfrog half-kicks share a
-    gradient, and a chain carries the one at its state, so a carried leapfrog
-    step of n oracle steps makes n calls.  A Gaussian target's flow is a
-    closed-form linear map and makes none.
+    ``gradient_evals`` is the modelled count, ``IntegratorSpec.gradient_evals``
+    per row and kernel step.  Real calls are fewer: adjacent leapfrog
+    half-kicks share a gradient, and a chain carries the one at its state, so
+    a carried leapfrog step of n oracle steps makes n calls.  A Gaussian
+    target's flow is a closed-form linear map and makes none.
     """
 
     gradient_evals: int = 0
@@ -128,7 +128,7 @@ def stepper(pot: Potential, spec: KernelSpec):
     value, integ, metropolis = pot.value, spec.integrator, spec.kind == "metropolis"
     add = np.add.reduce  # ndarray.sum without its Python wrapper
     flow = flow_map(pot, integ)
-    charge = integ.gradient_evals_per_oracle * integ.oracle_steps if integ.order else 0
+    charge = integ.gradient_evals
 
     def step(x, p, u=None, carried=None, ledger=None):
         if carried is None and metropolis:
@@ -158,18 +158,12 @@ def stepper(pot: Potential, spec: KernelSpec):
     return step
 
 
-def transition(pot: Potential, spec: KernelSpec, x: np.ndarray, p: np.ndarray, u=None,
-               carried: Optional[tuple] = None, ledger: Optional[CostLedger] = None) -> tuple:
-    """One step of ``stepper(pot, spec)``; a loop builds the stepper once instead."""
-    return stepper(pot, spec)(x, p, u, carried, ledger)
-
-
 def metropolis_step(pot: Potential, spec: KernelSpec, x: np.ndarray, p: np.ndarray,
                     u: float, ledger: CostLedger, carried: Optional[tuple] = None) -> tuple:
-    """``transition`` for one chain, which accepts iff u < min(1, exp(-dH))."""
+    """One ``stepper(pot, spec)`` step of one chain, which accepts iff u < min(1, exp(-dH))."""
     if not 0.0 <= u <= 1.0:
         raise KernelError(f"uniform variate must lie in [0, 1], got {u}")
-    return transition(pot, spec, x, p, u, carried, ledger)
+    return stepper(pot, spec)(x, p, u, carried, ledger)
 
 
 def run_chain(pot: Potential, spec: KernelSpec, x0: np.ndarray, i_max: int,

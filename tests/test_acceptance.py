@@ -207,9 +207,9 @@ def test_criterion_8_preconditioning():
 def test_criterion_9_dimension_scaling():
     t0 = time.time()
     dims = [4, 8, 16, 32, 64, 128, 256]
-    euler = run_scaling_study("standard_gaussian", "euler", dims, epsilon=0.05,
+    euler = run_scaling_study("euler", dims, epsilon=0.05,
                               seed=800, replicas=1024)
-    leapfrog = run_scaling_study("standard_gaussian", "leapfrog", dims, epsilon=0.05,
+    leapfrog = run_scaling_study("leapfrog", dims, epsilon=0.05,
                                  seed=800, replicas=1024)
     euler_ok = 0.35 <= euler.slope <= 0.65
     leapfrog_ok = 0.10 <= leapfrog.slope <= 0.40

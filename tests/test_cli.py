@@ -359,7 +359,8 @@ class TestArgvToConfig:
     its flags name.  These are the parent design's configs, save where a field
     went (``scaling.family``) or an unset value became an absent one (the
     distance task's ``"out": None``, precondition's empty block, and the
-    ``theta`` of ``sample`` and ``couple``, which defaults by scheme)."""
+    ``theta`` of ``sample``, ``couple`` and ``goodset``, which defaults in
+    ``config.build_kernel_spec``)."""
 
     T = {"target": GAUSS, "out": "."}
     CASES = {
@@ -393,7 +394,7 @@ class TestArgvToConfig:
             "run": {"seed": 4, "replicas": 50}}),
         "goodset": (["goodset", "--seed", "5"], {
             **T, "task": "goodset", "goodset": {"block_dim": 1},
-            "kernel": {"kind": "unadjusted", "integrator": {"scheme": "leapfrog", "theta": 0.01}},
+            "kernel": {"kind": "unadjusted", "integrator": {"scheme": "leapfrog"}},
             "run": {"seed": 5, "steps": 100, "replicas": 200}}),
         "goodset-all": (["goodset", "--seed", "5", "--block-dim", "2", "--g-inf", "3",
                          "--g-2", "2", "--theta", "0.02", "--steps", "10", "--replicas", "20"], {
@@ -481,19 +482,27 @@ class TestArgvToConfig:
                        "ConfigError: invalid experiment config: $.scaling: Additional "
                        "properties are not allowed ('family' was unexpected)")
 
-    @pytest.mark.parametrize("command", ["sample", "couple"])
-    @pytest.mark.parametrize("scheme", ["exact_gaussian", "euler", "leapfrog", "reference"])
+    @pytest.mark.parametrize("command, scheme", [
+        pytest.param(c, s, id=f"{s}-{c}")
+        for s in ["exact_gaussian", "euler", "leapfrog", "reference"] for c in ["sample", "couple"]
+    ] + [pytest.param("goodset", "leapfrog", id="leapfrog-goodset")])
     def test_theta_defaults_by_scheme_on_both_paths(self, tmp_path, command, scheme):
-        # an unset --theta is the config file's by-scheme default: 1e-10 for the
-        # exact and reference flows, 1e-3 for the Euler and leapfrog oracles
+        # an unset --theta is the config file's default: 1e-2 for goodset, else by
+        # scheme, 1e-10 for the exact and reference flows and 1e-3 for the Euler
+        # and leapfrog oracles
         target = tmp_path / "t.json"
         target.write_text(json.dumps(GAUSS))
         kind = "ideal" if scheme in ("exact_gaussian", "reference") else "unadjusted"
-        conf, _ = self.config([command, "--target-config", str(target), "--seed", "1",
-                               "--kernel", kind, "--scheme", scheme])
+        argv = [command, "--target-config", str(target), "--seed", "1"]
+        if command != "goodset":  # goodset's kernel is always unadjusted leapfrog
+            argv += ["--kernel", kind, "--scheme", scheme]
+        conf, _ = self.config(argv)
         pot = build_potential(GAUSS)
         from_file = {"kind": kind, "integrator": {"scheme": scheme}}
-        assert build_kernel_spec(conf["kernel"], pot) == build_kernel_spec(from_file, pot)
+        from_argv = build_kernel_spec(conf["kernel"], pot, command)
+        assert from_argv == build_kernel_spec(from_file, pot, command)
+        if command == "goodset":
+            assert from_argv.integrator.theta == 1e-2
 
     @pytest.mark.parametrize("command", ["drift", "goodset"])
     def test_argv_runs_as_its_config(self, tmp_path, capsys, command):

@@ -7,7 +7,7 @@ from convexhmc import (GoodSetSpec, IntegratorSpec, KernelSpec, contraction_boun
                        contraction_certificate, couple_synchronous, default_good_set,
                        default_integration_time, drift_check, good_set_statistics,
                        make_gaussian, make_perturbed_quadratic, make_separable, run_chain,
-                       transition)
+                       stepper)
 from convexhmc.coupling import CouplingError
 
 SPHERICAL = make_gaussian([1.0, 1.0, 1.0, 1.0])
@@ -55,10 +55,12 @@ class TestCoupleSynchronous:
 
     @pytest.mark.parametrize("kind, scheme, theta", [
         ("metropolis", "leapfrog", 0.2), ("metropolis", "euler", 0.1),
-        ("unadjusted", "leapfrog", 0.01), ("ideal", "reference", 1e-10)])
+        ("unadjusted", "leapfrog", 0.01), ("ideal", "reference", 1e-10),
+        ("ideal", "exact_gaussian", 1e-10)])
     def test_equals_two_chains_run_alone(self, kind, scheme, theta):
         # a synchronous coupling is two chains on the same seed
-        pot = make_perturbed_quadratic(3, 0.1, seed=7)
+        pot = (make_gaussian([0.5, 1.0, 2.0]) if scheme == "exact_gaussian"
+               else make_perturbed_quadratic(3, 0.1, seed=7))
         spec = KernelSpec(kind, IntegratorSpec(scheme, theta=theta, T=0.5))
         x0, y0 = np.array([1.0, 0.0, -1.0]), np.array([-0.5, 0.8, 0.2])
         report = couple_synchronous(pot, spec, x0, y0, steps=30, seed=11)
@@ -129,7 +131,7 @@ class TestDriftCheck:
         spec = ideal_spec(pot)
         rng = np.random.default_rng(0)
         momenta = rng.standard_normal((2000, 4))
-        x1 = transition(pot, spec, np.zeros((2000, 4)), momenta, rng.random(2000))[0]
+        x1 = stepper(pot, spec)(np.zeros((2000, 4)), momenta, rng.random(2000))[0]
         lhs = np.linalg.norm(x1, axis=1)
         rhs = np.linalg.norm(momenta, axis=1) / math.sqrt(2.0 * pot.m2)
         assert np.all(lhs <= rhs + 1e-9)

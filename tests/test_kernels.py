@@ -7,8 +7,7 @@ from hypothesis import given, settings, strategies as st
 from convexhmc import (CostLedger, IntegratorError, IntegratorSpec, KernelSpec,
                        MomentumSource, PhasePoint, carry, default_integration_time,
                        effective_sample_size, ideal_step, integrate, make_gaussian,
-                       make_perturbed_quadratic, metropolis_step, run_chain, stepper,
-                       transition)
+                       make_perturbed_quadratic, metropolis_step, run_chain, stepper)
 from convexhmc.kernels import KernelError
 from test_integrators import counted
 
@@ -94,7 +93,7 @@ class TestUnadjustedStep:
         spec = KernelSpec("unadjusted", IntegratorSpec("euler", theta=T, T=T))
         ledger = CostLedger()
         x, p = np.array([1.0, -1.0]), np.array([0.5, 0.5])
-        out = transition(make_gaussian([1.0, 1.0]), spec, x, p, ledger=ledger)[0]
+        out = stepper(make_gaussian([1.0, 1.0]), spec)(x, p, ledger=ledger)[0]
         np.testing.assert_allclose(out, x + p * T)
         assert ledger.gradient_evals == 1
 
@@ -105,7 +104,7 @@ class TestUnadjustedStep:
         gaps = []
         for theta in (T / 4.0, T / 16.0, T / 64.0):
             spec = KernelSpec("unadjusted", IntegratorSpec("euler", theta=theta, T=T))
-            out = transition(UNIT, spec, x, p, ledger=CostLedger())[0]
+            out = stepper(UNIT, spec)(x, p, ledger=CostLedger())[0]
             gaps.append(abs(out[0] - target[0]))
         assert gaps[2] < gaps[1] < gaps[0]
         assert gaps[2] < 1e-2
@@ -115,7 +114,7 @@ class TestUnadjustedStep:
         ledger = CostLedger()
         x = np.array([0.3])
         for _ in range(7):
-            x = transition(UNIT, spec, x, np.array([0.1]), ledger=ledger)[0]
+            x = stepper(UNIT, spec)(x, np.array([0.1]), ledger=ledger)[0]
         assert ledger.gradient_evals == 7 * spec.integrator.oracle_steps * 2
         assert ledger.kernel_steps == 7
 
@@ -190,7 +189,7 @@ class TestRunChain:
             h_y = pot.value(y) + 0.5 * float(p_b @ p_b)
             budget += 6.0 * theta * T * math.sqrt(h_y)
             x = ideal_step(pot, ideal, x, p_a)
-            y = transition(pot, unadj, y, p_b, ledger=CostLedger())[0]
+            y = stepper(pot, unadj)(y, p_b, ledger=CostLedger())[0]
             assert abs(x[0] - y[0]) <= budget + 1e-12
 
     def test_metropolis_preserves_first_four_moments(self):
@@ -274,7 +273,7 @@ class TestCarriedState:
                 x, ok = metropolis_step(PERTURBED, spec, x, p, source.next_uniform(),
                                         ledger)[:2]
             else:
-                x, ok = transition(PERTURBED, spec, x, p, ledger=ledger)[0], True
+                x, ok = stepper(PERTURBED, spec)(x, p, ledger=ledger)[0], True
             states.append(x)
             accepted.append(ok)
         energies.append(PERTURBED.value(x))

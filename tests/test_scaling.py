@@ -39,7 +39,7 @@ def uninformative_bounds(monkeypatch):
 ])
 def test_bounds_change_no_row(monkeypatch, scheme, kernel, epsilon):
     def study():
-        return run_scaling_study("standard_gaussian", scheme, [8, 32], epsilon=epsilon, seed=3,
+        return run_scaling_study(scheme, [8, 32], epsilon=epsilon, seed=3,
                                  kernel=kernel, replicas=128)
 
     calls = counting_solver(monkeypatch)
@@ -57,13 +57,13 @@ def test_bounds_change_no_row(monkeypatch, scheme, kernel, epsilon):
 def test_benchmark_study_solves_at_most_eleven(monkeypatch):
     # the benchmark's scaling workload at seed 1; an all-exact bisection solves 19
     calls = counting_solver(monkeypatch)
-    run_scaling_study("standard_gaussian", "euler", [8, 32], epsilon=0.33, seed=1,
+    run_scaling_study("euler", [8, 32], epsilon=0.33, seed=1,
                       replicas=1024)
     assert calls[0] <= 11
 
 
 def test_leapfrog_step_never_exceeds_integration_time():
-    study = run_scaling_study("standard_gaussian", "leapfrog", [4, 8, 16], epsilon=0.3,
+    study = run_scaling_study("leapfrog", [4, 8, 16], epsilon=0.3,
                               seed=5, replicas=256)
     for row in study.rows:
         T = default_integration_time(make_gaussian([1.0] * row.dim))
@@ -80,7 +80,7 @@ def test_gaussian_study_row_calls_no_gradient(monkeypatch):
         return pot
 
     monkeypatch.setattr(scaling, "make_gaussian", counted_gaussian)
-    row = run_scaling_study("standard_gaussian", "euler", [4], epsilon=0.3, seed=5,
+    row = run_scaling_study("euler", [4], epsilon=0.3, seed=5,
                             replicas=64).rows[0]
     assert calls == [[0]]
     assert row.gradient_evals == row.oracle_steps * row.chain_steps * row.replicas
