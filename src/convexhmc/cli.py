@@ -89,6 +89,7 @@ def _task_couple(config, pot, spec, base_dir, out):
         "bound": report.bound,
         "violations": report.violations,
         "degenerate": report.degenerate,
+        "diverged_at": report.diverged_at,
         "pass": report.passed,
     }
 

@@ -43,10 +43,11 @@ class CouplingReport:
     bound: float
     violations: Optional[int]
     degenerate: bool = False
+    diverged_at: Optional[int] = None  # the earlier divergence step of the two chains
 
     @property
     def passed(self) -> bool:
-        if self.degenerate:
+        if self.degenerate or self.diverged_at is not None:
             return False
         ok_rate = self.fitted_rate <= self.bound
         return ok_rate and (self.violations is None or self.violations == 0)
@@ -102,8 +103,8 @@ def couple_synchronous(pot: Potential, spec: KernelSpec, x0: np.ndarray, y0: np.
     if x.shape != (pot.dim,) or y.shape != (pot.dim,):
         raise CouplingError(
             f"x0 and y0 must have shape ({pot.dim},), got {x.shape} and {y.shape}")
-    xs = run_chain(pot, spec, x, steps, seed).states
-    ys = run_chain(pot, spec, y, steps, seed).states
+    chains = [run_chain(pot, spec, start, steps, seed) for start in (x, y)]
+    xs, ys = (c.states for c in chains)
     # a 1-d norm per row pair; an axis=1 norm rounds differently and would move couple.csv
     distances = np.array([np.linalg.norm(a - b) for a, b in zip(xs, ys)])
     rate, degenerate = _fit_geometric_rate(distances)
@@ -111,8 +112,10 @@ def couple_synchronous(pot: Potential, spec: KernelSpec, x0: np.ndarray, y0: np.
     violations = None
     if spec.kind == "ideal":
         violations = int(np.sum(distances[1:] > bound * distances[:-1] + 1e-9))
+    diverged = [c.diverged_at for c in chains if c.diverged_at is not None]
     return CouplingReport(distances=distances, fitted_rate=rate, bound=bound,
-                          violations=violations, degenerate=degenerate)
+                          violations=violations, degenerate=degenerate,
+                          diverged_at=min(diverged, default=None))
 
 
 def _pairs_with_shared_momenta(pot: Potential, trials: int, rng: np.random.Generator):
@@ -203,21 +206,25 @@ def good_set_statistics(pot: SeparablePotential, spec: KernelSpec, good: GoodSet
 
     Each replica runs the unadjusted chain with the guarded (toy)
     integrator from the origin; a replica counts as exited as soon as
-    (X_h, p_h) falls outside the good set, any h < steps.
+    (X_h, p_h) falls outside the good set, any h < steps.  ``spec`` must
+    name the unadjusted leapfrog kernel, whose theta and T the guarded
+    integrator runs.
     """
     if steps < 1 or replicas < 1:
         raise CouplingError("steps and replicas must both be >= 1")
+    if (spec.kind, spec.integrator.scheme) != ("unadjusted", "leapfrog"):
+        raise CouplingError(f"good-set statistics run the unadjusted leapfrog kernel, "
+                            f"got {spec.kind} {spec.integrator.scheme}")
     if pot.dim % good.block_dim:
         raise CouplingError("good-set block size must divide the dimension")
     rng = np.random.default_rng(seed)
     x = np.zeros((replicas, pot.dim))
     exited = np.zeros(replicas, dtype=bool)
+    step = guarded_step(pot, spec.integrator, good)
     for _ in range(steps):
-        p = rng.standard_normal((replicas, pot.dim))
-        state = PhasePoint(x, p)
-        inside = good.contains(state)
+        q, _, inside = step(x, rng.standard_normal((replicas, pot.dim)))
         exited |= ~inside
         if np.all(exited):
             break
-        x = guarded_step(pot, spec.integrator, good, state).q
+        x = q
     return float(np.mean(exited))

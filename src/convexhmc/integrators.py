@@ -274,36 +274,24 @@ def flow_map(pot: Potential, spec: IntegratorSpec):
     return ideal
 
 
-def integrate(pot: Potential, spec: IntegratorSpec, x: PhasePoint, ledger=None) -> PhasePoint:
-    """``flow_map(pot, spec)`` from ``x``, charging the ledger ``spec.gradient_evals``
-    per row."""
-    q, p, g = flow_map(pot, spec)(x.q, x.p, x.g)
-    if ledger is not None:
-        ledger.gradient_evals += spec.gradient_evals * (q.size // q.shape[-1])
-    return PhasePoint(q, p, g)
+def integrate(pot: Potential, spec: IntegratorSpec, x: PhasePoint) -> PhasePoint:
+    """``flow_map(pot, spec)`` from ``x``."""
+    return PhasePoint(*flow_map(pot, spec)(x.q, x.p, x.g))
 
 
-def guarded_step(pot: Potential, spec: IntegratorSpec, good: GoodSetSpec,
-                 x: PhasePoint, ledger=None) -> PhasePoint:
-    """Toy integrator: high-order map inside the good set, Euler outside.
+def guarded_step(pot: Potential, spec: IntegratorSpec, good: GoodSetSpec):
+    """step(q, p) -> (q', p', inside): the toy integrator on rows (q, p), both
+    flow maps resolved once.  A row inside ``good`` runs the leapfrog flow, a
+    row outside the Euler flow, each with ``spec``'s theta and T; ``inside``
+    is the membership mask that chose them."""
+    sharp = flow_map(pot, IntegratorSpec("leapfrog", theta=spec.theta, T=spec.T))
+    club = flow_map(pot, IntegratorSpec("euler", theta=spec.theta, T=spec.T))
 
-    Both branches run for the same theta and T; the Euler branch composes
-    with order k = 1, the good-set branch with the leapfrog oracle (k = 2);
-    only ``spec``'s theta and T are read.  Batches are split row-by-row
-    according to membership.
-    """
-    if pot.dim % good.block_dim:
-        raise IntegratorError("potential dimension is not a multiple of the good-set block size")
-    sharp = IntegratorSpec("leapfrog", theta=spec.theta, T=spec.T)
-    club = IntegratorSpec("euler", theta=spec.theta, T=spec.T)
-    inside = good.contains(x)
-    if np.ndim(inside) == 0:
-        return integrate(pot, sharp if inside else club, x, ledger)
-    q = np.array(x.q, dtype=float)
-    p = np.array(x.p, dtype=float)
-    for mask, branch in ((inside, sharp), (~inside, club)):
-        if np.any(mask):
-            out = integrate(pot, branch, PhasePoint(q[mask], p[mask]), ledger)
-            q[mask], p[mask] = out.q, out.p
-    return PhasePoint(q, p)
-
+    def step(q, p):
+        inside = good.contains(PhasePoint(q, p))
+        q, p = np.array(q, dtype=float), np.array(p, dtype=float)
+        for mask, flow in ((inside, sharp), (~inside, club)):
+            if np.any(mask):
+                q[mask], p[mask], _ = flow(q[mask], p[mask])
+        return q, p, inside
+    return step

@@ -33,13 +33,14 @@ def default_integration_time(pot: Potential) -> float:
 
 @dataclass
 class CostLedger:
-    """Counters realizing the paper's gradient-evaluation cost model.
+    """A chain's run record in the paper's gradient-evaluation cost model.
 
     ``gradient_evals`` is the modelled count, ``IntegratorSpec.gradient_evals``
     per row and kernel step.  Real calls are fewer: adjacent leapfrog
     half-kicks share a gradient, and a chain carries the one at its state, so
     a carried leapfrog step of n oracle steps makes n calls.  A Gaussian
-    target's flow is a closed-form linear map and makes none.
+    target's flow is a closed-form linear map and makes none.  ``accepted``
+    and ``rejected`` count Metropolis proposals; other kernels leave them 0.
     """
 
     gradient_evals: int = 0
@@ -118,19 +119,18 @@ def carry(pot: Potential, spec: KernelSpec, x: np.ndarray) -> tuple:
 
 
 def stepper(pot: Potential, spec: KernelSpec):
-    """step(x, p, u=None, carried=None, ledger=None) -> (x', accepted, dH, carried'):
-    ``spec``'s kernel step on rows x (shape (..., d)), flow map and ledger charge
-    resolved once.  ``u`` holds Metropolis uniforms; ``carried`` is ``carry(pot,
-    spec, x)``, usually the step before's carried'.  A Metropolis row accepts iff
-    u < exp(-dH), dH = H(proposal) - H(x, p), and then takes the proposal's pair.
-    Without ``carried`` only a Metropolis step evaluates U; the others return no
-    dH or carried'."""
-    value, integ, metropolis = pot.value, spec.integrator, spec.kind == "metropolis"
+    """step(x, p, u=None, carried=None) -> (x', accepted, dH, carried'): ``spec``'s
+    kernel step on rows x (shape (..., d)), flow map resolved once.  ``u`` holds
+    Metropolis uniforms; ``carried`` is ``carry(pot, spec, x)``, usually the step
+    before's carried'.  A Metropolis row accepts iff u < exp(-dH), dH =
+    H(proposal) - H(x, p), and then takes the proposal's pair.  Without
+    ``carried`` only a Metropolis step evaluates U; the others return no dH or
+    carried'."""
+    value, metropolis = pot.value, spec.kind == "metropolis"
     add = np.add.reduce  # ndarray.sum without its Python wrapper
-    flow = flow_map(pot, integ)
-    charge = integ.gradient_evals
+    flow = flow_map(pot, spec.integrator)
 
-    def step(x, p, u=None, carried=None, ledger=None):
+    def step(x, p, u=None, carried=None):
         if carried is None and metropolis:
             carried = carry(pot, spec, x)
         u_x, g_x = (None, None) if carried is None else carried
@@ -140,30 +140,22 @@ def stepper(pot: Potential, spec: KernelSpec):
             u_q = value(q)
             d_h = (u_q + 0.5 * add(p_q * p_q, -1)) - (u_x + 0.5 * add(p * p, -1))
             after = (u_q, g_q)
-        if metropolis:
-            ok = (d_h <= 0.0) | (u < np.exp(-np.maximum(d_h, 0.0)))
-            taken = int(np.count_nonzero(ok))
-            if taken < ok.size:  # np.where is slow next to a step of one row
-                g = None if g_x is None else np.where(ok[..., None], g_q, g_x)
-                q, after = np.where(ok[..., None], q, x), (np.where(ok, u_q, u_x), g)
-            if ledger is not None:
-                ledger.accepted += taken
-                ledger.rejected += ok.size - taken
-        else:
-            ok = np.ones(q.shape[:-1], dtype=bool)
-        if ledger is not None:
-            ledger.gradient_evals += charge * ok.size
-            ledger.kernel_steps += ok.size
+        if not metropolis:
+            return q, np.ones(q.shape[:-1], dtype=bool), d_h, after
+        ok = (d_h <= 0.0) | (u < np.exp(-np.maximum(d_h, 0.0)))
+        if np.count_nonzero(ok) < ok.size:  # np.where is slow next to a step of one row
+            g = None if g_x is None else np.where(ok[..., None], g_q, g_x)
+            q, after = np.where(ok[..., None], q, x), (np.where(ok, u_q, u_x), g)
         return q, ok, d_h, after
     return step
 
 
 def metropolis_step(pot: Potential, spec: KernelSpec, x: np.ndarray, p: np.ndarray,
-                    u: float, ledger: CostLedger, carried: Optional[tuple] = None) -> tuple:
+                    u: float, carried: Optional[tuple] = None) -> tuple:
     """One ``stepper(pot, spec)`` step of one chain, which accepts iff u < min(1, exp(-dH))."""
     if not 0.0 <= u <= 1.0:
         raise KernelError(f"uniform variate must lie in [0, 1], got {u}")
-    return stepper(pot, spec)(x, p, u, carried, ledger)
+    return stepper(pot, spec)(x, p, u, carried)
 
 
 def run_chain(pot: Potential, spec: KernelSpec, x0: np.ndarray, i_max: int,
@@ -175,7 +167,8 @@ def run_chain(pot: Potential, spec: KernelSpec, x0: np.ndarray, i_max: int,
     ``accepted`` flag marks whether the transition into the row's state was
     an accepted proposal (always true for non-Metropolis kernels).
     ``diverged_at`` is the first step whose flow energy error is not finite
-    or exceeds ``DIVERGENCE_DH`` in size.
+    or exceeds ``DIVERGENCE_DH`` in size.  The ledger is charged once, after
+    the loop.
     """
     if i_max < 0:
         raise KernelError(f"i_max must be nonnegative, got {i_max}")
@@ -183,7 +176,6 @@ def run_chain(pot: Potential, spec: KernelSpec, x0: np.ndarray, i_max: int,
     if x.shape != (pot.dim,):
         raise KernelError(f"x0 must have shape ({pot.dim},), got {x.shape}")
     source = MomentumSource(seed, pot.dim)
-    ledger = CostLedger()
     states = np.empty((i_max + 1, pot.dim))
     accepted = np.ones(i_max + 1, dtype=bool)
     energies = np.empty(i_max + 1)
@@ -195,10 +187,14 @@ def run_chain(pot: Potential, spec: KernelSpec, x0: np.ndarray, i_max: int,
         p = source.next_momentum()
         energies[i] = carried[0] + 0.5 * float(p @ p)
         u = source.next_uniform() if uniform else None
-        x, accepted[i + 1], d_h, carried = step(x, p, u, carried, ledger)
+        x, accepted[i + 1], d_h, carried = step(x, p, u, carried)
         if diverged_at is None and d_h is not None and not abs(d_h) <= DIVERGENCE_DH:
             diverged_at = i
         states[i + 1] = x
     energies[i_max] = carried[0]
+    taken = int(np.count_nonzero(accepted[1:])) if uniform else 0
+    ledger = CostLedger(gradient_evals=spec.integrator.gradient_evals * i_max,
+                        kernel_steps=i_max, accepted=taken,
+                        rejected=i_max - taken if uniform else 0)
     return ChainTrace(states=states, ledger=ledger, accepted=accepted,
                       hamiltonians=energies, diverged_at=diverged_at)

@@ -3,9 +3,10 @@
 For each dimension d, the study runs the chain (unadjusted by default) for
 I = max(50, ceil((M2/m2)^2 log(M2/(m2 eps)))) steps over many replicas and
 bisects theta downward until the endpoint batch is within the W1 budget of
-an exact reference sample.  The recorded cost is the ledger total, so the
-fitted log-log slope of gradient evaluations against dimension exposes the
-d^(1/2k) law of the k-th-order integrator.
+an exact reference sample.  The recorded cost is the modelled count, the
+accepted theta's ``IntegratorSpec.gradient_evals`` per replica and chain
+step, so the fitted log-log slope of gradient evaluations against dimension
+exposes the d^(1/2k) law of the k-th-order integrator.
 
 Empirical assignment-W1 between finite batches carries a sampling floor
 that grows like sqrt(d) even for perfect samples, so the budget is applied
@@ -32,7 +33,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .integrators import IntegratorSpec
-from .kernels import CostLedger, KernelSpec, default_integration_time, stepper
+from .kernels import KernelSpec, default_integration_time, stepper
 from . import metrics
 from .potentials import ConvexHMCError, Potential, make_gaussian
 
@@ -86,7 +87,7 @@ def chain_length(pot: Potential, epsilon: float) -> int:
 
 
 def _endpoints(pot: Potential, kernel: str, scheme: str, theta: float, T: float,
-               steps: int, replicas: int, seed: int, ledger: CostLedger) -> np.ndarray:
+               steps: int, replicas: int, seed: int) -> np.ndarray:
     step = stepper(pot, KernelSpec(kernel, IntegratorSpec(scheme, theta=theta, T=T)))
     rng = np.random.default_rng(seed)
     x = np.zeros((replicas, pot.dim))
@@ -94,7 +95,7 @@ def _endpoints(pot: Potential, kernel: str, scheme: str, theta: float, T: float,
     for _ in range(steps):
         p = rng.standard_normal((replicas, pot.dim))
         u = rng.random(replicas) if kernel == "metropolis" else None
-        x, _, _, carried = step(x, p, u, carried, ledger)
+        x, _, _, carried = step(x, p, u, carried)
     return x
 
 
@@ -116,24 +117,23 @@ def _run_row(kernel: str, scheme: str, dim: int, epsilon: float, replicas: int,
     matchings = []  # optimal matchings solved in this row
 
     def measure(theta):
-        """(excess within budget, exact excess or None if a bound decided, ledger, ends)."""
-        ledger = CostLedger()
-        ends = _endpoints(pot, kernel, scheme, theta, T, steps, replicas, chain_seed, ledger)
+        """(excess within budget, exact excess or None if a bound decided, ends)."""
+        ends = _endpoints(pot, kernel, scheme, theta, T, steps, replicas, chain_seed)
         cost = metrics.cdist(ends, ref)
         if matchings and min(metrics.matching_cost(cost, cols)
                              for cols in matchings) <= budget * (1.0 - BOUND_MARGIN):
-            return True, None, ledger, ends
+            return True, None, ends
         if metrics.w1_lower_bound(cost) >= budget * (1.0 + BOUND_MARGIN):
-            return False, None, ledger, ends
+            return False, None, ends
         w1, cols = metrics.assignment(cost)
         matchings.append(cols)
         excess = w1 - floor
-        return excess <= epsilon, excess, ledger, ends
+        return excess <= epsilon, excess, ends
 
     # the first oracle step theta^(1/k) is T itself, so no accepted step
     # integrates past the kernel's time
     theta = T**IntegratorSpec(scheme).order
-    passed, excess, ledger, ends = measure(theta)
+    passed, excess, ends = measure(theta)
     if not passed:
         for attempt in range(MAX_HALVINGS + 1):
             if attempt == MAX_HALVINGS:
@@ -141,11 +141,11 @@ def _run_row(kernel: str, scheme: str, dim: int, epsilon: float, replicas: int,
                     f"theta bisection exhausted {MAX_HALVINGS} halvings at d={dim} "
                     f"without reaching the W1 budget {epsilon}")
             theta /= 2.0
-            passed, excess, ledger, ends = measure(theta)
+            passed, excess, ends = measure(theta)
             if passed:
                 break
         lo, hi = math.log(theta), math.log(theta * 2.0)
-        best = (theta, excess, ledger, ends)
+        best = (theta, excess, ends)
         for _ in range(REFINE_STEPS):
             mid = 0.5 * (lo + hi)
             mid_passed, *mid_rest = measure(math.exp(mid))
@@ -154,18 +154,19 @@ def _run_row(kernel: str, scheme: str, dim: int, epsilon: float, replicas: int,
                 best = (math.exp(mid), *mid_rest)
             else:
                 hi = mid
-        theta, excess, ledger, ends = best
+        theta, excess, ends = best
     if excess is None:
         excess = metrics.assignment(metrics.cdist(ends, ref))[0] - floor
     spec = IntegratorSpec(scheme, theta=theta, T=T)
+    per_chain = spec.gradient_evals * steps
     return ScalingRow(
         dim=dim,
         theta=theta,
         oracle_steps=spec.oracle_steps,
         chain_steps=steps,
         replicas=replicas,
-        gradient_evals=ledger.gradient_evals,
-        gradient_evals_per_chain=ledger.gradient_evals // replicas,
+        gradient_evals=per_chain * replicas,
+        gradient_evals_per_chain=per_chain,
         achieved_excess_w1=float(excess),
         raw_w1=float(excess + floor),
         reference_floor=float(floor),

@@ -58,6 +58,21 @@ class TestSampleCommand:
         assert summary["pass"] is False and summary["diverged_at"] == 0
 
 
+class TestCoupleCommand:
+    def test_diverged_run_names_its_step(self, tmp_path):
+        # one Euler step of length 0.5 on eigenvalue 400 sends H past 1000 at once
+        target = tmp_path / "target.json"
+        target.write_text(json.dumps({"kind": "gaussian", "eigenvalues": [1.0, 400.0]}))
+        out = tmp_path / "run"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["couple", "--target-config", str(target), "--kernel", "unadjusted",
+                         "--scheme", "euler", "--theta", "0.5", "--T", "5", "--steps", "60",
+                         "--seed", "16", "--out", str(out)])
+        summary = json.loads((out / "couple_summary.json").read_text())
+        assert code == 1
+        assert summary["pass"] is False and summary["diverged_at"] == 0
+
+
 class TestCertifyCommand:
     def test_known_pass(self, gaussian_target, tmp_path):
         out = tmp_path / "cert"
@@ -261,6 +276,21 @@ class TestRunSubcommand:
         }
         summary = run_experiment(conf, out_dir=str(tmp_path))
         assert 0.0 <= summary["exit_frequency"] <= 1.0
+
+    @pytest.mark.parametrize("kind, scheme", [
+        ("metropolis", "euler"), ("metropolis", "leapfrog"), ("unadjusted", "euler"),
+        ("ideal", "reference")])
+    def test_goodset_rejects_other_kernels(self, tmp_path, capsys, kind, scheme):
+        # the guarded integrator is the unadjusted leapfrog kernel's; others exit 2
+        conf = {"task": "goodset",
+                "target": {"kind": "separable",
+                           "block": {"kind": "gaussian", "eigenvalues": [1.0]}, "copies": 8},
+                "kernel": {"kind": kind, "integrator": {"scheme": scheme}},
+                "goodset": {"block_dim": 1}, "run": {"seed": 2, "steps": 20, "replicas": 30}}
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps(conf))
+        one_line_error(capsys, ["run", "--config", str(path), "--out", str(tmp_path / "out")],
+                       "CouplingError: good-set statistics run the unadjusted leapfrog kernel")
 
     def test_drift_task(self, tmp_path):
         conf = {

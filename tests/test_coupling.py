@@ -8,6 +8,7 @@ from convexhmc import (GoodSetSpec, IntegratorSpec, KernelSpec, contraction_boun
                        default_integration_time, drift_check, good_set_statistics,
                        make_gaussian, make_perturbed_quadratic, make_separable, run_chain,
                        stepper)
+from convexhmc import integrators
 from convexhmc.coupling import CouplingError
 
 SPHERICAL = make_gaussian([1.0, 1.0, 1.0, 1.0])
@@ -174,6 +175,18 @@ class TestGoodSetStatistics:
         good = GoodSetSpec(g_inf=1e12, g_2=np.inf, block_dim=1)
         freq = good_set_statistics(self.pot, self.spec, good, steps=5, replicas=50, seed=1)
         assert freq == 1.0
+
+    def test_resolves_each_flow_map_once(self, monkeypatch):
+        resolved, resolve = [], integrators.flow_map
+
+        def counting(pot, spec):
+            resolved.append(spec.scheme)
+            return resolve(pot, spec)
+        monkeypatch.setattr(integrators, "flow_map", counting)
+        good = GoodSetSpec(g_inf=3.0, g_2=0.5, block_dim=1)
+        freq = good_set_statistics(self.pot, self.spec, good, steps=20, replicas=50, seed=0)
+        assert 0.0 < freq < 1.0  # both branches ran
+        assert sorted(resolved) == ["euler", "leapfrog"]
 
     def test_default_good_set_rarely_exits(self):
         pot = make_separable([make_gaussian([1.0])] * 64)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from convexhmc import (CostLedger, GoodSetSpec, IntegratorError, IntegratorSpec, KernelSpec,
+from convexhmc import (GoodSetSpec, IntegratorError, IntegratorSpec, KernelSpec,
                        PhasePoint, default_integration_time, exact_gaussian_flow,
                        flow_trajectory, guarded_step, hamiltonian, integrate, make_gaussian,
                        make_perturbed_quadratic, make_separable, reference_flow, run_chain)
@@ -98,27 +98,22 @@ class TestComposedIntegrator:
     def test_euler_step_count(self):
         spec = IntegratorSpec("euler", theta=0.1, T=0.5)
         assert spec.oracle_steps == 5
-        ledger = CostLedger()
-        integrate(UNIT, spec, pp(1.0, 0.0), ledger)
-        assert ledger.gradient_evals == 5
+        assert spec.gradient_evals == 5
 
     def test_leapfrog_step_count(self):
         spec = IntegratorSpec("leapfrog", theta=0.01, T=0.5)
         assert spec.oracle_steps == 5
-        ledger = CostLedger()
-        integrate(UNIT, spec, pp(1.0, 0.0), ledger)
-        assert ledger.gradient_evals == 10
+        assert spec.gradient_evals == 10
 
     def test_leapfrog_evaluates_each_gradient_once(self):
-        # the ledger charges the paper's 2 gradients per oracle step; the run
+        # the cost model charges the paper's 2 gradients per oracle step; the run
         # evaluates one per point, n + 1 in all, or n from a known first one
         pot, rows = counted(PERTURBED)
         spec = IntegratorSpec("leapfrog", theta=0.01, T=0.5)
         n, h = spec.oracle_steps, math.sqrt(spec.theta)
         x = PhasePoint(np.array([0.3, -0.1, 0.5]), np.array([0.2, 0.4, -1.0]))
-        ledger = CostLedger()
-        out = integrate(pot, spec, x, ledger)
-        assert rows[0] == n + 1 and ledger.gradient_evals == 2 * n
+        out = integrate(pot, spec, x)
+        assert rows[0] == n + 1 and spec.gradient_evals == 2 * n
         np.testing.assert_array_equal(out.g, PERTURBED.gradient(out.q))
         warm = integrate(pot, spec, PhasePoint(x.q, x.p, PERTURBED.gradient(x.q)))
         assert rows[0] == 2 * n + 1
@@ -144,11 +139,16 @@ class TestComposedIntegrator:
         assert 15 * math.sqrt(theta) == T
         assert IntegratorSpec("leapfrog", theta=theta, T=T).oracle_steps == 15
 
-    def test_ledger_charges_every_row(self):
-        ledger = CostLedger()
-        integrate(UNIT, IntegratorSpec("euler", theta=0.1, T=0.5),
-                  PhasePoint(np.zeros((3, 1)), np.ones((3, 1))), ledger)
-        assert ledger.gradient_evals == 3 * 5
+    def test_batch_rows_flow_alone(self):
+        # the charge is per row: a batch row runs the same flow as a single row
+        spec = IntegratorSpec("euler", theta=0.1, T=0.5)
+        q, p = np.array([[0.0, 1.0, 0.3], [2.0, -1.0, 0.0], [0.5, 0.5, -0.4]]), np.ones((3, 3))
+        out = integrate(PERTURBED, spec, PhasePoint(q, p))
+        for i in range(3):
+            row = integrate(PERTURBED, spec, PhasePoint(q[i], p[i]))
+            np.testing.assert_array_equal(out.q[i], row.q)
+            np.testing.assert_array_equal(out.p[i], row.p)
+        assert spec.gradient_evals == 5
 
     def test_euler_matches_exact_at_small_theta(self):
         # position gap bounded by 6 theta T (M2/sqrt(m2)) sqrt(H)
@@ -384,21 +384,24 @@ class TestGuardedStep:
         self.pot = make_separable([make_perturbed_quadratic(1, 0.1, seed=4)] * 4)
         self.spec = IntegratorSpec("leapfrog", theta=0.01, T=0.3)
         self.good = GoodSetSpec(g_inf=10.0, g_2=0.5, block_dim=1)
+        self.step = guarded_step(self.pot, self.spec, self.good)
 
     def test_inside_runs_leapfrog(self):
         x = pp([0.5, -0.2, 0.1, 0.3], [1.0, 0.5, -0.5, 0.8])
         assert bool(self.good.contains(x))
-        out = guarded_step(self.pot, self.spec, self.good, x)
+        q, p, inside = self.step(x.q, x.p)
+        assert inside
         ref = integrate(self.pot, IntegratorSpec("leapfrog", theta=0.01, T=0.3), x)
-        np.testing.assert_array_equal(out.q, ref.q)
-        np.testing.assert_array_equal(out.p, ref.p)
+        np.testing.assert_array_equal(q, ref.q)
+        np.testing.assert_array_equal(p, ref.p)
 
     def test_zero_momentum_runs_euler(self):
         x = pp([0.5, -0.2, 0.1, 0.3], [0.0, 0.0, 0.0, 0.0])
-        out = guarded_step(self.pot, self.spec, self.good, x)
+        q, p, inside = self.step(x.q, x.p)
+        assert not inside
         ref = integrate(self.pot, IntegratorSpec("euler", theta=0.01, T=0.3), x)
-        np.testing.assert_array_equal(out.q, ref.q)
-        np.testing.assert_array_equal(out.p, ref.p)
+        np.testing.assert_array_equal(q, ref.q)
+        np.testing.assert_array_equal(p, ref.p)
 
     def test_momentum_floor_is_strict(self):
         # |p| == g_2 exactly fails the strict inequality, so Euler runs
@@ -406,18 +409,21 @@ class TestGuardedStep:
         p[0] = self.good.g_2
         x = PhasePoint(np.array([0.1, 0.0, 0.0, 0.0]), p)
         assert not bool(self.good.contains(x))
-        out = guarded_step(self.pot, self.spec, self.good, x)
+        q, _, inside = self.step(x.q, x.p)
+        assert not inside
         ref = integrate(self.pot, IntegratorSpec("euler", theta=0.01, T=0.3), x)
-        np.testing.assert_array_equal(out.q, ref.q)
+        np.testing.assert_array_equal(q, ref.q)
 
     def test_batch_splits_rows(self):
         q = np.array([[0.5, -0.2, 0.1, 0.3], [0.5, -0.2, 0.1, 0.3]])
         p = np.array([[1.0, 0.5, -0.5, 0.8], [0.0, 0.0, 0.0, 0.0]])
-        out = guarded_step(self.pot, self.spec, self.good, PhasePoint(q, p))
-        top = guarded_step(self.pot, self.spec, self.good, pp(q[0], p[0]))
-        bottom = guarded_step(self.pot, self.spec, self.good, pp(q[1], p[1]))
-        np.testing.assert_array_equal(out.q[0], top.q)
-        np.testing.assert_array_equal(out.q[1], bottom.q)
+        out_q, out_p, inside = self.step(q, p)
+        np.testing.assert_array_equal(inside, [True, False])
+        for i in range(2):
+            row_q, row_p, row_inside = self.step(q[i], p[i])
+            assert row_inside == inside[i]
+            np.testing.assert_array_equal(out_q[i], row_q)
+            np.testing.assert_array_equal(out_p[i], row_p)
 
 
 class TestEnergyError:

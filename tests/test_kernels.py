@@ -91,11 +91,10 @@ class TestUnadjustedStep:
     def test_single_euler_oracle(self):
         T = 0.3
         spec = KernelSpec("unadjusted", IntegratorSpec("euler", theta=T, T=T))
-        ledger = CostLedger()
         x, p = np.array([1.0, -1.0]), np.array([0.5, 0.5])
-        out = stepper(make_gaussian([1.0, 1.0]), spec)(x, p, ledger=ledger)[0]
+        out = stepper(make_gaussian([1.0, 1.0]), spec)(x, p)[0]
         np.testing.assert_allclose(out, x + p * T)
-        assert ledger.gradient_evals == 1
+        assert spec.integrator.gradient_evals == 1
 
     def test_theta_to_zero_approaches_ideal(self):
         T = default_integration_time(UNIT)
@@ -104,32 +103,30 @@ class TestUnadjustedStep:
         gaps = []
         for theta in (T / 4.0, T / 16.0, T / 64.0):
             spec = KernelSpec("unadjusted", IntegratorSpec("euler", theta=theta, T=T))
-            out = stepper(UNIT, spec)(x, p, ledger=CostLedger())[0]
+            out = stepper(UNIT, spec)(x, p)[0]
             gaps.append(abs(out[0] - target[0]))
         assert gaps[2] < gaps[1] < gaps[0]
         assert gaps[2] < 1e-2
 
     def test_ledger_counts_compose(self):
+        # the chain charges its ledger once, after its loop
         spec = KernelSpec("unadjusted", IntegratorSpec("leapfrog", theta=0.01, T=0.5))
-        ledger = CostLedger()
-        x = np.array([0.3])
-        for _ in range(7):
-            x = stepper(UNIT, spec)(x, np.array([0.1]), ledger=ledger)[0]
+        ledger = run_chain(UNIT, spec, np.array([0.3]), 7, seed=0).ledger
         assert ledger.gradient_evals == 7 * spec.integrator.oracle_steps * 2
         assert ledger.kernel_steps == 7
+        assert ledger.accepted == ledger.rejected == 0
 
 
 class TestMetropolisStep:
     def test_energy_decrease_always_accepted(self):
         spec = KernelSpec("metropolis", IntegratorSpec("exact_gaussian", T=0.3))
         out, ok, _, _ = metropolis_step(UNIT, spec, np.array([1.0]), np.array([0.0]),
-                                        u=1.0 - 1e-12, ledger=CostLedger())
+                                        u=1.0 - 1e-12)
         assert ok
 
     def test_u_zero_always_accepted(self):
         spec = KernelSpec("metropolis", IntegratorSpec("euler", theta=0.05, T=0.3))
-        _, ok, _, _ = metropolis_step(UNIT, spec, np.array([2.0]), np.array([1.0]), u=0.0,
-                                      ledger=CostLedger())
+        _, ok, _, _ = metropolis_step(UNIT, spec, np.array([2.0]), np.array([1.0]), u=0.0)
         assert ok
 
     def test_exact_flow_accepts_everything(self):
@@ -142,8 +139,7 @@ class TestMetropolisStep:
         # gigantic Euler step destroys energy, forcing rejection for u near 1
         spec = KernelSpec("metropolis", IntegratorSpec("euler", theta=0.3, T=0.3))
         x = np.array([3.0])
-        out, ok, _, _ = metropolis_step(UNIT, spec, x, np.array([3.0]), u=1.0 - 1e-9,
-                                        ledger=CostLedger())
+        out, ok, _, _ = metropolis_step(UNIT, spec, x, np.array([3.0]), u=1.0 - 1e-9)
         if not ok:
             np.testing.assert_array_equal(out, x)
 
@@ -189,7 +185,7 @@ class TestRunChain:
             h_y = pot.value(y) + 0.5 * float(p_b @ p_b)
             budget += 6.0 * theta * T * math.sqrt(h_y)
             x = ideal_step(pot, ideal, x, p_a)
-            y = stepper(pot, unadj)(y, p_b, ledger=CostLedger())[0]
+            y = stepper(pot, unadj)(y, p_b)[0]
             assert abs(x[0] - y[0]) <= budget + 1e-12
 
     def test_metropolis_preserves_first_four_moments(self):
@@ -221,6 +217,20 @@ class TestRunChain:
         freq = float(np.mean(rejected[in_bulk]))
         se = math.sqrt(r * (1.0 - r) / max(int(in_bulk.sum()), 1))
         assert freq <= r + 3.0 * se
+
+    @pytest.mark.parametrize("kind, scheme", [
+        ("ideal", "exact_gaussian"), ("ideal", "reference"), ("unadjusted", "euler"),
+        ("unadjusted", "leapfrog"), ("metropolis", "euler"), ("metropolis", "leapfrog")])
+    def test_ledger_follows_the_cost_model(self, kind, scheme):
+        # per step: n Euler or 2 n leapfrog gradients, none for the ideal flows;
+        # accepts and rejects are counted for Metropolis only
+        spec = KernelSpec(kind, IntegratorSpec(scheme, theta=0.05, T=0.6))
+        steps = 50
+        trace = run_chain(make_gaussian([1.0, 4.0]), spec, np.array([1.0, -1.0]), steps, seed=8)
+        per_step = {"euler": 12, "leapfrog": 2 * 3}.get(scheme, 0)
+        taken = int(np.sum(trace.accepted[1:])) if kind == "metropolis" else 0
+        rejected = steps - taken if kind == "metropolis" else 0
+        assert trace.ledger == CostLedger(per_step * steps, steps, taken, rejected)
 
     def test_invalid_inputs(self):
         with pytest.raises(KernelError):
@@ -264,23 +274,24 @@ class TestCarriedState:
         x = np.array([1.0, -0.5])
         trace = run_chain(PERTURBED, spec, x, steps, seed)
         source = MomentumSource(seed, PERTURBED.dim)
-        ledger = CostLedger()
         states, energies, accepted = [x], [], [True]
         for _ in range(steps):
             p = source.next_momentum()
             energies.append(PERTURBED.value(x) + 0.5 * float(p @ p))
             if kind == "metropolis":
-                x, ok = metropolis_step(PERTURBED, spec, x, p, source.next_uniform(),
-                                        ledger)[:2]
+                x, ok = metropolis_step(PERTURBED, spec, x, p, source.next_uniform())[:2]
             else:
-                x, ok = stepper(PERTURBED, spec)(x, p, ledger=ledger)[0], True
+                x, ok = stepper(PERTURBED, spec)(x, p)[0], True
             states.append(x)
             accepted.append(ok)
         energies.append(PERTURBED.value(x))
         assert np.array_equal(trace.states, np.array(states), equal_nan=True)
         assert np.array_equal(trace.hamiltonians, np.array(energies), equal_nan=True)
         assert np.array_equal(trace.accepted, np.array(accepted))
-        assert trace.ledger == ledger
+        taken = sum(accepted[1:]) if kind == "metropolis" else 0
+        rejected = steps - taken if kind == "metropolis" else 0
+        assert trace.ledger == CostLedger(spec.integrator.gradient_evals * steps, steps,
+                                          taken, rejected)
 
     def test_divergence_recorded(self):
         pot = make_gaussian([1.0, 4.0])
@@ -295,18 +306,18 @@ class TestStepper:
     @given(st.sampled_from(["metropolis", "unadjusted"]), st.sampled_from(["leapfrog", "euler"]),
            st.floats(0.01, 2.0), st.integers(1, 6), st.booleans(), st.integers(0, 2**32 - 1))
     def test_batch_equals_single_rows(self, kind, scheme, theta, rows, carried, seed):
-        # one call on an (n, d) batch is n one-row calls, bit for bit, ledger included
+        # one call on an (n, d) batch is n one-row calls, bit for bit
         spec = KernelSpec(kind, IntegratorSpec(scheme, theta=theta, T=0.8))
         step = stepper(PERTURBED, spec)
         rng = np.random.default_rng(seed)
         x, p = 2.0 * rng.standard_normal((2, rows, PERTURBED.dim))
         u = rng.random(rows)
         state = carry(PERTURBED, spec, x) if carried else None
-        batch_ledger, row_ledger = CostLedger(), CostLedger()
-        q, ok, d_h, after = step(x, p, u, state, batch_ledger)
+        q, ok, d_h, after = step(x, p, u, state)
+        assert ok.shape == (rows,)
         for i in range(rows):
             state_i = carry(PERTURBED, spec, x[i]) if carried else None
-            q_i, ok_i, d_h_i, after_i = step(x[i], p[i], u[i], state_i, row_ledger)
+            q_i, ok_i, d_h_i, after_i = step(x[i], p[i], u[i], state_i)
             assert np.array_equal(q[i], q_i, equal_nan=True)
             assert ok[i] == ok_i
             if d_h is None:
@@ -318,8 +329,6 @@ class TestStepper:
                 assert np.array_equal(after[1][i], after_i[1], equal_nan=True)
             else:
                 assert after[1] is None and after_i[1] is None
-        assert batch_ledger == row_ledger
-        assert batch_ledger.kernel_steps == rows
 
     @pytest.mark.parametrize("scheme", ["euler", "leapfrog"])
     @pytest.mark.parametrize("warm", [False, True])
@@ -328,12 +337,11 @@ class TestStepper:
         spec = KernelSpec("unadjusted", IntegratorSpec(scheme, theta=0.05, T=0.7))
         x, p = np.array([[0.4, -1.0], [1.5, 0.2]]), np.array([[0.3, 0.3], [-1.0, 0.5]])
         g = PERTURBED.gradient(x) if warm and scheme == "leapfrog" else None
-        flow_ledger, step_ledger = CostLedger(), CostLedger()
-        flow = integrate(pot, spec.integrator, PhasePoint(x, p, g), flow_ledger)
+        flow = integrate(pot, spec.integrator, PhasePoint(x, p, g))
         flow_rows, calls[0] = calls[0], 0
-        q = stepper(pot, spec)(x, p, None, None if g is None else (PERTURBED.value(x), g),
-                               step_ledger)[0]
+        q = stepper(pot, spec)(x, p, None, None if g is None else (PERTURBED.value(x), g))[0]
         assert calls[0] == flow_rows
         assert flow_rows == 2 * (spec.integrator.oracle_steps + (scheme == "leapfrog" and not warm))
         assert np.array_equal(q, flow.q)
-        assert step_ledger.gradient_evals == flow_ledger.gradient_evals
+        # the modelled per-row charge: 1 per Euler, 2 per leapfrog oracle step
+        assert spec.integrator.gradient_evals == spec.integrator.order * spec.integrator.oracle_steps
