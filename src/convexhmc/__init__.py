@@ -6,9 +6,8 @@ from .potentials import (ConvexHMCError, ConvexityReport, Potential, PotentialEr
 from .integrators import (GoodSetSpec, IntegratorError, IntegratorSpec, PhasePoint,
                           default_good_set, exact_gaussian_flow, flow_trajectory,
                           flow_map, guarded_step, hamiltonian, integrate, reference_flow)
-from .kernels import (ChainTrace, CostLedger, KernelSpec, MomentumSource, carry,
-                      default_integration_time, ideal_step, metropolis_step, run_chain,
-                      stepper)
+from .kernels import (ChainTrace, CostLedger, KernelSpec, carry, default_integration_time,
+                      ideal_step, metropolis_step, run_chain, stepper, update_sequence)
 from .coupling import (CouplingReport, DriftReport, contraction_bound,
                        contraction_certificate, couple_synchronous, drift_check,
                        good_set_statistics, kernel_contraction_bound)

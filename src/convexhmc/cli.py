@@ -126,8 +126,8 @@ def _task_drift(config, pot, spec, base_dir, out):
 def _task_goodset(config, pot, spec, base_dir, out):
     if not isinstance(pot, SeparablePotential):
         raise cfg.ConfigError("goodset task needs a separable target")
-    opts = config["goodset"]
-    block = opts["block_dim"]
+    opts = config.get("goodset", {})
+    block = opts.get("block_dim", pot.block_dim)
     default = default_good_set(pot.dim, block)
     good = GoodSetSpec(g_inf=opts.get("g_inf", default.g_inf),
                        g_2=opts.get("g_2", default.g_2), block_dim=block)
@@ -258,12 +258,11 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="HMC sampling and verification experiments")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # an unset --theta takes the task's or scheme's default in config.build_kernel_spec
-    for name, help, kind, schemes, scheme, steps in (
+    # an unset flag is an absent field, which the task's .get or build_kernel_spec fills
+    for name, help, kind, schemes, scheme in (
             ("sample", "run one chain and dump its trace", "metropolis",
-             ["exact_gaussian", "euler", "leapfrog", "reference"], "leapfrog", 1000),
-            ("couple", "synchronous coupling of two chains", "ideal", None, "exact_gaussian",
-             200)):
+             ["exact_gaussian", "euler", "leapfrog", "reference"], "leapfrog"),
+            ("couple", "synchronous coupling of two chains", "ideal", None, "exact_gaussian")):
         p = _task_parser(sub, name, help)
         p.add_argument("--kernel", dest="kernel.kind", default=kind, help="kernel.kind",
                        choices=["ideal", "unadjusted", "metropolis"])
@@ -271,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
                        default=scheme, help="kernel.integrator.scheme")
         p.add_argument("--theta", dest="kernel.integrator.theta", type=float)
         p.add_argument("--T", dest="kernel.integrator.T", type=float)
-        p.add_argument("--steps", dest="run.steps", type=int, default=steps)
+        p.add_argument("--steps", dest="run.steps", type=int)
 
     p = _task_parser(sub, "certify", "one-step contraction certificate")
     p.add_argument("--T", dest="certify.T", type=float)
@@ -281,26 +280,26 @@ def build_parser() -> argparse.ArgumentParser:
         "kernel.kind": "ideal", "kernel.integrator.scheme": "reference",
         "kernel.integrator.theta": 1e-10})
     p.add_argument("--radii", dest="drift.radii", type=_parse_vector, required=True)
-    p.add_argument("--replicas", dest="run.replicas", type=int, default=1000)
+    p.add_argument("--replicas", dest="run.replicas", type=int)
 
     p = _task_parser(sub, "goodset", "good-set exit statistics", **{
         "kernel.kind": "unadjusted", "kernel.integrator.scheme": "leapfrog"})
-    p.add_argument("--block-dim", dest="goodset.block_dim", type=int, default=1)
+    p.add_argument("--block-dim", dest="goodset.block_dim", type=int)
     p.add_argument("--g-inf", dest="goodset.g_inf", type=float)
     p.add_argument("--g-2", dest="goodset.g_2", type=float)
     p.add_argument("--theta", dest="kernel.integrator.theta", type=float)
-    p.add_argument("--steps", dest="run.steps", type=int, default=100)
-    p.add_argument("--replicas", dest="run.replicas", type=int, default=200)
+    p.add_argument("--steps", dest="run.steps", type=int)
+    p.add_argument("--replicas", dest="run.replicas", type=int)
 
     # prints the summary, and writes it only when --out names a directory
     p = _task_parser(sub, "distance", "W1 between two CSV point files", target=False,
                      seed=False, out=None)
     p.add_argument("distance.a_csv")
     p.add_argument("distance.b_csv")
-    p.add_argument("--method", dest="distance.method", default="assignment",
+    p.add_argument("--method", dest="distance.method",
                    choices=["assignment", "sliced", "exact_1d"], help="distance.method")
-    p.add_argument("--directions", dest="distance.directions", type=int, default=64)
-    p.add_argument("--seed", dest="distance.seed", type=int, default=0)
+    p.add_argument("--directions", dest="distance.directions", type=int)
+    p.add_argument("--seed", dest="distance.seed", type=int)
 
     p = _task_parser(sub, "precondition", "estimate a rounding matrix", seed=False)
     p.add_argument("--anchor", dest="precondition.anchor", type=_parse_vector)
@@ -312,13 +311,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _task_parser(sub, "scaling", "dimension-scaling study", target=False)
     p.add_argument("--kernel", dest="scaling.kernel", choices=["unadjusted", "metropolis"],
-                   default="unadjusted", help="scaling.kernel")
+                   help="scaling.kernel")
     p.add_argument("--scheme", dest="scaling.scheme", choices=["euler", "leapfrog"],
                    required=True, help="scaling.scheme")
     p.add_argument("--dims", dest="scaling.dims", required=True,
                    type=lambda s: [int(t) for t in s.split(",")])
-    p.add_argument("--epsilon", dest="scaling.epsilon", type=float, default=0.05)
-    p.add_argument("--replicas", dest="scaling.replicas", type=int, default=1024)
+    p.add_argument("--epsilon", dest="scaling.epsilon", type=float)
+    p.add_argument("--replicas", dest="scaling.replicas", type=int)
 
     p = sub.add_parser("run", help="run a full JSON experiment config")
     p.add_argument("--config", required=True)

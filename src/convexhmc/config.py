@@ -145,7 +145,6 @@ EXPERIMENT_SCHEMA = {
                 "g_2": {"type": "number", "minimum": 0},
                 "block_dim": {"type": "integer", "minimum": 1},
             },
-            "required": ["block_dim"],
             "additionalProperties": False,
         },
         "precondition": {
@@ -186,10 +185,10 @@ EXPERIMENT_SCHEMA = {
     "additionalProperties": False,
 }
 
-TASK_BLOCKS = {  # the config blocks each task reads; verify_rounding also reads points_csv
+TASK_BLOCKS = {  # the blocks each task requires; verify_rounding also requires points_csv
     "sample": "target kernel run", "couple": "target kernel run",
     "certify": "target certify run", "drift": "target kernel drift run",
-    "goodset": "target kernel goodset run", "distance": "distance", "precondition": "target",
+    "goodset": "target kernel run", "distance": "distance", "precondition": "target",
     "verify_rounding": "target precondition", "scaling": "scaling run"}
 _POINTS = {"properties": {"precondition": {"required": ["points_csv"]}}}
 _VALIDATOR = Draft202012Validator(EXPERIMENT_SCHEMA)

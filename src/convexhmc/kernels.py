@@ -9,7 +9,7 @@ are therefore chains run on one seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -49,34 +49,15 @@ class CostLedger:
     rejected: int = 0
 
 
-class MomentumSource:
-    """Deterministic stream of N(0, I_d) momenta and paired uniforms.
-
-    Identical seeds reproduce both streams bit-for-bit.  The uniform stream
-    (used for Metropolis acceptances) is derived from the same seed but is
-    independent of the momentum stream, so coupled chains can share either
-    or both.
-    """
-
-    _BLOCK = 256
-
-    def __init__(self, seed: int, dim: int):
-        if dim < 1:
-            raise KernelError(f"dimension must be >= 1, got {dim}")
-        self.dim = dim
-        mom_ss, unif_ss = np.random.SeedSequence(seed).spawn(2)
-        mom = np.random.Generator(np.random.PCG64(mom_ss))
-        unif = np.random.Generator(np.random.PCG64(unif_ss))
-        # next_momentum() -> (dim,) array, next_uniform() -> float
-        self.next_momentum = self._rows(lambda: mom.standard_normal((self._BLOCK, dim))).__next__
-        self.next_uniform = self._rows(lambda: unif.random(self._BLOCK).tolist()).__next__
-
-    @staticmethod
-    def _rows(draw):
-        """Rows of successive blocks; a block consumes its generator exactly like
-        repeated one-at-a-time draws."""
-        while True:
-            yield from draw()
+def update_sequence(seed: int, dim: int, steps: int) -> tuple:
+    """(momenta, uniforms) of a chain: ``steps`` N(0, I_dim) rows and as many
+    Metropolis uniforms, as Python floats.  Identical seeds reproduce both bit
+    for bit; the uniforms' spawned stream is independent of the momenta's, so
+    coupled chains can share either or both.  One block draw consumes each
+    generator exactly like one-at-a-time draws."""
+    mom_ss, unif_ss = np.random.SeedSequence(seed).spawn(2)
+    momenta = np.random.Generator(np.random.PCG64(mom_ss)).standard_normal((steps, dim))
+    return momenta, np.random.Generator(np.random.PCG64(unif_ss)).random(steps).tolist()
 
 
 @dataclass(frozen=True)
@@ -99,9 +80,9 @@ class ChainTrace:
 
     states: np.ndarray
     ledger: CostLedger
-    accepted: np.ndarray = field(default=None)
-    hamiltonians: np.ndarray = field(default=None)
-    diverged_at: Optional[int] = None
+    accepted: np.ndarray
+    hamiltonians: np.ndarray
+    diverged_at: Optional[int]
 
     def __len__(self) -> int:
         return len(self.states)
@@ -160,7 +141,7 @@ def metropolis_step(pot: Potential, spec: KernelSpec, x: np.ndarray, p: np.ndarr
 
 def run_chain(pot: Potential, spec: KernelSpec, x0: np.ndarray, i_max: int,
               seed: int) -> ChainTrace:
-    """Run the chain for i_max steps from x0 with a fresh momentum source.
+    """Run the chain for i_max steps from x0 on ``update_sequence(seed, d, i_max)``.
 
     The recorded Hamiltonian at row i is H(X_i, p_i) with p_i the momentum
     that moves the chain out of X_i; the final row stores U(X_imax).  The
@@ -175,7 +156,7 @@ def run_chain(pot: Potential, spec: KernelSpec, x0: np.ndarray, i_max: int,
     x = np.array(x0, dtype=float)
     if x.shape != (pot.dim,):
         raise KernelError(f"x0 must have shape ({pot.dim},), got {x.shape}")
-    source = MomentumSource(seed, pot.dim)
+    momenta, uniforms = update_sequence(seed, pot.dim, i_max)
     states = np.empty((i_max + 1, pot.dim))
     accepted = np.ones(i_max + 1, dtype=bool)
     energies = np.empty(i_max + 1)
@@ -184,9 +165,9 @@ def run_chain(pot: Potential, spec: KernelSpec, x0: np.ndarray, i_max: int,
     step, uniform = stepper(pot, spec), spec.kind == "metropolis"
     diverged_at = None
     for i in range(i_max):
-        p = source.next_momentum()
+        p = momenta[i]
         energies[i] = carried[0] + 0.5 * float(p @ p)
-        u = source.next_uniform() if uniform else None
+        u = uniforms[i] if uniform else None
         x, accepted[i + 1], d_h, carried = step(x, p, u, carried)
         if diverged_at is None and d_h is not None and not abs(d_h) <= DIVERGENCE_DH:
             diverged_at = i

@@ -19,6 +19,7 @@ from .potentials import ConvexHMCError
 ASSIGNMENT_GUARD = 2048
 # rows per block of the dual lower bound: a 32 x n temporary, not n x n
 DUAL_BLOCK_ROWS = 32
+MOMENT_Z_LIMIT = 5.0
 
 
 class MetricError(ConvexHMCError, ValueError):
@@ -139,14 +140,13 @@ class MomentTestResult:
     passed: bool
     z_mean: np.ndarray
     z_var: np.ndarray
-    threshold: float = 5.0
 
 
 def gaussian_moment_test(trace, eigs, burn_in: int) -> MomentTestResult:
     """Check per-coordinate mean and variance against N(0, 1/lambda).
 
     z-scores use autocorrelation-adjusted effective sample sizes; the test
-    passes iff every |z| < 5.
+    passes iff every |z| < ``MOMENT_Z_LIMIT``.
     """
     states = np.asarray(getattr(trace, "states", trace), dtype=float)
     if states.ndim == 1:
@@ -170,5 +170,5 @@ def gaussian_moment_test(trace, eigs, burn_in: int) -> MomentTestResult:
         ess_var = effective_sample_size(centered_sq)
         se_var = target_var * math.sqrt(2.0 / ess_var)
         z_var[j] = (sample_var - target_var) / se_var
-    passed = bool(np.all(np.abs(z_mean) < 5.0) and np.all(np.abs(z_var) < 5.0))
+    passed = bool(np.all(np.abs([z_mean, z_var]) < MOMENT_Z_LIMIT))
     return MomentTestResult(passed=passed, z_mean=z_mean, z_var=z_var)

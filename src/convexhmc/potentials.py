@@ -19,6 +19,9 @@ import numpy as np
 from scipy.optimize import minimize
 from scipy.special import expit
 
+# relative slack on the m2 and M2 bands before a secant ratio counts as a violation
+CONVEXITY_REL_TOL = 1e-7
+
 
 class ConvexHMCError(Exception):
     """Base of every error convexhmc raises on bad input or failed numerics."""
@@ -69,7 +72,6 @@ class ConvexityReport:
     violations: int
     m2: float
     M2: float
-    rel_tol: float = 1e-7
 
     @property
     def passed(self) -> bool:
@@ -255,8 +257,8 @@ def uniform_ball(rng: np.random.Generator, n: int, dim: int, radius: float) -> n
     return g * r[:, None]
 
 
-def validate_convexity(pot: Potential, samples: int, radius: float, seed: int,
-                       rel_tol: float = 1e-7) -> ConvexityReport:
+def validate_convexity(pot: Potential, samples: int, radius: float,
+                       seed: int) -> ConvexityReport:
     """Empirically check both strong-convexity inequalities on random pairs.
 
     Draws pairs inside the ball of the given radius and records the worst
@@ -276,8 +278,8 @@ def validate_convexity(pot: Potential, samples: int, radius: float, seed: int,
     dg = pot.gradient(xs) - pot.gradient(ys)
     lower = np.einsum("ij,ij->i", dg, delta) / norms**2
     upper = np.linalg.norm(dg, axis=1) / norms
-    violations = int(np.sum(lower < pot.m2 * (1.0 - rel_tol))
-                     + np.sum(upper > pot.M2 * (1.0 + rel_tol)))
+    violations = int(np.sum(lower < pot.m2 * (1.0 - CONVEXITY_REL_TOL))
+                     + np.sum(upper > pot.M2 * (1.0 + CONVEXITY_REL_TOL)))
     return ConvexityReport(
         pairs=int(keep.sum()),
         worst_lower=float(lower.min()) if lower.size else float("nan"),
@@ -285,5 +287,4 @@ def validate_convexity(pot: Potential, samples: int, radius: float, seed: int,
         violations=violations,
         m2=pot.m2,
         M2=pot.M2,
-        rel_tol=rel_tol,
     )

@@ -14,6 +14,9 @@ import numpy as np
 
 from .potentials import ConvexHMCError, Potential
 
+# relative slack on the [m2/M2, M2/m2] sandwich
+ROUNDING_REL_TOL = 1e-6
+
 
 class PreconditionError(ConvexHMCError, RuntimeError):
     pass
@@ -100,14 +103,13 @@ def transform_potential(pot: Potential, t: RoundingTransform) -> Potential:
     )
 
 
-def verify_rounding(pot: Potential, t: RoundingTransform, bulk_points,
-                    rel_tol: float = 1e-6) -> RoundingReport:
+def verify_rounding(pot: Potential, t: RoundingTransform, bulk_points) -> RoundingReport:
     """Eigenvalue sandwich check of the transformed Hessian on bulk points.
 
     ``bulk_points`` are in the original coordinates (typically chain
     output); each maps to z = A y before differentiating the transformed
     potential.  Passes iff all eigenvalues lie in
-    [m2/M2 * (1 - tol), M2/m2 * (1 + tol)].
+    [m2/M2 * (1 - tol), M2/m2 * (1 + tol)], tol = ``ROUNDING_REL_TOL``.
     """
     pts = np.asarray(getattr(bulk_points, "points", bulk_points), dtype=float)
     if pts.ndim == 1:
@@ -125,7 +127,7 @@ def verify_rounding(pot: Potential, t: RoundingTransform, bulk_points,
     return RoundingReport(
         min_eigenvalue=lo,
         max_eigenvalue=hi,
-        lower=lower * (1.0 - rel_tol),
-        upper=upper * (1.0 + rel_tol),
+        lower=lower * (1.0 - ROUNDING_REL_TOL),
+        upper=upper * (1.0 + ROUNDING_REL_TOL),
         points=pts.shape[0],
     )

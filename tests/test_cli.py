@@ -292,6 +292,18 @@ class TestRunSubcommand:
         one_line_error(capsys, ["run", "--config", str(path), "--out", str(tmp_path / "out")],
                        "CouplingError: good-set statistics run the unadjusted leapfrog kernel")
 
+    def test_goodset_blocks_default_to_the_targets(self, tmp_path):
+        # three copies of a 2-d Gaussian: an unset --block-dim takes the target's
+        # block size, 2, and so g_inf = 10 sqrt(2), as --block-dim 2 gives
+        target = tmp_path / "t.json"
+        target.write_text(json.dumps({"kind": "separable", "copies": 3, "block": GAUSS}))
+        argv = ["goodset", "--target-config", str(target), "--seed", "5", "--out"]
+        assert main(argv + [str(tmp_path / "unset")]) == 0
+        assert main(argv + [str(tmp_path / "two"), "--block-dim", "2"]) == 0
+        row = read(tmp_path / "unset" / "goodset.csv").decode().splitlines()[1].split(",")
+        assert row[0] == repr(10.0 * 2.0**0.5) and row[2] == "2"
+        assert read(tmp_path / "unset" / "goodset.csv") == read(tmp_path / "two" / "goodset.csv")
+
     def test_drift_task(self, tmp_path):
         conf = {
             "task": "drift",
@@ -386,16 +398,16 @@ def one_line_error(capsys, argv, prefix):
 
 class TestArgvToConfig:
     """Each subcommand, with and without each optional flag, builds the config
-    its flags name.  These are the parent design's configs, save where a field
-    went (``scaling.family``) or an unset value became an absent one (the
-    distance task's ``"out": None``, precondition's empty block, and the
-    ``theta`` of ``sample``, ``couple`` and ``goodset``, which defaults in
-    ``config.build_kernel_spec``)."""
+    its flags name.  An unset flag is an absent field: the task's ``.get`` or
+    ``config.build_kernel_spec`` supplies its default, so the argv path and
+    the ``run --config`` path share one.  The configs below hold only what the
+    flags set, plus each subcommand's fixed fields and the schema-required
+    ``certify.trials`` and sample/couple kernel."""
 
     T = {"target": GAUSS, "out": "."}
     CASES = {
         "sample": (["sample", "--seed", "1"], {
-            **T, "task": "sample", "run": {"steps": 1000, "seed": 1},
+            **T, "task": "sample", "run": {"seed": 1},
             "kernel": {"kind": "metropolis", "integrator": {"scheme": "leapfrog"}}}),
         "sample-all": (["sample", "--seed", "1", "--kernel", "unadjusted", "--scheme", "euler",
                         "--theta", "0.05", "--T", "0.5", "--steps", "40", "--out", "o"], {
@@ -403,7 +415,7 @@ class TestArgvToConfig:
             "kernel": {"kind": "unadjusted",
                        "integrator": {"scheme": "euler", "theta": 0.05, "T": 0.5}}}),
         "couple": (["couple", "--seed", "2"], {
-            **T, "task": "couple", "run": {"steps": 200, "seed": 2},
+            **T, "task": "couple", "run": {"seed": 2},
             "kernel": {"kind": "ideal", "integrator": {"scheme": "exact_gaussian"}}}),
         "couple-all": (["couple", "--seed", "2", "--kernel", "metropolis", "--scheme",
                         "leapfrog", "--theta", "0.001", "--T", "0.3", "--steps", "30"], {
@@ -417,15 +429,15 @@ class TestArgvToConfig:
         "drift": (["drift", "--seed", "4", "--radii", "2,8"], {
             **T, "task": "drift", "drift": {"radii": [2.0, 8.0]},
             "kernel": {"kind": "ideal", "integrator": {"scheme": "reference", "theta": 1e-10}},
-            "run": {"seed": 4, "replicas": 1000}}),
+            "run": {"seed": 4}}),
         "drift-all": (["drift", "--seed", "4", "--radii", "3", "--replicas", "50"], {
             **T, "task": "drift", "drift": {"radii": [3.0]},
             "kernel": {"kind": "ideal", "integrator": {"scheme": "reference", "theta": 1e-10}},
             "run": {"seed": 4, "replicas": 50}}),
         "goodset": (["goodset", "--seed", "5"], {
-            **T, "task": "goodset", "goodset": {"block_dim": 1},
+            **T, "task": "goodset",
             "kernel": {"kind": "unadjusted", "integrator": {"scheme": "leapfrog"}},
-            "run": {"seed": 5, "steps": 100, "replicas": 200}}),
+            "run": {"seed": 5}}),
         "goodset-all": (["goodset", "--seed", "5", "--block-dim", "2", "--g-inf", "3",
                          "--g-2", "2", "--theta", "0.02", "--steps", "10", "--replicas", "20"], {
             **T, "task": "goodset", "goodset": {"block_dim": 2, "g_inf": 3.0, "g_2": 2.0},
@@ -443,9 +455,7 @@ class TestArgvToConfig:
     }
     NO_TARGET = {
         "distance": (["distance", "a.csv", "b.csv"], {
-            "task": "distance", "distance": {"a_csv": "a.csv", "b_csv": "b.csv",
-                                             "method": "assignment", "directions": 64,
-                                             "seed": 0}}),
+            "task": "distance", "distance": {"a_csv": "a.csv", "b_csv": "b.csv"}}),
         "distance-all": (["distance", "a.csv", "b.csv", "--method", "sliced", "--directions",
                           "16", "--seed", "3", "--out", "o"], {
             "task": "distance", "out": "o", "distance": {
@@ -453,8 +463,7 @@ class TestArgvToConfig:
                 "seed": 3}}),
         "scaling": (["scaling", "--seed", "6", "--scheme", "euler", "--dims", "2,4"], {
             "task": "scaling", "out": ".", "run": {"seed": 6},
-            "scaling": {"kernel": "unadjusted", "scheme": "euler", "dims": [2, 4],
-                        "epsilon": 0.05, "replicas": 1024}}),
+            "scaling": {"scheme": "euler", "dims": [2, 4]}}),
         "scaling-all": (["scaling", "--seed", "6", "--scheme", "leapfrog", "--dims", "4",
                          "--kernel", "metropolis", "--epsilon", "0.5", "--replicas", "64",
                          "--out", "o"], {

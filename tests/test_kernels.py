@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from convexhmc import (CostLedger, IntegratorError, IntegratorSpec, KernelSpec,
-                       MomentumSource, PhasePoint, carry, default_integration_time,
-                       effective_sample_size, ideal_step, integrate, make_gaussian,
-                       make_perturbed_quadratic, metropolis_step, run_chain, stepper)
+from convexhmc import (CostLedger, IntegratorError, IntegratorSpec, KernelSpec, PhasePoint,
+                       carry, default_integration_time, effective_sample_size, ideal_step,
+                       integrate, make_gaussian, make_perturbed_quadratic, metropolis_step,
+                       run_chain, stepper, update_sequence)
 from convexhmc.kernels import KernelError
 from test_integrators import counted
 
@@ -19,35 +19,33 @@ def exact_kernel(T=None):
     return KernelSpec("ideal", IntegratorSpec("exact_gaussian", T=T if T is not None else 0.3))
 
 
-class TestMomentumSource:
+class TestUpdateSequence:
     def test_bitwise_reproducible(self):
-        a = MomentumSource(123, 5)
-        b = MomentumSource(123, 5)
-        for _ in range(600):  # crosses the internal block boundary
-            np.testing.assert_array_equal(a.next_momentum(), b.next_momentum())
-            assert a.next_uniform() == b.next_uniform()
+        a_mom, a_unif = update_sequence(123, 5, 600)
+        b_mom, b_unif = update_sequence(123, 5, 600)
+        np.testing.assert_array_equal(a_mom, b_mom)
+        assert a_unif == b_unif
 
     def test_streams_are_standard(self):
-        src = MomentumSource(7, 3)
-        draws = np.array([src.next_momentum() for _ in range(20000)])
+        draws = update_sequence(7, 3, 20000)[0]
         assert abs(draws.mean()) < 0.02
         assert abs(draws.var() - 1.0) < 0.03
 
     def test_streams_match_one_at_a_time_draws(self):
-        # the block buffering is invisible: each stream is its spawned PCG64
+        # the block draw is invisible: each stream is its spawned PCG64
         # generator drawn one value at a time
-        src = MomentumSource(11, 3)
+        momenta, uniforms = update_sequence(11, 3, 600)
         mom_ss, unif_ss = np.random.SeedSequence(11).spawn(2)
         mom = np.random.Generator(np.random.PCG64(mom_ss))
         unif = np.random.Generator(np.random.PCG64(unif_ss))
-        for _ in range(600):  # crosses two block boundaries
-            np.testing.assert_array_equal(src.next_momentum(), mom.standard_normal(3))
-            u = src.next_uniform()
+        assert momenta.shape == (600, 3) and len(uniforms) == 600
+        for p, u in zip(momenta, uniforms):
+            np.testing.assert_array_equal(p, mom.standard_normal(3))
             assert type(u) is float and u == unif.random()
 
     def test_different_seeds_differ(self):
-        a = MomentumSource(1, 2).next_momentum()
-        b = MomentumSource(2, 2).next_momentum()
+        a = update_sequence(1, 2, 1)[0]
+        b = update_sequence(2, 2, 1)[0]
         assert not np.array_equal(a, b)
 
 
@@ -173,14 +171,12 @@ class TestRunChain:
         ideal = KernelSpec("ideal", IntegratorSpec("exact_gaussian", T=T))
         unadj = KernelSpec("unadjusted", IntegratorSpec("euler", theta=theta, T=T))
         steps = 50
-        src_a = MomentumSource(17, 1)
-        src_b = MomentumSource(17, 1)
+        momenta_a = update_sequence(17, 1, steps)[0]
+        momenta_b = update_sequence(17, 1, steps)[0]
         x = np.array([1.0])
         y = np.array([1.0])
         budget = 0.0
-        for _ in range(steps):
-            p_a = src_a.next_momentum()
-            p_b = src_b.next_momentum()
+        for p_a, p_b in zip(momenta_a, momenta_b):
             np.testing.assert_array_equal(p_a, p_b)
             h_y = pot.value(y) + 0.5 * float(p_b @ p_b)
             budget += 6.0 * theta * T * math.sqrt(h_y)
@@ -273,13 +269,12 @@ class TestCarriedState:
         steps = 40
         x = np.array([1.0, -0.5])
         trace = run_chain(PERTURBED, spec, x, steps, seed)
-        source = MomentumSource(seed, PERTURBED.dim)
+        momenta, uniforms = update_sequence(seed, PERTURBED.dim, steps)
         states, energies, accepted = [x], [], [True]
-        for _ in range(steps):
-            p = source.next_momentum()
+        for p, u in zip(momenta, uniforms):
             energies.append(PERTURBED.value(x) + 0.5 * float(p @ p))
             if kind == "metropolis":
-                x, ok = metropolis_step(PERTURBED, spec, x, p, source.next_uniform())[:2]
+                x, ok = metropolis_step(PERTURBED, spec, x, p, u)[:2]
             else:
                 x, ok = stepper(PERTURBED, spec)(x, p)[0], True
             states.append(x)
