@@ -322,7 +322,8 @@ def write_json(path: str, obj: dict) -> None:
 
 
 def dumps(obj: dict) -> str:
-    return json.dumps(_plain(obj), sort_keys=True, indent=2) + "\n"
+    """Strict JSON (RFC 8259): a NaN or infinite value is written as null."""
+    return json.dumps(_plain(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _plain(obj):
@@ -336,8 +337,8 @@ def _plain(obj):
         return bool(obj)
     if isinstance(obj, np.integer):
         return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
+    if isinstance(obj, (float, np.floating)):
+        return float(obj) if math.isfinite(obj) else None
     return obj
 
 

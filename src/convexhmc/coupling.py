@@ -105,8 +105,10 @@ def couple_synchronous(pot: Potential, spec: KernelSpec, x0: np.ndarray, y0: np.
             f"x0 and y0 must have shape ({pot.dim},), got {x.shape} and {y.shape}")
     chains = [run_chain(pot, spec, start, steps, seed) for start in (x, y)]
     xs, ys = (c.states for c in chains)
-    # a 1-d norm per row pair; an axis=1 norm rounds differently and would move couple.csv
-    distances = np.array([np.linalg.norm(a - b) for a, b in zip(xs, ys)])
+    # a 1-d norm per row pair; an axis=1 norm rounds differently and would move couple.csv.
+    # Past a divergence the norms overflow; diverged_at reports that, not a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        distances = np.array([np.linalg.norm(a - b) for a, b in zip(xs, ys)])
     rate, degenerate = _fit_geometric_rate(distances)
     bound = kernel_contraction_bound(pot)
     violations = None

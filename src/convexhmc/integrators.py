@@ -142,14 +142,19 @@ def hamiltonian(pot: Potential, x: PhasePoint) -> np.ndarray:
     return pot.value(x.q) + 0.5 * np.sum(np.asarray(x.p) ** 2, axis=-1)
 
 
-def exact_gaussian_flow(eigs: Sequence[float], x: PhasePoint, T: float) -> PhasePoint:
-    """Closed-form Hamiltonian flow for U(q) = 1/2 sum lambda_i q_i^2."""
-    lam = np.asarray(eigs, dtype=float)
+def _rotation(lam: np.ndarray, T: float) -> tuple:
+    """(a, drive, kick) of the exact flow for time T on U(q) = 1/2 sum lam_i
+    q_i^2: q' = q cos(w T) + (p / w) sin(w T), p' = -q w sin(w T) + p cos(w T)
+    with w = sqrt(lam); see ``linear_flow``."""
     w = np.sqrt(lam)
     c, s = np.cos(w * T), np.sin(w * T)
-    q = x.q * c + (x.p / w) * s
-    p = -x.q * w * s + x.p * c
-    return PhasePoint(q, p)
+    return c, lambda p: (p / w) * s, lambda q, p: -q * w * s + p * c
+
+
+def exact_gaussian_flow(eigs: Sequence[float], x: PhasePoint, T: float) -> PhasePoint:
+    """Closed-form Hamiltonian flow for U(q) = 1/2 sum lambda_i q_i^2."""
+    a, drive, kick = _rotation(np.asarray(eigs, dtype=float), T)
+    return PhasePoint(a * x.q + drive(x.p), kick(x.q, x.p))
 
 
 def _triple_jump_path(pot, q, p, h, n, segments):
@@ -223,25 +228,45 @@ def _oracle_matrix(spec: IntegratorSpec, lam: np.ndarray) -> np.ndarray:
     return kick @ np.array([[1.0, h], [0.0, 1.0]]) @ kick
 
 
+def linear_flow(pot: Potential, spec: IntegratorSpec) -> Optional[tuple]:
+    """(a, drive, kick) when the flow ``spec`` names is linear, else None.
+
+    On a Gaussian target the Euler, leapfrog and exact_gaussian flows act on
+    each coordinate as a 2x2 linear map of (q_i, p_i), built here once: rows
+    (q, p) go to (a q + drive(p), kick(q, p)).  The oracle schemes take the
+    per-coordinate matrix power M^n = [[a, b], [c, e]] of n =
+    ``spec.oracle_steps`` steps, so drive(p) = b p and kick(q, p) = c q + e p;
+    exact_gaussian is the rotation of ``exact_gaussian_flow``.
+    """
+    if not pot.is_gaussian or spec.scheme == "reference":
+        return None
+    lam = pot.precision_eigenvalues
+    if not spec.order:
+        return _rotation(lam, spec.T)
+    a, b, c, e = np.linalg.matrix_power(_oracle_matrix(spec, lam),
+                                        spec.oracle_steps).reshape(-1, 4).T.copy()
+    return a, lambda p: b * p, lambda q, p: c * q + e * p
+
+
 def flow_map(pot: Potential, spec: IntegratorSpec):
     """The flow ``spec`` names, resolved once: f(q, p, g = grad U(q) or None) ->
     (q', p', g').  Euler takes n = ``spec.oracle_steps`` steps (q, p) -> (q +
     theta p, p - theta U'(q)).  Leapfrog takes n steps of length sqrt(theta),
     one gradient per point serving both half-kicks there (n + 1 calls, or n
-    given g), and returns the end gradient.  On a Gaussian target both are
-    linear: the n steps are the per-coordinate matrix power M^n, built here
-    once, and the flow calls no gradient (leapfrog's g' is lam q')."""
+    given g), and returns the end gradient.  A ``linear_flow`` (every scheme
+    but reference, on a Gaussian target) calls no gradient; leapfrog's g' is
+    then lam q'."""
     grad, theta, T = pot.gradient, spec.theta, spec.T
     n = spec.oracle_steps if spec.order else 0
-    if spec.order and pot.is_gaussian:
-        lam = pot.precision_eigenvalues
-        a, b, c, e = np.linalg.matrix_power(_oracle_matrix(spec, lam), n).reshape(-1, 4).T.copy()
-        end_gradient = spec.scheme == "leapfrog"
+    linear = linear_flow(pot, spec)
+    if linear is not None:
+        a, drive, kick = linear
+        lam = pot.precision_eigenvalues if spec.scheme == "leapfrog" else None
 
-        def linear(q, p, g=None):
-            q_n = a * q + b * p
-            return q_n, c * q + e * p, lam * q_n if end_gradient else None
-        return linear
+        def closed_form(q, p, g=None):
+            q_n = a * q + drive(p)
+            return q_n, kick(q, p), None if lam is None else lam * q_n
+        return closed_form
     if spec.scheme == "euler":
         def euler(q, p, g=None):
             for _ in range(n):
@@ -263,15 +288,13 @@ def flow_map(pot: Potential, spec: IntegratorSpec):
                 p = p - half * g
             return q, p, g
         return leapfrog
-    if spec.scheme == "exact_gaussian" and not pot.is_gaussian:
+    if spec.scheme == "exact_gaussian":
         raise IntegratorError("exact_gaussian scheme requires a Gaussian potential")
 
-    def ideal(q, p, g=None):
-        x = PhasePoint(q, p, g)
-        x = (reference_flow(pot, x, T, theta) if spec.scheme == "reference"
-             else exact_gaussian_flow(pot.precision_eigenvalues, x, T))
+    def reference(q, p, g=None):
+        x = reference_flow(pot, PhasePoint(q, p, g), T, theta)
         return x.q, x.p, x.g
-    return ideal
+    return reference
 
 
 def integrate(pot: Potential, spec: IntegratorSpec, x: PhasePoint) -> PhasePoint:

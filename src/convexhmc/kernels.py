@@ -14,12 +14,14 @@ from typing import Optional
 
 import numpy as np
 
-from .integrators import IntegratorSpec, PhasePoint, flow_map, integrate
+from .integrators import IntegratorSpec, PhasePoint, flow_map, integrate, linear_flow
 from .potentials import ConvexHMCError, Potential
 
 KERNEL_KINDS = ("ideal", "unadjusted", "metropolis")
 # a flow energy error beyond this (Stan's threshold), or not finite, marks a divergence
 DIVERGENCE_DH = 1000.0
+# steps in a linear flow's first block and in each block after a cut, and the most in any block
+_FIRST_BLOCK, _MAX_BLOCK = 8, 4096
 
 
 class KernelError(ConvexHMCError, RuntimeError):
@@ -148,8 +150,10 @@ def run_chain(pot: Potential, spec: KernelSpec, x0: np.ndarray, i_max: int,
     ``accepted`` flag marks whether the transition into the row's state was
     an accepted proposal (always true for non-Metropolis kernels).
     ``diverged_at`` is the first step whose flow energy error is not finite
-    or exceeds ``DIVERGENCE_DH`` in size.  The ledger is charged once, after
-    the loop.
+    or exceeds ``DIVERGENCE_DH`` in size; the overflow that follows it raises
+    no numpy warning.  A ``linear_flow`` runs in blocks, any other flow step
+    by step; both give the same trace bit for bit.  The ledger is charged
+    once, after the loop.
     """
     if i_max < 0:
         raise KernelError(f"i_max must be nonnegative, got {i_max}")
@@ -161,21 +165,93 @@ def run_chain(pot: Potential, spec: KernelSpec, x0: np.ndarray, i_max: int,
     accepted = np.ones(i_max + 1, dtype=bool)
     energies = np.empty(i_max + 1)
     states[0] = x
-    carried = carry(pot, spec, x)
-    step, uniform = stepper(pot, spec), spec.kind == "metropolis"
-    diverged_at = None
-    for i in range(i_max):
-        p = momenta[i]
-        energies[i] = carried[0] + 0.5 * float(p @ p)
-        u = uniforms[i] if uniform else None
-        x, accepted[i + 1], d_h, carried = step(x, p, u, carried)
-        if diverged_at is None and d_h is not None and not abs(d_h) <= DIVERGENCE_DH:
-            diverged_at = i
-        states[i + 1] = x
-    energies[i_max] = carried[0]
+    linear = linear_flow(pot, spec.integrator)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if linear is None:
+            diverged_at = _run_steps(pot, spec, momenta, uniforms, states, accepted, energies)
+        else:
+            diverged_at = _run_blocks(pot, spec, linear, momenta, uniforms,
+                                      states, accepted, energies)
+    uniform = spec.kind == "metropolis"
     taken = int(np.count_nonzero(accepted[1:])) if uniform else 0
     ledger = CostLedger(gradient_evals=spec.integrator.gradient_evals * i_max,
                         kernel_steps=i_max, accepted=taken,
                         rejected=i_max - taken if uniform else 0)
     return ChainTrace(states=states, ledger=ledger, accepted=accepted,
                       hamiltonians=energies, diverged_at=diverged_at)
+
+
+def _run_steps(pot, spec, momenta, uniforms, states, accepted, energies):
+    """``run_chain``'s loop for any flow: one ``stepper`` step at a time,
+    carrying U and grad U of the state.  Fills the trace arrays in place and
+    returns diverged_at."""
+    x = states[0]
+    carried = carry(pot, spec, x)
+    step, uniform = stepper(pot, spec), spec.kind == "metropolis"
+    diverged_at = None
+    for i, p in enumerate(momenta):
+        energies[i] = carried[0] + 0.5 * float(p @ p)
+        u = uniforms[i] if uniform else None
+        x, accepted[i + 1], d_h, carried = step(x, p, u, carried)
+        if diverged_at is None and d_h is not None and not abs(d_h) <= DIVERGENCE_DH:
+            diverged_at = i
+        states[i + 1] = x
+    energies[-1] = carried[0]
+    return diverged_at
+
+
+def _run_blocks(pot, spec, linear, momenta, uniforms, states, accepted, energies):
+    """``run_chain``'s loop for a linear flow (a, drive, kick), in blocks.
+
+    A block guesses that all its steps accept, so x_{k+1} = a x_k +
+    drive(p_k), or (Metropolis only) that all reject, so every proposal
+    starts from the same x; a block whose first step goes against the guess
+    flips it.  One ``value`` call then gives the block's dH and accept flags
+    in ``stepper``'s operations and order, so the trace is bit for bit the
+    step-by-step one.  The block is cut at its first step against the guess.
+    Blocks start at ``_FIRST_BLOCK`` steps, double up to ``_MAX_BLOCK`` while
+    the guess holds and start over after a cut.  ``energies`` holds U until
+    the kinetic terms are added at the end.  Makes no gradient call; fills
+    the trace arrays in place and returns diverged_at.
+    """
+    a, drive, kick = linear
+    value, add, i_max = pot.value, np.add.reduce, len(momenta)
+    half_kinetic = 0.5 * add(momenta * momenta, -1)
+    uniforms = np.array(uniforms) if spec.kind == "metropolis" else None
+    d_hs = np.empty(i_max)
+    energies[0] = value(states[0])
+    i, size, guess = 0, _FIRST_BLOCK, True
+    while i < i_max:
+        j = min(i + size, i_max)
+        x, u, p = states[i:j + 1], energies[i:j + 1], momenta[i:j]
+        pushes = drive(p)
+        if guess:
+            for k, push in enumerate(pushes):
+                x[k + 1] = a * x[k] + push
+            q = x[1:]
+            u[1:] = u_q = value(q)
+        else:
+            q = a * x[0] + pushes
+            u_q = value(q)
+            x[1:], u[1:] = x[0], u[0]
+        p_end = kick(x[:-1], p)
+        d_h = d_hs[i:j]
+        np.subtract(u_q + 0.5 * add(p_end * p_end, -1), u[:-1] + half_kinetic[i:j], out=d_h)
+        size = min(2 * size, _MAX_BLOCK)
+        if uniforms is not None:
+            # stepper accepts iff dH <= 0 or u < exp(-max(dH, 0)); u < 1 covers the first case
+            ok = uniforms[i:j] < np.exp(-np.maximum(d_h, 0.0))
+            r = int(ok.argmin() if guess else ok.argmax())
+            if ok[r] != guess:  # step r went the other way: keep the steps up to it
+                j, size, ok = i + r + 1, _FIRST_BLOCK, ok[:r + 1]
+                x[r + 1], u[r + 1] = (q[r], u_q[r]) if ok[r] else (x[r], u[r])
+                guess = guess if r else not guess
+            accepted[i + 1:j + 1] = ok
+        i = j
+    del uniforms, half_kinetic  # free before the last run-length temporary
+    # stacked vector products round as run_chain's per-row p @ p does; a sum would not
+    kinetic = np.matmul(momenta[:, None, :], momenta[:, :, None])[:, 0, 0]
+    kinetic *= 0.5
+    energies[:-1] += kinetic
+    far = ~(np.abs(d_hs) <= DIVERGENCE_DH)
+    return int(far.argmax()) if far.any() else None

@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -64,13 +65,20 @@ class TestCoupleCommand:
         target = tmp_path / "target.json"
         target.write_text(json.dumps({"kind": "gaussian", "eigenvalues": [1.0, 400.0]}))
         out = tmp_path / "run"
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings():  # the overflow after the divergence warns of nothing
+            warnings.simplefilter("error")
             code = main(["couple", "--target-config", str(target), "--kernel", "unadjusted",
                          "--scheme", "euler", "--theta", "0.5", "--T", "5", "--steps", "60",
                          "--seed", "16", "--out", str(out)])
-        summary = json.loads((out / "couple_summary.json").read_text())
+
+        def reject(token):
+            raise ValueError(f"{token} is not JSON")
+
+        # strict JSON: the NaN rate of the diverged distances is written as null
+        summary = json.loads((out / "couple_summary.json").read_text(), parse_constant=reject)
         assert code == 1
         assert summary["pass"] is False and summary["diverged_at"] == 0
+        assert summary["fitted_rate"] is None
 
 
 class TestCertifyCommand:

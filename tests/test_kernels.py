@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from convexhmc import (CostLedger, IntegratorError, IntegratorSpec, KernelSpec, PhasePoint,
                        carry, default_integration_time, effective_sample_size, ideal_step,
@@ -13,6 +13,8 @@ from test_integrators import counted
 
 UNIT = make_gaussian([1.0])
 PERTURBED = make_perturbed_quadratic(2, 0.2, seed=1)
+GAUSSIAN = make_gaussian([1.0, 4.0])
+STIFF = make_gaussian([1.0, 400.0])  # oracle steps of theta >= 0.01 diverge on it
 
 
 def exact_kernel(T=None):
@@ -250,39 +252,52 @@ class TestCarriedState:
         assert trace.ledger.gradient_evals == 2 * 200 * n
 
     def test_gaussian_chain_calls_no_gradient_in_its_flow(self):
-        # the closed-form flow makes no call; only the initial carry does,
-        # while the ledger still charges the paper's 2 N n
+        # the closed-form flow runs in blocks and makes no call, not even for
+        # the start, while the ledger still charges the paper's 2 N n
         pot, rows = counted(make_gaussian([0.5, 2.0]))
         spec = KernelSpec("metropolis", IntegratorSpec("leapfrog", theta=0.2, T=1.2))
         n = spec.integrator.oracle_steps
         trace = run_chain(pot, spec, np.array([0.5, -0.5]), 200, seed=4)
         assert trace.ledger.rejected > 0
-        assert rows[0] == 1
+        assert rows[0] == 0
         assert trace.ledger.gradient_evals == 2 * 200 * n
 
-    @settings(max_examples=30, deadline=None, database=None)
-    @given(st.sampled_from(["metropolis", "unadjusted"]), st.sampled_from(["leapfrog", "euler"]),
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(st.sampled_from([PERTURBED, GAUSSIAN]),
+           st.sampled_from([("metropolis", "leapfrog"), ("metropolis", "euler"),
+                            ("metropolis", "exact_gaussian"), ("unadjusted", "leapfrog"),
+                            ("unadjusted", "euler"), ("ideal", "exact_gaussian")]),
            st.floats(0.01, 0.5), st.integers(0, 2**32 - 1))
-    def test_run_chain_composes_single_steps(self, kind, scheme, theta, seed):
-        # run_chain carries U and grad U; stepping from scratch each time must agree
+    @example(STIFF, ("unadjusted", "euler"), 0.5, 16)
+    @example(STIFF, ("metropolis", "leapfrog"), 0.3, 16)
+    def test_run_chain_composes_single_steps(self, pot, kernel, theta, seed):
+        # run_chain carries U and grad U, and runs a linear flow in blocks cut
+        # at their first step against the guess; stepping from scratch each
+        # time must agree over several blocks, with rejections and divergences
+        kind, scheme = kernel
+        assume(pot.is_gaussian or scheme != "exact_gaussian")
         spec = KernelSpec(kind, IntegratorSpec(scheme, theta=theta, T=0.8))
-        steps = 40
+        steps = 200
         x = np.array([1.0, -0.5])
-        trace = run_chain(PERTURBED, spec, x, steps, seed)
-        momenta, uniforms = update_sequence(seed, PERTURBED.dim, steps)
-        states, energies, accepted = [x], [], [True]
-        for p, u in zip(momenta, uniforms):
-            energies.append(PERTURBED.value(x) + 0.5 * float(p @ p))
-            if kind == "metropolis":
-                x, ok = metropolis_step(PERTURBED, spec, x, p, u)[:2]
-            else:
-                x, ok = stepper(PERTURBED, spec)(x, p)[0], True
-            states.append(x)
-            accepted.append(ok)
-        energies.append(PERTURBED.value(x))
+        trace = run_chain(pot, spec, x, steps, seed)
+        momenta, uniforms = update_sequence(seed, pot.dim, steps)
+        states, energies, accepted, diverged_at = [x], [], [True], None
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i, (p, u) in enumerate(zip(momenta, uniforms)):
+                energies.append(pot.value(x) + 0.5 * float(p @ p))
+                if kind == "metropolis":
+                    x, ok, d_h = metropolis_step(pot, spec, x, p, u)[:3]
+                else:
+                    x, ok, d_h = stepper(pot, spec)(x, p, None, carry(pot, spec, x))[:3]
+                if diverged_at is None and not abs(d_h) <= 1000.0:
+                    diverged_at = i
+                states.append(x)
+                accepted.append(ok)
+            energies.append(pot.value(x))
         assert np.array_equal(trace.states, np.array(states), equal_nan=True)
         assert np.array_equal(trace.hamiltonians, np.array(energies), equal_nan=True)
         assert np.array_equal(trace.accepted, np.array(accepted))
+        assert trace.diverged_at == diverged_at
         taken = sum(accepted[1:]) if kind == "metropolis" else 0
         rejected = steps - taken if kind == "metropolis" else 0
         assert trace.ledger == CostLedger(spec.integrator.gradient_evals * steps, steps,
