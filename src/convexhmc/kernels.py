@@ -53,13 +53,13 @@ class CostLedger:
 
 def update_sequence(seed: int, dim: int, steps: int) -> tuple:
     """(momenta, uniforms) of a chain: ``steps`` N(0, I_dim) rows and as many
-    Metropolis uniforms, as Python floats.  Identical seeds reproduce both bit
+    Metropolis uniforms, both float64 arrays.  Identical seeds reproduce both bit
     for bit; the uniforms' spawned stream is independent of the momenta's, so
     coupled chains can share either or both.  One block draw consumes each
     generator exactly like one-at-a-time draws."""
     mom_ss, unif_ss = np.random.SeedSequence(seed).spawn(2)
     momenta = np.random.Generator(np.random.PCG64(mom_ss)).standard_normal((steps, dim))
-    return momenta, np.random.Generator(np.random.PCG64(unif_ss)).random(steps).tolist()
+    return momenta, np.random.Generator(np.random.PCG64(unif_ss)).random(steps)
 
 
 @dataclass(frozen=True)
@@ -187,11 +187,12 @@ def _run_steps(pot, spec, momenta, uniforms, states, accepted, energies):
     returns diverged_at."""
     x = states[0]
     carried = carry(pot, spec, x)
-    step, uniform = stepper(pot, spec), spec.kind == "metropolis"
+    step = stepper(pot, spec)
+    # indexing a list per step is cheaper than making a numpy scalar
+    uniforms = uniforms.tolist() if spec.kind == "metropolis" else [None] * len(momenta)
     diverged_at = None
-    for i, p in enumerate(momenta):
+    for i, (p, u) in enumerate(zip(momenta, uniforms)):
         energies[i] = carried[0] + 0.5 * float(p @ p)
-        u = uniforms[i] if uniform else None
         x, accepted[i + 1], d_h, carried = step(x, p, u, carried)
         if diverged_at is None and d_h is not None and not abs(d_h) <= DIVERGENCE_DH:
             diverged_at = i
@@ -217,7 +218,7 @@ def _run_blocks(pot, spec, linear, momenta, uniforms, states, accepted, energies
     a, drive, kick = linear
     value, add, i_max = pot.value, np.add.reduce, len(momenta)
     half_kinetic = 0.5 * add(momenta * momenta, -1)
-    uniforms = np.array(uniforms) if spec.kind == "metropolis" else None
+    uniforms = uniforms if spec.kind == "metropolis" else None
     d_hs = np.empty(i_max)
     energies[0] = value(states[0])
     i, size, guess = 0, _FIRST_BLOCK, True
@@ -248,7 +249,7 @@ def _run_blocks(pot, spec, linear, momenta, uniforms, states, accepted, energies
                 guess = guess if r else not guess
             accepted[i + 1:j + 1] = ok
         i = j
-    del uniforms, half_kinetic  # free before the last run-length temporary
+    del half_kinetic  # free before the last run-length temporary
     # stacked vector products round as run_chain's per-row p @ p does; a sum would not
     kinetic = np.matmul(momenta[:, None, :], momenta[:, :, None])[:, 0, 0]
     kinetic *= 0.5

@@ -2,7 +2,8 @@
 
 Wasserstein-1 between equal-weight empirical measures is computed exactly:
 by sorting in one dimension and by an exact minimum-cost perfect matching
-in general.  The sliced variant is a scalable lower-bound surrogate.
+in general, which starts from the duals of ``w1_lower_bound``.  The sliced
+variant is a scalable lower-bound surrogate.
 """
 
 from __future__ import annotations
@@ -17,8 +18,9 @@ from scipy.spatial.distance import cdist
 from .potentials import ConvexHMCError
 
 ASSIGNMENT_GUARD = 2048
-# rows per block of the dual lower bound: a 32 x n temporary, not n x n
-DUAL_BLOCK_ROWS = 32
+# rows per block of the dual column minima and of the matched costs: 32 x n
+# and 32 x 32 temporaries, not a second n x n array
+BLOCK_ROWS = 32
 MOMENT_Z_LIMIT = 5.0
 
 
@@ -51,13 +53,32 @@ def w1_assignment(a, b) -> float:
         raise MetricError(f"batch shapes differ: {pa.shape} vs {pb.shape}")
     if pa.shape[0] > ASSIGNMENT_GUARD:
         raise MetricError(f"assignment solver capped at n <= {ASSIGNMENT_GUARD}, got {pa.shape[0]}")
-    return assignment(cdist(pa, pb))[0]
+    return assignment(pa, pb, cdist(pa, pb))[0]
 
 
-def assignment(cost: np.ndarray) -> tuple[float, np.ndarray]:
-    """Exact W1 of a square cost matrix and its optimal matching (row i -> cols[i])."""
+def assignment(a: np.ndarray, b: np.ndarray, cost: np.ndarray) -> tuple[float, np.ndarray]:
+    """Exact W1 of the (n, d) batches a, b and its optimal matching (row i -> cols[i]).
+
+    ``cost`` must hold ``cdist(a, b)``; the solve runs in it and leaves the
+    reduced costs ``c - u[:, None] - v`` of the ``w1_lower_bound`` duals
+    there.  They are nonnegative with a zero in every row and column, so the
+    solver starts from feasible prices, and shifting a row or a column by a
+    constant changes no optimal matching.  On the line many matchings are
+    optimal and rounding in the reduced costs could pick another, so d = 1
+    solves ``cost`` unchanged.  W1 sums the matched pairs' ``cdist`` values,
+    bit for bit a plain solve's.
+    """
+    if a.shape[1] > 1:
+        u, v = _duals(cost)
+        cost -= u[:, None]
+        cost -= v
     _, cols = linear_sum_assignment(cost)
-    return matching_cost(cost, cols), cols
+    # a pair's cdist value does not depend on the batch it is computed in, so
+    # the diagonals of BLOCK_ROWS x BLOCK_ROWS blocks give the matched costs
+    matched = np.concatenate([
+        cdist(a[start:start + BLOCK_ROWS], b[cols[start:start + BLOCK_ROWS]]).diagonal()
+        for start in range(0, len(cols), BLOCK_ROWS)])
+    return float(np.sort(matched).mean()), cols  # summed as matching_cost sums
 
 
 def matching_cost(cost: np.ndarray, cols: np.ndarray) -> float:
@@ -67,18 +88,26 @@ def matching_cost(cost: np.ndarray, cols: np.ndarray) -> float:
     return float(np.sort(cost[np.arange(cost.shape[0]), cols]).mean())
 
 
-def w1_lower_bound(cost: np.ndarray) -> float:
-    """Dual lower bound on W1 from the double c-transform of a square cost matrix.
+def _duals(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Double c-transform duals: u = row minima of c, v = column minima of c - u.
 
-    u = row minima and v = column minima of (c - u) satisfy u_i + v_j <= c_ij,
-    so mean(u) + mean(v) never exceeds the optimal matching's mean cost.  v is
-    reduced over row blocks so no second n x n array is allocated.
+    v is reduced over row blocks so no second n x n array is allocated.
     """
     u = cost.min(axis=1)
     v = np.full(cost.shape[1], np.inf)
-    for start in range(0, cost.shape[0], DUAL_BLOCK_ROWS):
-        stop = start + DUAL_BLOCK_ROWS
+    for start in range(0, cost.shape[0], BLOCK_ROWS):
+        stop = start + BLOCK_ROWS
         np.minimum(v, (cost[start:stop] - u[start:stop, None]).min(axis=0), out=v)
+    return u, v
+
+
+def w1_lower_bound(cost: np.ndarray) -> float:
+    """Dual lower bound on W1 from the double c-transform of a square cost matrix.
+
+    The duals u, v of ``_duals`` satisfy u_i + v_j <= c_ij, so mean(u) +
+    mean(v) never exceeds the optimal matching's mean cost.
+    """
+    u, v = _duals(cost)
     return float(u.mean() + v.mean())
 
 

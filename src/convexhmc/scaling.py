@@ -21,7 +21,9 @@ decide a pass; the double c-transform dual bounds it from below and can
 decide a fail; only when neither clears floor + epsilon by the relative
 margin BOUND_MARGIN does the exact assignment solver run, and its matching
 joins the row's list.  The accepted theta's excess is then solved exactly, so
-every decision and every reported number equals an all-exact run.
+every decision and every reported number equals an all-exact run.  Each
+exact solve, the floor's included, is ``metrics.assignment``: it starts from
+the lower bound's duals, in the theta's own cost matrix.
 """
 
 from __future__ import annotations
@@ -125,7 +127,7 @@ def _run_row(kernel: str, scheme: str, dim: int, epsilon: float, replicas: int,
             return True, None, ends
         if metrics.w1_lower_bound(cost) >= budget * (1.0 + BOUND_MARGIN):
             return False, None, ends
-        w1, cols = metrics.assignment(cost)
+        w1, cols = metrics.assignment(ends, ref, cost)
         matchings.append(cols)
         excess = w1 - floor
         return excess <= epsilon, excess, ends
@@ -156,7 +158,7 @@ def _run_row(kernel: str, scheme: str, dim: int, epsilon: float, replicas: int,
                 hi = mid
         theta, excess, ends = best
     if excess is None:
-        excess = metrics.assignment(metrics.cdist(ends, ref))[0] - floor
+        excess = metrics.assignment(ends, ref, metrics.cdist(ends, ref))[0] - floor
     spec = IntegratorSpec(scheme, theta=theta, T=T)
     per_chain = spec.gradient_evals * steps
     return ScalingRow(

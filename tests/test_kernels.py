@@ -26,7 +26,7 @@ class TestUpdateSequence:
         a_mom, a_unif = update_sequence(123, 5, 600)
         b_mom, b_unif = update_sequence(123, 5, 600)
         np.testing.assert_array_equal(a_mom, b_mom)
-        assert a_unif == b_unif
+        assert a_unif.tobytes() == b_unif.tobytes()
 
     def test_streams_are_standard(self):
         draws = update_sequence(7, 3, 20000)[0]
@@ -40,10 +40,11 @@ class TestUpdateSequence:
         mom_ss, unif_ss = np.random.SeedSequence(11).spawn(2)
         mom = np.random.Generator(np.random.PCG64(mom_ss))
         unif = np.random.Generator(np.random.PCG64(unif_ss))
-        assert momenta.shape == (600, 3) and len(uniforms) == 600
+        assert momenta.shape == (600, 3) and uniforms.shape == (600,)
+        assert uniforms.dtype == np.float64
         for p, u in zip(momenta, uniforms):
             np.testing.assert_array_equal(p, mom.standard_normal(3))
-            assert type(u) is float and u == unif.random()
+            assert u.tobytes() == np.float64(unif.random()).tobytes()
 
     def test_different_seeds_differ(self):
         a = update_sequence(1, 2, 1)[0]

@@ -1,9 +1,11 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
 from convexhmc import (effective_sample_size, gaussian_moment_test, prokhorov_upper,
@@ -111,10 +113,9 @@ class TestAssignmentBounds:
     @given(batch_pairs())
     def test_solver_matching_cost_is_w1_bit_for_bit(self, case):
         a, b, _ = case
-        cost = cdist(a, b)
-        w1, cols = assignment(cost)
+        w1, cols = assignment(a, b, cdist(a, b))
         assert w1 == w1_assignment(a, b)
-        assert matching_cost(cost, cols) == w1_assignment(a, b)
+        assert matching_cost(cdist(a, b), cols) == w1_assignment(a, b)
 
     def test_lower_bound_matches_unblocked_dual(self):
         cost = cdist(*np.random.default_rng(12).standard_normal((2, 100, 3)))
@@ -126,6 +127,73 @@ class TestAssignmentBounds:
         a = np.array([[0.0], [5.0], [10.0]])
         cost = cdist(a, a + 0.5)
         assert w1_lower_bound(cost) == pytest.approx(0.5, abs=1e-15)
+
+
+@st.composite
+def tied_batches(draw):
+    """(a, b, tied_rows): two (n, d) batches, n in [1, 64] and d in [1, 5].
+
+    Some points may be shared across the batches (zero costs) or repeated
+    inside ``a`` (tied rows, so several matchings are optimal).
+    """
+    n, d = draw(st.integers(1, 64)), draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.standard_normal((n, d)) * draw(st.floats(1e-3, 1e3))
+    b = rng.standard_normal((n, d)) * draw(st.floats(1e-3, 1e3)) + draw(st.floats(-10.0, 10.0))
+    ties = draw(st.sampled_from(["none", "across", "within"]))
+    if ties == "across":
+        b[: n // 2] = a[: n // 2]
+    elif ties == "within":
+        a[n - n // 2:] = a[: n // 2]
+    return a, b, ties == "within" and n > 1
+
+
+def matched_pairs(a, b, cols):
+    """The matching as sorted (a_i, b_cols[i]) rows: blind to which of two equal points is which."""
+    pairs = np.hstack([a, b[cols]])
+    return pairs[np.lexsort(pairs.T[::-1])]
+
+
+class TestReducedSolve:
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(tied_batches())
+    def test_equals_plain_solve_on_raw_costs(self, case):
+        a, b, tied_rows = case
+        cost = cdist(a, b)
+        w1, cols = assignment(a, b, cost)
+        raw = cdist(a, b)
+        _, raw_cols = linear_sum_assignment(raw)
+        assert w1 == matching_cost(raw, raw_cols)
+        np.testing.assert_array_equal(matched_pairs(a, b, cols), matched_pairs(a, b, raw_cols))
+        if not tied_rows:
+            np.testing.assert_array_equal(cols, raw_cols)
+        # the solve ran in the cost matrix: it holds the reduced costs, or for
+        # d = 1 the costs as they were
+        if a.shape[1] == 1:
+            assert cost.tobytes() == raw.tobytes()
+        else:
+            assert not cost.min(axis=1).any() and not cost.min(axis=0).any()
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_nan_input_raises(self, d):
+        a, b = np.random.default_rng(14).standard_normal((2, 6, d))
+        a[2, 0] = np.nan
+        with pytest.raises(ValueError):
+            w1_assignment(a, b)
+        with pytest.raises(ValueError):
+            w1_assignment(b, a)
+
+    def test_one_solve_allocates_one_cost_matrix(self):
+        n = 1024
+        a, b = np.random.default_rng(15).standard_normal((2, n, 8))
+        tracemalloc.start()
+        try:
+            w1_assignment(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the n x n float64 cost matrix and O(n) extras, no second n x n array
+        assert peak < 1.5 * n * n * 8
 
 
 class TestSliced:
