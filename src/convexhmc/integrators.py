@@ -24,6 +24,7 @@ _ORACLE_ORDER = {"euler": 1, "leapfrog": 2}
 _W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
 _TRIPLE_JUMP = (_W1, 1.0 - 2.0 * _W1, _W1)  # Yoshida (1990), fourth order
 _MAX_DOUBLINGS = 16
+MAX_ORACLE_STEPS = 2**21  # above a scaling study's last halving, 2^20 Euler steps
 
 
 class IntegratorError(ConvexHMCError, RuntimeError):
@@ -66,6 +67,9 @@ class IntegratorSpec:
             raise IntegratorError(f"theta must be positive, got {self.theta}")
         if self.T < 0.0:
             raise IntegratorError(f"T must be nonnegative, got {self.T}")
+        if self.order and not self.T / self.theta ** (1.0 / self.order) <= MAX_ORACLE_STEPS:
+            raise IntegratorError(f"theta={self.theta} takes more than {MAX_ORACLE_STEPS} "
+                                  f"{self.scheme} oracle steps to reach T={self.T}")
 
     @property
     def order(self) -> Optional[int]:
@@ -210,7 +214,9 @@ def flow_trajectory(pot: Potential, x: PhasePoint, T: float, snapshots: int,
                 path = np.moveaxis(path, 0, 2).reshape((snapshots + 1, 2) + x.q.shape)
                 return np.linspace(0.0, T, snapshots + 1), path[:, 0], path[:, 1]
         prev, n = cur, 2 * n
-    raise IntegratorError(f"flow did not converge to tol={tol} within {_MAX_DOUBLINGS} doublings")
+    q = float(np.max(np.abs(prev[..., 0, :])))
+    raise IntegratorError(f"flow did not converge to tol={tol} within {_MAX_DOUBLINGS} doublings: "
+                          f"|q_i| reaches {q:.3g}, where float64 spacing is {np.spacing(q):.2g}")
 
 
 def _oracle_matrix(spec: IntegratorSpec, lam: np.ndarray) -> np.ndarray:
@@ -308,7 +314,10 @@ def guarded_step(pot: Potential, spec: IntegratorSpec, good: GoodSetSpec):
     row outside the Euler flow, each with ``spec``'s theta and T; ``inside``
     is the membership mask that chose them."""
     sharp = flow_map(pot, IntegratorSpec("leapfrog", theta=spec.theta, T=spec.T))
-    club = flow_map(pot, IntegratorSpec("euler", theta=spec.theta, T=spec.T))
+    try:
+        club = flow_map(pot, IntegratorSpec("euler", theta=spec.theta, T=spec.T))
+    except IntegratorError as err:  # the oracle step cap, reached by the Euler flow alone
+        raise IntegratorError(f"rows outside the good set take the Euler flow: {err}") from None
 
     def step(q, p):
         inside = good.contains(PhasePoint(q, p))

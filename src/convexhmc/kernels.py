@@ -112,8 +112,12 @@ def stepper(pot: Potential, spec: KernelSpec):
     value, metropolis = pot.value, spec.kind == "metropolis"
     add = np.add.reduce  # ndarray.sum without its Python wrapper
     flow = flow_map(pot, spec.integrator)
+    linear = None if metropolis else linear_flow(pot, spec.integrator)
 
     def step(x, p, u=None, carried=None):
+        if carried is None and linear is not None:  # nothing reads a linear flow's p'
+            q = linear[0] * x + linear[1](p)
+            return q, np.ones(q.shape[:-1], dtype=bool), None, None
         if carried is None and metropolis:
             carried = carry(pot, spec, x)
         u_x, g_x = (None, None) if carried is None else carried

@@ -2,7 +2,7 @@
 
 Wasserstein-1 between equal-weight empirical measures is computed exactly:
 by sorting in one dimension and by an exact minimum-cost perfect matching
-in general, which starts from the duals of ``w1_lower_bound``.  The sliced
+in general, which starts from the duals of ``dual_prices``.  The sliced
 variant is a scalable lower-bound surrogate.
 """
 
@@ -13,11 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
-from scipy.spatial.distance import cdist
+from scipy.spatial import distance
 
 from .potentials import ConvexHMCError
 
 ASSIGNMENT_GUARD = 2048
+GEMM_MIN_DIM = 16
 # rows per block of the dual column minima and of the matched costs: 32 x n
 # and 32 x 32 temporaries, not a second n x n array
 BLOCK_ROWS = 32
@@ -53,30 +54,43 @@ def w1_assignment(a, b) -> float:
         raise MetricError(f"batch shapes differ: {pa.shape} vs {pb.shape}")
     if pa.shape[0] > ASSIGNMENT_GUARD:
         raise MetricError(f"assignment solver capped at n <= {ASSIGNMENT_GUARD}, got {pa.shape[0]}")
-    return assignment(pa, pb, cdist(pa, pb))[0]
+    return assignment(pa, pb, distance.cdist(pa, pb))[0]
 
 
-def assignment(a: np.ndarray, b: np.ndarray, cost: np.ndarray) -> tuple[float, np.ndarray]:
+def cdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Euclidean costs between the rows of a and b: scipy's ``cdist`` below d =
+    ``GEMM_MIN_DIM``, else sqrt(max(|x|^2 + |y|^2 - 2 x.y, 0)) from one matrix
+    product, faster and about 1e-15 relative from it for apart points; near-coincident
+    ones cancel to sqrt((d + 3) eps) (|x| + |y|) absolute, so ``w1_assignment`` uses scipy."""
+    if a.shape[1] < GEMM_MIN_DIM:
+        return distance.cdist(a, b)
+    cost = a @ (-2.0 * b).T  # scaling by -2 is exact, so this is -2 (a @ b.T)
+    cost += np.einsum("ij,ij->i", a, a)[:, None]
+    cost += np.einsum("ij,ij->i", b, b)
+    return np.sqrt(np.maximum(cost, 0.0, out=cost), out=cost)
+
+
+def assignment(a: np.ndarray, b: np.ndarray, cost: np.ndarray,
+               duals: tuple | None = None) -> tuple[float, np.ndarray]:
     """Exact W1 of the (n, d) batches a, b and its optimal matching (row i -> cols[i]).
 
-    ``cost`` must hold ``cdist(a, b)``; the solve runs in it and leaves the
-    reduced costs ``c - u[:, None] - v`` of the ``w1_lower_bound`` duals
-    there.  They are nonnegative with a zero in every row and column, so the
-    solver starts from feasible prices, and shifting a row or a column by a
-    constant changes no optimal matching.  On the line many matchings are
-    optimal and rounding in the reduced costs could pick another, so d = 1
-    solves ``cost`` unchanged.  W1 sums the matched pairs' ``cdist`` values,
-    bit for bit a plain solve's.
+    ``cost`` must hold ``cdist(a, b)`` and ``duals``, if given, its
+    ``dual_prices``.  The solve leaves the reduced costs ``c - u[:, None] - v``
+    in ``cost``: nonnegative with a zero in every row and column, so the solver
+    starts from feasible prices, with the same optimal matchings.  On the line
+    many matchings are optimal and rounding could pick another, so d = 1 solves
+    ``cost`` as it is.  W1 sums the matched pairs' scipy ``cdist`` values, bit
+    for bit a plain solve's.
     """
     if a.shape[1] > 1:
-        u, v = _duals(cost)
+        u, v = dual_prices(cost) if duals is None else duals
         cost -= u[:, None]
         cost -= v
     _, cols = linear_sum_assignment(cost)
-    # a pair's cdist value does not depend on the batch it is computed in, so
-    # the diagonals of BLOCK_ROWS x BLOCK_ROWS blocks give the matched costs
+    # a pair's scipy cdist value does not depend on the batch it is computed
+    # in, so the diagonals of BLOCK_ROWS x BLOCK_ROWS blocks give the matched costs
     matched = np.concatenate([
-        cdist(a[start:start + BLOCK_ROWS], b[cols[start:start + BLOCK_ROWS]]).diagonal()
+        distance.cdist(a[start:start + BLOCK_ROWS], b[cols[start:start + BLOCK_ROWS]]).diagonal()
         for start in range(0, len(cols), BLOCK_ROWS)])
     return float(np.sort(matched).mean()), cols  # summed as matching_cost sums
 
@@ -88,7 +102,7 @@ def matching_cost(cost: np.ndarray, cols: np.ndarray) -> float:
     return float(np.sort(cost[np.arange(cost.shape[0]), cols]).mean())
 
 
-def _duals(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def dual_prices(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Double c-transform duals: u = row minima of c, v = column minima of c - u.
 
     v is reduced over row blocks so no second n x n array is allocated.
@@ -101,13 +115,9 @@ def _duals(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return u, v
 
 
-def w1_lower_bound(cost: np.ndarray) -> float:
-    """Dual lower bound on W1 from the double c-transform of a square cost matrix.
-
-    The duals u, v of ``_duals`` satisfy u_i + v_j <= c_ij, so mean(u) +
-    mean(v) never exceeds the optimal matching's mean cost.
-    """
-    u, v = _duals(cost)
+def w1_lower_bound(duals: tuple) -> float:
+    """Lower bound on W1 from ``dual_prices(cost)``: mean(u) + mean(v), as u_i + v_j <= c_ij."""
+    u, v = duals
     return float(u.mean() + v.mean())
 
 

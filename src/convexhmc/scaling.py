@@ -19,11 +19,17 @@ theta is decided from its cost matrix in three tries: a matching already
 solved in the row, applied to the new costs, bounds W1 from above and can
 decide a pass; the double c-transform dual bounds it from below and can
 decide a fail; only when neither clears floor + epsilon by the relative
-margin BOUND_MARGIN does the exact assignment solver run, and its matching
-joins the row's list.  The accepted theta's excess is then solved exactly, so
-every decision and every reported number equals an all-exact run.  Each
-exact solve, the floor's included, is ``metrics.assignment``: it starts from
-the lower bound's duals, in the theta's own cost matrix.
+margin BOUND_MARGIN does the exact assignment solver run, from those duals,
+and its matching joins the row's list.  The accepted theta's excess is then
+solved exactly, so every decision and every reported number equals an
+all-exact run.
+
+The thetas are decided in that order but measured in passes over the chain's
+seeded stream that draw each step's momenta once: the starting theta alone,
+then the next ``LADDER_WIDTH`` halvings or every midpoint of the next
+``REFINE_LEVELS`` levels, at most replicas/d thetas (one cost matrix's memory),
+each bit for bit its own run.  With d >= 16 costs from one matrix product, the
+benchmark's study (d = 8, 32) took 1.07 against 1.37 s (``BENCH_16.json``).
 """
 
 from __future__ import annotations
@@ -46,6 +52,7 @@ BOUND_MARGIN = 1e-9
 # log-scale bisection steps refine the first theta that passed
 MAX_HALVINGS = 20
 REFINE_STEPS = 5
+LADDER_WIDTH, REFINE_LEVELS = 4, 3  # thetas per pass: halving rungs, refinement levels
 # the 50 in the chain length I of the module docstring
 MIN_CHAIN_STEPS = 50
 
@@ -88,17 +95,26 @@ def chain_length(pot: Potential, epsilon: float) -> int:
     return max(MIN_CHAIN_STEPS, math.ceil(ratio**2 * math.log(ratio / epsilon)))
 
 
-def _endpoints(pot: Potential, kernel: str, scheme: str, theta: float, T: float,
-               steps: int, replicas: int, seed: int) -> np.ndarray:
-    step = stepper(pot, KernelSpec(kernel, IntegratorSpec(scheme, theta=theta, T=T)))
+def _endpoints(pot: Potential, kernel: str, scheme: str, thetas: Sequence[float],
+               T: float, steps: int, replicas: int, seed: int) -> list:
+    """The chain's endpoints at each of ``thetas``, each step's draws shared."""
+    moves = [stepper(pot, KernelSpec(kernel, IntegratorSpec(scheme, theta=t, T=T))) for t in thetas]
     rng = np.random.default_rng(seed)
-    x = np.zeros((replicas, pot.dim))
-    carried = None
+    xs, carried = [np.zeros((replicas, pot.dim)) for _ in thetas], [None] * len(thetas)
     for _ in range(steps):
         p = rng.standard_normal((replicas, pot.dim))
         u = rng.random(replicas) if kernel == "metropolis" else None
-        x, _, _, carried = step(x, p, u, carried)
-    return x
+        for k, move in enumerate(moves):
+            xs[k], _, _, carried[k] = move(xs[k], p, u, carried[k])
+    return xs
+
+
+def _midpoints(lo: float, hi: float, levels: int) -> list:
+    """``levels`` levels of bisection midpoints on [lo, hi]: first, pass side, fail side."""
+    if not levels:
+        return []
+    mid = 0.5 * (lo + hi)
+    return [mid, *_midpoints(mid, hi, levels - 1), *_midpoints(lo, mid, levels - 1)]
 
 
 def _gaussian_reference(pot: Potential, replicas: int, seed: int) -> np.ndarray:
@@ -117,45 +133,50 @@ def _run_row(kernel: str, scheme: str, dim: int, epsilon: float, replicas: int,
     budget = floor + epsilon
     chain_seed = seed * 7 + 3
     matchings = []  # optimal matchings solved in this row
+    width, batches = max(1, replicas // dim), {}  # the last pass's batches by theta
 
-    def measure(theta):
-        """(excess within budget, exact excess or None if a bound decided, ends)."""
-        ends = _endpoints(pot, kernel, scheme, theta, T, steps, replicas, chain_seed)
+    def measure(thetas):
+        """(thetas[0] within budget, exact excess or None if a bound decided, ends); a
+        theta outside the last pass starts a new one with the next ``width`` thetas."""
+        if thetas[0] not in batches:
+            batches.clear()
+            batches.update(zip(thetas[:width], _endpoints(
+                pot, kernel, scheme, thetas[:width], T, steps, replicas, chain_seed)))
+        ends = batches[thetas[0]]
         cost = metrics.cdist(ends, ref)
         if matchings and min(metrics.matching_cost(cost, cols)
                              for cols in matchings) <= budget * (1.0 - BOUND_MARGIN):
             return True, None, ends
-        if metrics.w1_lower_bound(cost) >= budget * (1.0 + BOUND_MARGIN):
+        duals = metrics.dual_prices(cost)
+        if metrics.w1_lower_bound(duals) >= budget * (1.0 + BOUND_MARGIN):
             return False, None, ends
-        w1, cols = metrics.assignment(ends, ref, cost)
+        w1, cols = metrics.assignment(ends, ref, cost, duals)
         matchings.append(cols)
         excess = w1 - floor
         return excess <= epsilon, excess, ends
 
     # the first oracle step theta^(1/k) is T itself, so no accepted step
-    # integrates past the kernel's time
-    theta = T**IntegratorSpec(scheme).order
-    passed, excess, ends = measure(theta)
-    if not passed:
-        for attempt in range(MAX_HALVINGS + 1):
-            if attempt == MAX_HALVINGS:
-                raise ScalingError(
-                    f"theta bisection exhausted {MAX_HALVINGS} halvings at d={dim} "
-                    f"without reaching the W1 budget {epsilon}")
-            theta /= 2.0
-            passed, excess, ends = measure(theta)
-            if passed:
-                break
+    # integrates past the kernel's time; halving it is exact
+    ladder = [T**IntegratorSpec(scheme).order / 2.0**j for j in range(MAX_HALVINGS + 1)]
+    for rung, theta in enumerate(ladder):
+        passed, excess, ends = measure(ladder[rung:rung + (LADDER_WIDTH if rung else 1)])
+        if passed:
+            break
+    else:
+        raise ScalingError(
+            f"theta bisection exhausted {MAX_HALVINGS} halvings at d={dim} "
+            f"without reaching the W1 budget {epsilon}")
+    if rung:
         lo, hi = math.log(theta), math.log(theta * 2.0)
         best = (theta, excess, ends)
-        for _ in range(REFINE_STEPS):
-            mid = 0.5 * (lo + hi)
-            mid_passed, *mid_rest = measure(math.exp(mid))
+        for step in range(REFINE_STEPS):
+            mids = _midpoints(lo, hi, min(REFINE_LEVELS, REFINE_STEPS - step))
+            mid_passed, *mid_rest = measure([math.exp(mid) for mid in mids])
             if mid_passed:
-                lo = mid
-                best = (math.exp(mid), *mid_rest)
+                lo = mids[0]
+                best = (math.exp(mids[0]), *mid_rest)
             else:
-                hi = mid
+                hi = mids[0]
         theta, excess, ends = best
     if excess is None:
         excess = metrics.assignment(ends, ref, metrics.cdist(ends, ref))[0] - floor

@@ -600,6 +600,31 @@ class TestInputErrors:
         err = one_line_error(capsys, ["distance", "a.csv", "a.csv"], "ConfigError: ./a.csv: ")
         assert not (tmp_path / "distance_summary.json").exists()
 
+    def test_theta_past_the_oracle_step_cap_exits_2(self, tmp_path, capsys):
+        # the flow would take about 1e299 Euler steps per kernel step
+        target = tmp_path / "target.json"
+        target.write_text(json.dumps({"kind": "gaussian", "eigenvalues": [1.0, 4.0]}))
+        err = one_line_error(capsys, ["sample", "--target-config", str(target), "--kernel",
+                                      "unadjusted", "--scheme", "euler", "--theta", "1e-300",
+                                      "--seed", "0", "--out", str(tmp_path / "out")],
+                             "IntegratorError: theta=1e-300 takes more than 2097152 euler")
+        assert "oracle steps" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_goodset_theta_past_the_euler_cap_names_the_euler_flow(self, tmp_path, capsys):
+        # 1e4 leapfrog steps, but 1e8 for the Euler flow of rows outside the good set
+        conf = {"task": "goodset",
+                "target": {"kind": "separable",
+                           "block": {"kind": "gaussian", "eigenvalues": [1.0]}, "copies": 8},
+                "kernel": {"kind": "unadjusted",
+                           "integrator": {"scheme": "leapfrog", "theta": 1e-8}},
+                "goodset": {"block_dim": 1}, "run": {"seed": 2, "steps": 20, "replicas": 30}}
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps(conf))
+        one_line_error(capsys, ["run", "--config", str(path), "--out", str(tmp_path / "out")],
+                       "IntegratorError: rows outside the good set take the Euler flow: "
+                       "theta=1e-08 takes more than 2097152 euler oracle steps")
+
     @pytest.mark.parametrize("flags, field", [
         (["--theta", "nan"], "$.kernel.integrator.theta: nan"),
         (["--theta", "inf"], "$.kernel.integrator.theta: inf"),

@@ -139,6 +139,15 @@ class TestComposedIntegrator:
         assert 15 * math.sqrt(theta) == T
         assert IntegratorSpec("leapfrog", theta=theta, T=T).oracle_steps == 15
 
+    def test_oracle_steps_capped(self):
+        # a scaling study's last halving, 2^20 Euler steps, stays admitted
+        T = 0.35355339059327373
+        assert IntegratorSpec("euler", theta=T / 2**20, T=T).oracle_steps == 2**20
+        for scheme, theta, T in (("euler", 1e-300, 0.5), ("leapfrog", 5e-324, 1e300),
+                                 ("euler", 0.5 / (integrators.MAX_ORACLE_STEPS + 2), 0.5)):
+            with pytest.raises(IntegratorError, match="more than 2097152 .* oracle steps"):
+                IntegratorSpec(scheme, theta=theta, T=T)
+
     def test_batch_rows_flow_alone(self):
         # the charge is per row: a batch row runs the same flow as a single row
         spec = IntegratorSpec("euler", theta=0.1, T=0.5)
@@ -372,6 +381,13 @@ class TestReferenceFlowProperties:
         pot = dataclasses.replace(UNIT, gradient=lambda q: np.full_like(q, np.nan))
         with pytest.raises(IntegratorError, match="within 4 doublings"):
             reference_flow(pot, pp(1.0, 0.3), 1.0)
+
+    def test_nonconvergence_names_the_float_spacing(self, monkeypatch):
+        # at |q| = 1e6 one float64 spacing is above tol = 1e-10
+        monkeypatch.setattr(integrators, "_MAX_DOUBLINGS", 4)
+        with pytest.raises(IntegratorError, match=r"within 4 doublings: \|q_i\| reaches "
+                           r"1e\+06, where float64 spacing is 1.2e-10$"):
+            reference_flow(UNIT, pp(1e6, 0.0), 1.0, tol=1e-10)
 
     def test_nonpositive_tol_raises_even_at_zero_time(self):
         for T in (0.0, 1.0):

@@ -341,6 +341,20 @@ class TestStepper:
             else:
                 assert after[1] is None and after_i[1] is None
 
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(st.sampled_from(["leapfrog", "euler", "exact_gaussian"]), st.floats(1e-4, 2.0),
+           st.integers(1, 6), st.integers(0, 2**32 - 1))
+    def test_unadjusted_linear_step_without_carried_is_the_flows_position(
+            self, scheme, theta, rows, seed):
+        # the step computes q' alone, bit for bit the flow's and the carried step's
+        spec = KernelSpec("unadjusted", IntegratorSpec(scheme, theta=theta, T=0.8))
+        x, p = 2.0 * np.random.default_rng(seed).standard_normal((2, rows, GAUSSIAN.dim))
+        q, ok, d_h, after = stepper(GAUSSIAN, spec)(x, p)
+        assert q.tobytes() == integrate(GAUSSIAN, spec.integrator, PhasePoint(x, p)).q.tobytes()
+        carried = stepper(GAUSSIAN, spec)(x, p, None, carry(GAUSSIAN, spec, x))[0]
+        assert q.tobytes() == carried.tobytes()
+        assert ok.shape == (rows,) and ok.all() and d_h is None and after is None
+
     @pytest.mark.parametrize("scheme", ["euler", "leapfrog"])
     @pytest.mark.parametrize("warm", [False, True])
     def test_integrate_and_step_count_the_same_gradients(self, scheme, warm):

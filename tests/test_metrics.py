@@ -8,9 +8,11 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
+from convexhmc import metrics
 from convexhmc import (effective_sample_size, gaussian_moment_test, prokhorov_upper,
                        w1_assignment, w1_exact_1d, w1_sliced)
-from convexhmc.metrics import MetricError, assignment, matching_cost, w1_lower_bound
+from convexhmc.metrics import (MetricError, assignment, dual_prices, matching_cost,
+                               w1_lower_bound)
 
 
 def brute_force_w1(a, b):
@@ -106,7 +108,7 @@ class TestAssignmentBounds:
         w1 = w1_assignment(a, b)
         # the bounds and the solver sum in different orders, so allow rounding
         rounding = 1e-12 * w1
-        assert w1_lower_bound(cost) <= w1 + rounding
+        assert w1_lower_bound(dual_prices(cost)) <= w1 + rounding
         assert w1 <= matching_cost(cost, perm) + rounding
 
     @settings(max_examples=40, deadline=None, database=None)
@@ -121,12 +123,12 @@ class TestAssignmentBounds:
         cost = cdist(*np.random.default_rng(12).standard_normal((2, 100, 3)))
         u = cost.min(axis=1)
         v = (cost - u[:, None]).min(axis=0)
-        assert w1_lower_bound(cost) == float(u.mean() + v.mean())
+        assert w1_lower_bound(dual_prices(cost)) == float(u.mean() + v.mean())
 
     def test_lower_bound_is_tight_when_row_minima_match(self):
         a = np.array([[0.0], [5.0], [10.0]])
         cost = cdist(a, a + 0.5)
-        assert w1_lower_bound(cost) == pytest.approx(0.5, abs=1e-15)
+        assert w1_lower_bound(dual_prices(cost)) == pytest.approx(0.5, abs=1e-15)
 
 
 @st.composite
@@ -194,6 +196,46 @@ class TestReducedSolve:
             tracemalloc.stop()
         # the n x n float64 cost matrix and O(n) extras, no second n x n array
         assert peak < 1.5 * n * n * 8
+
+
+class TestGemmCosts:
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(st.integers(2, 64), st.integers(metrics.GEMM_MIN_DIM, 64), st.integers(0, 2**32 - 1),
+           st.floats(1e-3, 1e3), st.floats(-2.0, 2.0))
+    def test_same_matching_and_w1_as_scipy_costs(self, n, d, seed, scale, shift):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((n, d)) * scale
+        b = rng.standard_normal((n, d)) * scale + shift * scale
+        gemm, exact = metrics.cdist(a, b), cdist(a, b)
+        assert np.all(np.abs(gemm - exact) <= 1e-12 * exact)
+        w1, cols = assignment(a, b, gemm)
+        exact_w1, exact_cols = assignment(a, b, exact)
+        assert w1 == exact_w1
+        np.testing.assert_array_equal(cols, exact_cols)
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(st.integers(2, 48), st.integers(metrics.GEMM_MIN_DIM, 48), st.integers(0, 2**32 - 1),
+           st.floats(1e-3, 1e3), st.sampled_from([0.0, 1e-12, 1e-9, 1e-6]))
+    def test_near_coincident_points_keep_the_absolute_bound(self, n, d, seed, scale, nudge):
+        # repeated rows, and b's rows a's nudged: the subtraction cancels here
+        rng = np.random.default_rng(seed)
+        a = (rng.standard_normal((n, d)) + rng.standard_normal(d) * 10.0) * scale
+        a[rng.integers(n, size=n // 2)] = a[rng.integers(n, size=n // 2)]
+        b = a[rng.permutation(n)] + nudge * scale * rng.standard_normal((n, d))
+        gemm, exact = metrics.cdist(a, b), cdist(a, b)
+        norms = np.linalg.norm(a, axis=1)[:, None] + np.linalg.norm(b, axis=1)
+        assert np.all(np.abs(gemm - exact) <= math.sqrt((d + 3) * np.finfo(float).eps) * norms)
+        # its matching, priced exactly, is within twice that of the optimum
+        exact_w1 = assignment(a, b, exact)[0]
+        w1 = assignment(a, b, gemm)[0]
+        slack = 2 * math.sqrt((d + 3) * np.finfo(float).eps) * norms.max()
+        assert exact_w1 * (1 - 1e-12) <= w1 <= exact_w1 + slack
+        # and the exact W1 solves scipy's costs
+        assert w1_assignment(a, b) == exact_w1
+
+    def test_below_the_gemm_dimension_costs_are_scipys(self):
+        a, b = np.random.default_rng(16).standard_normal((2, 40, metrics.GEMM_MIN_DIM - 1))
+        assert metrics.cdist(a, b).tobytes() == cdist(a, b).tobytes()
 
 
 class TestSliced:

@@ -1,10 +1,15 @@
 import dataclasses
+import hashlib
 import math
 import types
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from convexhmc import default_integration_time, make_gaussian, metrics, scaling
+from convexhmc.integrators import IntegratorSpec
+from convexhmc.kernels import KernelSpec, stepper
 from convexhmc.scaling import run_scaling_study
 from test_integrators import counted
 
@@ -31,12 +36,15 @@ def uninformative_bounds(monkeypatch):
 
 # each case bisects at least one row: its excess W1 at the starting theta is
 # above epsilon
-@pytest.mark.parametrize("scheme, kernel, epsilon", [
+BISECTING = pytest.mark.parametrize("scheme, kernel, epsilon", [
     ("euler", "unadjusted", 0.1),
     ("euler", "metropolis", 0.1),
     ("leapfrog", "unadjusted", 0.055),
     ("leapfrog", "metropolis", 0.001),
 ])
+
+
+@BISECTING
 def test_bounds_change_no_row(monkeypatch, scheme, kernel, epsilon):
     def study():
         return run_scaling_study(scheme, [8, 32], epsilon=epsilon, seed=3,
@@ -60,6 +68,70 @@ def test_benchmark_study_solves_at_most_eleven(monkeypatch):
     run_scaling_study("euler", [8, 32], epsilon=0.33, seed=1,
                       replicas=1024)
     assert calls[0] <= 11
+
+
+@BISECTING
+def test_passes_of_many_thetas_change_no_row(monkeypatch, scheme, kernel, epsilon):
+    # one theta per pass is the plain bisection, measured in its own order
+    def study():
+        return run_scaling_study(scheme, [8, 32], epsilon=epsilon, seed=3,
+                                 kernel=kernel, replicas=128)
+
+    batched = study()
+    monkeypatch.setattr(scaling, "LADDER_WIDTH", 1)
+    monkeypatch.setattr(scaling, "REFINE_LEVELS", 1)
+    plain = study()
+    assert [dataclasses.asdict(r) for r in batched.rows] == [
+        dataclasses.asdict(r) for r in plain.rows]
+    assert (batched.slope, batched.slope_stderr) == (plain.slope, plain.slope_stderr)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(st.sampled_from(["euler", "leapfrog"]), st.sampled_from(["unadjusted", "metropolis"]),
+       st.integers(1, 4), st.integers(1, 9), st.integers(1, 12), st.integers(0, 2**32 - 1),
+       st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=6))
+def test_one_pass_endpoints_equal_one_theta_passes(scheme, kernel, dim, replicas, steps,
+                                                   seed, fractions):
+    pot = make_gaussian(np.linspace(0.5, 2.0, dim))
+    T = default_integration_time(pot)
+    thetas = [f * T ** (1 if scheme == "euler" else 2) for f in fractions]
+    together = scaling._endpoints(pot, kernel, scheme, thetas, T, steps, replicas, seed)
+    assert len(together) == len(thetas)
+    for theta, ends in zip(thetas, together):
+        alone, = scaling._endpoints(pot, kernel, scheme, [theta], T, steps, replicas, seed)
+        assert ends.shape == (replicas, dim) and ends.tobytes() == alone.tobytes()
+        # and each is the kernel's own chain on the same draws
+        step = stepper(pot, KernelSpec(kernel, IntegratorSpec(scheme, theta=theta, T=T)))
+        rng, x, carried = np.random.default_rng(seed), np.zeros((replicas, dim)), None
+        for _ in range(steps):
+            p = rng.standard_normal((replicas, dim))
+            u = rng.random(replicas) if kernel == "metropolis" else None
+            x, _, _, carried = step(x, p, u, carried)
+        assert ends.tobytes() == x.tobytes()
+
+
+def test_duals_computed_once_per_cost_matrix(monkeypatch):
+    # each theta that reaches the lower bound prices its cost matrix once, and
+    # its exact solve starts from those prices; beyond those, a row prices its
+    # floor and, when a bound decided it, its accepted theta's final solve
+    priced, bounds = [], [0]
+
+    def dual_prices(cost, inner=metrics.dual_prices):
+        priced.append(hashlib.sha1(cost.tobytes()).digest())
+        return inner(cost)
+
+    def w1_lower_bound(duals, inner=metrics.w1_lower_bound):
+        bounds[0] += 1
+        return inner(duals)
+
+    monkeypatch.setattr(metrics, "dual_prices", dual_prices)
+    monkeypatch.setattr(metrics, "w1_lower_bound", w1_lower_bound)
+    calls = counting_solver(monkeypatch)
+    dims = [8, 32]
+    run_scaling_study("euler", dims, epsilon=0.1, seed=3, replicas=128)
+    assert calls[0] > len(dims)  # some theta was solved exactly
+    assert bounds[0] + len(dims) <= len(priced) <= bounds[0] + 2 * len(dims)
+    assert len(set(priced)) == len(priced)
 
 
 def test_leapfrog_step_never_exceeds_integration_time():
