@@ -43,7 +43,7 @@ class CouplingReport:
     bound: float
     violations: Optional[int]
     degenerate: bool = False
-    diverged_at: Optional[int] = None  # the earlier divergence step of the two chains
+    diverged_at: Optional[int] = None  # the first step at which either chain diverged
 
     @property
     def passed(self) -> bool:
@@ -88,13 +88,14 @@ def _fit_geometric_rate(distances: np.ndarray) -> tuple[float, bool]:
 
 def couple_synchronous(pot: Potential, spec: KernelSpec, x0: np.ndarray, y0: np.ndarray,
                        steps: int, seed: int) -> CouplingReport:
-    """Run the chain from x0 and from y0 on one seed, so on the same momenta
-    and uniforms, and fit the contraction rate.
+    """Run the chain from x0 and from y0 as one batch of two rows, so on the
+    same momenta and uniforms, and fit the contraction rate.
 
     The rate is fit by least squares on log distances over the pre-floor
     segment.  A start below the distance floor yields a degenerate report
     rather than an exception.  Per-step violations of the kernel
     contraction bound are counted for the ideal kernel only.
+    ``diverged_at`` is the first step at which either chain diverged.
     """
     if steps < 1:
         raise CouplingError(f"steps must be >= 1, got {steps}")
@@ -103,21 +104,19 @@ def couple_synchronous(pot: Potential, spec: KernelSpec, x0: np.ndarray, y0: np.
     if x.shape != (pot.dim,) or y.shape != (pot.dim,):
         raise CouplingError(
             f"x0 and y0 must have shape ({pot.dim},), got {x.shape} and {y.shape}")
-    chains = [run_chain(pot, spec, start, steps, seed) for start in (x, y)]
-    xs, ys = (c.states for c in chains)
+    trace = run_chain(pot, spec, np.stack([x, y]), steps, seed)
     # a 1-d norm per row pair; an axis=1 norm rounds differently and would move couple.csv.
     # Past a divergence the norms overflow; diverged_at reports that, not a warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        distances = np.array([np.linalg.norm(a - b) for a, b in zip(xs, ys)])
+        distances = np.array([np.linalg.norm(a - b) for a, b in trace.states])
     rate, degenerate = _fit_geometric_rate(distances)
     bound = kernel_contraction_bound(pot)
     violations = None
     if spec.kind == "ideal":
         violations = int(np.sum(distances[1:] > bound * distances[:-1] + 1e-9))
-    diverged = [c.diverged_at for c in chains if c.diverged_at is not None]
     return CouplingReport(distances=distances, fitted_rate=rate, bound=bound,
                           violations=violations, degenerate=degenerate,
-                          diverged_at=min(diverged, default=None))
+                          diverged_at=trace.diverged_at)
 
 
 def _pairs_with_shared_momenta(pot: Potential, trials: int, rng: np.random.Generator):

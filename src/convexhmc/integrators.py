@@ -170,6 +170,8 @@ def _triple_jump_path(pot, q, p, h, n, segments):
     """
     drifts = np.tile(_TRIPLE_JUMP, n) * h
     kicks = 0.5 * (drifts + np.roll(drifts, -1))
+    # Python floats: the loop's products round as with numpy scalars, at less cost
+    drifts, kicks = drifts.tolist(), kicks.tolist()
     path = [np.stack([q, p], axis=-2)]
     g = pot.gradient(q)
     p = p - 0.5 * drifts[0] * g

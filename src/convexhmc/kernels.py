@@ -74,6 +74,10 @@ class KernelSpec:
             raise KernelError(f"unknown kernel kind {self.kind!r}; expected one of {KERNEL_KINDS}")
         if self.kind == "ideal" and self.integrator.scheme not in ("exact_gaussian", "reference"):
             raise KernelError("ideal kernel needs the exact_gaussian or reference scheme")
+        # min(1, e^-dH) corrects only a reversible, volume-preserving flow; Euler is neither
+        if self.kind == "metropolis" and self.integrator.scheme == "euler":
+            raise KernelError("metropolis kernel needs a reversible, volume-preserving flow: "
+                              "leapfrog, exact_gaussian or reference, not euler")
 
 
 @dataclass
@@ -149,25 +153,35 @@ def run_chain(pot: Potential, spec: KernelSpec, x0: np.ndarray, i_max: int,
               seed: int) -> ChainTrace:
     """Run the chain for i_max steps from x0 on ``update_sequence(seed, d, i_max)``.
 
-    The recorded Hamiltonian at row i is H(X_i, p_i) with p_i the momentum
-    that moves the chain out of X_i; the final row stores U(X_imax).  The
-    ``accepted`` flag marks whether the transition into the row's state was
-    an accepted proposal (always true for non-Metropolis kernels).
-    ``diverged_at`` is the first step whose flow energy error is not finite
-    or exceeds ``DIVERGENCE_DH`` in size; the overflow that follows it raises
-    no numpy warning.  A ``linear_flow`` runs in blocks, any other flow step
-    by step; both give the same trace bit for bit.  The ledger is charged
-    once, after the loop.
+    ``x0`` is one start, shape (d,), or r starts, shape (r, d): r chains on
+    the one update sequence, every row taking the same momentum and uniform
+    at each step.  Each row is its lone run bit for bit wherever ``pot``
+    rounds a row alike alone and in a batch (Gaussian, perturbed and
+    separable targets do; the logistic target's matrix products do not).
+    ``states`` has shape (i_max + 1, d) or (i_max + 1, r, d); ``accepted``
+    and ``hamiltonians`` have shape (i_max + 1,) or (i_max + 1, r).
+
+    The recorded Hamiltonian at step i is H(X_i, p_i) with p_i the momentum
+    that moves the chain out of X_i; the final step stores U(X_imax).  The
+    ``accepted`` flag marks whether the transition into the step's state
+    was an accepted proposal (always true for non-Metropolis kernels).
+    ``diverged_at`` is the first step at which a row's flow energy error is
+    not finite or exceeds ``DIVERGENCE_DH`` in size; the overflow that
+    follows it raises no numpy warning.  A ``linear_flow`` runs in blocks,
+    any other flow step by step; both give the same trace bit for bit.  The
+    ledger is charged once, after the loop, for every row: the modelled
+    gradients and the kernel steps of r chains, and their accepts and
+    rejects.
     """
     if i_max < 0:
         raise KernelError(f"i_max must be nonnegative, got {i_max}")
     x = np.array(x0, dtype=float)
-    if x.shape != (pot.dim,):
-        raise KernelError(f"x0 must have shape ({pot.dim},), got {x.shape}")
+    if x.ndim not in (1, 2) or x.shape[-1] != pot.dim or x.size == 0:
+        raise KernelError(f"x0 must have shape ({pot.dim},) or (r, {pot.dim}), got {x.shape}")
     momenta, uniforms = update_sequence(seed, pot.dim, i_max)
-    states = np.empty((i_max + 1, pot.dim))
-    accepted = np.ones(i_max + 1, dtype=bool)
-    energies = np.empty(i_max + 1)
+    states = np.empty((i_max + 1,) + x.shape)
+    accepted = np.ones(states.shape[:-1], dtype=bool)
+    energies = np.empty(states.shape[:-1])
     states[0] = x
     linear = linear_flow(pot, spec.integrator)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -176,29 +190,32 @@ def run_chain(pot: Potential, spec: KernelSpec, x0: np.ndarray, i_max: int,
         else:
             diverged_at = _run_blocks(pot, spec, linear, momenta, uniforms,
                                       states, accepted, energies)
+    steps = i_max * (x.size // pot.dim)
     uniform = spec.kind == "metropolis"
     taken = int(np.count_nonzero(accepted[1:])) if uniform else 0
-    ledger = CostLedger(gradient_evals=spec.integrator.gradient_evals * i_max,
-                        kernel_steps=i_max, accepted=taken,
-                        rejected=i_max - taken if uniform else 0)
+    ledger = CostLedger(gradient_evals=spec.integrator.gradient_evals * steps,
+                        kernel_steps=steps, accepted=taken,
+                        rejected=steps - taken if uniform else 0)
     return ChainTrace(states=states, ledger=ledger, accepted=accepted,
                       hamiltonians=energies, diverged_at=diverged_at)
 
 
 def _run_steps(pot, spec, momenta, uniforms, states, accepted, energies):
-    """``run_chain``'s loop for any flow: one ``stepper`` step at a time,
-    carrying U and grad U of the state.  Fills the trace arrays in place and
-    returns diverged_at."""
+    """``run_chain``'s loop for any flow: one ``stepper`` step at a time on
+    all rows, carrying U and grad U of the state.  Fills the trace arrays in
+    place and returns diverged_at."""
     x = states[0]
     carried = carry(pot, spec, x)
     step = stepper(pot, spec)
+    # every row of a batch reads the step's momentum
+    rows = np.broadcast_to(momenta[:, None], (len(momenta),) + x.shape) if x.ndim > 1 else momenta
     # indexing a list per step is cheaper than making a numpy scalar
     uniforms = uniforms.tolist() if spec.kind == "metropolis" else [None] * len(momenta)
     diverged_at = None
-    for i, (p, u) in enumerate(zip(momenta, uniforms)):
+    for i, (p, p_x, u) in enumerate(zip(momenta, rows, uniforms)):
         energies[i] = carried[0] + 0.5 * float(p @ p)
-        x, accepted[i + 1], d_h, carried = step(x, p, u, carried)
-        if diverged_at is None and d_h is not None and not abs(d_h) <= DIVERGENCE_DH:
+        x, accepted[i + 1], d_h, carried = step(x, p_x, u, carried)
+        if diverged_at is None and not (abs(d_h) <= DIVERGENCE_DH).all():
             diverged_at = i
         states[i + 1] = x
     energies[-1] = carried[0]
@@ -213,22 +230,26 @@ def _run_blocks(pot, spec, linear, momenta, uniforms, states, accepted, energies
     starts from the same x; a block whose first step goes against the guess
     flips it.  One ``value`` call then gives the block's dH and accept flags
     in ``stepper``'s operations and order, so the trace is bit for bit the
-    step-by-step one.  The block is cut at its first step against the guess.
-    Blocks start at ``_FIRST_BLOCK`` steps, double up to ``_MAX_BLOCK`` while
-    the guess holds and start over after a cut.  ``energies`` holds U until
-    the kinetic terms are added at the end.  Makes no gradient call; fills
-    the trace arrays in place and returns diverged_at.
+    step-by-step one.  The block is cut at its first step against the guess
+    in any row, where each row takes its own accept or reject.  Blocks start
+    at ``_FIRST_BLOCK`` steps, double up to ``_MAX_BLOCK`` while the guess
+    holds and start over after a cut.  ``energies`` holds U until the
+    kinetic terms are added at the end.  Makes no gradient call; fills the
+    trace arrays in place and returns diverged_at.
     """
     a, drive, kick = linear
     value, add, i_max = pot.value, np.add.reduce, len(momenta)
-    half_kinetic = 0.5 * add(momenta * momenta, -1)
-    uniforms = uniforms if spec.kind == "metropolis" else None
-    d_hs = np.empty(i_max)
+    # a momentum and a uniform per step, broadcast over the rows of a batch
+    spread = (i_max,) + (1,) * (states.ndim - 2)
+    moms = momenta.reshape(spread + (pot.dim,))
+    half_kinetic = 0.5 * add(moms * moms, -1)
+    uniforms = uniforms.reshape(spread) if spec.kind == "metropolis" else None
+    d_hs = np.empty_like(energies[1:])
     energies[0] = value(states[0])
     i, size, guess = 0, _FIRST_BLOCK, True
     while i < i_max:
         j = min(i + size, i_max)
-        x, u, p = states[i:j + 1], energies[i:j + 1], momenta[i:j]
+        x, u, p = states[i:j + 1], energies[i:j + 1], moms[i:j]
         pushes = drive(p)
         if guess:
             for k, push in enumerate(pushes):
@@ -246,10 +267,17 @@ def _run_blocks(pot, spec, linear, momenta, uniforms, states, accepted, energies
         if uniforms is not None:
             # stepper accepts iff dH <= 0 or u < exp(-max(dH, 0)); u < 1 covers the first case
             ok = uniforms[i:j] < np.exp(-np.maximum(d_h, 0.0))
-            r = int(ok.argmin() if guess else ok.argmax())
-            if ok[r] != guess:  # step r went the other way: keep the steps up to it
+            # a lone chain's flags are scalars: np.where would add µs to a block of ~20 µs
+            batch = ok.ndim > 1
+            against = (ok != guess).any(1) if batch else ok != guess
+            r = int(against.argmax())
+            if against[r]:  # step r went the other way in some row: keep the steps up to it
                 j, size, ok = i + r + 1, _FIRST_BLOCK, ok[:r + 1]
-                x[r + 1], u[r + 1] = (q[r], u_q[r]) if ok[r] else (x[r], u[r])
+                if batch:  # each row takes its own accept or reject
+                    x[r + 1] = np.where(ok[r, :, None], q[r], x[r])
+                    u[r + 1] = np.where(ok[r], u_q[r], u[r])
+                else:
+                    x[r + 1], u[r + 1] = (q[r], u_q[r]) if ok[r] else (x[r], u[r])
                 guess = guess if r else not guess
             accepted[i + 1:j + 1] = ok
         i = j
@@ -257,6 +285,7 @@ def _run_blocks(pot, spec, linear, momenta, uniforms, states, accepted, energies
     # stacked vector products round as run_chain's per-row p @ p does; a sum would not
     kinetic = np.matmul(momenta[:, None, :], momenta[:, :, None])[:, 0, 0]
     kinetic *= 0.5
-    energies[:-1] += kinetic
+    energies[:-1] += kinetic.reshape(spread)
     far = ~(np.abs(d_hs) <= DIVERGENCE_DH)
+    far = far.any(1) if far.ndim > 1 else far
     return int(far.argmax()) if far.any() else None

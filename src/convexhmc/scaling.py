@@ -41,7 +41,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .integrators import IntegratorSpec
-from .kernels import KernelSpec, default_integration_time, stepper
+from .kernels import KernelError, KernelSpec, default_integration_time, stepper
 from . import metrics
 from .potentials import ConvexHMCError, Potential, make_gaussian
 
@@ -215,6 +215,10 @@ def run_scaling_study(scheme: str, dims: Sequence[int], epsilon: float, seed: in
             f"replicas capped at {metrics.ASSIGNMENT_GUARD} by the exact assignment solver")
     if kernel not in ("unadjusted", "metropolis"):
         raise ScalingError(f"kernel must be unadjusted or metropolis, got {kernel!r}")
+    try:  # KernelSpec says which kernels a flow admits
+        KernelSpec(kernel, IntegratorSpec(scheme))
+    except KernelError as err:
+        raise ScalingError(str(err)) from None
     rows = tuple(_run_row(kernel, scheme, d, epsilon, replicas, seed + i)
                  for i, d in enumerate(dims))
     slope = stderr = None

@@ -289,7 +289,8 @@ class TestRunSubcommand:
         ("metropolis", "euler"), ("metropolis", "leapfrog"), ("unadjusted", "euler"),
         ("ideal", "reference")])
     def test_goodset_rejects_other_kernels(self, tmp_path, capsys, kind, scheme):
-        # the guarded integrator is the unadjusted leapfrog kernel's; others exit 2
+        # the guarded integrator is the unadjusted leapfrog kernel's; others exit 2,
+        # metropolis euler already at its kernel block, as on every task
         conf = {"task": "goodset",
                 "target": {"kind": "separable",
                            "block": {"kind": "gaussian", "eigenvalues": [1.0]}, "copies": 8},
@@ -298,6 +299,8 @@ class TestRunSubcommand:
         path = tmp_path / "exp.json"
         path.write_text(json.dumps(conf))
         one_line_error(capsys, ["run", "--config", str(path), "--out", str(tmp_path / "out")],
+                       "KernelError: metropolis kernel needs a reversible" if scheme == "euler"
+                       and kind == "metropolis" else
                        "CouplingError: good-set statistics run the unadjusted leapfrog kernel")
 
     def test_goodset_blocks_default_to_the_targets(self, tmp_path):
@@ -610,6 +613,28 @@ class TestInputErrors:
                              "IntegratorError: theta=1e-300 takes more than 2097152 euler")
         assert "oracle steps" in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["sample", "couple", "run", "scaling"])
+    def test_metropolis_euler_exits_2(self, tmp_path, capsys, gaussian_target, command):
+        # the accept rule corrects only a reversible, volume-preserving flow
+        out = ["--out", str(tmp_path / "out")]
+        kernel = ["--kernel", "metropolis", "--scheme", "euler", "--seed", "1"]
+        argv = {"sample": ["sample", "--target-config", gaussian_target, *kernel, *out],
+                "couple": ["couple", "--target-config", gaussian_target, *kernel, *out],
+                "scaling": ["scaling", "--dims", "2,4", *kernel, *out]}.get(command)
+        prefix = "KernelError: metropolis kernel needs a reversible, volume-preserving flow"
+        if command == "run":
+            path = tmp_path / "exp.json"
+            path.write_text(json.dumps({
+                "task": "sample", "target": {"kind": "gaussian", "eigenvalues": [1.0]},
+                "kernel": {"kind": "metropolis", "integrator": {"scheme": "euler"}},
+                "run": {"seed": 1}}))
+            argv = ["run", "--config", str(path), *out]
+        elif command == "scaling":
+            prefix = "ScalingError: metropolis kernel needs a reversible"
+        one_line_error(capsys, argv, prefix)
+        # the study checks its arguments after its out directory is made
+        assert command == "scaling" or not (tmp_path / "out").exists()
 
     def test_goodset_theta_past_the_euler_cap_names_the_euler_flow(self, tmp_path, capsys):
         # 1e4 leapfrog steps, but 1e8 for the Euler flow of rows outside the good set

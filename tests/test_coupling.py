@@ -6,8 +6,8 @@ import pytest
 from convexhmc import (GoodSetSpec, IntegratorSpec, KernelSpec, contraction_bound,
                        contraction_certificate, couple_synchronous, default_good_set,
                        default_integration_time, drift_check, good_set_statistics,
-                       make_gaussian, make_perturbed_quadratic, make_separable, run_chain,
-                       stepper)
+                       make_gaussian, make_perturbed_quadratic, make_ridge_logistic,
+                       make_separable, run_chain, stepper)
 from convexhmc import integrators
 from convexhmc.coupling import CouplingError
 
@@ -55,7 +55,7 @@ class TestCoupleSynchronous:
         assert np.all(d[1:] <= (1.0 - kappa) * d[:-1] + cushion)
 
     @pytest.mark.parametrize("kind, scheme, theta", [
-        ("metropolis", "leapfrog", 0.2), ("metropolis", "euler", 0.1),
+        ("metropolis", "leapfrog", 0.2), ("metropolis", "leapfrog", 2.0),
         ("unadjusted", "leapfrog", 0.01), ("ideal", "reference", 1e-10),
         ("ideal", "exact_gaussian", 1e-10)])
     def test_equals_two_chains_run_alone(self, kind, scheme, theta):
@@ -69,6 +69,31 @@ class TestCoupleSynchronous:
         ys = run_chain(pot, spec, y0, 30, seed=11).states
         np.testing.assert_array_equal(report.distances,
                                       [np.linalg.norm(x - y) for x, y in zip(xs, ys)])
+
+    @pytest.mark.parametrize("kind, scheme, theta", [
+        ("metropolis", "leapfrog", 0.5), ("unadjusted", "leapfrog", 0.01),
+        ("ideal", "reference", 1e-10)])
+    def test_logistic_pair_within_rounding_of_two_lone_chains(self, kind, scheme, theta):
+        # the logistic target's matrix products round a 2-row batch apart from one
+        # row (gemm against gemv): the pair's states and distances hold to 1e-12
+        # of the states' scale, not bit for bit
+        rng = np.random.default_rng(4)
+        features = rng.standard_normal((30, 5))
+        labels = np.where(features @ [1.0, -0.5, 0.3, 0.0, 0.8] > rng.standard_normal(30),
+                          1.0, -1.0)
+        pot = make_ridge_logistic(features, labels, ridge=1.0)
+        spec = KernelSpec(kind, IntegratorSpec(scheme, theta=theta,
+                                               T=default_integration_time(pot)))
+        x0, y0 = rng.standard_normal((2, 5))
+        steps = 10 if scheme == "reference" else 100
+        report = couple_synchronous(pot, spec, x0, y0, steps=steps, seed=9)
+        pair = run_chain(pot, spec, np.stack([x0, y0]), steps, seed=9).states
+        xs = run_chain(pot, spec, x0, steps, seed=9).states
+        ys = run_chain(pot, spec, y0, steps, seed=9).states
+        tol = 1e-12 * max(np.max(np.abs(xs)), np.max(np.abs(ys)))
+        np.testing.assert_allclose(pair, np.stack([xs, ys], axis=1), rtol=0.0, atol=tol)
+        lone = np.array([np.linalg.norm(x - y) for x, y in zip(xs, ys)])
+        np.testing.assert_allclose(report.distances, lone, rtol=0.0, atol=tol)
 
     def test_rate_improves_toward_unit_condition_number(self):
         rates = []

@@ -227,7 +227,10 @@ class TestClosedFormOracleFlow:
             np.testing.assert_allclose(closed[2], loop[2], rtol=0.0,
                                        atol=1e-10 * scale * max(eigs))
 
-    @pytest.mark.parametrize("scheme,theta,T", [("leapfrog", 0.01, 1.2), ("euler", 0.01, 0.5)])
+    @pytest.mark.parametrize("scheme,theta,T", [
+        ("leapfrog", 0.01, 1.2),
+        pytest.param("leapfrog", 0.2, 0.5, id="rejecting-leapfrog-0.2-0.5"),
+    ])
     def test_metropolis_chain_matches_generic_loop(self, scheme, theta, T):
         pot = make_gaussian([0.5, 1.0, 4.0])
         spec = KernelSpec("metropolis", IntegratorSpec(scheme, theta=theta, T=T))

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from convexhmc import (CostLedger, IntegratorError, IntegratorSpec, KernelSpec, PhasePoint,
-                       carry, default_integration_time, effective_sample_size, ideal_step,
-                       integrate, make_gaussian, make_perturbed_quadratic, metropolis_step,
-                       run_chain, stepper, update_sequence)
+                       carry, default_integration_time, effective_sample_size,
+                       gaussian_moment_test, ideal_step, integrate, make_gaussian,
+                       make_perturbed_quadratic, metropolis_step, run_chain, stepper,
+                       update_sequence)
 from convexhmc.kernels import KernelError
 from test_integrators import counted
 
@@ -126,7 +127,7 @@ class TestMetropolisStep:
         assert ok
 
     def test_u_zero_always_accepted(self):
-        spec = KernelSpec("metropolis", IntegratorSpec("euler", theta=0.05, T=0.3))
+        spec = KernelSpec("metropolis", IntegratorSpec("leapfrog", theta=0.09, T=0.3))
         _, ok, _, _ = metropolis_step(UNIT, spec, np.array([2.0]), np.array([1.0]), u=0.0)
         assert ok
 
@@ -137,12 +138,13 @@ class TestMetropolisStep:
         assert trace.ledger.rejected == 0
 
     def test_rejected_proposal_keeps_state(self):
-        # gigantic Euler step destroys energy, forcing rejection for u near 1
-        spec = KernelSpec("metropolis", IntegratorSpec("euler", theta=0.3, T=0.3))
+        # a leapfrog step of length 3 > 2 / sqrt(lambda) is unstable and
+        # destroys energy, forcing rejection for u near 1
+        spec = KernelSpec("metropolis", IntegratorSpec("leapfrog", theta=9.0, T=3.0))
         x = np.array([3.0])
-        out, ok, _, _ = metropolis_step(UNIT, spec, x, np.array([3.0]), u=1.0 - 1e-9)
-        if not ok:
-            np.testing.assert_array_equal(out, x)
+        out, ok, _, _ = metropolis_step(UNIT, spec, x, np.array([0.0]), u=1.0 - 1e-9)
+        assert not ok
+        np.testing.assert_array_equal(out, x)
 
 
 class TestRunChain:
@@ -202,14 +204,15 @@ class TestRunChain:
 
     def test_rejection_rare_for_small_theta(self):
         # 7 (theta/T) H (A/M2) <= log(1/(1-r)) keeps the rejection
-        # frequency below r while the chain stays in the bulk
+        # frequency below r while the chain stays in the bulk; leapfrog's
+        # energy error at a theta is below Euler's, for which the bound was made
         pot = UNIT
         T = default_integration_time(pot)
         r = 0.02
         steps = 4000
         h_cap = 10.0
         theta = math.log(1.0 / (1.0 - r)) * T / (7.0 * h_cap)
-        spec = KernelSpec("metropolis", IntegratorSpec("euler", theta=theta, T=T))
+        spec = KernelSpec("metropolis", IntegratorSpec("leapfrog", theta=theta, T=T))
         trace = run_chain(pot, spec, np.array([0.0]), steps, seed=21)
         in_bulk = trace.hamiltonians[:steps] <= h_cap
         rejected = ~trace.accepted[1:]
@@ -219,14 +222,15 @@ class TestRunChain:
 
     @pytest.mark.parametrize("kind, scheme", [
         ("ideal", "exact_gaussian"), ("ideal", "reference"), ("unadjusted", "euler"),
-        ("unadjusted", "leapfrog"), ("metropolis", "euler"), ("metropolis", "leapfrog")])
+        ("unadjusted", "leapfrog"), ("metropolis", "exact_gaussian"),
+        ("metropolis", "leapfrog")])
     def test_ledger_follows_the_cost_model(self, kind, scheme):
         # per step: n Euler or 2 n leapfrog gradients, none for the ideal flows;
-        # accepts and rejects are counted for Metropolis only
-        spec = KernelSpec(kind, IntegratorSpec(scheme, theta=0.05, T=0.6))
+        # accepts and rejects are counted for Metropolis only (leapfrog rejects 5)
+        spec = KernelSpec(kind, IntegratorSpec(scheme, theta=0.25, T=0.6))
         steps = 50
         trace = run_chain(make_gaussian([1.0, 4.0]), spec, np.array([1.0, -1.0]), steps, seed=8)
-        per_step = {"euler": 12, "leapfrog": 2 * 3}.get(scheme, 0)
+        per_step = {"euler": 3, "leapfrog": 2 * 2}.get(scheme, 0)
         taken = int(np.sum(trace.accepted[1:])) if kind == "metropolis" else 0
         rejected = steps - taken if kind == "metropolis" else 0
         assert trace.ledger == CostLedger(per_step * steps, steps, taken, rejected)
@@ -236,8 +240,27 @@ class TestRunChain:
             run_chain(UNIT, exact_kernel(), np.array([0.0]), -1, seed=0)
         with pytest.raises(KernelError):
             run_chain(UNIT, exact_kernel(), np.zeros(2), 5, seed=0)
+        for starts in (np.zeros((0, 1)), np.zeros((2, 2, 1))):
+            with pytest.raises(KernelError, match=r"x0 must have shape \(1,\) or \(r, 1\)"):
+                run_chain(UNIT, exact_kernel(), starts, 5, seed=0)
         with pytest.raises(KernelError):
             KernelSpec("ideal", IntegratorSpec("euler", theta=0.1, T=0.3))
+        with pytest.raises(KernelError, match="not euler"):
+            KernelSpec("metropolis", IntegratorSpec("euler", theta=0.1, T=0.3))
+
+    @settings(max_examples=6, deadline=None, derandomize=True)
+    @given(st.sampled_from(["leapfrog", "exact_gaussian"]), st.floats(0.25, 4.0),
+           st.floats(0.05, 1.5), st.integers(0, 2**32 - 1))
+    def test_every_admitted_linear_metropolis_flow_keeps_the_moments(self, scheme, lam,
+                                                                      step, seed):
+        # min(1, e^-dH) corrects a reversible, volume-preserving flow: whatever its
+        # acceptance, the chain keeps N(0, 1/lam)'s mean and variance.  Metropolis
+        # Euler, not admitted, fails this at 4e5 steps with z_var 7.6 to 38.
+        pot = make_gaussian([lam])
+        T = default_integration_time(pot)
+        spec = KernelSpec("metropolis", IntegratorSpec(scheme, theta=(step * T) ** 2, T=T))
+        trace = run_chain(pot, spec, np.zeros(1), 200_000, seed)
+        assert gaussian_moment_test(trace, [lam], burn_in=1000).passed
 
 
 class TestCarriedState:
@@ -265,12 +288,13 @@ class TestCarriedState:
 
     @settings(max_examples=40, deadline=None, database=None)
     @given(st.sampled_from([PERTURBED, GAUSSIAN]),
-           st.sampled_from([("metropolis", "leapfrog"), ("metropolis", "euler"),
-                            ("metropolis", "exact_gaussian"), ("unadjusted", "leapfrog"),
-                            ("unadjusted", "euler"), ("ideal", "exact_gaussian")]),
+           st.sampled_from([("metropolis", "leapfrog"), ("metropolis", "exact_gaussian"),
+                            ("unadjusted", "leapfrog"), ("unadjusted", "euler"),
+                            ("ideal", "exact_gaussian")]),
            st.floats(0.01, 0.5), st.integers(0, 2**32 - 1))
     @example(STIFF, ("unadjusted", "euler"), 0.5, 16)
     @example(STIFF, ("metropolis", "leapfrog"), 0.3, 16)
+    @example(PERTURBED, ("metropolis", "leapfrog"), 0.5, 16)
     def test_run_chain_composes_single_steps(self, pot, kernel, theta, seed):
         # run_chain carries U and grad U, and runs a linear flow in blocks cut
         # at their first step against the guess; stepping from scratch each
@@ -312,12 +336,65 @@ class TestCarriedState:
         assert run_chain(pot, calm, np.zeros(2), 200, seed=1).diverged_at is None
 
 
+class TestBatchedChain:
+    @staticmethod
+    def assert_rows_are_lone_runs(pot, spec, starts, steps, seed):
+        batch = run_chain(pot, spec, starts, steps, seed)
+        rows = len(starts)
+        assert batch.states.shape == (steps + 1, rows, pot.dim)
+        assert batch.accepted.shape == batch.hamiltonians.shape == (steps + 1, rows)
+        lone = [run_chain(pot, spec, x, steps, seed) for x in starts]
+        for k, trace in enumerate(lone):
+            assert trace.states.tobytes() == batch.states[:, k].tobytes()
+            assert trace.accepted.tobytes() == batch.accepted[:, k].tobytes()
+            assert trace.hamiltonians.tobytes() == batch.hamiltonians[:, k].tobytes()
+        diverged = [t.diverged_at for t in lone if t.diverged_at is not None]
+        assert batch.diverged_at == min(diverged, default=None)
+        assert batch.ledger == CostLedger(*(sum(getattr(t.ledger, f) for t in lone) for f in (
+            "gradient_evals", "kernel_steps", "accepted", "rejected")))
+        return batch
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(st.sampled_from([GAUSSIAN, PERTURBED, STIFF]),
+           st.sampled_from([("ideal", "exact_gaussian"), ("ideal", "reference"),
+                            ("unadjusted", "euler"), ("unadjusted", "leapfrog"),
+                            ("metropolis", "leapfrog")]),
+           st.floats(0.01, 2.0), st.integers(1, 4), st.integers(0, 2**32 - 1))
+    @example(GAUSSIAN, ("metropolis", "leapfrog"), 1.0, 3, 2)
+    @example(PERTURBED, ("metropolis", "leapfrog"), 1.0, 3, 2)
+    @example(STIFF, ("unadjusted", "euler"), 0.5, 2, 16)
+    @example(STIFF, ("metropolis", "leapfrog"), 0.3, 3, 16)
+    def test_each_row_is_its_lone_run(self, pot, kernel, theta, rows, seed):
+        # r chains on one update sequence: each row is its own run bit for bit,
+        # in blocks and step by step, through rejections and divergences
+        kind, scheme = kernel
+        assume(pot.is_gaussian or scheme != "exact_gaussian")
+        reference = scheme == "reference"
+        assume(not (reference and pot is STIFF))
+        spec = KernelSpec(kind, IntegratorSpec(scheme, theta=1e-8 if reference else theta, T=0.8))
+        starts = 2.0 * np.random.default_rng(seed).standard_normal((rows, pot.dim))
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.assert_rows_are_lone_runs(pot, spec, starts, 4 if reference else 150, seed)
+
+    def test_rows_split_at_a_blocks_first_step(self):
+        # a step where the rows disagree cuts the block there; when the next step
+        # splits them too, it is a block's first step, and each row still takes
+        # its own accept or reject
+        spec = KernelSpec("metropolis", IntegratorSpec("leapfrog", theta=1.0, T=0.8))
+        starts = np.array([[1.0, -0.5], [-2.0, 0.3], [0.2, 2.5]])
+        batch = self.assert_rows_are_lone_runs(GAUSSIAN, spec, starts, 400, seed=2)
+        split = batch.accepted[1:].any(1) & ~batch.accepted[1:].all(1)
+        assert np.count_nonzero(split[1:] & split[:-1]) >= 5
+
+
 class TestStepper:
     @settings(max_examples=60, deadline=None, database=None)
-    @given(st.sampled_from(["metropolis", "unadjusted"]), st.sampled_from(["leapfrog", "euler"]),
+    @given(st.sampled_from([("metropolis", "leapfrog"), ("unadjusted", "leapfrog"),
+                            ("unadjusted", "euler")]),
            st.floats(0.01, 2.0), st.integers(1, 6), st.booleans(), st.integers(0, 2**32 - 1))
-    def test_batch_equals_single_rows(self, kind, scheme, theta, rows, carried, seed):
+    def test_batch_equals_single_rows(self, kernel, theta, rows, carried, seed):
         # one call on an (n, d) batch is n one-row calls, bit for bit
+        kind, scheme = kernel
         spec = KernelSpec(kind, IntegratorSpec(scheme, theta=theta, T=0.8))
         step = stepper(PERTURBED, spec)
         rng = np.random.default_rng(seed)

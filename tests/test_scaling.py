@@ -38,7 +38,7 @@ def uninformative_bounds(monkeypatch):
 # above epsilon
 BISECTING = pytest.mark.parametrize("scheme, kernel, epsilon", [
     ("euler", "unadjusted", 0.1),
-    ("euler", "metropolis", 0.1),
+    ("leapfrog", "metropolis", 0.0005),
     ("leapfrog", "unadjusted", 0.055),
     ("leapfrog", "metropolis", 0.001),
 ])
@@ -87,11 +87,13 @@ def test_passes_of_many_thetas_change_no_row(monkeypatch, scheme, kernel, epsilo
 
 
 @settings(max_examples=40, deadline=None, database=None)
-@given(st.sampled_from(["euler", "leapfrog"]), st.sampled_from(["unadjusted", "metropolis"]),
+@given(st.sampled_from([("euler", "unadjusted"), ("leapfrog", "unadjusted"),
+                        ("leapfrog", "metropolis")]),
        st.integers(1, 4), st.integers(1, 9), st.integers(1, 12), st.integers(0, 2**32 - 1),
        st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=6))
-def test_one_pass_endpoints_equal_one_theta_passes(scheme, kernel, dim, replicas, steps,
-                                                   seed, fractions):
+def test_one_pass_endpoints_equal_one_theta_passes(flow, dim, replicas, steps, seed,
+                                                   fractions):
+    scheme, kernel = flow
     pot = make_gaussian(np.linspace(0.5, 2.0, dim))
     T = default_integration_time(pot)
     thetas = [f * T ** (1 if scheme == "euler" else 2) for f in fractions]
