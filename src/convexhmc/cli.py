@@ -1,9 +1,12 @@
 """Command-line experiment runner.
 
 Subcommands: sample, couple, certify, drift, goodset, distance,
-precondition, verify-rounding, scaling, and run (full JSON config).  Every
-run writes a CSV table plus a JSON summary and is a pure function of
-(config, seed); a failed certificate exits nonzero.
+precondition, verify-rounding, scaling, and run (full JSON config).  Each
+task returns its summary and its CSV table, and ``run_experiment`` writes
+both into the output directory only after the task succeeds, so a run
+that exits 2 writes nothing.  ``verify-rounding`` writes its summary only,
+and ``distance`` prints only unless given ``--out``.  A run is a pure
+function of (config, seed); a failed certificate exits 1.
 """
 
 from __future__ import annotations
@@ -19,30 +22,33 @@ import numpy as np
 from . import config as cfg
 from .coupling import (contraction_bound, contraction_certificate, couple_synchronous,
                        drift_check, good_set_statistics)
-from .integrators import GoodSetSpec, default_good_set
-from .kernels import default_integration_time, run_chain
+from .integrators import SCHEMES, GoodSetSpec, default_good_set
+from .kernels import KERNEL_KINDS, default_integration_time, run_chain
 from .metrics import w1_assignment, w1_exact_1d, w1_sliced
 from .precondition import build_rounding, verify_rounding
-from .scaling import run_scaling_study
+from .scaling import STUDY_KERNELS, STUDY_SCHEMES, run_scaling_study
 from .potentials import ConvexHMCError, SeparablePotential, uniform_ball
 
 
-def run_experiment(config: dict, base_dir: str = ".", out_dir: str | None = None) -> dict:
-    """Dispatch one experiment; returns the summary, written to disk when
-    an output directory applies (the distance task prints only unless one
-    is given).  The target and kernel spec are built once, for the tasks
-    that read them."""
-    cfg.validate_config({k: v for k, v in config.items() if k != "out"})
+def run_experiment(config: dict, base_dir: str = ".") -> dict:
+    """Validate, build the target and kernel spec the task reads, run the
+    task, and only then write its table and summary into ``config["out"]``
+    (default "."; the distance task prints only unless ``out`` is given).
+    Returns the summary."""
+    cfg.validate_config(config)
     task = config["task"]
     blocks = cfg.TASK_BLOCKS[task].split()
     pot = cfg.build_potential(config["target"], base_dir) if "target" in blocks else None
     spec = cfg.build_kernel_spec(config["kernel"], pot, task) if "kernel" in blocks else None
-    if out_dir is None and task == "distance" and config.get("out") is None:
-        return {**_TASKS[task](config, pot, spec, base_dir, None), "task": task}
-    out = out_dir if out_dir is not None else config.get("out", ".")
-    os.makedirs(out, exist_ok=True)
-    summary = {**_TASKS[task](config, pot, spec, base_dir, out), "task": task}
-    cfg.write_json(os.path.join(out, f"{task}_summary.json"), summary)
+    summary, table = _TASKS[task](config, pot, spec, base_dir)
+    summary["task"] = task
+    out = config.get("out", None if task == "distance" else ".")
+    if out is not None:
+        os.makedirs(out, exist_ok=True)
+        if table is not None:
+            name, header, columns = table
+            cfg.write_csv(os.path.join(out, name), header, columns)
+        cfg.write_json(os.path.join(out, f"{task}_summary.json"), summary)
     return summary
 
 
@@ -54,14 +60,12 @@ def _warn_overshoot(spec):
               f"exceeds T = {T!r}; each flow integrates for that step", file=sys.stderr)
 
 
-def _task_sample(config, pot, spec, base_dir, out):
+def _task_sample(config, pot, spec, base_dir):
     _warn_overshoot(spec)
     run = config["run"]
     steps = run.get("steps", 1000)
     trace = run_chain(pot, spec, np.zeros(pot.dim), steps, run["seed"])
     header = ["step"] + [f"q{j}" for j in range(pot.dim)] + ["H", "accepted"]
-    cfg.write_csv(os.path.join(out, "sample.csv"), header,
-                  [range(len(trace)), *trace.states.T, trace.hamiltonians, trace.accepted])
     return {
         "steps": steps,
         "seed": run["seed"],
@@ -69,10 +73,11 @@ def _task_sample(config, pot, spec, base_dir, out):
         "gradient_evals": trace.ledger.gradient_evals,
         "diverged_at": trace.diverged_at,
         "pass": trace.diverged_at is None,
-    }
+    }, ("sample.csv", header,
+        [range(len(trace)), *trace.states.T, trace.hamiltonians, trace.accepted])
 
 
-def _task_couple(config, pot, spec, base_dir, out):
+def _task_couple(config, pot, spec, base_dir):
     _warn_overshoot(spec)
     run = config["run"]
     opts = config.get("couple", {})
@@ -82,8 +87,6 @@ def _task_couple(config, pot, spec, base_dir, out):
     x0 = opts.get("x0", uniform_ball(rng, 1, pot.dim, radius)[0])
     y0 = opts.get("y0", uniform_ball(rng, 1, pot.dim, radius)[0])
     report = couple_synchronous(pot, spec, x0, y0, run.get("steps", 200), run["seed"])
-    cfg.write_csv(os.path.join(out, "couple.csv"), ["step", "distance"],
-                  [range(len(report.distances)), report.distances])
     return {
         "fitted_rate": report.fitted_rate,
         "bound": report.bound,
@@ -91,28 +94,23 @@ def _task_couple(config, pot, spec, base_dir, out):
         "degenerate": report.degenerate,
         "diverged_at": report.diverged_at,
         "pass": report.passed,
-    }
+    }, ("couple.csv", ["step", "distance"], [range(len(report.distances)), report.distances])
 
 
-def _task_certify(config, pot, spec, base_dir, out):
-    opts = config["certify"]
+def _task_certify(config, pot, spec, base_dir):
+    opts = config.get("certify", {})
     T = opts.get("T", default_integration_time(pot))
-    worst = contraction_certificate(pot, T, opts["trials"], config["run"]["seed"],
+    worst = contraction_certificate(pot, T, opts.get("trials", 200), config["run"]["seed"],
                                     tol=opts.get("tol", 1e-10))
     bound = contraction_bound(pot, T)
-    passed = worst <= bound + 1e-6
-    cfg.write_csv(os.path.join(out, "certify.csv"), ["T", "worst_ratio", "bound"],
-                  [[T], [worst], [bound]])
-    return {"T": T, "worst_ratio": worst, "bound": bound, "pass": passed}
+    return ({"T": T, "worst_ratio": worst, "bound": bound, "pass": worst <= bound + 1e-6},
+            ("certify.csv", ["T", "worst_ratio", "bound"], [[T], [worst], [bound]]))
 
 
-def _task_drift(config, pot, spec, base_dir, out):
+def _task_drift(config, pot, spec, base_dir):
     run = config["run"]
     report = drift_check(pot, spec, config["drift"]["radii"], run.get("replicas", 1000),
                          run["seed"])
-    cfg.write_csv(os.path.join(out, "drift.csv"),
-                  ["radius", "log_mean", "log_se", "slope"],
-                  [report.radii, report.log_means, report.log_se, report.slopes])
     passed = bool(report.feasible and report.slope <= math.exp(-1.0)
                   + 3.0 * report.log_se[int(np.argmax(report.radii))] * report.slope)
     return {
@@ -120,10 +118,11 @@ def _task_drift(config, pot, spec, base_dir, out):
         "slope": report.slope,
         "feasible": report.feasible,
         "pass": passed,
-    }
+    }, ("drift.csv", ["radius", "log_mean", "log_se", "slope"],
+        [report.radii, report.log_means, report.log_se, report.slopes])
 
 
-def _task_goodset(config, pot, spec, base_dir, out):
+def _task_goodset(config, pot, spec, base_dir):
     if not isinstance(pot, SeparablePotential):
         raise cfg.ConfigError("goodset task needs a separable target")
     opts = config.get("goodset", {})
@@ -134,14 +133,12 @@ def _task_goodset(config, pot, spec, base_dir, out):
     run = config["run"]
     freq = good_set_statistics(pot, spec, good, run.get("steps", 100),
                                run.get("replicas", 200), run["seed"])
-    cfg.write_csv(os.path.join(out, "goodset.csv"),
-                  ["g_inf", "g_2", "block_dim", "exit_frequency"],
-                  [[good.g_inf], [good.g_2], [good.block_dim], [freq]])
-    return {"exit_frequency": freq, "g_inf": good.g_inf,
-            "g_2": good.g_2, "pass": True}
+    return ({"exit_frequency": freq, "g_inf": good.g_inf, "g_2": good.g_2, "pass": True},
+            ("goodset.csv", ["g_inf", "g_2", "block_dim", "exit_frequency"],
+             [[good.g_inf], [good.g_2], [good.block_dim], [freq]]))
 
 
-def _task_distance(config, pot, spec, base_dir, out):
+def _task_distance(config, pot, spec, base_dir):
     opts = config["distance"]
     a = cfg.load_points_csv(os.path.join(base_dir, opts["a_csv"]))
     b = cfg.load_points_csv(os.path.join(base_dir, opts["b_csv"]))
@@ -155,7 +152,7 @@ def _task_distance(config, pot, spec, base_dir, out):
     summary = {"w1": w1, "method": method, "pass": True}
     if method == "assignment":
         summary["prokhorov_upper"] = math.sqrt(w1)
-    return summary
+    return summary, None
 
 
 def _rounding(config, pot):
@@ -164,14 +161,13 @@ def _rounding(config, pot):
     return anchor, build_rounding(pot, anchor)
 
 
-def _task_precondition(config, pot, spec, base_dir, out):
+def _task_precondition(config, pot, spec, base_dir):
     anchor, transform = _rounding(config, pot)
-    cfg.write_csv(os.path.join(out, "rounding_matrix.csv"),
-                  [f"c{j}" for j in range(pot.dim)], transform.matrix.T)
-    return {"anchor": list(anchor), "dim": pot.dim, "pass": True}
+    return ({"anchor": list(anchor), "dim": pot.dim, "pass": True},
+            ("rounding_matrix.csv", [f"c{j}" for j in range(pot.dim)], transform.matrix.T))
 
 
-def _task_verify_rounding(config, pot, spec, base_dir, out):
+def _task_verify_rounding(config, pot, spec, base_dir):
     _, transform = _rounding(config, pot)
     path = config["precondition"]["points_csv"]
     report = verify_rounding(pot, transform, cfg.load_points_csv(os.path.join(base_dir, path)))
@@ -182,10 +178,10 @@ def _task_verify_rounding(config, pot, spec, base_dir, out):
         "upper": report.upper,
         "points": report.points,
         "pass": report.passed,
-    }
+    }, None
 
 
-def _task_scaling(config, pot, spec, base_dir, out):
+def _task_scaling(config, pot, spec, base_dir):
     opts = config["scaling"]
     run = config["run"]
     kernel = opts.get("kernel", "unadjusted")
@@ -197,11 +193,6 @@ def _task_scaling(config, pot, spec, base_dir, out):
         kernel=kernel,
         replicas=opts.get("replicas", 1024),
     )
-    cfg.write_csv(os.path.join(out, "scaling.csv"),
-                  ["dim", "theta", "oracle_steps", "chain_steps", "replicas",
-                   "gradient_evals", "gradient_evals_per_chain", "excess_w1",
-                   "raw_w1", "reference_floor"],
-                  list(zip(*map(astuple, result.rows))))
     return {
         "kernel": kernel,
         "scheme": result.scheme,
@@ -211,7 +202,9 @@ def _task_scaling(config, pot, spec, base_dir, out):
         "dims": [r.dim for r in result.rows],
         "gradient_evals_per_chain": [r.gradient_evals_per_chain for r in result.rows],
         "pass": True,
-    }
+    }, ("scaling.csv", ["dim", "theta", "oracle_steps", "chain_steps", "replicas",
+                        "gradient_evals", "gradient_evals_per_chain", "excess_w1",
+                        "raw_w1", "reference_floor"], list(zip(*map(astuple, result.rows))))
 
 
 _TASKS = {
@@ -235,7 +228,7 @@ class _FieldHelp(argparse.HelpFormatter):
         return action.dest
 
 
-def _task_parser(sub, name, help, target=True, seed=True, out=".", **fixed):
+def _task_parser(sub, name, help, target=True, seed=True, **fixed):
     """A subcommand that sets config ``task`` plus the dotted ``fixed`` fields."""
     p = sub.add_parser(name, help=help, formatter_class=_FieldHelp)
     p.set_defaults(task=name.replace("-", "_"), **fixed)
@@ -244,7 +237,7 @@ def _task_parser(sub, name, help, target=True, seed=True, out=".", **fixed):
                        help="JSON file holding the target block")
     if seed:
         p.add_argument("--seed", dest="run.seed", type=int, required=True)
-    p.add_argument("--out", default=out, help="output directory")
+    p.add_argument("--out", help="output directory")
     return p
 
 
@@ -260,12 +253,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     # an unset flag is an absent field, which the task's .get or build_kernel_spec fills
     for name, help, kind, schemes, scheme in (
-            ("sample", "run one chain and dump its trace", "metropolis",
-             ["exact_gaussian", "euler", "leapfrog", "reference"], "leapfrog"),
+            ("sample", "run one chain and dump its trace", "metropolis", SCHEMES, "leapfrog"),
             ("couple", "synchronous coupling of two chains", "ideal", None, "exact_gaussian")):
         p = _task_parser(sub, name, help)
         p.add_argument("--kernel", dest="kernel.kind", default=kind, help="kernel.kind",
-                       choices=["ideal", "unadjusted", "metropolis"])
+                       choices=KERNEL_KINDS)
         p.add_argument("--scheme", dest="kernel.integrator.scheme", choices=schemes,
                        default=scheme, help="kernel.integrator.scheme")
         p.add_argument("--theta", dest="kernel.integrator.theta", type=float)
@@ -274,11 +266,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _task_parser(sub, "certify", "one-step contraction certificate")
     p.add_argument("--T", dest="certify.T", type=float)
-    p.add_argument("--trials", dest="certify.trials", type=int, default=200)
+    p.add_argument("--trials", dest="certify.trials", type=int)
 
     p = _task_parser(sub, "drift", "exponential-moment drift check", **{
-        "kernel.kind": "ideal", "kernel.integrator.scheme": "reference",
-        "kernel.integrator.theta": 1e-10})
+        "kernel.kind": "ideal", "kernel.integrator.scheme": "reference"})
     p.add_argument("--radii", dest="drift.radii", type=_parse_vector, required=True)
     p.add_argument("--replicas", dest="run.replicas", type=int)
 
@@ -293,11 +284,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     # prints the summary, and writes it only when --out names a directory
     p = _task_parser(sub, "distance", "W1 between two CSV point files", target=False,
-                     seed=False, out=None)
+                     seed=False)
     p.add_argument("distance.a_csv")
     p.add_argument("distance.b_csv")
     p.add_argument("--method", dest="distance.method",
-                   choices=["assignment", "sliced", "exact_1d"], help="distance.method")
+                   choices=cfg.DISTANCE_METHODS, help="distance.method")
     p.add_argument("--directions", dest="distance.directions", type=int)
     p.add_argument("--seed", dest="distance.seed", type=int)
 
@@ -310,9 +301,9 @@ def build_parser() -> argparse.ArgumentParser:
                    required=True, help="CSV of bulk points")
 
     p = _task_parser(sub, "scaling", "dimension-scaling study", target=False)
-    p.add_argument("--kernel", dest="scaling.kernel", choices=["unadjusted", "metropolis"],
+    p.add_argument("--kernel", dest="scaling.kernel", choices=STUDY_KERNELS,
                    help="scaling.kernel")
-    p.add_argument("--scheme", dest="scaling.scheme", choices=["euler", "leapfrog"],
+    p.add_argument("--scheme", dest="scaling.scheme", choices=STUDY_SCHEMES,
                    required=True, help="scaling.scheme")
     p.add_argument("--dims", dest="scaling.dims", required=True,
                    type=lambda s: [int(t) for t in s.split(",")])
@@ -321,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="run a full JSON experiment config")
     p.add_argument("--config", required=True)
-    p.add_argument("--out", default=None)
+    p.add_argument("--out")
     return parser
 
 

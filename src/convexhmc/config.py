@@ -15,11 +15,12 @@ from typing import Any
 import numpy as np
 from jsonschema import Draft202012Validator
 
-from .integrators import IntegratorSpec
-from .kernels import KernelSpec, default_integration_time
+from .integrators import SCHEMES, IntegratorSpec
+from .kernels import KERNEL_KINDS, KernelSpec, default_integration_time
 from .metrics import ASSIGNMENT_GUARD
 from .potentials import (ConvexHMCError, Potential, make_gaussian, make_perturbed_quadratic,
                          make_ridge_logistic, make_separable)
+from .scaling import STUDY_KERNELS, STUDY_SCHEMES
 
 
 class ConfigError(ConvexHMCError, ValueError):
@@ -73,7 +74,7 @@ _TARGET_SCHEMA = {
 _INTEGRATOR_SCHEMA = {
     "type": "object",
     "properties": {
-        "scheme": {"enum": ["exact_gaussian", "euler", "leapfrog", "reference"]},
+        "scheme": {"enum": list(SCHEMES)},
         "theta": {"type": "number", "exclusiveMinimum": 0},
         "T": {"type": "number", "minimum": 0},
     },
@@ -84,7 +85,7 @@ _INTEGRATOR_SCHEMA = {
 _KERNEL_SCHEMA = {
     "type": "object",
     "properties": {
-        "kind": {"enum": ["ideal", "unadjusted", "metropolis"]},
+        "kind": {"enum": list(KERNEL_KINDS)},
         "integrator": _INTEGRATOR_SCHEMA,
     },
     "required": ["kind", "integrator"],
@@ -102,12 +103,19 @@ _RUN_SCHEMA = {
     "additionalProperties": False,
 }
 
+TASK_BLOCKS = {  # the blocks each task requires; verify_rounding also requires points_csv
+    "sample": "target kernel run", "couple": "target kernel run",
+    "certify": "target run", "drift": "target kernel drift run",
+    "goodset": "target kernel run", "distance": "distance", "precondition": "target",
+    "verify_rounding": "target precondition", "scaling": "scaling run"}
+DISTANCE_METHODS = ("assignment", "sliced", "exact_1d")
+
 EXPERIMENT_SCHEMA = {
     "$defs": {"target": {"$dynamicAnchor": "target", **_TARGET_SCHEMA}},
     "type": "object",
     "properties": {
-        "task": {"enum": ["sample", "couple", "certify", "drift", "goodset",
-                          "distance", "precondition", "verify_rounding", "scaling"]},
+        "task": {"enum": list(TASK_BLOCKS)},
+        "out": {"type": "string"},
         "target": {"$dynamicRef": "#target"},
         "kernel": _KERNEL_SCHEMA,
         "run": _RUN_SCHEMA,
@@ -126,7 +134,6 @@ EXPERIMENT_SCHEMA = {
                 "trials": {"type": "integer", "minimum": 1},
                 "tol": {"type": "number", "exclusiveMinimum": 0},
             },
-            "required": ["trials"],
             "additionalProperties": False,
         },
         "drift": {
@@ -160,7 +167,7 @@ EXPERIMENT_SCHEMA = {
             "properties": {
                 "a_csv": {"type": "string"},
                 "b_csv": {"type": "string"},
-                "method": {"enum": ["assignment", "sliced", "exact_1d"]},
+                "method": {"enum": list(DISTANCE_METHODS)},
                 "directions": {"type": "integer", "minimum": 1},
                 "seed": {"type": "integer"},
             },
@@ -170,8 +177,8 @@ EXPERIMENT_SCHEMA = {
         "scaling": {
             "type": "object",
             "properties": {
-                "kernel": {"enum": ["unadjusted", "metropolis"]},
-                "scheme": {"enum": ["euler", "leapfrog"]},
+                "kernel": {"enum": list(STUDY_KERNELS)},
+                "scheme": {"enum": list(STUDY_SCHEMES)},
                 "dims": {"type": "array", "items": {"type": "integer", "minimum": 1},
                          "minItems": 1},
                 "epsilon": {"type": "number", "exclusiveMinimum": 0},
@@ -185,11 +192,6 @@ EXPERIMENT_SCHEMA = {
     "additionalProperties": False,
 }
 
-TASK_BLOCKS = {  # the blocks each task requires; verify_rounding also requires points_csv
-    "sample": "target kernel run", "couple": "target kernel run",
-    "certify": "target certify run", "drift": "target kernel drift run",
-    "goodset": "target kernel run", "distance": "distance", "precondition": "target",
-    "verify_rounding": "target precondition", "scaling": "scaling run"}
 _POINTS = {"properties": {"precondition": {"required": ["points_csv"]}}}
 _VALIDATOR = Draft202012Validator(EXPERIMENT_SCHEMA)
 _BY_TASK = {  # one validator per task, so a config pays for its own task's checks only

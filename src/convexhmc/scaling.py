@@ -55,6 +55,8 @@ REFINE_STEPS = 5
 LADDER_WIDTH, REFINE_LEVELS = 4, 3  # thetas per pass: halving rungs, refinement levels
 # the 50 in the chain length I of the module docstring
 MIN_CHAIN_STEPS = 50
+STUDY_KERNELS = ("unadjusted", "metropolis")
+STUDY_SCHEMES = ("euler", "leapfrog")
 
 
 class ScalingError(ConvexHMCError, RuntimeError):
@@ -206,15 +208,15 @@ def run_scaling_study(scheme: str, dims: Sequence[int], epsilon: float, seed: in
     dims = [int(d) for d in dims]
     if any(b <= a for a, b in zip(dims, dims[1:])):
         raise ScalingError("dims must be strictly increasing")
-    if scheme not in ("euler", "leapfrog"):
-        raise ScalingError(f"scheme must be euler or leapfrog, got {scheme!r}")
+    if scheme not in STUDY_SCHEMES:
+        raise ScalingError(f"scheme must be {' or '.join(STUDY_SCHEMES)}, got {scheme!r}")
     if epsilon <= 0.0:
         raise ScalingError(f"epsilon must be positive, got {epsilon}")
     if replicas > metrics.ASSIGNMENT_GUARD:
         raise ScalingError(
             f"replicas capped at {metrics.ASSIGNMENT_GUARD} by the exact assignment solver")
-    if kernel not in ("unadjusted", "metropolis"):
-        raise ScalingError(f"kernel must be unadjusted or metropolis, got {kernel!r}")
+    if kernel not in STUDY_KERNELS:
+        raise ScalingError(f"kernel must be {' or '.join(STUDY_KERNELS)}, got {kernel!r}")
     try:  # KernelSpec says which kernels a flow admits
         KernelSpec(kernel, IntegratorSpec(scheme))
     except KernelError as err:

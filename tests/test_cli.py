@@ -91,6 +91,17 @@ class TestCertifyCommand:
         assert summary["pass"] is True
         assert summary["worst_ratio"] <= summary["bound"] + 1e-6
 
+    def test_default_trials_on_both_paths(self, gaussian_target, tmp_path):
+        # an unset --trials and a certify block without trials both run 200
+        assert main(["certify", "--target-config", gaussian_target, "--seed", "1",
+                     "--out", str(tmp_path / "argv")]) == 0
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({"task": "certify", "run": {"seed": 1},
+                                    "target": json.loads(read(gaussian_target))}))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "conf")]) == 0
+        for name in ("certify.csv", "certify_summary.json"):
+            assert read(tmp_path / "argv" / name) == read(tmp_path / "conf" / name)
+
 
 class TestConfigValidation:
     def test_malformed_json_exits_nonzero(self, tmp_path):
@@ -282,7 +293,7 @@ class TestRunSubcommand:
             "goodset": {"block_dim": 1},
             "run": {"seed": 2, "steps": 20, "replicas": 30},
         }
-        summary = run_experiment(conf, out_dir=str(tmp_path))
+        summary = run_experiment({**conf, "out": str(tmp_path)})
         assert 0.0 <= summary["exit_frequency"] <= 1.0
 
     @pytest.mark.parametrize("kind, scheme", [
@@ -323,7 +334,7 @@ class TestRunSubcommand:
             "drift": {"radii": [2.0, 8.0]},
             "run": {"seed": 4, "replicas": 400},
         }
-        summary = run_experiment(conf, out_dir=str(tmp_path))
+        summary = run_experiment({**conf, "out": str(tmp_path)})
         assert summary["feasible"] is True
         assert os.path.exists(tmp_path / "drift.csv")
 
@@ -413,9 +424,9 @@ class TestArgvToConfig:
     ``config.build_kernel_spec`` supplies its default, so the argv path and
     the ``run --config`` path share one.  The configs below hold only what the
     flags set, plus each subcommand's fixed fields and the schema-required
-    ``certify.trials`` and sample/couple kernel."""
+    sample/couple kernel."""
 
-    T = {"target": GAUSS, "out": "."}
+    T = {"target": GAUSS}
     CASES = {
         "sample": (["sample", "--seed", "1"], {
             **T, "task": "sample", "run": {"seed": 1},
@@ -434,16 +445,16 @@ class TestArgvToConfig:
             "kernel": {"kind": "metropolis",
                        "integrator": {"scheme": "leapfrog", "theta": 0.001, "T": 0.3}}}),
         "certify": (["certify", "--seed", "3"], {
-            **T, "task": "certify", "certify": {"trials": 200}, "run": {"seed": 3}}),
+            **T, "task": "certify", "run": {"seed": 3}}),
         "certify-all": (["certify", "--seed", "3", "--T", "0.3", "--trials", "20"], {
             **T, "task": "certify", "certify": {"trials": 20, "T": 0.3}, "run": {"seed": 3}}),
         "drift": (["drift", "--seed", "4", "--radii", "2,8"], {
             **T, "task": "drift", "drift": {"radii": [2.0, 8.0]},
-            "kernel": {"kind": "ideal", "integrator": {"scheme": "reference", "theta": 1e-10}},
+            "kernel": {"kind": "ideal", "integrator": {"scheme": "reference"}},
             "run": {"seed": 4}}),
         "drift-all": (["drift", "--seed", "4", "--radii", "3", "--replicas", "50"], {
             **T, "task": "drift", "drift": {"radii": [3.0]},
-            "kernel": {"kind": "ideal", "integrator": {"scheme": "reference", "theta": 1e-10}},
+            "kernel": {"kind": "ideal", "integrator": {"scheme": "reference"}},
             "run": {"seed": 4, "replicas": 50}}),
         "goodset": (["goodset", "--seed", "5"], {
             **T, "task": "goodset",
@@ -473,7 +484,7 @@ class TestArgvToConfig:
                 "a_csv": "a.csv", "b_csv": "b.csv", "method": "sliced", "directions": 16,
                 "seed": 3}}),
         "scaling": (["scaling", "--seed", "6", "--scheme", "euler", "--dims", "2,4"], {
-            "task": "scaling", "out": ".", "run": {"seed": 6},
+            "task": "scaling", "run": {"seed": 6},
             "scaling": {"scheme": "euler", "dims": [2, 4]}}),
         "scaling-all": (["scaling", "--seed", "6", "--scheme", "leapfrog", "--dims", "4",
                          "--kernel", "metropolis", "--epsilon", "0.5", "--replicas", "64",
@@ -633,8 +644,31 @@ class TestInputErrors:
         elif command == "scaling":
             prefix = "ScalingError: metropolis kernel needs a reversible"
         one_line_error(capsys, argv, prefix)
-        # the study checks its arguments after its out directory is made
-        assert command == "scaling" or not (tmp_path / "out").exists()
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv, prefix", [
+        (["scaling", "--scheme", "euler", "--dims", "8,4", "--seed", "1"],
+         "ScalingError: dims must be strictly increasing"),
+        # fails in the task, after the target and kernel are built
+        (["drift", "--radii", "1e6", "--replicas", "100", "--seed", "1"],
+         "IntegratorError: flow did not converge"),
+    ], ids=["scaling-dims", "drift-radius"])
+    def test_refused_run_writes_nothing(self, tmp_path, capsys, argv, prefix):
+        target = tmp_path / "t.json"
+        target.write_text(json.dumps({"kind": "gaussian", "eigenvalues": [1.0]}))
+        if argv[0] == "drift":
+            argv = [*argv, "--target-config", str(target)]
+        one_line_error(capsys, argv + ["--out", str(tmp_path / "out")], prefix)
+        assert not (tmp_path / "out").exists()
+
+    def test_out_must_be_a_string(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "exp.json").write_text(json.dumps({"task": "precondition",
+                                                       "target": GAUSS, "out": 5}))
+        one_line_error(capsys, ["run", "--config", "exp.json"],
+                       "ConfigError: invalid experiment config: $.out: 5 is not of type "
+                       "'string'")
+        assert sorted(os.listdir(tmp_path)) == ["exp.json"]
 
     def test_goodset_theta_past_the_euler_cap_names_the_euler_flow(self, tmp_path, capsys):
         # 1e4 leapfrog steps, but 1e8 for the Euler flow of rows outside the good set
