@@ -37,18 +37,23 @@ def run_experiment(config: dict, base_dir: str = ".") -> dict:
     Returns the summary."""
     cfg.validate_config(config)
     task = config["task"]
+    out = config.get("out", None if task == "distance" else ".")
+    if out is not None and (not out or (os.path.exists(out) and not os.path.isdir(out))):
+        raise cfg.ConfigError(f"out {out!r} is not a directory and cannot be made one")
     blocks = cfg.TASK_BLOCKS[task].split()
     pot = cfg.build_potential(config["target"], base_dir) if "target" in blocks else None
     spec = cfg.build_kernel_spec(config["kernel"], pot, task) if "kernel" in blocks else None
     summary, table = _TASKS[task](config, pot, spec, base_dir)
     summary["task"] = task
-    out = config.get("out", None if task == "distance" else ".")
     if out is not None:
-        os.makedirs(out, exist_ok=True)
-        if table is not None:
-            name, header, columns = table
-            cfg.write_csv(os.path.join(out, name), header, columns)
-        cfg.write_json(os.path.join(out, f"{task}_summary.json"), summary)
+        try:
+            os.makedirs(out, exist_ok=True)
+            if table is not None:
+                name, header, columns = table
+                cfg.write_csv(os.path.join(out, name), header, columns)
+            cfg.write_json(os.path.join(out, f"{task}_summary.json"), summary)
+        except OSError as exc:
+            raise cfg.ConfigError(f"cannot write the results into out {out!r}: {exc}") from exc
     return summary
 
 

@@ -22,6 +22,10 @@ KERNEL_KINDS = ("ideal", "unadjusted", "metropolis")
 DIVERGENCE_DH = 1000.0
 # steps in a linear flow's first block and in each block after a cut, and the most in any block
 _FIRST_BLOCK, _MAX_BLOCK = 8, 4096
+# the most values (rows x d) in a step whose accept-guess recurrence runs in Python floats;
+# a Python loop pays per value and numpy per step: they cross near 16 values in a long block
+# and near 8 in the 8-step blocks that follow each cut
+_PY_VALUES = 8
 
 
 class KernelError(ConvexHMCError, RuntimeError):
@@ -228,9 +232,13 @@ def _run_blocks(pot, spec, linear, momenta, uniforms, states, accepted, energies
     A block guesses that all its steps accept, so x_{k+1} = a x_k +
     drive(p_k), or (Metropolis only) that all reject, so every proposal
     starts from the same x; a block whose first step goes against the guess
-    flips it.  One ``value`` call then gives the block's dH and accept flags
-    in ``stepper``'s operations and order, so the trace is bit for bit the
-    step-by-step one.  The block is cut at its first step against the guess
+    flips it.  A step of at most ``_PY_VALUES`` values (rows x d) runs that
+    recurrence as one Python-float loop per (row, coordinate), about 0.1 µs
+    a value and a few µs a block; a larger one takes one numpy statement per
+    step, 1.2-2.5 µs whatever its size.  Both round each product and each
+    sum once, alike.  One ``value`` call then gives the block's dH and
+    accept flags in ``stepper``'s operations and order, so the trace is bit
+    for bit the step-by-step one.  The block is cut at its first step against the guess
     in any row, where each row takes its own accept or reject.  Blocks start
     at ``_FIRST_BLOCK`` steps, double up to ``_MAX_BLOCK`` while the guess
     holds and start over after a cut.  ``energies`` holds U until the
@@ -245,6 +253,8 @@ def _run_blocks(pot, spec, linear, momenta, uniforms, states, accepted, energies
     half_kinetic = 0.5 * add(moms * moms, -1)
     uniforms = uniforms.reshape(spread) if spec.kind == "metropolis" else None
     d_hs = np.empty_like(energies[1:])
+    rows = states[0].size // pot.dim
+    py_as = a.tolist() * rows if states[0].size <= _PY_VALUES else None
     energies[0] = value(states[0])
     i, size, guess = 0, _FIRST_BLOCK, True
     while i < i_max:
@@ -252,8 +262,17 @@ def _run_blocks(pot, spec, linear, momenta, uniforms, states, accepted, energies
         x, u, p = states[i:j + 1], energies[i:j + 1], moms[i:j]
         pushes = drive(p)
         if guess:
-            for k, push in enumerate(pushes):
-                x[k + 1] = a * x[k] + push
+            if py_as is None:
+                for k, push in enumerate(pushes):
+                    x[k + 1] = a * x[k] + push
+            else:
+                flat, n = [], j - i
+                series = pushes.reshape(n, -1).T.tolist() * rows  # a batch's rows share p
+                for ak, xk, cs in zip(py_as, x[0].ravel().tolist(), series):
+                    for ck in cs:
+                        xk = ak * xk + ck
+                        flat.append(xk)
+                x[1:] = np.array(flat).reshape(-1, n).T.reshape(x[1:].shape)
             q = x[1:]
             u[1:] = u_q = value(q)
         else:

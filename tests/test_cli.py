@@ -670,6 +670,31 @@ class TestInputErrors:
                        "'string'")
         assert sorted(os.listdir(tmp_path)) == ["exp.json"]
 
+    @pytest.mark.parametrize("argv, out, prefix", [
+        (["precondition", "--target-config", "t.json"], "t.json",
+         "ConfigError: out 't.json' is not a directory"),
+        # scaling refuses these dims in its task: the out check comes first
+        (["scaling", "--scheme", "euler", "--dims", "8,4", "--seed", "1"], "",
+         "ConfigError: out '' is not a directory"),
+        (["run", "--config", "exp.json"], "t.json", "ConfigError: out 't.json' is not a directory"),
+        # makedirs fails only after the task has run
+        (["precondition", "--target-config", "t.json"], "t.json/run",
+         "ConfigError: cannot write the results into out 't.json/run'"),
+    ], ids=["file", "empty", "run-config", "under-a-file"])
+    def test_out_that_cannot_be_made_exits_2(self, tmp_path, capsys, monkeypatch, argv, out,
+                                             prefix):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "t.json").write_text(json.dumps(GAUSS))
+        if argv[0] == "run":
+            (tmp_path / "exp.json").write_text(json.dumps({"task": "precondition",
+                                                           "target": GAUSS, "out": out}))
+        else:
+            argv = [*argv, "--out", out]
+        one_line_error(capsys, argv, prefix)
+        assert sorted(os.listdir(tmp_path)) == (["exp.json", "t.json"] if argv[0] == "run"
+                                                else ["t.json"])
+        assert json.loads((tmp_path / "t.json").read_text()) == GAUSS
+
     def test_goodset_theta_past_the_euler_cap_names_the_euler_flow(self, tmp_path, capsys):
         # 1e4 leapfrog steps, but 1e8 for the Euler flow of rows outside the good set
         conf = {"task": "goodset",

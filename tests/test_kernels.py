@@ -9,13 +9,18 @@ from convexhmc import (CostLedger, IntegratorError, IntegratorSpec, KernelSpec, 
                        gaussian_moment_test, ideal_step, integrate, make_gaussian,
                        make_perturbed_quadratic, metropolis_step, run_chain, stepper,
                        update_sequence)
-from convexhmc.kernels import KernelError
+from convexhmc.kernels import _PY_VALUES, KernelError
 from test_integrators import counted
 
 UNIT = make_gaussian([1.0])
 PERTURBED = make_perturbed_quadratic(2, 0.2, seed=1)
 GAUSSIAN = make_gaussian([1.0, 4.0])
 STIFF = make_gaussian([1.0, 400.0])  # oracle steps of theta >= 0.01 diverge on it
+# a step of at most _PY_VALUES values runs its accept-guess recurrence in Python floats,
+# a larger one in numpy; ACROSS's lone rows take the first path and its 3-row batch the second
+AT_LIMIT = make_gaussian(np.linspace(1.0, 4.0, _PY_VALUES))
+PAST_LIMIT = make_gaussian(np.linspace(1.0, 4.0, _PY_VALUES + 1))
+ACROSS = make_gaussian(np.linspace(1.0, 4.0, _PY_VALUES // 3 + 1))
 
 
 def exact_kernel(T=None):
@@ -295,6 +300,10 @@ class TestCarriedState:
     @example(STIFF, ("unadjusted", "euler"), 0.5, 16)
     @example(STIFF, ("metropolis", "leapfrog"), 0.3, 16)
     @example(PERTURBED, ("metropolis", "leapfrog"), 0.5, 16)
+    @example(UNIT, ("metropolis", "leapfrog"), 0.5, 3)
+    @example(AT_LIMIT, ("metropolis", "leapfrog"), 0.3, 5)
+    @example(PAST_LIMIT, ("metropolis", "leapfrog"), 0.3, 5)
+    @example(PAST_LIMIT, ("unadjusted", "euler"), 0.75, 16)
     def test_run_chain_composes_single_steps(self, pot, kernel, theta, seed):
         # run_chain carries U and grad U, and runs a linear flow in blocks cut
         # at their first step against the guess; stepping from scratch each
@@ -303,7 +312,7 @@ class TestCarriedState:
         assume(pot.is_gaussian or scheme != "exact_gaussian")
         spec = KernelSpec(kind, IntegratorSpec(scheme, theta=theta, T=0.8))
         steps = 200
-        x = np.array([1.0, -0.5])
+        x = np.resize([1.0, -0.5], pot.dim)
         trace = run_chain(pot, spec, x, steps, seed)
         momenta, uniforms = update_sequence(seed, pot.dim, steps)
         states, energies, accepted, diverged_at = [x], [], [True], None
@@ -364,6 +373,11 @@ class TestBatchedChain:
     @example(PERTURBED, ("metropolis", "leapfrog"), 1.0, 3, 2)
     @example(STIFF, ("unadjusted", "euler"), 0.5, 2, 16)
     @example(STIFF, ("metropolis", "leapfrog"), 0.3, 3, 16)
+    @example(UNIT, ("metropolis", "leapfrog"), 1.0, 3, 2)
+    @example(AT_LIMIT, ("metropolis", "leapfrog"), 0.3, 1, 5)
+    @example(PAST_LIMIT, ("unadjusted", "euler"), 0.75, 2, 16)
+    @example(ACROSS, ("metropolis", "leapfrog"), 0.3, 3, 5)
+    @example(ACROSS, ("unadjusted", "euler"), 0.75, 3, 16)
     def test_each_row_is_its_lone_run(self, pot, kernel, theta, rows, seed):
         # r chains on one update sequence: each row is its own run bit for bit,
         # in blocks and step by step, through rejections and divergences
