@@ -4,12 +4,14 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import solve_ivp
 
 from convexhmc import (GoodSetSpec, IntegratorError, IntegratorSpec, KernelSpec,
                        PhasePoint, default_integration_time, exact_gaussian_flow,
                        flow_trajectory, guarded_step, hamiltonian, integrate, make_gaussian,
                        make_perturbed_quadratic, make_separable, reference_flow, run_chain)
 from convexhmc import integrators
+from convexhmc.coupling import _pairs_with_shared_momenta
 
 UNIT = make_gaussian([1.0])
 
@@ -341,8 +343,8 @@ class TestReferenceFlowProperties:
     @given(coords(3), coords(3), st.floats(0.01, 0.5), st.integers(1, 8))
     def test_triple_jump_is_time_reversible(self, q, p, h, n):
         # a symmetric composition: flip p, run again, flip p gives the start back
-        fwd = integrators._triple_jump_path(PERTURBED, q[None], p[None], h, n, 1)[0, 0]
-        back = integrators._triple_jump_path(PERTURBED, fwd[0][None], -fwd[1][None], h, n, 1)[0, 0]
+        fwd = integrators._composition_path(PERTURBED, q[None], p[None], h, n, 1)[0, -1]
+        back = integrators._composition_path(PERTURBED, fwd[0][None], -fwd[1][None], h, n, 1)[0, -1]
         scale = 1.0 + np.max(np.abs(fwd))
         np.testing.assert_allclose(back[0], q, atol=1e-12 * scale)
         np.testing.assert_allclose(-back[1], p, atol=1e-12 * scale)
@@ -392,10 +394,55 @@ class TestReferenceFlowProperties:
                            r"1e\+06, where float64 spacing is 1.2e-10$"):
             reference_flow(UNIT, pp(1e6, 0.0), 1.0, tol=1e-10)
 
+    def test_hopeless_row_raises_within_the_doubling_budget(self):
+        # tol = 1e-10 lies below the float64 spacing at |q| = 1e6, so no level
+        # converges; every one of the _MAX_DOUBLINGS + 1 levels is paid for once
+        pot, rows = counted(UNIT)
+        with pytest.raises(IntegratorError, match="within 13 doublings"):
+            reference_flow(pot, pp(1e6, 0.0), 1.0, tol=1e-10)
+        assert rows[0] <= 14 + 17 * (2**15 - 2)
+
     def test_nonpositive_tol_raises_even_at_zero_time(self):
         for T in (0.0, 1.0):
             with pytest.raises(IntegratorError, match="tol > 0"):
                 reference_flow(UNIT, pp(1.0, 0.3), T, tol=0.0)
+
+
+class TestComposition:
+    def test_coefficients_are_symmetric_and_sum_to_one(self):
+        w = integrators._COMPOSITION
+        assert len(w) == 17 and w == w[::-1]
+        assert abs(math.fsum(w) - 1.0) <= 1e-15
+
+    def test_observed_order_is_eight(self):
+        # a mistyped coefficient still converges, only at a lower order
+        eigs = [0.5, 1.0, 2.0]
+        x, T = pp([1.0, -0.5, 0.3], [0.2, 0.7, -1.0]), 1.0
+        exact = exact_gaussian_flow(eigs, x, T)
+        errors = []
+        for n in (2, 4, 8):
+            end = integrators._composition_path(make_gaussian(eigs), x.q[None], x.p[None],
+                                                T / n, n, 1)[0, -1]
+            errors.append(max(np.max(np.abs(end[0] - exact.q)), np.max(np.abs(end[1] - exact.p))))
+        orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
+        assert np.all(orders >= 7.5), orders
+
+    def test_converged_row_cost_and_accuracy_on_the_certificate_target(self):
+        # 20 certify pairs on the perturbed d = 8 target: every row converges
+        # at the first comparison, 1 + 17 * 2 and 1 + 17 * 4 gradient rows
+        target = make_perturbed_quadratic(8, 0.1, seed=33)
+        x0, y0, p = _pairs_with_shared_momenta(target, 20, np.random.default_rng(5))
+        x = PhasePoint(np.vstack([x0, y0]), np.vstack([p, p]))
+        T = default_integration_time(target)
+        pot, rows = counted(target)
+        end = reference_flow(pot, x, T, tol=1e-10)
+        assert rows[0] == 104 * 40
+        for i in range(40):
+            sol = solve_ivp(lambda t, y: np.concatenate([y[8:], -target.gradient(y[:8])]),
+                            (0.0, T), np.concatenate([x.q[i], x.p[i]]), method="DOP853",
+                            rtol=1e-13, atol=1e-13)
+            np.testing.assert_allclose(end.q[i], sol.y[:8, -1], rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(end.p[i], sol.y[8:, -1], rtol=0.0, atol=1e-12)
 
 
 class TestGuardedStep:
