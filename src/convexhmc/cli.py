@@ -41,7 +41,8 @@ def run_experiment(config: dict, base_dir: str = ".") -> dict:
     if out is not None and (not out or (os.path.exists(out) and not os.path.isdir(out))):
         raise cfg.ConfigError(f"out {out!r} is not a directory and cannot be made one")
     blocks = cfg.TASK_BLOCKS[task].split()
-    pot = cfg.build_potential(config["target"], base_dir) if "target" in blocks else None
+    pot = (cfg.build_potential(config["target"], base_dir, validated=True)
+           if "target" in blocks else None)
     spec = cfg.build_kernel_spec(config["kernel"], pot, task) if "kernel" in blocks else None
     summary, table = _TASKS[task](config, pot, spec, base_dir)
     summary["task"] = task
@@ -250,16 +251,18 @@ def _parse_vector(text):
     return [float(tok) for tok in text.split(",") if tok.strip()]
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """Each flag's ``dest`` is the dotted config field it sets."""
-    parser = argparse.ArgumentParser(prog="convexhmc",
-                                     description="HMC sampling and verification experiments")
-    sub = parser.add_subparsers(dest="command", required=True)
+_COMMANDS = ("sample", "couple", "certify", "drift", "goodset", "distance", "precondition",
+             "verify-rounding", "scaling", "run")
 
+
+def _add_parser(sub, name: str) -> None:
+    """Adds subcommand ``name``'s parser to ``sub``."""
     # an unset flag is an absent field, which the task's .get or build_kernel_spec fills
-    for name, help, kind, schemes, scheme in (
-            ("sample", "run one chain and dump its trace", "metropolis", SCHEMES, "leapfrog"),
-            ("couple", "synchronous coupling of two chains", "ideal", None, "exact_gaussian")):
+    if name in ("sample", "couple"):
+        help, kind, schemes, scheme = {
+            "sample": ("run one chain and dump its trace", "metropolis", SCHEMES, "leapfrog"),
+            "couple": ("synchronous coupling of two chains", "ideal", None, "exact_gaussian"),
+        }[name]
         p = _task_parser(sub, name, help)
         p.add_argument("--kernel", dest="kernel.kind", default=kind, help="kernel.kind",
                        choices=KERNEL_KINDS)
@@ -268,56 +271,72 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--theta", dest="kernel.integrator.theta", type=float)
         p.add_argument("--T", dest="kernel.integrator.T", type=float)
         p.add_argument("--steps", dest="run.steps", type=int)
+    elif name == "certify":
+        p = _task_parser(sub, name, "one-step contraction certificate")
+        p.add_argument("--T", dest="certify.T", type=float)
+        p.add_argument("--trials", dest="certify.trials", type=int)
+    elif name == "drift":
+        p = _task_parser(sub, name, "exponential-moment drift check", **{
+            "kernel.kind": "ideal", "kernel.integrator.scheme": "reference"})
+        p.add_argument("--radii", dest="drift.radii", type=_parse_vector, required=True)
+        p.add_argument("--replicas", dest="run.replicas", type=int)
+    elif name == "goodset":
+        p = _task_parser(sub, name, "good-set exit statistics", **{
+            "kernel.kind": "unadjusted", "kernel.integrator.scheme": "leapfrog"})
+        p.add_argument("--block-dim", dest="goodset.block_dim", type=int)
+        p.add_argument("--g-inf", dest="goodset.g_inf", type=float)
+        p.add_argument("--g-2", dest="goodset.g_2", type=float)
+        p.add_argument("--theta", dest="kernel.integrator.theta", type=float)
+        p.add_argument("--steps", dest="run.steps", type=int)
+        p.add_argument("--replicas", dest="run.replicas", type=int)
+    elif name == "distance":
+        # prints the summary, and writes it only when --out names a directory
+        p = _task_parser(sub, name, "W1 between two CSV point files", target=False,
+                         seed=False)
+        p.add_argument("distance.a_csv")
+        p.add_argument("distance.b_csv")
+        p.add_argument("--method", dest="distance.method",
+                       choices=cfg.DISTANCE_METHODS, help="distance.method")
+        p.add_argument("--directions", dest="distance.directions", type=int)
+        p.add_argument("--seed", dest="distance.seed", type=int)
+    elif name == "precondition":
+        p = _task_parser(sub, name, "estimate a rounding matrix", seed=False)
+        p.add_argument("--anchor", dest="precondition.anchor", type=_parse_vector)
+    elif name == "verify-rounding":
+        p = _task_parser(sub, name, "sandwich check on bulk points", seed=False)
+        p.add_argument("--anchor", dest="precondition.anchor", type=_parse_vector)
+        p.add_argument("--points", dest="precondition.points_csv", type=os.path.abspath,
+                       required=True, help="CSV of bulk points")
+    elif name == "scaling":
+        p = _task_parser(sub, name, "dimension-scaling study", target=False)
+        p.add_argument("--kernel", dest="scaling.kernel", choices=STUDY_KERNELS,
+                       help="scaling.kernel")
+        p.add_argument("--scheme", dest="scaling.scheme", choices=STUDY_SCHEMES,
+                       required=True, help="scaling.scheme")
+        p.add_argument("--dims", dest="scaling.dims", required=True,
+                       type=lambda s: [int(t) for t in s.split(",")])
+        p.add_argument("--epsilon", dest="scaling.epsilon", type=float)
+        p.add_argument("--replicas", dest="scaling.replicas", type=int)
+    else:
+        p = sub.add_parser("run", help="run a full JSON experiment config")
+        p.add_argument("--config", required=True)
+        p.add_argument("--out")
 
-    p = _task_parser(sub, "certify", "one-step contraction certificate")
-    p.add_argument("--T", dest="certify.T", type=float)
-    p.add_argument("--trials", dest="certify.trials", type=int)
 
-    p = _task_parser(sub, "drift", "exponential-moment drift check", **{
-        "kernel.kind": "ideal", "kernel.integrator.scheme": "reference"})
-    p.add_argument("--radii", dest="drift.radii", type=_parse_vector, required=True)
-    p.add_argument("--replicas", dest="run.replicas", type=int)
-
-    p = _task_parser(sub, "goodset", "good-set exit statistics", **{
-        "kernel.kind": "unadjusted", "kernel.integrator.scheme": "leapfrog"})
-    p.add_argument("--block-dim", dest="goodset.block_dim", type=int)
-    p.add_argument("--g-inf", dest="goodset.g_inf", type=float)
-    p.add_argument("--g-2", dest="goodset.g_2", type=float)
-    p.add_argument("--theta", dest="kernel.integrator.theta", type=float)
-    p.add_argument("--steps", dest="run.steps", type=int)
-    p.add_argument("--replicas", dest="run.replicas", type=int)
-
-    # prints the summary, and writes it only when --out names a directory
-    p = _task_parser(sub, "distance", "W1 between two CSV point files", target=False,
-                     seed=False)
-    p.add_argument("distance.a_csv")
-    p.add_argument("distance.b_csv")
-    p.add_argument("--method", dest="distance.method",
-                   choices=cfg.DISTANCE_METHODS, help="distance.method")
-    p.add_argument("--directions", dest="distance.directions", type=int)
-    p.add_argument("--seed", dest="distance.seed", type=int)
-
-    p = _task_parser(sub, "precondition", "estimate a rounding matrix", seed=False)
-    p.add_argument("--anchor", dest="precondition.anchor", type=_parse_vector)
-
-    p = _task_parser(sub, "verify-rounding", "sandwich check on bulk points", seed=False)
-    p.add_argument("--anchor", dest="precondition.anchor", type=_parse_vector)
-    p.add_argument("--points", dest="precondition.points_csv", type=os.path.abspath,
-                   required=True, help="CSV of bulk points")
-
-    p = _task_parser(sub, "scaling", "dimension-scaling study", target=False)
-    p.add_argument("--kernel", dest="scaling.kernel", choices=STUDY_KERNELS,
-                   help="scaling.kernel")
-    p.add_argument("--scheme", dest="scaling.scheme", choices=STUDY_SCHEMES,
-                   required=True, help="scaling.scheme")
-    p.add_argument("--dims", dest="scaling.dims", required=True,
-                   type=lambda s: [int(t) for t in s.split(",")])
-    p.add_argument("--epsilon", dest="scaling.epsilon", type=float)
-    p.add_argument("--replicas", dest="scaling.replicas", type=int)
-
-    p = sub.add_parser("run", help="run a full JSON experiment config")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out")
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of subcommand ``command`` alone, or of all of them when
+    ``command`` names none; the usage line names them all either way.  Each
+    flag's ``dest`` is the dotted config field it sets."""
+    parser = argparse.ArgumentParser(prog="convexhmc",
+                                     description="HMC sampling and verification experiments")
+    names = (command,) if command in _COMMANDS else _COMMANDS
+    # one subcommand's parser lists every command in its usage line, as the full
+    # set does by default; the full set keeps the default, because its errors
+    # about the command itself (unknown, missing) name the argument by its metavar
+    sub = parser.add_subparsers(dest="command", required=True, metavar=None
+                                if len(names) > 1 else "{" + ",".join(_COMMANDS) + "}")
+    for name in names:
+        _add_parser(sub, name)
     return parser
 
 
@@ -343,7 +362,8 @@ def _config_from_args(args) -> tuple[dict, str]:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         conf, base = _config_from_args(args)
         summary = run_experiment(conf, base_dir=base)

@@ -7,13 +7,13 @@ identical configs produce byte-identical artifacts.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
 from typing import Any
 
 import numpy as np
-from jsonschema import Draft202012Validator
 
 from .integrators import SCHEMES, IntegratorSpec
 from .kernels import KERNEL_KINDS, KernelSpec, default_integration_time
@@ -62,7 +62,7 @@ _TARGET_SCHEMA = {
         {
             "properties": {
                 "kind": {"const": "separable"},
-                "block": {"$dynamicRef": "#target"},
+                "block": {"$ref": "#/$defs/target"},
                 "copies": {"type": "integer", "minimum": 1},
             },
             "required": ["kind", "block", "copies"],
@@ -111,12 +111,12 @@ TASK_BLOCKS = {  # the blocks each task requires; verify_rounding also requires 
 DISTANCE_METHODS = ("assignment", "sliced", "exact_1d")
 
 EXPERIMENT_SCHEMA = {
-    "$defs": {"target": {"$dynamicAnchor": "target", **_TARGET_SCHEMA}},
+    "$defs": {"target": _TARGET_SCHEMA},
     "type": "object",
     "properties": {
         "task": {"enum": list(TASK_BLOCKS)},
         "out": {"type": "string"},
-        "target": {"$dynamicRef": "#target"},
+        "target": {"$ref": "#/$defs/target"},
         "kernel": _KERNEL_SCHEMA,
         "run": _RUN_SCHEMA,
         "couple": {
@@ -193,14 +193,23 @@ EXPERIMENT_SCHEMA = {
 }
 
 _POINTS = {"properties": {"precondition": {"required": ["points_csv"]}}}
-_VALIDATOR = Draft202012Validator(EXPERIMENT_SCHEMA)
-_BY_TASK = {  # one validator per task, so a config pays for its own task's checks only
-    task: Draft202012Validator({**EXPERIMENT_SCHEMA, "required": ["task", *blocks.split()],
-                                "allOf": [_POINTS] if task == "verify_rounding" else []})
-    for task, blocks in TASK_BLOCKS.items()}
-_TARGET_VALIDATOR = Draft202012Validator(
-    {"$defs": {"target": {"$dynamicAnchor": "target", **_TARGET_SCHEMA}},
-     "$dynamicRef": "#target"})
+
+
+@functools.cache
+def _validator(task: str | None):
+    """The validator of ``task``'s configs, which requires the task's blocks; of
+    any config for ``""``; and of a target block for ``None``.  Built on first
+    use, so importing this module does not import jsonschema."""
+    from jsonschema import Draft202012Validator
+
+    if task is None:
+        return Draft202012Validator({"$defs": {"target": _TARGET_SCHEMA},
+                                     "$ref": "#/$defs/target"})
+    if not task:
+        return Draft202012Validator(EXPERIMENT_SCHEMA)
+    return Draft202012Validator({**EXPERIMENT_SCHEMA,
+                                 "required": ["task", *TASK_BLOCKS[task].split()],
+                                 "allOf": [_POINTS] if task == "verify_rounding" else []})
 
 
 def _non_finite(obj, path: str = "$"):
@@ -223,11 +232,12 @@ def _validate(validator, what: str, obj: dict) -> None:
 
 
 def validate_config(config: dict) -> None:
-    _validate(_BY_TASK.get(str(config.get("task")), _VALIDATOR), "experiment config", config)
+    task = str(config.get("task"))
+    _validate(_validator(task if task in TASK_BLOCKS else ""), "experiment config", config)
 
 
 def validate_target(target: dict) -> None:
-    _validate(_TARGET_VALIDATOR, "target config", target)
+    _validate(_validator(None), "target config", target)
 
 
 def _open(path: str):
@@ -253,8 +263,11 @@ def load_logistic_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
     return data[:, 1:], data[:, 0]
 
 
-def build_potential(target: dict, base_dir: str = ".") -> Potential:
-    validate_target(target)
+def build_potential(target: dict, base_dir: str = ".", *, validated: bool = False) -> Potential:
+    """The potential ``target`` names.  ``validated=True`` skips the schema check
+    of a target that ``validate_config`` has already passed."""
+    if not validated:
+        validate_target(target)
     kind = target["kind"]
     if kind == "gaussian":
         return make_gaussian(target["eigenvalues"])
@@ -266,7 +279,7 @@ def build_potential(target: dict, base_dir: str = ".") -> Potential:
             path = os.path.join(base_dir, path)
         features, labels = load_logistic_csv(path)
         return make_ridge_logistic(features, labels, target["ridge"])
-    block = build_potential(target["block"], base_dir)
+    block = build_potential(target["block"], base_dir, validated=True)
     return make_separable([block] * target["copies"])
 
 

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .integrators import GoodSetSpec, PhasePoint, guarded_step, reference_flow
 from .kernels import KernelSpec, default_integration_time, run_chain, stepper
@@ -162,6 +161,8 @@ def drift_check(pot: Potential, spec: KernelSpec, radii: Sequence[float],
     Reports the smallest A making every radius satisfy
     E[exp |X_1|] <= e^(r-1) + A, and the decay slope at the largest radius.
     """
+    from scipy.special import logsumexp  # imported here: no other check needs scipy
+
     if replicas < 100:
         raise CouplingError(f"need replicas >= 100 for stable estimates, got {replicas}")
     radii = np.asarray(radii, dtype=float)

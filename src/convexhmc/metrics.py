@@ -3,7 +3,8 @@
 Wasserstein-1 between equal-weight empirical measures is computed exactly:
 by sorting in one dimension and by an exact minimum-cost perfect matching
 in general, which starts from the duals of ``dual_prices``.  The sliced
-variant is a scalable lower-bound surrogate.
+variant is a scalable lower-bound surrogate.  scipy is imported by the
+functions that call it, so a run that measures no distance never loads it.
 """
 
 from __future__ import annotations
@@ -12,8 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.spatial import distance
 
 from .potentials import ConvexHMCError
 
@@ -54,6 +53,8 @@ def w1_assignment(a, b) -> float:
         raise MetricError(f"batch shapes differ: {pa.shape} vs {pb.shape}")
     if pa.shape[0] > ASSIGNMENT_GUARD:
         raise MetricError(f"assignment solver capped at n <= {ASSIGNMENT_GUARD}, got {pa.shape[0]}")
+    from scipy.spatial import distance
+
     return assignment(pa, pb, distance.cdist(pa, pb))[0]
 
 
@@ -63,6 +64,8 @@ def cdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     product, faster and about 1e-15 relative from it for apart points; near-coincident
     ones cancel to sqrt((d + 3) eps) (|x| + |y|) absolute, so ``w1_assignment`` uses scipy."""
     if a.shape[1] < GEMM_MIN_DIM:
+        from scipy.spatial import distance
+
         return distance.cdist(a, b)
     cost = a @ (-2.0 * b).T  # scaling by -2 is exact, so this is -2 (a @ b.T)
     cost += np.einsum("ij,ij->i", a, a)[:, None]
@@ -82,6 +85,8 @@ def assignment(a: np.ndarray, b: np.ndarray, cost: np.ndarray,
     ``cost`` as it is.  W1 sums the matched pairs' scipy ``cdist`` values, bit
     for bit a plain solve's.
     """
+    from scipy.spatial import distance
+
     if a.shape[1] > 1:
         u, v = dual_prices(cost) if duals is None else duals
         cost -= u[:, None]
@@ -93,6 +98,13 @@ def assignment(a: np.ndarray, b: np.ndarray, cost: np.ndarray,
         distance.cdist(a[start:start + BLOCK_ROWS], b[cols[start:start + BLOCK_ROWS]]).diagonal()
         for start in range(0, len(cols), BLOCK_ROWS)])
     return float(np.sort(matched).mean()), cols  # summed as matching_cost sums
+
+
+def linear_sum_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """scipy's exact solver of the assignment problem on ``cost``."""
+    from scipy.optimize import linear_sum_assignment as solve
+
+    return solve(cost)
 
 
 def matching_cost(cost: np.ndarray, cols: np.ndarray) -> float:

@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.special import expit
 
 # relative slack on the m2 and M2 bands before a secant ratio counts as a violation
 CONVEXITY_REL_TOL = 1e-7
@@ -178,6 +176,9 @@ def make_ridge_logistic(features: np.ndarray, labels: Sequence[float], ridge: fl
     dim = X.shape[1]
     if dim < 1:
         raise PotentialError("features must have at least one column")
+    from scipy.optimize import minimize  # imported here: no other target needs scipy
+    from scipy.special import expit
+
     lam = float(ridge)
     yX = y[:, None] * X
 

@@ -1,12 +1,16 @@
 import json
 import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
 from convexhmc import PhasePoint, flow_trajectory, hamiltonian, make_gaussian
-from convexhmc.cli import _config_from_args, build_parser, main, run_experiment
+import convexhmc
+from convexhmc import config as cfg
+from convexhmc.cli import _COMMANDS, _config_from_args, build_parser, main, run_experiment
 from convexhmc.config import (CSV_BLOCK, ConfigError, build_kernel_spec, build_potential,
                               format_number, validate_config, write_csv)
 
@@ -138,6 +142,35 @@ class TestConfigValidation:
         assert code == 2
         assert err.startswith("CouplingError: T must lie in")
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_invalid_nested_block_is_one_line(self, tmp_path, capsys):
+        # a separable target's block is checked by the target schema it refers to
+        target = {"kind": "separable", "block": {"kind": "gaussian", "eigenvalues": [-1.0]},
+                  "copies": 2}
+        path = tmp_path / "target.json"
+        path.write_text(json.dumps(target))
+        shown = ("{'kind': 'separable', 'block': {'kind': 'gaussian', 'eigenvalues': [-1.0]}, "
+                 "'copies': 2} is not valid under any of the given schemas")
+        err = one_line_error(capsys, ["certify", "--target-config", str(path), "--seed", "0",
+                                      "--out", str(tmp_path / "out")], "ConfigError: ")
+        assert err == f"ConfigError: invalid experiment config: $.target: {shown}\n"
+        with pytest.raises(ConfigError) as exc:
+            build_potential(target)
+        assert str(exc.value) == f"invalid target config: $: {shown}"
+
+    def test_a_run_validates_its_target_once(self, tmp_path, monkeypatch):
+        # validate_config has checked the target, so building it checks nothing more
+        def second_check(target):
+            raise AssertionError(f"target validated again: {target}")
+
+        monkeypatch.setattr(cfg, "validate_target", second_check)
+        block = {"kind": "separable", "block": {"kind": "gaussian", "eigenvalues": [1.0]},
+                 "copies": 1}
+        summary = run_experiment({"task": "certify", "run": {"seed": 0},
+                                  "certify": {"trials": 5}, "out": str(tmp_path),
+                                  "target": {"kind": "separable", "block": block,
+                                             "copies": 2}})
+        assert summary["pass"]
 
     @pytest.mark.parametrize("integrator, couple, error", [
         # a start of the wrong length for the 2-d target
@@ -771,3 +804,70 @@ class TestPointsPath:
         assert main(["run", "--config", "cfgs/exp.json", "--out", "b"]) == 0
         assert read(tmp_path / "a" / "verify_rounding_summary.json") == read(
             tmp_path / "b" / "verify_rounding_summary.json")
+
+
+class TestCallCost:
+    """A call builds only its own subcommand's parser, and importing the CLI
+    loads neither scipy's optimize, spatial and special modules nor jsonschema."""
+
+    # the required arguments of each subcommand; a new one without an entry fails below
+    REQUIRED = {
+        "sample": ["--target-config", "t.json", "--seed", "1"],
+        "couple": ["--target-config", "t.json", "--seed", "1"],
+        "certify": ["--target-config", "t.json", "--seed", "1"],
+        "drift": ["--target-config", "t.json", "--seed", "1", "--radii", "1"],
+        "goodset": ["--target-config", "t.json", "--seed", "1"],
+        "distance": ["a.csv", "b.csv"],
+        "precondition": ["--target-config", "t.json"],
+        "verify-rounding": ["--target-config", "t.json", "--points", "p.csv"],
+        "scaling": ["--seed", "1", "--scheme", "euler", "--dims", "2"],
+        "run": ["--config", "c.json"],
+    }
+
+    @staticmethod
+    def outcome(capsys, parse, argv):
+        """(exit status, stdout, stderr) of ``parse(argv)``, which must exit."""
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        captured = capsys.readouterr()
+        return exc.value.code, captured.out, captured.err
+
+    @pytest.mark.parametrize("name", _COMMANDS)
+    def test_one_subcommand_parser_prints_as_all(self, capsys, name):
+        cases = {"help": [name, "--help"], "unknown": [name, *self.REQUIRED[name], "--bogus"],
+                 "missing": [name]}
+        for case, argv in cases.items():
+            everything = self.outcome(capsys, build_parser().parse_args, argv)
+            assert self.outcome(capsys, build_parser(name).parse_args, argv) == everything
+            assert self.outcome(capsys, main, argv) == everything
+            status, out, err = everything
+            if case == "help":
+                assert status == 0 and out.startswith(f"usage: convexhmc {name} ")
+            else:
+                assert status == 2 and out == ""
+                assert ("unrecognized arguments: --bogus" if case == "unknown"
+                        else "the following arguments are required") in err
+
+    def test_top_level_help_and_unknown_command(self, capsys):
+        for argv in (["--help"], ["frob"], []):
+            assert (self.outcome(capsys, main, argv)
+                    == self.outcome(capsys, build_parser().parse_args, argv))
+        status, out, _ = self.outcome(capsys, main, ["--help"])
+        assert status == 0
+        assert all(f"\n    {name} " in out for name in _COMMANDS)
+        # one subcommand's parser names every command in its usage line too
+        usage = out[:out.index("\n\n") + 1]
+        _, _, err = self.outcome(capsys, main, ["sample", *self.REQUIRED["sample"], "--bogus"])
+        assert err == usage + "convexhmc: error: unrecognized arguments: --bogus\n"
+        status, _, err = self.outcome(capsys, main, ["frob"])
+        assert status == 2 and "argument command: invalid choice: 'frob'" in err
+
+    def test_importing_the_cli_leaves_scipy_and_jsonschema_unloaded(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(convexhmc.__file__)))
+        heavy = ["scipy.optimize", "scipy.spatial", "scipy.special", "jsonschema"]
+        code = (f"import sys, convexhmc.cli; "
+                f"print([m for m in {heavy!r} if m in sys.modules])")
+        path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+        loaded = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                check=True, env={**os.environ, "PYTHONPATH": path}).stdout
+        assert loaded == "[]\n"
