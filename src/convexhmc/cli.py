@@ -40,11 +40,9 @@ def run_experiment(config: dict, base_dir: str = ".") -> dict:
     out = config.get("out", None if task == "distance" else ".")
     if out is not None and (not out or (os.path.exists(out) and not os.path.isdir(out))):
         raise cfg.ConfigError(f"out {out!r} is not a directory and cannot be made one")
-    blocks = cfg.TASK_BLOCKS[task].split()
     pot = (cfg.build_potential(config["target"], base_dir, validated=True)
-           if "target" in blocks else None)
-    spec = cfg.build_kernel_spec(config["kernel"], pot, task) if "kernel" in blocks else None
-    summary, table = _TASKS[task](config, pot, spec, base_dir)
+           if "target" in cfg.TASK_BLOCKS[task].split() else None)
+    summary, table = _SUBCOMMANDS[task.replace("_", "-")][0](config, pot, base_dir)
     summary["task"] = task
     if out is not None:
         try:
@@ -66,7 +64,8 @@ def _warn_overshoot(spec):
               f"exceeds T = {T!r}; each flow integrates for that step", file=sys.stderr)
 
 
-def _task_sample(config, pot, spec, base_dir):
+def _task_sample(config, pot, base_dir):
+    spec = cfg.build_kernel_spec(config.get("kernel", {}), pot, "sample")
     _warn_overshoot(spec)
     run = config["run"]
     steps = run.get("steps", 1000)
@@ -83,7 +82,8 @@ def _task_sample(config, pot, spec, base_dir):
         [range(len(trace)), *trace.states.T, trace.hamiltonians, trace.accepted])
 
 
-def _task_couple(config, pot, spec, base_dir):
+def _task_couple(config, pot, base_dir):
+    spec = cfg.build_kernel_spec(config.get("kernel", {}), pot, "couple")
     _warn_overshoot(spec)
     run = config["run"]
     opts = config.get("couple", {})
@@ -103,7 +103,7 @@ def _task_couple(config, pot, spec, base_dir):
     }, ("couple.csv", ["step", "distance"], [range(len(report.distances)), report.distances])
 
 
-def _task_certify(config, pot, spec, base_dir):
+def _task_certify(config, pot, base_dir):
     opts = config.get("certify", {})
     T = opts.get("T", default_integration_time(pot))
     worst = contraction_certificate(pot, T, opts.get("trials", 200), config["run"]["seed"],
@@ -113,7 +113,8 @@ def _task_certify(config, pot, spec, base_dir):
             ("certify.csv", ["T", "worst_ratio", "bound"], [[T], [worst], [bound]]))
 
 
-def _task_drift(config, pot, spec, base_dir):
+def _task_drift(config, pot, base_dir):
+    spec = cfg.build_kernel_spec(config.get("kernel", {}), pot, "drift")
     run = config["run"]
     report = drift_check(pot, spec, config["drift"]["radii"], run.get("replicas", 1000),
                          run["seed"])
@@ -128,7 +129,8 @@ def _task_drift(config, pot, spec, base_dir):
         [report.radii, report.log_means, report.log_se, report.slopes])
 
 
-def _task_goodset(config, pot, spec, base_dir):
+def _task_goodset(config, pot, base_dir):
+    spec = cfg.build_kernel_spec(config.get("kernel", {}), pot, "goodset")
     if not isinstance(pot, SeparablePotential):
         raise cfg.ConfigError("goodset task needs a separable target")
     opts = config.get("goodset", {})
@@ -144,7 +146,7 @@ def _task_goodset(config, pot, spec, base_dir):
              [[good.g_inf], [good.g_2], [good.block_dim], [freq]]))
 
 
-def _task_distance(config, pot, spec, base_dir):
+def _task_distance(config, pot, base_dir):
     opts = config["distance"]
     a = cfg.load_points_csv(os.path.join(base_dir, opts["a_csv"]))
     b = cfg.load_points_csv(os.path.join(base_dir, opts["b_csv"]))
@@ -167,13 +169,13 @@ def _rounding(config, pot):
     return anchor, build_rounding(pot, anchor)
 
 
-def _task_precondition(config, pot, spec, base_dir):
+def _task_precondition(config, pot, base_dir):
     anchor, transform = _rounding(config, pot)
     return ({"anchor": list(anchor), "dim": pot.dim, "pass": True},
             ("rounding_matrix.csv", [f"c{j}" for j in range(pot.dim)], transform.matrix.T))
 
 
-def _task_verify_rounding(config, pot, spec, base_dir):
+def _task_verify_rounding(config, pot, base_dir):
     _, transform = _rounding(config, pot)
     path = config["precondition"]["points_csv"]
     report = verify_rounding(pot, transform, cfg.load_points_csv(os.path.join(base_dir, path)))
@@ -187,7 +189,7 @@ def _task_verify_rounding(config, pot, spec, base_dir):
     }, None
 
 
-def _task_scaling(config, pot, spec, base_dir):
+def _task_scaling(config, pot, base_dir):
     opts = config["scaling"]
     run = config["run"]
     kernel = opts.get("kernel", "unadjusted")
@@ -213,19 +215,6 @@ def _task_scaling(config, pot, spec, base_dir):
                         "raw_w1", "reference_floor"], list(zip(*map(astuple, result.rows))))
 
 
-_TASKS = {
-    "sample": _task_sample,
-    "couple": _task_couple,
-    "certify": _task_certify,
-    "drift": _task_drift,
-    "goodset": _task_goodset,
-    "distance": _task_distance,
-    "precondition": _task_precondition,
-    "verify_rounding": _task_verify_rounding,
-    "scaling": _task_scaling,
-}
-
-
 class _FieldHelp(argparse.HelpFormatter):
     """Shows each flag's value as the dotted config field it sets (a flag with
     choices shows them instead, and names its field in its help)."""
@@ -234,93 +223,76 @@ class _FieldHelp(argparse.HelpFormatter):
         return action.dest
 
 
-def _task_parser(sub, name, help, target=True, seed=True, **fixed):
-    """A subcommand that sets config ``task`` plus the dotted ``fixed`` fields."""
-    p = sub.add_parser(name, help=help, formatter_class=_FieldHelp)
-    p.set_defaults(task=name.replace("-", "_"), **fixed)
-    if target:
-        p.add_argument("--target-config", dest="target", required=True, metavar="PATH",
-                       help="JSON file holding the target block")
-    if seed:
-        p.add_argument("--seed", dest="run.seed", type=int, required=True)
-    p.add_argument("--out", help="output directory")
-    return p
-
-
 def _parse_vector(text):
     return [float(tok) for tok in text.split(",") if tok.strip()]
 
 
-_COMMANDS = ("sample", "couple", "certify", "drift", "goodset", "distance", "precondition",
-             "verify-rounding", "scaling", "run")
+def _flag(*names, **kwargs):
+    """One ``add_argument`` call: its names and keywords."""
+    return names, kwargs
 
 
-def _add_parser(sub, name: str) -> None:
-    """Adds subcommand ``name``'s parser to ``sub``."""
-    # an unset flag is an absent field, which the task's .get or build_kernel_spec fills
-    if name in ("sample", "couple"):
-        help, kind, schemes, scheme = {
-            "sample": ("run one chain and dump its trace", "metropolis", SCHEMES, "leapfrog"),
-            "couple": ("synchronous coupling of two chains", "ideal", None, "exact_gaussian"),
-        }[name]
-        p = _task_parser(sub, name, help)
-        p.add_argument("--kernel", dest="kernel.kind", default=kind, help="kernel.kind",
-                       choices=KERNEL_KINDS)
-        p.add_argument("--scheme", dest="kernel.integrator.scheme", choices=schemes,
-                       default=scheme, help="kernel.integrator.scheme")
-        p.add_argument("--theta", dest="kernel.integrator.theta", type=float)
-        p.add_argument("--T", dest="kernel.integrator.T", type=float)
-        p.add_argument("--steps", dest="run.steps", type=int)
-    elif name == "certify":
-        p = _task_parser(sub, name, "one-step contraction certificate")
-        p.add_argument("--T", dest="certify.T", type=float)
-        p.add_argument("--trials", dest="certify.trials", type=int)
-    elif name == "drift":
-        p = _task_parser(sub, name, "exponential-moment drift check", **{
-            "kernel.kind": "ideal", "kernel.integrator.scheme": "reference"})
-        p.add_argument("--radii", dest="drift.radii", type=_parse_vector, required=True)
-        p.add_argument("--replicas", dest="run.replicas", type=int)
-    elif name == "goodset":
-        p = _task_parser(sub, name, "good-set exit statistics", **{
-            "kernel.kind": "unadjusted", "kernel.integrator.scheme": "leapfrog"})
-        p.add_argument("--block-dim", dest="goodset.block_dim", type=int)
-        p.add_argument("--g-inf", dest="goodset.g_inf", type=float)
-        p.add_argument("--g-2", dest="goodset.g_2", type=float)
-        p.add_argument("--theta", dest="kernel.integrator.theta", type=float)
-        p.add_argument("--steps", dest="run.steps", type=int)
-        p.add_argument("--replicas", dest="run.replicas", type=int)
-    elif name == "distance":
-        # prints the summary, and writes it only when --out names a directory
-        p = _task_parser(sub, name, "W1 between two CSV point files", target=False,
-                         seed=False)
-        p.add_argument("distance.a_csv")
-        p.add_argument("distance.b_csv")
-        p.add_argument("--method", dest="distance.method",
-                       choices=cfg.DISTANCE_METHODS, help="distance.method")
-        p.add_argument("--directions", dest="distance.directions", type=int)
-        p.add_argument("--seed", dest="distance.seed", type=int)
-    elif name == "precondition":
-        p = _task_parser(sub, name, "estimate a rounding matrix", seed=False)
-        p.add_argument("--anchor", dest="precondition.anchor", type=_parse_vector)
-    elif name == "verify-rounding":
-        p = _task_parser(sub, name, "sandwich check on bulk points", seed=False)
-        p.add_argument("--anchor", dest="precondition.anchor", type=_parse_vector)
-        p.add_argument("--points", dest="precondition.points_csv", type=os.path.abspath,
-                       required=True, help="CSV of bulk points")
-    elif name == "scaling":
-        p = _task_parser(sub, name, "dimension-scaling study", target=False)
-        p.add_argument("--kernel", dest="scaling.kernel", choices=STUDY_KERNELS,
-                       help="scaling.kernel")
-        p.add_argument("--scheme", dest="scaling.scheme", choices=STUDY_SCHEMES,
-                       required=True, help="scaling.scheme")
-        p.add_argument("--dims", dest="scaling.dims", required=True,
-                       type=lambda s: [int(t) for t in s.split(",")])
-        p.add_argument("--epsilon", dest="scaling.epsilon", type=float)
-        p.add_argument("--replicas", dest="scaling.replicas", type=int)
-    else:
-        p = sub.add_parser("run", help="run a full JSON experiment config")
-        p.add_argument("--config", required=True)
-        p.add_argument("--out")
+# an unset flag is an absent field, which the task's .get or build_kernel_spec fills
+_TARGET = _flag("--target-config", dest="target", required=True, metavar="PATH",
+                help="JSON file holding the target block")
+_SEED = _flag("--seed", dest="run.seed", type=int, required=True)
+_OUT = _flag("--out", help="output directory")
+_THETA = _flag("--theta", dest="kernel.integrator.theta", type=float)
+_STEPS = _flag("--steps", dest="run.steps", type=int)
+_REPLICAS = _flag("--replicas", dest="run.replicas", type=int)
+_ANCHOR = _flag("--anchor", dest="precondition.anchor", type=_parse_vector)
+
+
+def _chain_flags(schemes):
+    """The flags of sample and couple, whose --scheme takes ``schemes``."""
+    return (_TARGET, _SEED, _OUT,
+            _flag("--kernel", dest="kernel.kind", choices=KERNEL_KINDS, help="kernel.kind"),
+            _flag("--scheme", dest="kernel.integrator.scheme", choices=schemes,
+                  help="kernel.integrator.scheme"),
+            _THETA, _flag("--T", dest="kernel.integrator.T", type=float), _STEPS)
+
+
+# each subcommand's task (config task: its name with "_" for "-"), help and flags;
+# a flag's dest is the dotted config field it sets
+_SUBCOMMANDS = {
+    "sample": (_task_sample, "run one chain and dump its trace", _chain_flags(SCHEMES)),
+    "couple": (_task_couple, "synchronous coupling of two chains", _chain_flags(None)),
+    "certify": (_task_certify, "one-step contraction certificate", (
+        _TARGET, _SEED, _OUT, _flag("--T", dest="certify.T", type=float),
+        _flag("--trials", dest="certify.trials", type=int))),
+    "drift": (_task_drift, "exponential-moment drift check", (
+        _TARGET, _SEED, _OUT,
+        _flag("--radii", dest="drift.radii", type=_parse_vector, required=True), _REPLICAS)),
+    "goodset": (_task_goodset, "good-set exit statistics", (
+        _TARGET, _SEED, _OUT, _flag("--block-dim", dest="goodset.block_dim", type=int),
+        _flag("--g-inf", dest="goodset.g_inf", type=float),
+        _flag("--g-2", dest="goodset.g_2", type=float), _THETA, _STEPS, _REPLICAS)),
+    # prints the summary, and writes it only when --out names a directory
+    "distance": (_task_distance, "W1 between two CSV point files", (
+        _OUT, _flag("distance.a_csv"), _flag("distance.b_csv"),
+        _flag("--method", dest="distance.method", choices=cfg.DISTANCE_METHODS,
+              help="distance.method"),
+        _flag("--directions", dest="distance.directions", type=int),
+        _flag("--seed", dest="distance.seed", type=int))),
+    "precondition": (_task_precondition, "estimate a rounding matrix",
+                     (_TARGET, _OUT, _ANCHOR)),
+    "verify-rounding": (_task_verify_rounding, "sandwich check on bulk points", (
+        _TARGET, _OUT, _ANCHOR,
+        _flag("--points", dest="precondition.points_csv", type=os.path.abspath,
+              required=True, help="CSV of bulk points"))),
+    "scaling": (_task_scaling, "dimension-scaling study", (
+        _SEED, _OUT,
+        _flag("--kernel", dest="scaling.kernel", choices=STUDY_KERNELS, help="scaling.kernel"),
+        _flag("--scheme", dest="scaling.scheme", choices=STUDY_SCHEMES, required=True,
+              help="scaling.scheme"),
+        _flag("--dims", dest="scaling.dims", required=True,
+              type=lambda s: [int(t) for t in s.split(",")]),
+        _flag("--epsilon", dest="scaling.epsilon", type=float),
+        _flag("--replicas", dest="scaling.replicas", type=int))),
+    "run": (None, "run a full JSON experiment config", (
+        _flag("--config", required=True, metavar="CONFIG"), _flag("--out", metavar="OUT"))),
+}
+_COMMANDS = tuple(_SUBCOMMANDS)
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
@@ -336,7 +308,10 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, metavar=None
                                 if len(names) > 1 else "{" + ",".join(_COMMANDS) + "}")
     for name in names:
-        _add_parser(sub, name)
+        _, help, flags = _SUBCOMMANDS[name]
+        p = sub.add_parser(name, help=help, formatter_class=_FieldHelp)
+        for flag, kwargs in flags:
+            p.add_argument(*flag, **kwargs)
     return parser
 
 
@@ -351,7 +326,9 @@ def _config_from_args(args) -> tuple[dict, str]:
         return conf, os.path.dirname(os.path.abspath(args.config))
     fields = {k: v for k, v in vars(args).items() if v is not None and k != "command"}
     path = fields.pop("target", None)
-    conf = {} if path is None else {"target": cfg.load_json(path)}
+    conf = {"task": args.command.replace("-", "_")}
+    if path is not None:
+        conf["target"] = cfg.load_json(path)
     for key, value in fields.items():
         *blocks, field = key.split(".")
         node = conf

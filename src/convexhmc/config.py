@@ -78,7 +78,6 @@ _INTEGRATOR_SCHEMA = {
         "theta": {"type": "number", "exclusiveMinimum": 0},
         "T": {"type": "number", "minimum": 0},
     },
-    "required": ["scheme"],
     "additionalProperties": False,
 }
 
@@ -88,7 +87,6 @@ _KERNEL_SCHEMA = {
         "kind": {"enum": list(KERNEL_KINDS)},
         "integrator": _INTEGRATOR_SCHEMA,
     },
-    "required": ["kind", "integrator"],
     "additionalProperties": False,
 }
 
@@ -104,10 +102,9 @@ _RUN_SCHEMA = {
 }
 
 TASK_BLOCKS = {  # the blocks each task requires; verify_rounding also requires points_csv
-    "sample": "target kernel run", "couple": "target kernel run",
-    "certify": "target run", "drift": "target kernel drift run",
-    "goodset": "target kernel run", "distance": "distance", "precondition": "target",
-    "verify_rounding": "target precondition", "scaling": "scaling run"}
+    "sample": "target run", "couple": "target run", "certify": "target run",
+    "drift": "target drift run", "goodset": "target run", "distance": "distance",
+    "precondition": "target", "verify_rounding": "target precondition", "scaling": "scaling run"}
 DISTANCE_METHODS = ("assignment", "sliced", "exact_1d")
 
 EXPERIMENT_SCHEMA = {
@@ -283,18 +280,24 @@ def build_potential(target: dict, base_dir: str = ".", *, validated: bool = Fals
     return make_separable([block] * target["copies"])
 
 
-# theta of a kernel block that sets none: by task where the task has one, else by scheme
-_THETA_DEFAULTS = {"goodset": 1e-2, "exact_gaussian": 1e-10, "reference": 1e-10,
-                  "euler": 1e-3, "leapfrog": 1e-3}
+# the kind, scheme and theta of each kernel task's block that leaves them out; a theta
+# of None is the scheme's
+_KERNEL_DEFAULTS = {"sample": ("metropolis", "leapfrog", None),
+                    "couple": ("ideal", "exact_gaussian", None),
+                    "drift": ("ideal", "reference", None),
+                    "goodset": ("unadjusted", "leapfrog", 1e-2)}
+_THETA_DEFAULTS = {"exact_gaussian": 1e-10, "reference": 1e-10, "euler": 1e-3, "leapfrog": 1e-3}
 
 
 def build_kernel_spec(kernel: dict, pot: Potential, task: str) -> KernelSpec:
-    integ = dict(kernel["integrator"])
-    scheme = integ["scheme"]
+    """The spec of ``task``'s kernel block, whose absent fields take the task's defaults."""
+    kind, scheme, theta = _KERNEL_DEFAULTS[task]
+    integ = kernel.get("integrator", {})
+    scheme = integ.get("scheme", scheme)
+    theta = integ.get("theta", theta or _THETA_DEFAULTS[scheme])
     T = integ.get("T", default_integration_time(pot))
-    theta = integ.get("theta", _THETA_DEFAULTS.get(task, _THETA_DEFAULTS[scheme]))
-    spec = IntegratorSpec(scheme=scheme, theta=theta, T=T)
-    return KernelSpec(kind=kernel["kind"], integrator=spec)
+    return KernelSpec(kind=kernel.get("kind", kind),
+                      integrator=IntegratorSpec(scheme=scheme, theta=theta, T=T))
 
 
 def format_number(v) -> str:

@@ -9,10 +9,14 @@ import pytest
 
 from convexhmc import PhasePoint, flow_trajectory, hamiltonian, make_gaussian
 import convexhmc
+from convexhmc import IntegratorSpec, KernelSpec, default_integration_time
 from convexhmc import config as cfg
 from convexhmc.cli import _COMMANDS, _config_from_args, build_parser, main, run_experiment
 from convexhmc.config import (CSV_BLOCK, ConfigError, build_kernel_spec, build_potential,
                               format_number, validate_config, write_csv)
+from convexhmc.metrics import w1_exact_1d, w1_sliced
+
+GAUSS = {"kind": "gaussian", "eigenvalues": [1.0, 4.0]}
 
 
 @pytest.fixture
@@ -61,6 +65,21 @@ class TestSampleCommand:
         summary = json.loads((out / "sample_summary.json").read_text())
         assert code == 1
         assert summary["pass"] is False and summary["diverged_at"] == 0
+
+    def test_diverged_step_loop_run_fails(self, tmp_path, capsys):
+        # a perturbed target runs its chain one step at a time; a leapfrog step of
+        # 8, far past stability, diverges at step 4 (tests/test_kernels.py)
+        target = tmp_path / "target.json"
+        target.write_text(json.dumps({"kind": "perturbed", "dim": 2, "amplitude": 0.2,
+                                      "seed": 1}))
+        out = tmp_path / "run"
+        code = main(["sample", "--target-config", str(target), "--kernel", "metropolis",
+                     "--scheme", "leapfrog", "--theta", "64", "--T", "0.8", "--steps", "20",
+                     "--seed", "4", "--out", str(out)])
+        summary = json.loads((out / "sample_summary.json").read_text())
+        assert code == 1
+        assert capsys.readouterr().out == (out / "sample_summary.json").read_text()
+        assert summary["pass"] is False and summary["diverged_at"] == 4
 
 
 class TestCoupleCommand:
@@ -273,6 +292,23 @@ class TestDistanceCommand:
         assert out["prokhorov_upper"] == pytest.approx(out["w1"] ** 0.5)
         assert list(workdir.iterdir()) == []  # print-only without --out
 
+    @pytest.mark.parametrize("method", ["exact_1d", "sliced"])
+    def test_other_methods_write_no_prokhorov_bound(self, tmp_path, capsys, method):
+        # the sqrt(W1) Prokhorov bound holds for the assignment's exact W1 alone
+        rng = np.random.default_rng(1)
+        a, b = rng.standard_normal((2, 24, 1 if method == "exact_1d" else 3))
+        write_csv(str(tmp_path / "a.csv"), [f"x{j}" for j in range(a.shape[1])], a.T)
+        write_csv(str(tmp_path / "b.csv"), [f"x{j}" for j in range(b.shape[1])], b.T)
+        flags = ["--directions", "16", "--seed", "3"] if method == "sliced" else []
+        code = main(["distance", str(tmp_path / "a.csv"), str(tmp_path / "b.csv"),
+                     "--method", method, *flags, "--out", str(tmp_path / "out")])
+        printed = capsys.readouterr().out
+        assert code == 0
+        assert printed == (tmp_path / "out" / "distance_summary.json").read_text()
+        w1 = w1_exact_1d(a, b) if method == "exact_1d" else w1_sliced(a, b, 16, 3)
+        assert json.loads(printed) == {"w1": w1, "method": method, "pass": True,
+                                       "task": "distance"}
+
 
 class TestPreconditionCommands:
     def test_matrix_roundtrip(self, tmp_path):
@@ -359,6 +395,19 @@ class TestRunSubcommand:
         assert row[0] == repr(10.0 * 2.0**0.5) and row[2] == "2"
         assert read(tmp_path / "unset" / "goodset.csv") == read(tmp_path / "two" / "goodset.csv")
 
+    @pytest.mark.parametrize("target, flags, error", [
+        (GAUSS, [], "ConfigError: goodset task needs a separable target"),
+        ({"kind": "separable", "block": {"kind": "gaussian", "eigenvalues": [1.0]}, "copies": 3},
+         ["--block-dim", "2"], "CouplingError: good-set block size must divide the dimension"),
+    ], ids=["not-separable", "block-dim"])
+    def test_goodset_refusals_write_nothing(self, tmp_path, capsys, target, flags, error):
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(target))
+        err = one_line_error(capsys, ["goodset", "--target-config", str(path), "--seed", "1",
+                                      *flags, "--out", str(tmp_path / "out")], error)
+        assert err == error + "\n"
+        assert sorted(os.listdir(tmp_path)) == ["t.json"]
+
     def test_drift_task(self, tmp_path):
         conf = {
             "task": "drift",
@@ -439,9 +488,6 @@ class TestScalingSmoke:
             assert per_chain == chain_steps * oracle_steps
 
 
-GAUSS = {"kind": "gaussian", "eigenvalues": [1.0, 4.0]}
-
-
 def one_line_error(capsys, argv, prefix):
     code = main(argv)
     err = capsys.readouterr().err
@@ -455,23 +501,18 @@ class TestArgvToConfig:
     """Each subcommand, with and without each optional flag, builds the config
     its flags name.  An unset flag is an absent field: the task's ``.get`` or
     ``config.build_kernel_spec`` supplies its default, so the argv path and
-    the ``run --config`` path share one.  The configs below hold only what the
-    flags set, plus each subcommand's fixed fields and the schema-required
-    sample/couple kernel."""
+    the ``run --config`` path share one.  The configs below hold the task and
+    what the flags set, and nothing else."""
 
     T = {"target": GAUSS}
     CASES = {
-        "sample": (["sample", "--seed", "1"], {
-            **T, "task": "sample", "run": {"seed": 1},
-            "kernel": {"kind": "metropolis", "integrator": {"scheme": "leapfrog"}}}),
+        "sample": (["sample", "--seed", "1"], {**T, "task": "sample", "run": {"seed": 1}}),
         "sample-all": (["sample", "--seed", "1", "--kernel", "unadjusted", "--scheme", "euler",
                         "--theta", "0.05", "--T", "0.5", "--steps", "40", "--out", "o"], {
             "target": GAUSS, "out": "o", "task": "sample", "run": {"steps": 40, "seed": 1},
             "kernel": {"kind": "unadjusted",
                        "integrator": {"scheme": "euler", "theta": 0.05, "T": 0.5}}}),
-        "couple": (["couple", "--seed", "2"], {
-            **T, "task": "couple", "run": {"seed": 2},
-            "kernel": {"kind": "ideal", "integrator": {"scheme": "exact_gaussian"}}}),
+        "couple": (["couple", "--seed", "2"], {**T, "task": "couple", "run": {"seed": 2}}),
         "couple-all": (["couple", "--seed", "2", "--kernel", "metropolis", "--scheme",
                         "leapfrog", "--theta", "0.001", "--T", "0.3", "--steps", "30"], {
             **T, "task": "couple", "run": {"steps": 30, "seed": 2},
@@ -482,21 +523,14 @@ class TestArgvToConfig:
         "certify-all": (["certify", "--seed", "3", "--T", "0.3", "--trials", "20"], {
             **T, "task": "certify", "certify": {"trials": 20, "T": 0.3}, "run": {"seed": 3}}),
         "drift": (["drift", "--seed", "4", "--radii", "2,8"], {
-            **T, "task": "drift", "drift": {"radii": [2.0, 8.0]},
-            "kernel": {"kind": "ideal", "integrator": {"scheme": "reference"}},
-            "run": {"seed": 4}}),
+            **T, "task": "drift", "drift": {"radii": [2.0, 8.0]}, "run": {"seed": 4}}),
         "drift-all": (["drift", "--seed", "4", "--radii", "3", "--replicas", "50"], {
-            **T, "task": "drift", "drift": {"radii": [3.0]},
-            "kernel": {"kind": "ideal", "integrator": {"scheme": "reference"}},
-            "run": {"seed": 4, "replicas": 50}}),
-        "goodset": (["goodset", "--seed", "5"], {
-            **T, "task": "goodset",
-            "kernel": {"kind": "unadjusted", "integrator": {"scheme": "leapfrog"}},
-            "run": {"seed": 5}}),
+            **T, "task": "drift", "drift": {"radii": [3.0]}, "run": {"seed": 4, "replicas": 50}}),
+        "goodset": (["goodset", "--seed", "5"], {**T, "task": "goodset", "run": {"seed": 5}}),
         "goodset-all": (["goodset", "--seed", "5", "--block-dim", "2", "--g-inf", "3",
                          "--g-2", "2", "--theta", "0.02", "--steps", "10", "--replicas", "20"], {
             **T, "task": "goodset", "goodset": {"block_dim": 2, "g_inf": 3.0, "g_2": 2.0},
-            "kernel": {"kind": "unadjusted", "integrator": {"scheme": "leapfrog", "theta": 0.02}},
+            "kernel": {"integrator": {"theta": 0.02}},
             "run": {"seed": 5, "steps": 10, "replicas": 20}}),
         "precondition": (["precondition"], {**T, "task": "precondition"}),
         "precondition-all": (["precondition", "--anchor", "0.1,0.2", "--out", "o"], {
@@ -593,10 +627,44 @@ class TestArgvToConfig:
         conf, _ = self.config(argv)
         pot = build_potential(GAUSS)
         from_file = {"kind": kind, "integrator": {"scheme": scheme}}
-        from_argv = build_kernel_spec(conf["kernel"], pot, command)
+        from_argv = build_kernel_spec(conf.get("kernel", {}), pot, command)
         assert from_argv == build_kernel_spec(from_file, pot, command)
         if command == "goodset":
             assert from_argv.integrator.theta == 1e-2
+
+    KERNEL_DEFAULTS = {"sample": ("metropolis", "leapfrog", 1e-3),
+                       "couple": ("ideal", "exact_gaussian", 1e-10),
+                       "drift": ("ideal", "reference", 1e-10),
+                       "goodset": ("unadjusted", "leapfrog", 1e-2)}
+
+    @pytest.mark.parametrize("command", sorted(KERNEL_DEFAULTS))
+    def test_kernel_defaults_on_both_paths(self, tmp_path, monkeypatch, command):
+        # a run config without a kernel block, or with any of kind, scheme and
+        # theta left out, builds the spec of the flags run that sets no kernel flag
+        class Built(Exception):
+            pass
+
+        specs = []
+
+        def record(kernel, pot, task):
+            specs.append(build_kernel_spec(kernel, pot, task))
+            raise Built  # before the task runs
+
+        target = tmp_path / "t.json"
+        target.write_text(json.dumps(GAUSS))
+        argv = [command, "--target-config", str(target), "--seed", "1"]
+        flags, _ = self.config(argv + (["--radii", "1"] if command == "drift" else []))
+        assert "kernel" not in flags
+        kind, scheme, theta = self.KERNEL_DEFAULTS[command]
+        blocks = [{}, {"kind": kind}, {"integrator": {"scheme": scheme}},
+                  {"integrator": {"theta": theta}}, {"kind": kind, "integrator": {}},
+                  {"kind": kind, "integrator": {"scheme": scheme, "theta": theta}}]
+        monkeypatch.setattr(cfg, "build_kernel_spec", record)
+        for conf in [flags] + [{**flags, "kernel": block} for block in blocks]:
+            with pytest.raises(Built):
+                run_experiment(conf)
+        T = default_integration_time(build_potential(GAUSS))
+        assert specs == [KernelSpec(kind, IntegratorSpec(scheme, theta, T))] * (len(blocks) + 1)
 
     @pytest.mark.parametrize("command", ["drift", "goodset"])
     def test_argv_runs_as_its_config(self, tmp_path, capsys, command):

@@ -9,6 +9,7 @@ from convexhmc import (CostLedger, IntegratorError, IntegratorSpec, KernelSpec, 
                        gaussian_moment_test, ideal_step, integrate, make_gaussian,
                        make_perturbed_quadratic, metropolis_step, run_chain, stepper,
                        update_sequence)
+from convexhmc.integrators import linear_flow
 from convexhmc.kernels import _PY_VALUES, KernelError
 from test_integrators import counted
 
@@ -343,6 +344,21 @@ class TestCarriedState:
         assert run_chain(pot, spec, np.zeros(2), 5, seed=1).diverged_at == 0
         calm = KernelSpec("metropolis", IntegratorSpec("leapfrog", theta=1e-3, T=0.088))
         assert run_chain(pot, calm, np.zeros(2), 200, seed=1).diverged_at is None
+
+    def test_divergence_in_the_step_loop(self):
+        # a perturbed target has no linear flow, so run_chain takes one stepper
+        # step at a time; a leapfrog step of 8, far past stability, diverges
+        # at step 4 on this update sequence, after four rejected proposals
+        spec = KernelSpec("metropolis", IntegratorSpec("leapfrog", theta=64.0, T=0.8))
+        assert linear_flow(PERTURBED, spec.integrator) is None
+        trace = run_chain(PERTURBED, spec, np.zeros(2), 20, seed=4)
+        step, x, diverged_at = stepper(PERTURBED, spec), np.zeros(2), None
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i, (p, u) in enumerate(zip(*update_sequence(4, 2, 20))):
+                x, _, d_h = step(x, p, u)[:3]
+                if diverged_at is None and not abs(d_h) <= 1000.0:
+                    diverged_at = i
+        assert trace.diverged_at == diverged_at == 4
 
 
 class TestBatchedChain:
