@@ -11,9 +11,8 @@ from .kernels import (ChainTrace, CostLedger, KernelSpec, carry, default_integra
 from .coupling import (CouplingReport, DriftReport, contraction_bound,
                        contraction_certificate, couple_synchronous, drift_check,
                        good_set_statistics, kernel_contraction_bound)
-from .metrics import (MomentTestResult, effective_sample_size,
-                      gaussian_moment_test, prokhorov_upper, w1_assignment, w1_exact_1d,
-                      w1_sliced)
+from .metrics import (MomentTestResult, effective_sample_size, gaussian_moment_test,
+                      w1_assignment, w1_exact_1d, w1_sliced)
 from .precondition import (RoundingReport, RoundingTransform, build_rounding, hessian_at,
                            transform_potential, verify_rounding)
 from .scaling import ScalingResult, ScalingRow, chain_length, run_scaling_study

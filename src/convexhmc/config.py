@@ -189,24 +189,27 @@ EXPERIMENT_SCHEMA = {
     "additionalProperties": False,
 }
 
-_POINTS = {"properties": {"precondition": {"required": ["points_csv"]}}}
+# each task's rules beyond its required blocks: verify_rounding needs points_csv, and
+# goodset's guarded integrator has one kernel, so its kernel block holds only theta and T
+_TASK_RULES = {"verify_rounding": {"properties": {"precondition": {"required": ["points_csv"]}}},
+               "goodset": {"properties": {"kernel": {
+                   "properties": {"integrator": {"properties": {"theta": True, "T": True},
+                                                 "additionalProperties": False}},
+                   "additionalProperties": False}}}}
 
 
 @functools.cache
-def _validator(task: str | None):
-    """The validator of ``task``'s configs, which requires the task's blocks; of
-    any config for ``""``; and of a target block for ``None``.  Built on first
-    use, so importing this module does not import jsonschema."""
+def _validator(task: str):
+    """The validator of ``task``'s configs, which requires the task's blocks, or
+    of any config for ``""``.  Built on first use, so importing this module
+    does not import jsonschema."""
     from jsonschema import Draft202012Validator
 
-    if task is None:
-        return Draft202012Validator({"$defs": {"target": _TARGET_SCHEMA},
-                                     "$ref": "#/$defs/target"})
     if not task:
         return Draft202012Validator(EXPERIMENT_SCHEMA)
     return Draft202012Validator({**EXPERIMENT_SCHEMA,
                                  "required": ["task", *TASK_BLOCKS[task].split()],
-                                 "allOf": [_POINTS] if task == "verify_rounding" else []})
+                                 "allOf": [_TASK_RULES.get(task, {})]})
 
 
 def _non_finite(obj, path: str = "$"):
@@ -221,20 +224,13 @@ def _non_finite(obj, path: str = "$"):
         yield f"{path}: {obj!r} is not a finite number"
 
 
-def _validate(validator, what: str, obj: dict) -> None:
-    errors = sorted(validator.iter_errors(obj), key=lambda e: e.json_path)
-    problems = [f"{e.json_path}: {e.message}" for e in errors] + list(_non_finite(obj))
-    if problems:
-        raise ConfigError(f"invalid {what}: " + "; ".join(problems))
-
-
 def validate_config(config: dict) -> None:
     task = str(config.get("task"))
-    _validate(_validator(task if task in TASK_BLOCKS else ""), "experiment config", config)
-
-
-def validate_target(target: dict) -> None:
-    _validate(_validator(None), "target config", target)
+    validator = _validator(task if task in TASK_BLOCKS else "")
+    errors = sorted(validator.iter_errors(config), key=lambda e: e.json_path)
+    problems = [f"{e.json_path}: {e.message}" for e in errors] + list(_non_finite(config))
+    if problems:
+        raise ConfigError("invalid experiment config: " + "; ".join(problems))
 
 
 def _open(path: str):
@@ -260,11 +256,8 @@ def load_logistic_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
     return data[:, 1:], data[:, 0]
 
 
-def build_potential(target: dict, base_dir: str = ".", *, validated: bool = False) -> Potential:
-    """The potential ``target`` names.  ``validated=True`` skips the schema check
-    of a target that ``validate_config`` has already passed."""
-    if not validated:
-        validate_target(target)
+def build_potential(target: dict, base_dir: str = ".") -> Potential:
+    """The potential ``target`` names; ``validate_config`` has checked it."""
     kind = target["kind"]
     if kind == "gaussian":
         return make_gaussian(target["eigenvalues"])
@@ -276,57 +269,42 @@ def build_potential(target: dict, base_dir: str = ".", *, validated: bool = Fals
             path = os.path.join(base_dir, path)
         features, labels = load_logistic_csv(path)
         return make_ridge_logistic(features, labels, target["ridge"])
-    block = build_potential(target["block"], base_dir, validated=True)
+    block = build_potential(target["block"], base_dir)
     return make_separable([block] * target["copies"])
 
 
-# the kind, scheme and theta of each kernel task's block that leaves them out; a theta
-# of None is the scheme's
-_KERNEL_DEFAULTS = {"sample": ("metropolis", "leapfrog", None),
-                    "couple": ("ideal", "exact_gaussian", None),
-                    "drift": ("ideal", "reference", None),
-                    "goodset": ("unadjusted", "leapfrog", 1e-2)}
+# the kind and scheme of each kernel task's block that leaves them out, and each
+# scheme's theta
+_KERNEL_DEFAULTS = {"sample": ("metropolis", "leapfrog"), "couple": ("ideal", "exact_gaussian"),
+                    "drift": ("ideal", "reference")}
 _THETA_DEFAULTS = {"exact_gaussian": 1e-10, "reference": 1e-10, "euler": 1e-3, "leapfrog": 1e-3}
 
 
 def build_kernel_spec(kernel: dict, pot: Potential, task: str) -> KernelSpec:
     """The spec of ``task``'s kernel block, whose absent fields take the task's defaults."""
-    kind, scheme, theta = _KERNEL_DEFAULTS[task]
+    kind, scheme = _KERNEL_DEFAULTS[task]
     integ = kernel.get("integrator", {})
     scheme = integ.get("scheme", scheme)
-    theta = integ.get("theta", theta or _THETA_DEFAULTS[scheme])
+    theta = integ.get("theta", _THETA_DEFAULTS[scheme])
     T = integ.get("T", default_integration_time(pot))
     return KernelSpec(kind=kernel.get("kind", kind),
                       integrator=IntegratorSpec(scheme=scheme, theta=theta, T=T))
-
-
-def format_number(v) -> str:
-    if type(v) is float:
-        return repr(v)
-    if isinstance(v, (bool, np.bool_)):
-        return "1" if v else "0"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return repr(float(v))
 
 
 CSV_BLOCK = 256  # rows formatted at a time; a whole-trace list would raise peak memory
 
 
 def _format_column(col: np.ndarray):
-    """``format_number`` of every value, with one formatter for the column."""
-    if col.dtype.kind == "f":
-        return map(float.__repr__, col.tolist())
-    if col.dtype.kind in "biu":  # int.__repr__(True) is "1"
-        return map(int.__repr__, col.tolist())
-    return map(format_number, col)
+    """Every value of a float column by its repr, and of an int or bool column as
+    an integer (int.__repr__(True) is "1"), with one formatter for the column."""
+    return map(float.__repr__ if col.dtype.kind == "f" else int.__repr__, col.tolist())
 
 
 def write_csv(path: str, header: list[str], columns) -> None:
     """Write one column (an array, sequence or range) per header name,
     formatting ``CSV_BLOCK`` rows at a time."""
     if len(columns) != len(header):
-        raise ValueError(f"{path}: {len(columns)} columns for {len(header)} header names")
+        raise ConfigError(f"{path}: {len(columns)} columns for {len(header)} header names")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for a in range(0, len(columns[0]), CSV_BLOCK):

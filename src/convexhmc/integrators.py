@@ -319,14 +319,14 @@ def integrate(pot: Potential, spec: IntegratorSpec, x: PhasePoint) -> PhasePoint
     return PhasePoint(*flow_map(pot, spec)(x.q, x.p, x.g))
 
 
-def guarded_step(pot: Potential, spec: IntegratorSpec, good: GoodSetSpec):
+def guarded_step(pot: Potential, theta: float, T: float, good: GoodSetSpec):
     """step(q, p) -> (q', p', inside): the toy integrator on rows (q, p), both
     flow maps resolved once.  A row inside ``good`` runs the leapfrog flow, a
-    row outside the Euler flow, each with ``spec``'s theta and T; ``inside``
-    is the membership mask that chose them."""
-    sharp = flow_map(pot, IntegratorSpec("leapfrog", theta=spec.theta, T=spec.T))
+    row outside the Euler flow, each with ``theta`` and ``T``; ``inside`` is
+    the membership mask that chose them."""
+    sharp = flow_map(pot, IntegratorSpec("leapfrog", theta=theta, T=T))
     try:
-        club = flow_map(pot, IntegratorSpec("euler", theta=spec.theta, T=spec.T))
+        club = flow_map(pot, IntegratorSpec("euler", theta=theta, T=T))
     except IntegratorError as err:  # the oracle step cap, reached by the Euler flow alone
         raise IntegratorError(f"rows outside the good set take the Euler flow: {err}") from None
 

@@ -152,11 +152,6 @@ def w1_sliced(a, b, directions: int, seed: int) -> float:
     return best
 
 
-def prokhorov_upper(a, b) -> float:
-    """Prokhorov distance is bounded by the square root of W1."""
-    return math.sqrt(w1_assignment(a, b))
-
-
 def integrated_autocorr_time(x: np.ndarray) -> float:
     """Geyer initial-monotone-sequence estimate of the autocorrelation time."""
     x = np.ravel(np.asarray(x, dtype=float))

@@ -28,7 +28,6 @@ class RoundingTransform:
 
     matrix: np.ndarray
     inverse: np.ndarray
-    anchor: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -78,7 +77,7 @@ def build_rounding(pot: Potential, x: np.ndarray) -> RoundingTransform:
     root = np.sqrt(eigvals)
     matrix = (eigvecs * root) @ eigvecs.T
     inverse = (eigvecs / root) @ eigvecs.T
-    return RoundingTransform(matrix=matrix, inverse=inverse, anchor=np.asarray(x, dtype=float))
+    return RoundingTransform(matrix=matrix, inverse=inverse)
 
 
 def transform_potential(pot: Potential, t: RoundingTransform) -> Potential:

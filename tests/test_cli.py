@@ -10,10 +10,11 @@ import pytest
 from convexhmc import PhasePoint, flow_trajectory, hamiltonian, make_gaussian
 import convexhmc
 from convexhmc import IntegratorSpec, KernelSpec, default_integration_time
+from convexhmc import cli
 from convexhmc import config as cfg
 from convexhmc.cli import _COMMANDS, _config_from_args, build_parser, main, run_experiment
 from convexhmc.config import (CSV_BLOCK, ConfigError, build_kernel_spec, build_potential,
-                              format_number, validate_config, write_csv)
+                              validate_config, write_csv)
 from convexhmc.metrics import w1_exact_1d, w1_sliced
 
 GAUSS = {"kind": "gaussian", "eigenvalues": [1.0, 4.0]}
@@ -173,16 +174,11 @@ class TestConfigValidation:
         err = one_line_error(capsys, ["certify", "--target-config", str(path), "--seed", "0",
                                       "--out", str(tmp_path / "out")], "ConfigError: ")
         assert err == f"ConfigError: invalid experiment config: $.target: {shown}\n"
-        with pytest.raises(ConfigError) as exc:
-            build_potential(target)
-        assert str(exc.value) == f"invalid target config: $: {shown}"
 
-    def test_a_run_validates_its_target_once(self, tmp_path, monkeypatch):
-        # validate_config has checked the target, so building it checks nothing more
-        def second_check(target):
-            raise AssertionError(f"target validated again: {target}")
-
-        monkeypatch.setattr(cfg, "validate_target", second_check)
+    def test_a_run_validates_its_target_once(self, tmp_path):
+        # validate_config checks the whole config, nested target included, with
+        # one validator built for the task; building the target checks nothing
+        cfg._validator.cache_clear()
         block = {"kind": "separable", "block": {"kind": "gaussian", "eigenvalues": [1.0]},
                  "copies": 1}
         summary = run_experiment({"task": "certify", "run": {"seed": 0},
@@ -190,6 +186,8 @@ class TestConfigValidation:
                                   "target": {"kind": "separable", "block": block,
                                              "copies": 2}})
         assert summary["pass"]
+        info = cfg._validator.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 1, 1)
 
     @pytest.mark.parametrize("integrator, couple, error", [
         # a start of the wrong length for the 2-d target
@@ -292,6 +290,18 @@ class TestDistanceCommand:
         assert out["prokhorov_upper"] == pytest.approx(out["w1"] ** 0.5)
         assert list(workdir.iterdir()) == []  # print-only without --out
 
+    @pytest.mark.parametrize("shift, bound", [(0.0, 0.0), (0.01, 0.1), (1.0, 1.0), (4.0, 2.0)],
+                             ids=["identical", "sqrt-0.01", "sqrt-1", "sqrt-4"])
+    def test_prokhorov_bound_is_sqrt_w1(self, tmp_path, capsys, shift, bound):
+        # four points moved by one shift: W1 is the shift, and the bound its root
+        a = np.random.default_rng(8).standard_normal((4, 1))
+        write_csv(str(tmp_path / "a.csv"), ["x0"], a.T)
+        write_csv(str(tmp_path / "b.csv"), ["x0"], (a + shift).T)
+        assert main(["distance", str(tmp_path / "a.csv"), str(tmp_path / "b.csv")]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["w1"] == pytest.approx(shift, abs=1e-12)
+        assert out["prokhorov_upper"] == pytest.approx(bound, abs=1e-6)
+
     @pytest.mark.parametrize("method", ["exact_1d", "sliced"])
     def test_other_methods_write_no_prokhorov_bound(self, tmp_path, capsys, method):
         # the sqrt(W1) Prokhorov bound holds for the assignment's exact W1 alone
@@ -357,8 +367,7 @@ class TestRunSubcommand:
             "task": "goodset",
             "target": {"kind": "separable",
                        "block": {"kind": "gaussian", "eigenvalues": [1.0]}, "copies": 8},
-            "kernel": {"kind": "unadjusted",
-                       "integrator": {"scheme": "leapfrog", "theta": 0.01}},
+            "kernel": {"integrator": {"theta": 0.01}},
             "goodset": {"block_dim": 1},
             "run": {"seed": 2, "steps": 20, "replicas": 30},
         }
@@ -367,21 +376,29 @@ class TestRunSubcommand:
 
     @pytest.mark.parametrize("kind, scheme", [
         ("metropolis", "euler"), ("metropolis", "leapfrog"), ("unadjusted", "euler"),
-        ("ideal", "reference")])
+        ("ideal", "reference"), ("unadjusted", None), (None, "leapfrog")])
     def test_goodset_rejects_other_kernels(self, tmp_path, capsys, kind, scheme):
-        # the guarded integrator is the unadjusted leapfrog kernel's; others exit 2,
-        # metropolis euler already at its kernel block, as on every task
-        conf = {"task": "goodset",
-                "target": {"kind": "separable",
-                           "block": {"kind": "gaussian", "eigenvalues": [1.0]}, "copies": 8},
-                "kernel": {"kind": kind, "integrator": {"scheme": scheme}},
-                "goodset": {"block_dim": 1}, "run": {"seed": 2, "steps": 20, "replicas": 30}}
-        path = tmp_path / "exp.json"
-        path.write_text(json.dumps(conf))
-        one_line_error(capsys, ["run", "--config", str(path), "--out", str(tmp_path / "out")],
-                       "KernelError: metropolis kernel needs a reversible" if scheme == "euler"
-                       and kind == "metropolis" else
-                       "CouplingError: good-set statistics run the unadjusted leapfrog kernel")
+        # the guarded integrator is the unadjusted leapfrog kernel's, so a goodset
+        # kernel block holds only theta and T: the schema refuses a kind or a scheme,
+        # even the one goodset runs, before the target is built (its data file is
+        # absent), and nothing is written
+        kernel = {"integrator": {"theta": 0.01}}
+        problems = []
+        if kind:
+            kernel["kind"] = kind
+            problems.append("$.kernel: Additional properties are not allowed "
+                            "('kind' was unexpected)")
+        if scheme:
+            kernel["integrator"]["scheme"] = scheme
+            problems.append("$.kernel.integrator: Additional properties are not allowed "
+                            "('scheme' was unexpected)")
+        (tmp_path / "exp.json").write_text(json.dumps({
+            "task": "goodset", "kernel": kernel, "run": {"seed": 2},
+            "target": {"kind": "logistic", "data_csv": "absent.csv", "ridge": 1.0}}))
+        err = one_line_error(capsys, ["run", "--config", str(tmp_path / "exp.json"), "--out",
+                                      str(tmp_path / "out")], "ConfigError: ")
+        assert err == "ConfigError: invalid experiment config: " + "; ".join(problems) + "\n"
+        assert sorted(os.listdir(tmp_path)) == ["exp.json"]
 
     def test_goodset_blocks_default_to_the_targets(self, tmp_path):
         # three copies of a 2-d Gaussian: an unset --block-dim takes the target's
@@ -417,7 +434,7 @@ class TestRunSubcommand:
             "run": {"seed": 4, "replicas": 400},
         }
         summary = run_experiment({**conf, "out": str(tmp_path)})
-        assert summary["feasible"] is True
+        assert sorted(summary) == ["log_a_hat", "pass", "slope", "task"]
         assert os.path.exists(tmp_path / "drift.csv")
 
 
@@ -444,10 +461,15 @@ class TestFileFormats:
                    rng.random(rows) < 0.5, rng.integers(-(2**62), 2**62, rows)]
         header = ["i", "a", "b", "ok", "big"]
         write_csv(str(tmp_path / "new.csv"), header, columns)
+        def per_value(v):  # repr of a float, an integer's digits, 1 and 0 for booleans
+            if isinstance(v, (bool, np.bool_)):
+                return "1" if v else "0"
+            return str(int(v)) if isinstance(v, (int, np.integer)) else repr(float(v))
+
         with open(tmp_path / "old.csv", "w", encoding="utf-8", newline="\n") as fh:
             fh.write(",".join(header) + "\n")
             for row in zip(*columns):
-                fh.write(",".join(format_number(v) for v in row) + "\n")
+                fh.write(",".join(per_value(v) for v in row) + "\n")
         assert read(tmp_path / "new.csv") == read(tmp_path / "old.csv")
 
     def test_trajectory_dump_format(self, tmp_path):
@@ -610,37 +632,69 @@ class TestArgvToConfig:
                        "ConfigError: invalid experiment config: $.scaling: Additional "
                        "properties are not allowed ('family' was unexpected)")
 
+    @staticmethod
+    def goodset_flows(tmp_path, monkeypatch, kernels):
+        """The (theta, T) that goodset hands its guarded integrator from the flags
+        run that sets no --theta, then from its config with each of ``kernels``
+        as the kernel block; and the target's integration time."""
+        class Built(Exception):
+            pass
+
+        flows = []
+
+        def record(pot, good, theta, T, steps, replicas, seed):
+            flows.append((theta, T))
+            raise Built  # before the task returns
+
+        target = tmp_path / "separable.json"
+        target.write_text(json.dumps({"kind": "separable", "block": GAUSS, "copies": 2}))
+        flags, _ = TestArgvToConfig.config(["goodset", "--target-config", str(target),
+                                            "--seed", "1"])
+        assert "kernel" not in flags
+        monkeypatch.setattr(cli, "good_set_statistics", record)
+        for conf in [flags] + [{**flags, "kernel": kernel} for kernel in kernels]:
+            with pytest.raises(Built):
+                run_experiment(conf)
+        return flows, default_integration_time(build_potential(flags["target"]))
+
     @pytest.mark.parametrize("command, scheme", [
         pytest.param(c, s, id=f"{s}-{c}")
         for s in ["exact_gaussian", "euler", "leapfrog", "reference"] for c in ["sample", "couple"]
     ] + [pytest.param("goodset", "leapfrog", id="leapfrog-goodset")])
-    def test_theta_defaults_by_scheme_on_both_paths(self, tmp_path, command, scheme):
+    def test_theta_defaults_by_scheme_on_both_paths(self, tmp_path, monkeypatch, command,
+                                                    scheme):
         # an unset --theta is the config file's default: 1e-2 for goodset, else by
         # scheme, 1e-10 for the exact and reference flows and 1e-3 for the Euler
         # and leapfrog oracles
+        if command == "goodset":  # its kernel is always unadjusted leapfrog
+            flows, T = self.goodset_flows(tmp_path, monkeypatch, [{"integrator": {}}])
+            assert flows == [(1e-2, T)] * 2
+            return
         target = tmp_path / "t.json"
         target.write_text(json.dumps(GAUSS))
         kind = "ideal" if scheme in ("exact_gaussian", "reference") else "unadjusted"
-        argv = [command, "--target-config", str(target), "--seed", "1"]
-        if command != "goodset":  # goodset's kernel is always unadjusted leapfrog
-            argv += ["--kernel", kind, "--scheme", scheme]
-        conf, _ = self.config(argv)
+        conf, _ = self.config([command, "--target-config", str(target), "--seed", "1",
+                               "--kernel", kind, "--scheme", scheme])
         pot = build_potential(GAUSS)
         from_file = {"kind": kind, "integrator": {"scheme": scheme}}
-        from_argv = build_kernel_spec(conf.get("kernel", {}), pot, command)
-        assert from_argv == build_kernel_spec(from_file, pot, command)
-        if command == "goodset":
-            assert from_argv.integrator.theta == 1e-2
+        assert build_kernel_spec(conf["kernel"], pot, command) == build_kernel_spec(
+            from_file, pot, command)
 
     KERNEL_DEFAULTS = {"sample": ("metropolis", "leapfrog", 1e-3),
                        "couple": ("ideal", "exact_gaussian", 1e-10),
-                       "drift": ("ideal", "reference", 1e-10),
-                       "goodset": ("unadjusted", "leapfrog", 1e-2)}
+                       "drift": ("ideal", "reference", 1e-10)}
 
-    @pytest.mark.parametrize("command", sorted(KERNEL_DEFAULTS))
+    @pytest.mark.parametrize("command", sorted([*KERNEL_DEFAULTS, "goodset"]))
     def test_kernel_defaults_on_both_paths(self, tmp_path, monkeypatch, command):
         # a run config without a kernel block, or with any of kind, scheme and
-        # theta left out, builds the spec of the flags run that sets no kernel flag
+        # theta left out, builds the spec of the flags run that sets no kernel
+        # flag; goodset's block holds theta and T alone
+        if command == "goodset":
+            blocks = [{}, {"integrator": {}}, {"integrator": {"theta": 1e-2}}]
+            flows, T = self.goodset_flows(tmp_path, monkeypatch, blocks)
+            assert flows == [(1e-2, T)] * (len(blocks) + 1)
+            return
+
         class Built(Exception):
             pass
 
@@ -801,8 +855,7 @@ class TestInputErrors:
         conf = {"task": "goodset",
                 "target": {"kind": "separable",
                            "block": {"kind": "gaussian", "eigenvalues": [1.0]}, "copies": 8},
-                "kernel": {"kind": "unadjusted",
-                           "integrator": {"scheme": "leapfrog", "theta": 1e-8}},
+                "kernel": {"integrator": {"theta": 1e-8}},
                 "goodset": {"block_dim": 1}, "run": {"seed": 2, "steps": 20, "replicas": 30}}
         path = tmp_path / "exp.json"
         path.write_text(json.dumps(conf))

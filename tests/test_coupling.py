@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -176,9 +177,37 @@ class TestDriftCheck:
         assert a.log_a_hat == b.log_a_hat
 
     def test_feasible_with_fitted_constant(self):
+        # A is fitted as the largest excess e^m - e^(r-1), so every radius meets
+        # e^m <= e^(r-1) + A
         pot = SPHERICAL
         report = drift_check(pot, ideal_spec(pot), [1.0, 5.0, 10.0], replicas=500, seed=3)
-        assert report.feasible
+        assert report.log_a_hat > -math.inf
+        bound = np.logaddexp(report.radii - 1.0, report.log_a_hat)
+        assert np.all(report.log_means <= bound + 1e-12)
+
+    def test_passed_fails_the_readme_radii(self):
+        # the README's drift run: the reference flow on [1, 4] at radii 5-40
+        pot = make_gaussian([1.0, 4.0])
+        spec = KernelSpec("ideal", IntegratorSpec("reference", theta=1e-10,
+                                                  T=default_integration_time(pot)))
+        report = drift_check(pot, spec, [5.0, 10.0, 20.0, 40.0], replicas=10_000, seed=4)
+        assert round(report.slope, 3) == 0.688
+        assert not report.passed
+
+    def test_passed_holds_at_criterion_6(self):
+        pot = make_gaussian(np.ones(4))
+        spec = KernelSpec("ideal", IntegratorSpec("exact_gaussian",
+                                                  T=default_integration_time(pot)))
+        report = drift_check(pot, spec, [5.0, 10.0, 20.0, 40.0], replicas=10_000, seed=500)
+        assert report.slope < math.exp(-1.0)
+        assert report.passed
+
+    def test_nan_estimate_fails(self):
+        report = drift_check(SPHERICAL, ideal_spec(SPHERICAL), [5.0, 40.0], replicas=100, seed=3)
+        assert report.passed
+        log_means = report.log_means.copy()
+        log_means[0] = np.nan
+        assert not dataclasses.replace(report, log_means=log_means).passed
 
     def test_replica_floor_enforced(self):
         with pytest.raises(CouplingError):
@@ -188,17 +217,16 @@ class TestDriftCheck:
 class TestGoodSetStatistics:
     def setup_method(self):
         self.pot = make_separable([make_gaussian([1.0])] * 16)
-        T = default_integration_time(self.pot)
-        self.spec = KernelSpec("unadjusted", IntegratorSpec("leapfrog", theta=0.01, T=T))
+        self.T = default_integration_time(self.pot)
 
     def test_everything_good(self):
         good = GoodSetSpec(g_inf=1e12, g_2=0.0, block_dim=1)
-        freq = good_set_statistics(self.pot, self.spec, good, steps=20, replicas=50, seed=0)
+        freq = good_set_statistics(self.pot, good, 0.01, self.T, steps=20, replicas=50, seed=0)
         assert freq == 0.0
 
     def test_empty_good_set(self):
         good = GoodSetSpec(g_inf=1e12, g_2=np.inf, block_dim=1)
-        freq = good_set_statistics(self.pot, self.spec, good, steps=5, replicas=50, seed=1)
+        freq = good_set_statistics(self.pot, good, 0.01, self.T, steps=5, replicas=50, seed=1)
         assert freq == 1.0
 
     def test_resolves_each_flow_map_once(self, monkeypatch):
@@ -209,14 +237,13 @@ class TestGoodSetStatistics:
             return resolve(pot, spec)
         monkeypatch.setattr(integrators, "flow_map", counting)
         good = GoodSetSpec(g_inf=3.0, g_2=0.5, block_dim=1)
-        freq = good_set_statistics(self.pot, self.spec, good, steps=20, replicas=50, seed=0)
+        freq = good_set_statistics(self.pot, good, 0.01, self.T, steps=20, replicas=50, seed=0)
         assert 0.0 < freq < 1.0  # both branches ran
         assert sorted(resolved) == ["euler", "leapfrog"]
 
     def test_default_good_set_rarely_exits(self):
         pot = make_separable([make_gaussian([1.0])] * 64)
-        T = default_integration_time(pot)
-        spec = KernelSpec("unadjusted", IntegratorSpec("leapfrog", theta=0.01, T=T))
         good = default_good_set(pot.dim, 1)
-        freq = good_set_statistics(pot, spec, good, steps=100, replicas=200, seed=2)
+        freq = good_set_statistics(pot, good, 0.01, default_integration_time(pot), steps=100,
+                                   replicas=200, seed=2)
         assert freq <= 0.05

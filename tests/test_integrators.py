@@ -448,9 +448,8 @@ class TestComposition:
 class TestGuardedStep:
     def setup_method(self):
         self.pot = make_separable([make_perturbed_quadratic(1, 0.1, seed=4)] * 4)
-        self.spec = IntegratorSpec("leapfrog", theta=0.01, T=0.3)
         self.good = GoodSetSpec(g_inf=10.0, g_2=0.5, block_dim=1)
-        self.step = guarded_step(self.pot, self.spec, self.good)
+        self.step = guarded_step(self.pot, 0.01, 0.3, self.good)
 
     def test_inside_runs_leapfrog(self):
         x = pp([0.5, -0.2, 0.1, 0.3], [1.0, 0.5, -0.5, 0.8])

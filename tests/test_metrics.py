@@ -9,8 +9,8 @@ from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
 from convexhmc import metrics
-from convexhmc import (effective_sample_size, gaussian_moment_test, prokhorov_upper,
-                       w1_assignment, w1_exact_1d, w1_sliced)
+from convexhmc import (effective_sample_size, gaussian_moment_test, w1_assignment, w1_exact_1d,
+                       w1_sliced)
 from convexhmc.metrics import (MetricError, assignment, dual_prices, matching_cost,
                                w1_lower_bound)
 
@@ -262,23 +262,6 @@ class TestSliced:
         a, b = rng.standard_normal((2, 64, 1))
         assert w1_sliced(a, b, directions=8, seed=3) == pytest.approx(
             w1_assignment(a, b), abs=1e-12)
-
-
-class TestProkhorov:
-    def test_identical(self):
-        pts = np.random.default_rng(8).standard_normal((10, 2))
-        assert prokhorov_upper(pts, pts) == 0.0
-
-    def test_square_root(self):
-        a = np.zeros((1, 1))
-        assert prokhorov_upper(a, a + 0.01) == pytest.approx(0.1)
-        assert prokhorov_upper(a, a + 1.0) == pytest.approx(1.0)
-
-    def test_monotone_in_w1(self):
-        a = np.zeros((4, 1))
-        near = a + 0.1
-        far = a + 2.0
-        assert prokhorov_upper(a, near) < prokhorov_upper(a, far)
 
 
 class TestMomentTest:
