@@ -4,8 +4,8 @@ from .potentials import (ConvexHMCError, ConvexityReport, Potential, PotentialEr
                          SeparablePotential, make_gaussian, make_perturbed_quadratic,
                          make_ridge_logistic, make_separable, validate_convexity)
 from .integrators import (GoodSetSpec, IntegratorError, IntegratorSpec, PhasePoint,
-                          default_good_set, exact_gaussian_flow, flow_trajectory,
-                          flow_map, guarded_step, hamiltonian, integrate, reference_flow)
+                          default_good_set, flow_trajectory, flow_map, guarded_step,
+                          hamiltonian, integrate, reference_flow)
 from .kernels import (ChainTrace, CostLedger, KernelSpec, carry, default_integration_time,
                       ideal_step, metropolis_step, run_chain, stepper, update_sequence)
 from .coupling import (CouplingReport, DriftReport, contraction_bound,

@@ -27,48 +27,28 @@ class ConfigError(ConvexHMCError, ValueError):
     pass
 
 
+# each target kind's fields, all required
+_TARGET_FIELDS = {
+    "gaussian": {"eigenvalues": {"type": "array", "minItems": 1,
+                                 "items": {"type": "number", "exclusiveMinimum": 0}}},
+    "perturbed": {"dim": {"type": "integer", "minimum": 1},
+                  "amplitude": {"type": "number", "minimum": 0, "exclusiveMaximum": 0.25},
+                  "seed": {"type": "integer"}},
+    "logistic": {"data_csv": {"type": "string"},
+                 "ridge": {"type": "number", "exclusiveMinimum": 0}},
+    "separable": {"block": {"$ref": "#/$defs/target"},
+                  "copies": {"type": "integer", "minimum": 1}},
+}
+
+# the branch is chosen by kind, so an error names the field at fault
 _TARGET_SCHEMA = {
     "type": "object",
-    "oneOf": [
-        {
-            "properties": {
-                "kind": {"const": "gaussian"},
-                "eigenvalues": {"type": "array", "items": {"type": "number",
-                                                           "exclusiveMinimum": 0},
-                                "minItems": 1},
-            },
-            "required": ["kind", "eigenvalues"],
-            "additionalProperties": False,
-        },
-        {
-            "properties": {
-                "kind": {"const": "perturbed"},
-                "dim": {"type": "integer", "minimum": 1},
-                "amplitude": {"type": "number", "minimum": 0, "exclusiveMaximum": 0.25},
-                "seed": {"type": "integer"},
-            },
-            "required": ["kind", "dim", "amplitude", "seed"],
-            "additionalProperties": False,
-        },
-        {
-            "properties": {
-                "kind": {"const": "logistic"},
-                "data_csv": {"type": "string"},
-                "ridge": {"type": "number", "exclusiveMinimum": 0},
-            },
-            "required": ["kind", "data_csv", "ridge"],
-            "additionalProperties": False,
-        },
-        {
-            "properties": {
-                "kind": {"const": "separable"},
-                "block": {"$ref": "#/$defs/target"},
-                "copies": {"type": "integer", "minimum": 1},
-            },
-            "required": ["kind", "block", "copies"],
-            "additionalProperties": False,
-        },
-    ],
+    "properties": {"kind": {"enum": list(_TARGET_FIELDS)}},
+    "required": ["kind"],
+    "allOf": [{"if": {"properties": {"kind": {"const": kind}}, "required": ["kind"]},
+               "then": {"properties": {"kind": True, **fields}, "required": list(fields),
+                        "additionalProperties": False}}
+              for kind, fields in _TARGET_FIELDS.items()],
 }
 
 _INTEGRATOR_SCHEMA = {
@@ -339,16 +319,20 @@ def _plain(obj):
 
 
 def load_points_csv(path: str) -> np.ndarray:
-    """One point per numeric CSV row; a first row that is not numeric is a header."""
+    """One point per numeric CSV row, every value finite; a first row that is
+    not numeric is a header."""
     with _open(path) as fh:
         lines = fh.readlines()
     rows = lines[1:] if lines and _is_header(lines[0]) else lines
     if not any(row.strip() for row in rows):
         raise ConfigError(f"{path}: no data rows")
     try:
-        return np.loadtxt(rows, delimiter=",", ndmin=2)
+        points = np.loadtxt(rows, delimiter=",", ndmin=2)
     except ValueError as exc:
         raise ConfigError(f"{path}: malformed CSV ({exc})") from exc
+    if not np.isfinite(points).all():
+        raise ConfigError(f"{path}: values must be finite, not NaN or Infinity")
+    return points
 
 
 def _is_header(line: str) -> bool:

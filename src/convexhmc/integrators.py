@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -161,12 +161,6 @@ def _rotation(lam: np.ndarray, T: float) -> tuple:
     return c, lambda p: (p / w) * s, lambda q, p: -q * w * s + p * c
 
 
-def exact_gaussian_flow(eigs: Sequence[float], x: PhasePoint, T: float) -> PhasePoint:
-    """Closed-form Hamiltonian flow for U(q) = 1/2 sum lambda_i q_i^2."""
-    a, drive, kick = _rotation(np.asarray(eigs, dtype=float), T)
-    return PhasePoint(a * x.q + drive(x.p), kick(x.q, x.p))
-
-
 def _composition_path(pot, q, p, h, n, segments):
     """Rows of (q, p) at the start and after each of ``segments`` runs of n steps.
 
@@ -253,7 +247,7 @@ def linear_flow(pot: Potential, spec: IntegratorSpec) -> Optional[tuple]:
     (q, p) go to (a q + drive(p), kick(q, p)).  The oracle schemes take the
     per-coordinate matrix power M^n = [[a, b], [c, e]] of n =
     ``spec.oracle_steps`` steps, so drive(p) = b p and kick(q, p) = c q + e p;
-    exact_gaussian is the rotation of ``exact_gaussian_flow``.
+    exact_gaussian is ``_rotation``, the exact flow.
     """
     if not pot.is_gaussian or spec.scheme == "reference":
         return None

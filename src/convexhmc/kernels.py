@@ -113,35 +113,32 @@ def stepper(pot: Potential, spec: KernelSpec):
     """step(x, p, u=None, carried=None) -> (x', accepted, dH, carried'): ``spec``'s
     kernel step on rows x (shape (..., d)), flow map resolved once.  ``u`` holds
     Metropolis uniforms; ``carried`` is ``carry(pot, spec, x)``, usually the step
-    before's carried'.  A Metropolis row accepts iff u < exp(-dH), dH =
-    H(proposal) - H(x, p), and then takes the proposal's pair.  Without
-    ``carried`` only a Metropolis step evaluates U; the others return no dH or
-    carried'."""
+    before's carried', and computed if not given, except that a non-Metropolis
+    step on a linear flow then returns only x' (no dH or carried').  A Metropolis
+    row accepts iff u < exp(-dH), dH = H(proposal) - H(x, p), and then takes the
+    proposal's pair."""
     value, metropolis = pot.value, spec.kind == "metropolis"
     add = np.add.reduce  # ndarray.sum without its Python wrapper
     flow = flow_map(pot, spec.integrator)
     linear = None if metropolis else linear_flow(pot, spec.integrator)
 
     def step(x, p, u=None, carried=None):
-        if carried is None and linear is not None:  # nothing reads a linear flow's p'
-            q = linear[0] * x + linear[1](p)
-            return q, np.ones(q.shape[:-1], dtype=bool), None, None
-        if carried is None and metropolis:
+        if carried is None:
+            if linear is not None:  # nothing reads a linear flow's p'
+                q = linear[0] * x + linear[1](p)
+                return q, np.ones(q.shape[:-1], dtype=bool), None, None
             carried = carry(pot, spec, x)
-        u_x, g_x = (None, None) if carried is None else carried
+        u_x, g_x = carried
         q, p_q, g_q = flow(x, p, g_x)
-        d_h = after = None
-        if carried is not None:
-            u_q = value(q)
-            d_h = (u_q + 0.5 * add(p_q * p_q, -1)) - (u_x + 0.5 * add(p * p, -1))
-            after = (u_q, g_q)
+        u_q = value(q)
+        d_h = (u_q + 0.5 * add(p_q * p_q, -1)) - (u_x + 0.5 * add(p * p, -1))
         if not metropolis:
-            return q, np.ones(q.shape[:-1], dtype=bool), d_h, after
+            return q, np.ones(q.shape[:-1], dtype=bool), d_h, (u_q, g_q)
         ok = (d_h <= 0.0) | (u < np.exp(-np.maximum(d_h, 0.0)))
         if np.count_nonzero(ok) < ok.size:  # np.where is slow next to a step of one row
             g = None if g_x is None else np.where(ok[..., None], g_q, g_x)
-            q, after = np.where(ok[..., None], q, x), (np.where(ok, u_q, u_x), g)
-        return q, ok, d_h, after
+            return np.where(ok[..., None], q, x), ok, d_h, (np.where(ok, u_q, u_x), g)
+        return q, ok, d_h, (u_q, g_q)
     return step
 
 
@@ -172,10 +169,11 @@ def run_chain(pot: Potential, spec: KernelSpec, x0: np.ndarray, i_max: int,
     ``diverged_at`` is the first step at which a row's flow energy error is
     not finite or exceeds ``DIVERGENCE_DH`` in size; the overflow that
     follows it raises no numpy warning.  A ``linear_flow`` runs in blocks,
-    any other flow step by step; both give the same trace bit for bit.  The
-    ledger is charged once, after the loop, for every row: the modelled
-    gradients and the kernel steps of r chains, and their accepts and
-    rejects.
+    any other flow step by step; both fill states, accept flags, U and dH
+    alike, bit for bit.  After the loop, once for every row, the kinetic
+    terms join U, diverged_at is read off dH and the ledger is charged: the
+    modelled gradients and the kernel steps of r chains, and their accepts
+    and rejects.
     """
     if i_max < 0:
         raise KernelError(f"i_max must be nonnegative, got {i_max}")
@@ -186,15 +184,21 @@ def run_chain(pot: Potential, spec: KernelSpec, x0: np.ndarray, i_max: int,
     states = np.empty((i_max + 1,) + x.shape)
     accepted = np.ones(states.shape[:-1], dtype=bool)
     energies = np.empty(states.shape[:-1])
+    d_hs = np.empty_like(energies[1:])
     states[0] = x
     linear = linear_flow(pot, spec.integrator)
     with np.errstate(over="ignore", invalid="ignore"):
         if linear is None:
-            diverged_at = _run_steps(pot, spec, momenta, uniforms, states, accepted, energies)
+            _run_steps(pot, spec, momenta, uniforms, states, accepted, energies, d_hs)
         else:
-            diverged_at = _run_blocks(pot, spec, linear, momenta, uniforms,
-                                      states, accepted, energies)
-    steps = i_max * (x.size // pot.dim)
+            _run_blocks(pot, spec, linear, momenta, uniforms, states, accepted, energies, d_hs)
+    # stacked vector products round as a per-row p @ p does; a sum would not
+    kinetic = 0.5 * np.matmul(momenta[:, None, :], momenta[:, :, None])[:, 0, 0]
+    energies[:-1] += kinetic.reshape((i_max,) + (1,) * (x.ndim - 1))
+    rows = x.size // pot.dim
+    near = (np.abs(d_hs) <= DIVERGENCE_DH).reshape(i_max, rows).all(1)
+    diverged_at = None if near.all() else int(near.argmin())
+    steps = i_max * rows
     uniform = spec.kind == "metropolis"
     taken = int(np.count_nonzero(accepted[1:])) if uniform else 0
     ledger = CostLedger(gradient_evals=spec.integrator.gradient_evals * steps,
@@ -204,10 +208,9 @@ def run_chain(pot: Potential, spec: KernelSpec, x0: np.ndarray, i_max: int,
                       hamiltonians=energies, diverged_at=diverged_at)
 
 
-def _run_steps(pot, spec, momenta, uniforms, states, accepted, energies):
-    """``run_chain``'s loop for any flow: one ``stepper`` step at a time on
-    all rows, carrying U and grad U of the state.  Fills the trace arrays in
-    place and returns diverged_at."""
+def _run_steps(pot, spec, momenta, uniforms, states, accepted, energies, d_hs):
+    """``run_chain``'s loop for any flow: one ``stepper`` step at a time on all
+    rows, carrying U and grad U of the state; fills the trace arrays in place."""
     x = states[0]
     carried = carry(pot, spec, x)
     step = stepper(pot, spec)
@@ -215,18 +218,13 @@ def _run_steps(pot, spec, momenta, uniforms, states, accepted, energies):
     rows = np.broadcast_to(momenta[:, None], (len(momenta),) + x.shape) if x.ndim > 1 else momenta
     # indexing a list per step is cheaper than making a numpy scalar
     uniforms = uniforms.tolist() if spec.kind == "metropolis" else [None] * len(momenta)
-    diverged_at = None
-    for i, (p, p_x, u) in enumerate(zip(momenta, rows, uniforms)):
-        energies[i] = carried[0] + 0.5 * float(p @ p)
-        x, accepted[i + 1], d_h, carried = step(x, p_x, u, carried)
-        if diverged_at is None and not (abs(d_h) <= DIVERGENCE_DH).all():
-            diverged_at = i
-        states[i + 1] = x
-    energies[-1] = carried[0]
-    return diverged_at
+    energies[0] = carried[0]
+    for i, (p, u) in enumerate(zip(rows, uniforms)):
+        x, accepted[i + 1], d_hs[i], carried = step(x, p, u, carried)
+        states[i + 1], energies[i + 1] = x, carried[0]
 
 
-def _run_blocks(pot, spec, linear, momenta, uniforms, states, accepted, energies):
+def _run_blocks(pot, spec, linear, momenta, uniforms, states, accepted, energies, d_hs):
     """``run_chain``'s loop for a linear flow (a, drive, kick), in blocks.
 
     A block guesses that all its steps accept, so x_{k+1} = a x_k +
@@ -241,9 +239,8 @@ def _run_blocks(pot, spec, linear, momenta, uniforms, states, accepted, energies
     for bit the step-by-step one.  The block is cut at its first step against the guess
     in any row, where each row takes its own accept or reject.  Blocks start
     at ``_FIRST_BLOCK`` steps, double up to ``_MAX_BLOCK`` while the guess
-    holds and start over after a cut.  ``energies`` holds U until the
-    kinetic terms are added at the end.  Makes no gradient call; fills the
-    trace arrays in place and returns diverged_at.
+    holds and start over after a cut.  Makes no gradient call; fills the
+    trace arrays in place.
     """
     a, drive, kick = linear
     value, add, i_max = pot.value, np.add.reduce, len(momenta)
@@ -252,7 +249,6 @@ def _run_blocks(pot, spec, linear, momenta, uniforms, states, accepted, energies
     moms = momenta.reshape(spread + (pot.dim,))
     half_kinetic = 0.5 * add(moms * moms, -1)
     uniforms = uniforms.reshape(spread) if spec.kind == "metropolis" else None
-    d_hs = np.empty_like(energies[1:])
     rows = states[0].size // pot.dim
     py_as = a.tolist() * rows if states[0].size <= _PY_VALUES else None
     energies[0] = value(states[0])
@@ -300,11 +296,3 @@ def _run_blocks(pot, spec, linear, momenta, uniforms, states, accepted, energies
                 guess = guess if r else not guess
             accepted[i + 1:j + 1] = ok
         i = j
-    del half_kinetic  # free before the last run-length temporary
-    # stacked vector products round as run_chain's per-row p @ p does; a sum would not
-    kinetic = np.matmul(momenta[:, None, :], momenta[:, :, None])[:, 0, 0]
-    kinetic *= 0.5
-    energies[:-1] += kinetic.reshape(spread)
-    far = ~(np.abs(d_hs) <= DIVERGENCE_DH)
-    far = far.any(1) if far.ndim > 1 else far
-    return int(far.argmax()) if far.any() else None

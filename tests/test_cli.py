@@ -169,11 +169,29 @@ class TestConfigValidation:
                   "copies": 2}
         path = tmp_path / "target.json"
         path.write_text(json.dumps(target))
-        shown = ("{'kind': 'separable', 'block': {'kind': 'gaussian', 'eigenvalues': [-1.0]}, "
-                 "'copies': 2} is not valid under any of the given schemas")
+        shown = "$.target.block.eigenvalues[0]: -1.0 is less than or equal to the minimum of 0"
         err = one_line_error(capsys, ["certify", "--target-config", str(path), "--seed", "0",
                                       "--out", str(tmp_path / "out")], "ConfigError: ")
-        assert err == f"ConfigError: invalid experiment config: $.target: {shown}\n"
+        assert err == f"ConfigError: invalid experiment config: {shown}\n"
+
+    @pytest.mark.parametrize("target, shown", [
+        ({"kind": "gaussian", "eigenvalue": [1.0]},
+         "$.target: 'eigenvalues' is a required property; "
+         "$.target: Additional properties are not allowed ('eigenvalue' was unexpected)"),
+        ({"kind": "perturbed", "dim": 2, "amplitude": 0.3, "seed": 1},
+         "$.target.amplitude: 0.3 is greater than or equal to the maximum of 0.25"),
+        ({"kind": "foo"},
+         "$.target.kind: 'foo' is not one of ['gaussian', 'perturbed', 'logistic', "
+         "'separable']"),
+    ], ids=["misspelt-field", "amplitude-range", "unknown-kind"])
+    def test_target_error_names_its_field(self, tmp_path, capsys, target, shown):
+        # the target's kind picks the one branch of the schema that checks it
+        path = tmp_path / "target.json"
+        path.write_text(json.dumps(target))
+        err = one_line_error(capsys, ["certify", "--target-config", str(path), "--seed", "0",
+                                      "--out", str(tmp_path / "out")], "ConfigError: ")
+        assert err == f"ConfigError: invalid experiment config: {shown}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_a_run_validates_its_target_once(self, tmp_path):
         # validate_config checks the whole config, nested target included, with
@@ -752,7 +770,8 @@ class TestArgvToConfig:
 
 class TestInputErrors:
     @pytest.mark.parametrize("rows", ["label,f0,f1\n1,0.2,0.1\n-1,0.1,0.3x\n", "1,0.2\n1,0.2,0.3\n",
-                                      "label,f0\n", ""], ids=["cell", "ragged", "header", "empty"])
+                                      "label,f0\n", "", "label\n1\n-1\n"],
+                             ids=["cell", "ragged", "header", "empty", "no-features"])
     def test_malformed_data_csv_exits_2(self, tmp_path, capsys, rows):
         data = tmp_path / "data.csv"
         data.write_text(rows)
@@ -768,6 +787,25 @@ class TestInputErrors:
         (tmp_path / "a.csv").write_text(rows)
         err = one_line_error(capsys, ["distance", "a.csv", "a.csv"], "ConfigError: ./a.csv: ")
         assert not (tmp_path / "distance_summary.json").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("method", ["assignment", "sliced", "exact_1d"])
+    def test_non_finite_points_csv_exits_2(self, tmp_path, capsys, monkeypatch, method, value):
+        # every method would misread a NaN or infinite point, so the loader refuses it
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "a.csv").write_text(f"x0\n0.5\n{value}\n")
+        (tmp_path / "b.csv").write_text("0.0\n1.0\n")
+        one_line_error(capsys, ["distance", "a.csv", "b.csv", "--method", method, "--out", "out"],
+                       "ConfigError: ./a.csv: values must be finite, not NaN or Infinity\n")
+        assert sorted(os.listdir(tmp_path)) == ["a.csv", "b.csv"]
+
+    def test_non_finite_rounding_points_exit_2(self, tmp_path, capsys, gaussian_target):
+        points = tmp_path / "points.csv"
+        points.write_text("x0,x1\n0.1,0.2\n0.3,nan\n")
+        one_line_error(capsys, ["verify-rounding", "--target-config", gaussian_target,
+                                "--points", str(points), "--out", str(tmp_path / "out")],
+                       f"ConfigError: {points}: values must be finite, not NaN or Infinity\n")
+        assert not (tmp_path / "out").exists()
 
     def test_theta_past_the_oracle_step_cap_exits_2(self, tmp_path, capsys):
         # the flow would take about 1e299 Euler steps per kernel step
@@ -804,10 +842,15 @@ class TestInputErrors:
     @pytest.mark.parametrize("argv, prefix", [
         (["scaling", "--scheme", "euler", "--dims", "8,4", "--seed", "1"],
          "ScalingError: dims must be strictly increasing"),
+        # no theta on the halving ladder brings W1 within the budget
+        (["scaling", "--scheme", "euler", "--dims", "2", "--epsilon", "0.001",
+          "--replicas", "16", "--seed", "2"],
+         "ScalingError: theta bisection exhausted 20 halvings at d=2 without reaching the W1 "
+         "budget 0.001\n"),
         # fails in the task, after the target and kernel are built
         (["drift", "--radii", "1e6", "--replicas", "100", "--seed", "1"],
          "IntegratorError: flow did not converge"),
-    ], ids=["scaling-dims", "drift-radius"])
+    ], ids=["scaling-dims", "scaling-bisection", "drift-radius"])
     def test_refused_run_writes_nothing(self, tmp_path, capsys, argv, prefix):
         target = tmp_path / "t.json"
         target.write_text(json.dumps({"kind": "gaussian", "eigenvalues": [1.0]}))

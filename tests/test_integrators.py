@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
 from convexhmc import (GoodSetSpec, IntegratorError, IntegratorSpec, KernelSpec,
-                       PhasePoint, default_integration_time, exact_gaussian_flow,
-                       flow_trajectory, guarded_step, hamiltonian, integrate, make_gaussian,
-                       make_perturbed_quadratic, make_separable, reference_flow, run_chain)
+                       PhasePoint, default_integration_time, flow_trajectory, guarded_step,
+                       hamiltonian, integrate, make_gaussian, make_perturbed_quadratic,
+                       make_separable, reference_flow, run_chain)
 from convexhmc import integrators
 from convexhmc.coupling import _pairs_with_shared_momenta
 
@@ -18,6 +18,11 @@ UNIT = make_gaussian([1.0])
 
 def pp(q, p):
     return PhasePoint(np.atleast_1d(np.asarray(q, float)), np.atleast_1d(np.asarray(p, float)))
+
+
+def exact_flow(eigs, x, T):
+    """The closed-form flow for time T on the Gaussian of precision eigenvalues ``eigs``."""
+    return integrate(make_gaussian(eigs), IntegratorSpec("exact_gaussian", T=T), x)
 
 
 def euler_step(pot, x, theta):
@@ -166,7 +171,7 @@ class TestComposedIntegrator:
         T, theta = 0.25, 1e-4
         x = pp(1.0, 0.5)
         approx = integrate(UNIT, IntegratorSpec("euler", theta=theta, T=T), x)
-        exact = exact_gaussian_flow([1.0], x, T)
+        exact = exact_flow([1.0], x, T)
         bound = 6.0 * theta * T * math.sqrt(hamiltonian(UNIT, x))
         assert np.linalg.norm(approx.q - exact.q) <= bound
 
@@ -248,20 +253,20 @@ class TestClosedFormOracleFlow:
 
 class TestExactGaussianFlow:
     def test_quarter_period(self):
-        out = exact_gaussian_flow([1.0], pp(1.0, 0.0), math.pi / 2.0)
+        out = exact_flow([1.0], pp(1.0, 0.0), math.pi / 2.0)
         assert out.q[0] == pytest.approx(0.0, abs=1e-15)
         assert out.p[0] == pytest.approx(-1.0)
 
     def test_full_period(self):
         x = pp([0.4, -1.2], [0.9, 0.1])
-        out = exact_gaussian_flow([1.0, 1.0], x, 2.0 * math.pi)
+        out = exact_flow([1.0, 1.0], x, 2.0 * math.pi)
         np.testing.assert_allclose(out.q, x.q, atol=1e-12)
         np.testing.assert_allclose(out.p, x.p, atol=1e-12)
 
     def test_energy_conserved(self):
         pot = make_gaussian([1.0, 3.0, 0.5])
         x = pp([1.0, -0.2, 2.0], [0.3, 0.7, -1.1])
-        out = exact_gaussian_flow(pot.precision_eigenvalues, x, 10.0)
+        out = exact_flow(pot.precision_eigenvalues, x, 10.0)
         assert abs(hamiltonian(pot, out) - hamiltonian(pot, x)) <= 1e-12
 
 
@@ -270,7 +275,7 @@ class TestReferenceFlow:
         pot = make_gaussian([1.0, 4.0])
         x = pp([1.0, 0.5], [-0.3, 0.8])
         ref = reference_flow(pot, x, 0.35, tol=1e-10)
-        exact = exact_gaussian_flow(pot.precision_eigenvalues, x, 0.35)
+        exact = exact_flow(pot.precision_eigenvalues, x, 0.35)
         assert np.linalg.norm(ref.q - exact.q) <= 1e-9
 
     def test_energy_conservation(self):
@@ -322,7 +327,7 @@ class TestReferenceFlowProperties:
     def test_matches_exact_gaussian_flow(self, case):
         eigs, x, T = case
         ref = reference_flow(make_gaussian(eigs), x, T, tol=1e-10)
-        exact = exact_gaussian_flow(eigs, x, T)
+        exact = exact_flow(eigs, x, T)
         assert np.linalg.norm(ref.q - exact.q) <= 1e-9
         assert np.linalg.norm(ref.p - exact.p) <= 1e-9
 
@@ -418,7 +423,7 @@ class TestComposition:
         # a mistyped coefficient still converges, only at a lower order
         eigs = [0.5, 1.0, 2.0]
         x, T = pp([1.0, -0.5, 0.3], [0.2, 0.7, -1.0]), 1.0
-        exact = exact_gaussian_flow(eigs, x, T)
+        exact = exact_flow(eigs, x, T)
         errors = []
         for n in (2, 4, 8):
             end = integrators._composition_path(make_gaussian(eigs), x.q[None], x.p[None],

@@ -159,6 +159,14 @@ class TestRunChain:
         assert len(trace) == 1
         assert trace.states[0, 0] == 0.7
 
+    def test_stacked_kinetic_rounds_as_each_rows_dot(self):
+        # run_chain adds every step's |p|^2 from one stacked matmul; it must
+        # round as a per-row p @ p does
+        for dim in [*range(1, 65), 128, 256]:
+            momenta = update_sequence(dim, dim, 100)[0]
+            stacked = np.matmul(momenta[:, None, :], momenta[:, :, None])[:, 0, 0]
+            assert stacked.tobytes() == np.array([p @ p for p in momenta]).tobytes(), dim
+
     def test_determinism(self):
         spec = KernelSpec("metropolis", IntegratorSpec("leapfrog", theta=0.04, T=0.3))
         a = run_chain(UNIT, spec, np.array([0.5]), 500, seed=42)
@@ -477,3 +485,22 @@ class TestStepper:
         assert np.array_equal(q, flow.q)
         # the modelled per-row charge: 1 per Euler, 2 per leapfrog oracle step
         assert spec.integrator.gradient_evals == spec.integrator.order * spec.integrator.oracle_steps
+
+    @pytest.mark.parametrize("kind, scheme, theta", [("unadjusted", "euler", 0.05),
+                                                     ("unadjusted", "leapfrog", 0.05),
+                                                     ("ideal", "reference", 1e-10)])
+    def test_step_without_carried_carries_itself(self, kind, scheme, theta):
+        # on a flow that is not linear, a step given no carried state computes
+        # carry(...) itself: the same q, dH and carried', bit for bit
+        spec = KernelSpec(kind, IntegratorSpec(scheme, theta=theta, T=0.7))
+        x, p = 2.0 * np.random.default_rng(4).standard_normal((2, 3, PERTURBED.dim))
+        step = stepper(PERTURBED, spec)
+        q, ok, d_h, after = step(x, p)
+        q_c, ok_c, d_h_c, after_c = step(x, p, None, carry(PERTURBED, spec, x))
+        assert q.tobytes() == q_c.tobytes() and ok.all() and ok_c.all()
+        assert d_h.shape == (3,) and d_h.tobytes() == d_h_c.tobytes()
+        assert after[0].tobytes() == after_c[0].tobytes()
+        if scheme == "leapfrog":
+            assert after[1].tobytes() == after_c[1].tobytes()
+        else:
+            assert after[1] is None and after_c[1] is None
