@@ -15,7 +15,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import astuple
+from dataclasses import asdict, astuple
 
 import numpy as np
 
@@ -204,6 +204,7 @@ def _task_scaling(config, pot, base_dir):
         "slope_stderr": result.slope_stderr,
         "dims": [r.dim for r in result.rows],
         "gradient_evals_per_chain": [r.gradient_evals_per_chain for r in result.rows],
+        "bisection": [[asdict(step) for step in path] for path in result.bisection],
         "pass": True,
     }, ("scaling.csv", ["dim", "theta", "oracle_steps", "chain_steps", "replicas",
                         "gradient_evals", "gradient_evals_per_chain", "excess_w1",

@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .integrators import GoodSetSpec, PhasePoint, guarded_step, reference_flow
+from .integrators import GoodSetSpec, PhasePoint, flow_map, guarded_step, reference_flow
 from .kernels import KernelSpec, default_integration_time, run_chain, stepper
 from .potentials import ConvexHMCError, Potential, SeparablePotential, uniform_ball
 
@@ -179,7 +179,13 @@ def drift_check(pot: Potential, spec: KernelSpec, radii: Sequence[float],
     ss = np.random.SeedSequence(seed)
     log_means = np.empty(radii.size)
     log_ses = np.empty(radii.size)
-    step = stepper(pot, spec)
+    if spec.kind == "metropolis":
+        step = stepper(pot, spec)
+    else:  # only x1 is read, and a kernel that accepts every proposal moves to its flow's q'
+        flow = flow_map(pot, spec.integrator)
+
+        def step(x, p, u):
+            return flow(x, p)
     for i, r in enumerate(radii):
         rng = np.random.Generator(np.random.PCG64(ss.spawn(1)[0]))
         dirs = rng.standard_normal((replicas, pot.dim))

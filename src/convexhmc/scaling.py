@@ -30,11 +30,25 @@ then the next ``LADDER_WIDTH`` halvings or every midpoint of the next
 ``REFINE_LEVELS`` levels, at most replicas/d thetas (one cost matrix's memory),
 each bit for bit its own run.  With d >= 16 costs from one matrix product, the
 benchmark's study (d = 8, 32) took 1.07 against 1.37 s (``BENCH_16.json``).
+
+Rows are independent (row i is seeded with seed + i), so they run side by
+side in forked workers, one per usable CPU (the process's affinity mask) and
+at most one per row, the largest d first; with one usable CPU, or where
+``fork`` does not exist, they run in this process.  Nothing sets the worker
+count.  Results, and the first failing row's error, come back in dims order,
+so every output equals a serial run's.  The rows' arrays live in the workers,
+so this process's own peak RSS no longer includes them.  Each row returns its
+bisection path, every measured theta with its pass and decision, which is
+where a worker's measurements are counted.  On a 2-core host the benchmark's
+study took 0.81 against 1.09 s, and criterion 9 10.4 against 13.4 s
+(``BENCH_25.json``).
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import os
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -78,12 +92,28 @@ class ScalingRow:
 
 
 @dataclass(frozen=True)
+class BisectionStep:
+    """One theta a row measured, in the order the bisection decided them: the
+    endpoint pass (0, 1, ...) that computed its batch, and what decided whether
+    its excess is within the budget: an earlier matching's cost
+    (``upper_bound``), the dual bound (``lower_bound``) or the solver (``exact``)."""
+
+    theta: float
+    pass_index: int
+    decision: str
+    within_budget: bool
+
+
+@dataclass(frozen=True)
 class ScalingResult:
+    """``bisection`` holds each row's path, a tuple of ``BisectionStep``, in the rows' order."""
+
     scheme: str
     epsilon: float
     rows: tuple
     slope: Optional[float]
     slope_stderr: Optional[float]
+    bisection: tuple
 
     def row(self, dim: int) -> ScalingRow:
         for r in self.rows:
@@ -124,8 +154,9 @@ def _gaussian_reference(pot: Potential, replicas: int, seed: int) -> np.ndarray:
     return rng.standard_normal((replicas, pot.dim)) / np.sqrt(pot.precision_eigenvalues)
 
 
-def _run_row(kernel: str, scheme: str, dim: int, epsilon: float, replicas: int,
-             seed: int) -> ScalingRow:
+def _run_row(kernel: str, scheme: str, epsilon: float, replicas: int, dim: int,
+             seed: int) -> tuple:
+    """(the study's row at ``dim``, its bisection path as a tuple of ``BisectionStep``)."""
     pot = make_gaussian(np.ones(dim))
     T = default_integration_time(pot)
     steps = chain_length(pot, epsilon)
@@ -136,11 +167,18 @@ def _run_row(kernel: str, scheme: str, dim: int, epsilon: float, replicas: int,
     chain_seed = seed * 7 + 3
     matchings = []  # optimal matchings solved in this row
     width, batches = max(1, replicas // dim), {}  # the last pass's batches by theta
+    path = []
+
+    def decide(theta, new_pass, decision, passed):
+        pass_index = path[-1].pass_index + new_pass if path else 0
+        path.append(BisectionStep(theta, pass_index, decision, bool(passed)))
+        return passed
 
     def measure(thetas):
         """(thetas[0] within budget, exact excess or None if a bound decided, ends); a
         theta outside the last pass starts a new one with the next ``width`` thetas."""
-        if thetas[0] not in batches:
+        new_pass = thetas[0] not in batches
+        if new_pass:
             batches.clear()
             batches.update(zip(thetas[:width], _endpoints(
                 pot, kernel, scheme, thetas[:width], T, steps, replicas, chain_seed)))
@@ -148,14 +186,14 @@ def _run_row(kernel: str, scheme: str, dim: int, epsilon: float, replicas: int,
         cost = metrics.cdist(ends, ref)
         if matchings and min(metrics.matching_cost(cost, cols)
                              for cols in matchings) <= budget * (1.0 - BOUND_MARGIN):
-            return True, None, ends
+            return decide(thetas[0], new_pass, "upper_bound", True), None, ends
         duals = metrics.dual_prices(cost)
         if metrics.w1_lower_bound(duals) >= budget * (1.0 + BOUND_MARGIN):
-            return False, None, ends
+            return decide(thetas[0], new_pass, "lower_bound", False), None, ends
         w1, cols = metrics.assignment(ends, ref, cost, duals)
         matchings.append(cols)
         excess = w1 - floor
-        return excess <= epsilon, excess, ends
+        return decide(thetas[0], new_pass, "exact", excess <= epsilon), excess, ends
 
     # the first oracle step theta^(1/k) is T itself, so no accepted step
     # integrates past the kernel's time; halving it is exact
@@ -195,7 +233,38 @@ def _run_row(kernel: str, scheme: str, dim: int, epsilon: float, replicas: int,
         achieved_excess_w1=float(excess),
         raw_w1=float(excess + floor),
         reference_floor=float(floor),
-    )
+    ), tuple(path)
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # macOS and Windows have no affinity mask: one row at a time
+        return 1
+
+
+def _map_rows(row, dims: list, seeds: range) -> list:
+    """``row(d, seed)`` for each pair, in order: by the builtin map where one CPU
+    is usable or ``fork`` does not exist, else in forked workers, one per usable
+    CPU and at most one per row, the largest d submitted first.  The first
+    failing row in dims order raises, the rows still pending are cancelled, and
+    the workers are joined before the call returns.  A forked worker starts
+    with this process's modules loaded; a spawned one would first import numpy
+    and scipy, about 0.85 s on a 2-core host, as long as the benchmark's whole
+    study."""
+    import multiprocessing  # imported here: a call that runs no study needs no pool
+    from concurrent.futures import ProcessPoolExecutor
+
+    workers = min(len(dims), _usable_cpus())
+    if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
+        return list(map(row, dims, seeds))
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        futures = [pool.submit(row, d, s) for d, s in zip(dims[::-1], seeds[::-1])][::-1]
+        try:
+            return [future.result() for future in futures]
+        finally:
+            for future in futures:
+                future.cancel()
 
 
 def run_scaling_study(scheme: str, dims: Sequence[int], epsilon: float, seed: int,
@@ -221,8 +290,11 @@ def run_scaling_study(scheme: str, dims: Sequence[int], epsilon: float, seed: in
         KernelSpec(kernel, IntegratorSpec(scheme))
     except KernelError as err:
         raise ScalingError(str(err)) from None
-    rows = tuple(_run_row(kernel, scheme, d, epsilon, replicas, seed + i)
-                 for i, d in enumerate(dims))
+    # row i is seeded with seed + i
+    results = _map_rows(functools.partial(_run_row, kernel, scheme, epsilon, replicas),
+                        dims, range(seed, seed + len(dims)))
+    rows = tuple(r for r, _ in results)
+    paths = tuple(path for _, path in results)
     slope = stderr = None
     if len(rows) >= 2:
         x = np.log([r.dim for r in rows])
@@ -233,4 +305,4 @@ def run_scaling_study(scheme: str, dims: Sequence[int], epsilon: float, seed: in
         dof = max(len(rows) - 2, 1)
         stderr = float(np.sqrt(np.dot(resid, resid) / dof / np.dot(xc, xc)))
     return ScalingResult(scheme=scheme, epsilon=float(epsilon),
-                         rows=rows, slope=slope, slope_stderr=stderr)
+                         rows=rows, slope=slope, slope_stderr=stderr, bisection=paths)

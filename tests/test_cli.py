@@ -1028,7 +1028,9 @@ class TestCallCost:
 
     def test_importing_the_cli_leaves_scipy_and_jsonschema_unloaded(self):
         src = os.path.dirname(os.path.dirname(os.path.abspath(convexhmc.__file__)))
-        heavy = ["scipy.optimize", "scipy.spatial", "scipy.special", "jsonschema"]
+        # and the scaling study's process pool
+        heavy = ["scipy.optimize", "scipy.spatial", "scipy.special", "jsonschema",
+                 "multiprocessing", "concurrent.futures.process"]
         code = (f"import sys, convexhmc.cli; "
                 f"print([m for m in {heavy!r} if m in sys.modules])")
         path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])

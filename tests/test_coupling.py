@@ -9,7 +9,7 @@ from convexhmc import (GoodSetSpec, IntegratorSpec, KernelSpec, contraction_boun
                        default_integration_time, drift_check, good_set_statistics,
                        make_gaussian, make_perturbed_quadratic, make_ridge_logistic,
                        make_separable, run_chain, stepper)
-from convexhmc import integrators
+from convexhmc import coupling, integrators
 from convexhmc.coupling import CouplingError
 
 SPHERICAL = make_gaussian([1.0, 1.0, 1.0, 1.0])
@@ -212,6 +212,30 @@ class TestDriftCheck:
     def test_replica_floor_enforced(self):
         with pytest.raises(CouplingError):
             drift_check(SPHERICAL, ideal_spec(SPHERICAL), [1.0], replicas=10, seed=0)
+
+    @pytest.mark.parametrize("kind, scheme, theta", [("ideal", "reference", 1e-10),
+                                                     ("unadjusted", "euler", 0.01),
+                                                     ("unadjusted", "leapfrog", 0.01)])
+    def test_flow_alone_moves_as_the_kernel_step(self, monkeypatch, kind, scheme, theta):
+        # a kernel that accepts every proposal moves each start to its flow's q'
+        # bit for bit, with no U evaluated
+        target = make_perturbed_quadratic(3, 0.1, seed=2)
+        spec = KernelSpec(kind, IntegratorSpec(scheme, theta=theta,
+                                               T=default_integration_time(target)))
+        values = [0]
+
+        def value(q, inner=target.value):
+            values[0] += 1
+            return inner(q)
+
+        alone = drift_check(dataclasses.replace(target, value=value), spec, [1.0, 4.0],
+                            replicas=200, seed=6)
+        assert values[0] == 0
+        step = stepper(target, spec)
+        monkeypatch.setattr(coupling, "flow_map", lambda pot, integrator: step)
+        stepped = drift_check(target, spec, [1.0, 4.0], replicas=200, seed=6)
+        assert alone.log_means.tobytes() == stepped.log_means.tobytes()
+        assert alone.log_se.tobytes() == stepped.log_se.tobytes()
 
 
 class TestGoodSetStatistics:
