@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .integrators import GoodSetSpec, PhasePoint, flow_map, guarded_step, reference_flow
+from .integrators import GoodSetSpec, PhasePoint, guarded_step, reference_flow
 from .kernels import KernelSpec, default_integration_time, run_chain, stepper
 from .potentials import ConvexHMCError, Potential, SeparablePotential, uniform_ball
 
@@ -166,8 +166,10 @@ def drift_check(pot: Potential, spec: KernelSpec, radii: Sequence[float],
                 replicas: int, seed: int) -> DriftReport:
     """Estimate E[exp |X_1|] from starts of each norm, in log space.
 
-    Reports the smallest A making every radius satisfy
-    E[exp |X_1|] <= e^(r-1) + A, and the decay slope at the largest radius.
+    X_1 is one ``stepper(pot, spec)`` step given no carried state, so only a
+    Metropolis kernel evaluates U.  Reports the smallest A making every
+    radius satisfy E[exp |X_1|] <= e^(r-1) + A, and the decay slope at the
+    largest radius.
     """
     from scipy.special import logsumexp  # imported here: no other check needs scipy
 
@@ -179,13 +181,7 @@ def drift_check(pot: Potential, spec: KernelSpec, radii: Sequence[float],
     ss = np.random.SeedSequence(seed)
     log_means = np.empty(radii.size)
     log_ses = np.empty(radii.size)
-    if spec.kind == "metropolis":
-        step = stepper(pot, spec)
-    else:  # only x1 is read, and a kernel that accepts every proposal moves to its flow's q'
-        flow = flow_map(pot, spec.integrator)
-
-        def step(x, p, u):
-            return flow(x, p)
+    step = stepper(pot, spec)
     for i, r in enumerate(radii):
         rng = np.random.Generator(np.random.PCG64(ss.spawn(1)[0]))
         dirs = rng.standard_normal((replicas, pot.dim))

@@ -153,12 +153,12 @@ def hamiltonian(pot: Potential, x: PhasePoint) -> np.ndarray:
 
 
 def _rotation(lam: np.ndarray, T: float) -> tuple:
-    """(a, drive, kick) of the exact flow for time T on U(q) = 1/2 sum lam_i
-    q_i^2: q' = q cos(w T) + (p / w) sin(w T), p' = -q w sin(w T) + p cos(w T)
-    with w = sqrt(lam); see ``linear_flow``."""
+    """(cos wT, sin(wT)/w, -w sin wT, cos wT), w = sqrt(lam): the entries (a, b,
+    c, e) of the exact flow for time T on U(q) = 1/2 sum lam_i q_i^2; see
+    ``linear_flow``."""
     w = np.sqrt(lam)
-    c, s = np.cos(w * T), np.sin(w * T)
-    return c, lambda p: (p / w) * s, lambda q, p: -q * w * s + p * c
+    cos, sin = np.cos(w * T), np.sin(w * T)
+    return cos, sin / w, -w * sin, cos
 
 
 def _composition_path(pot, q, p, g, h, n, segments):
@@ -242,23 +242,21 @@ def _oracle_matrix(spec: IntegratorSpec, lam: np.ndarray) -> np.ndarray:
 
 
 def linear_flow(pot: Potential, spec: IntegratorSpec) -> Optional[tuple]:
-    """(a, drive, kick) when the flow ``spec`` names is linear, else None.
+    """(a, b, c, e) when the flow ``spec`` names is linear, else None.
 
     On a Gaussian target the Euler, leapfrog and exact_gaussian flows act on
-    each coordinate as a 2x2 linear map of (q_i, p_i), built here once: rows
-    (q, p) go to (a q + drive(p), kick(q, p)).  The oracle schemes take the
-    per-coordinate matrix power M^n = [[a, b], [c, e]] of n =
-    ``spec.oracle_steps`` steps, so drive(p) = b p and kick(q, p) = c q + e p;
-    exact_gaussian is ``_rotation``, the exact flow.
+    each coordinate as a 2x2 linear map [[a, b], [c, e]] of (q_i, p_i), built
+    here once as four (d,) arrays: rows (q, p) go to (a q + b p, c q + e p).
+    The oracle schemes take the per-coordinate matrix power M^n of n =
+    ``spec.oracle_steps`` steps; exact_gaussian is ``_rotation``, the exact flow.
     """
     if not pot.is_gaussian or spec.scheme == "reference":
         return None
     lam = pot.precision_eigenvalues
     if not spec.order:
         return _rotation(lam, spec.T)
-    a, b, c, e = np.linalg.matrix_power(_oracle_matrix(spec, lam),
-                                        spec.oracle_steps).reshape(-1, 4).T.copy()
-    return a, lambda p: b * p, lambda q, p: c * q + e * p
+    return tuple(np.linalg.matrix_power(_oracle_matrix(spec, lam),
+                                        spec.oracle_steps).reshape(-1, 4).T.copy())
 
 
 def flow_map(pot: Potential, spec: IntegratorSpec):
@@ -267,18 +265,18 @@ def flow_map(pot: Potential, spec: IntegratorSpec):
     theta p, p - theta U'(q)).  Leapfrog takes n steps of length sqrt(theta),
     one gradient per point serving both half-kicks there (n + 1 calls, or n
     given g), and returns the end gradient.  A ``linear_flow`` (every scheme
-    but reference, on a Gaussian target) calls no gradient; leapfrog's g' is
-    then lam q'."""
+    but reference, on a Gaussian target) calls no gradient: q' = a q + b p and
+    p' = c q + e p, and leapfrog's g' is lam q'."""
     grad, theta, T = pot.gradient, spec.theta, spec.T
     n = spec.oracle_steps if spec.order else 0
     linear = linear_flow(pot, spec)
     if linear is not None:
-        a, drive, kick = linear
+        a, b, c, e = linear
         lam = pot.precision_eigenvalues if spec.scheme == "leapfrog" else None
 
         def closed_form(q, p, g=None):
-            q_n = a * q + drive(p)
-            return q_n, kick(q, p), None if lam is None else lam * q_n
+            q_n = a * q + b * p
+            return q_n, c * q + e * p, None if lam is None else lam * q_n
         return closed_form
     if spec.scheme == "euler":
         def euler(q, p, g=None):
@@ -305,8 +303,8 @@ def flow_map(pot: Potential, spec: IntegratorSpec):
         raise IntegratorError("exact_gaussian scheme requires a Gaussian potential")
 
     def reference(q, p, g=None):
-        x = reference_flow(pot, PhasePoint(q, p, g), T, theta)
-        return x.q, x.p, x.g
+        x = reference_flow(pot, PhasePoint(q, p), T, theta)
+        return x.q, x.p, None
     return reference
 
 

@@ -113,10 +113,10 @@ def stepper(pot: Potential, spec: KernelSpec):
     """step(x, p, u=None, carried=None) -> (x', accepted, dH, carried'): ``spec``'s
     kernel step on rows x (shape (..., d)), flow map resolved once.  ``u`` holds
     Metropolis uniforms; ``carried`` is ``carry(pot, spec, x)``, usually the step
-    before's carried', and computed if not given, except that a non-Metropolis
-    step on a linear flow then returns only x' (no dH or carried').  A Metropolis
-    row accepts iff u < exp(-dH), dH = H(proposal) - H(x, p), and then takes the
-    proposal's pair."""
+    before's carried'.  Given none, a Metropolis step computes it, and any other
+    step returns only the flow's position, (x', all true, None, None), calling
+    no U (on a ``linear_flow``, x' = a x + b p).  A Metropolis row accepts iff
+    u < exp(-dH), dH = H(proposal) - H(x, p), and then takes the proposal's pair."""
     value, metropolis = pot.value, spec.kind == "metropolis"
     add = np.add.reduce  # ndarray.sum without its Python wrapper
     flow = flow_map(pot, spec.integrator)
@@ -124,8 +124,8 @@ def stepper(pot: Potential, spec: KernelSpec):
 
     def step(x, p, u=None, carried=None):
         if carried is None:
-            if linear is not None:  # nothing reads a linear flow's p'
-                q = linear[0] * x + linear[1](p)
+            if not metropolis:  # an all-accepting step: nothing reads p', U or dH
+                q = flow(x, p)[0] if linear is None else linear[0] * x + linear[1] * p
                 return q, np.ones(q.shape[:-1], dtype=bool), None, None
             carried = carry(pot, spec, x)
         u_x, g_x = carried
@@ -225,24 +225,24 @@ def _run_steps(pot, spec, momenta, uniforms, states, accepted, energies, d_hs):
 
 
 def _run_blocks(pot, spec, linear, momenta, uniforms, states, accepted, energies, d_hs):
-    """``run_chain``'s loop for a linear flow (a, drive, kick), in blocks.
+    """``run_chain``'s loop for a linear flow (a, b, c, e), in blocks.
 
-    A block guesses that all its steps accept, so x_{k+1} = a x_k +
-    drive(p_k), or (Metropolis only) that all reject, so every proposal
-    starts from the same x; a block whose first step goes against the guess
-    flips it.  A step of at most ``_PY_VALUES`` values (rows x d) runs that
-    recurrence as one Python-float loop per (row, coordinate), about 0.1 µs
-    a value and a few µs a block; a larger one takes one numpy statement per
-    step, 1.2-2.5 µs whatever its size.  Both round each product and each
-    sum once, alike.  One ``value`` call then gives the block's dH and
-    accept flags in ``stepper``'s operations and order, so the trace is bit
-    for bit the step-by-step one.  The block is cut at its first step against the guess
-    in any row, where each row takes its own accept or reject.  Blocks start
-    at ``_FIRST_BLOCK`` steps, double up to ``_MAX_BLOCK`` while the guess
-    holds and start over after a cut.  Makes no gradient call; fills the
-    trace arrays in place.
+    A block guesses that all its steps accept, so x_{k+1} = a x_k + b p_k,
+    or (Metropolis only) that all reject, so every proposal starts from the
+    same x; each proposal's momentum is c x_k + e p_k.  A block whose first
+    step goes against the guess flips it.  A step of at most ``_PY_VALUES``
+    values (rows x d) runs that recurrence as one Python-float loop per
+    (row, coordinate), about 0.1 µs a value and a few µs a block; a larger
+    one takes one numpy statement per step, 1.2-2.5 µs whatever its size.
+    Both round each product and each sum once, alike.  One ``value`` call
+    then gives the block's dH and accept flags in ``stepper``'s operations
+    and order, so the trace is bit for bit the step-by-step one.  The block
+    is cut at its first step against the guess in any row, where each row
+    takes its own accept or reject.  Blocks start at ``_FIRST_BLOCK`` steps,
+    double up to ``_MAX_BLOCK`` while the guess holds and start over after a
+    cut.  Makes no gradient call; fills the trace arrays in place.
     """
-    a, drive, kick = linear
+    a, b, c, e = linear
     value, add, i_max = pot.value, np.add.reduce, len(momenta)
     # a momentum and a uniform per step, broadcast over the rows of a batch
     spread = (i_max,) + (1,) * (states.ndim - 2)
@@ -256,7 +256,7 @@ def _run_blocks(pot, spec, linear, momenta, uniforms, states, accepted, energies
     while i < i_max:
         j = min(i + size, i_max)
         x, u, p = states[i:j + 1], energies[i:j + 1], moms[i:j]
-        pushes = drive(p)
+        pushes = b * p
         if guess:
             if py_as is None:
                 for k, push in enumerate(pushes):
@@ -275,7 +275,7 @@ def _run_blocks(pot, spec, linear, momenta, uniforms, states, accepted, energies
             q = a * x[0] + pushes
             u_q = value(q)
             x[1:], u[1:] = x[0], u[0]
-        p_end = kick(x[:-1], p)
+        p_end = c * x[:-1] + e * p
         d_h = d_hs[i:j]
         np.subtract(u_q + 0.5 * add(p_end * p_end, -1), u[:-1] + half_kinetic[i:j], out=d_h)
         size = min(2 * size, _MAX_BLOCK)

@@ -110,11 +110,13 @@ def verify_rounding(pot: Potential, t: RoundingTransform, bulk_points) -> Roundi
     potential.  Passes iff all eigenvalues lie in
     [m2/M2 * (1 - tol), M2/m2 * (1 + tol)], tol = ``ROUNDING_REL_TOL``.
     """
-    pts = np.asarray(getattr(bulk_points, "points", bulk_points), dtype=float)
+    pts = np.asarray(bulk_points, dtype=float)
     if pts.ndim == 1:
         pts = pts[None, :]
     if pts.shape[1] != pot.dim:
         raise PreconditionError(f"points must have {pot.dim} columns, got {pts.shape[1]}")
+    if len(pts) == 0:
+        raise PreconditionError("need at least one bulk point, got 0")
     transformed = transform_potential(pot, t)
     lo, hi = math.inf, -math.inf
     for y in pts:

@@ -115,12 +115,6 @@ class ScalingResult:
     slope_stderr: Optional[float]
     bisection: tuple
 
-    def row(self, dim: int) -> ScalingRow:
-        for r in self.rows:
-            if r.dim == dim:
-                return r
-        raise KeyError(dim)
-
 
 def chain_length(pot: Potential, epsilon: float) -> int:
     ratio = pot.M2 / pot.m2
@@ -149,19 +143,15 @@ def _midpoints(lo: float, hi: float, levels: int) -> list:
     return [mid, *_midpoints(mid, hi, levels - 1), *_midpoints(lo, mid, levels - 1)]
 
 
-def _gaussian_reference(pot: Potential, replicas: int, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    return rng.standard_normal((replicas, pot.dim)) / np.sqrt(pot.precision_eigenvalues)
-
-
 def _run_row(kernel: str, scheme: str, epsilon: float, replicas: int, dim: int,
              seed: int) -> tuple:
     """(the study's row at ``dim``, its bisection path as a tuple of ``BisectionStep``)."""
     pot = make_gaussian(np.ones(dim))
     T = default_integration_time(pot)
     steps = chain_length(pot, epsilon)
-    ref = _gaussian_reference(pot, replicas, seed * 7 + 1)
-    ref2 = _gaussian_reference(pot, replicas, seed * 7 + 2)
+    # exact draws from the target N(0, I_d)
+    ref, ref2 = (np.random.default_rng(seed * 7 + k).standard_normal((replicas, dim))
+                 for k in (1, 2))
     floor = metrics.w1_assignment(ref2, ref)
     budget = floor + epsilon
     chain_seed = seed * 7 + 3

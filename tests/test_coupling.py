@@ -217,8 +217,8 @@ class TestDriftCheck:
                                                      ("unadjusted", "euler", 0.01),
                                                      ("unadjusted", "leapfrog", 0.01)])
     def test_flow_alone_moves_as_the_kernel_step(self, monkeypatch, kind, scheme, theta):
-        # a kernel that accepts every proposal moves each start to its flow's q'
-        # bit for bit, with no U evaluated
+        # drift's kernel step moves each start of a kernel that accepts every
+        # proposal to its flow's q', bit for bit, with no U evaluated
         target = make_perturbed_quadratic(3, 0.1, seed=2)
         spec = KernelSpec(kind, IntegratorSpec(scheme, theta=theta,
                                                T=default_integration_time(target)))
@@ -231,11 +231,11 @@ class TestDriftCheck:
         alone = drift_check(dataclasses.replace(target, value=value), spec, [1.0, 4.0],
                             replicas=200, seed=6)
         assert values[0] == 0
-        step = stepper(target, spec)
-        monkeypatch.setattr(coupling, "flow_map", lambda pot, integrator: step)
-        stepped = drift_check(target, spec, [1.0, 4.0], replicas=200, seed=6)
-        assert alone.log_means.tobytes() == stepped.log_means.tobytes()
-        assert alone.log_se.tobytes() == stepped.log_se.tobytes()
+        flow = integrators.flow_map(target, spec.integrator)
+        monkeypatch.setattr(coupling, "stepper", lambda pot, spec: lambda x, p, u: flow(x, p))
+        direct = drift_check(target, spec, [1.0, 4.0], replicas=200, seed=6)
+        assert alone.log_means.tobytes() == direct.log_means.tobytes()
+        assert alone.log_se.tobytes() == direct.log_se.tobytes()
 
 
 class TestGoodSetStatistics:

@@ -29,8 +29,8 @@ NAN_GRADIENT = Potential(dim=1, value=lambda q: np.zeros(np.shape(q)[:-1]),
 POINTS = np.zeros((3, 2))
 
 
-def _rounding_points(_):
-    return verify_rounding(GAUSS, build_rounding(GAUSS, np.zeros(2)), np.zeros((2, 3)))
+def _rounding_points(points):
+    return lambda _: verify_rounding(GAUSS, build_rounding(GAUSS, np.zeros(2)), points)
 
 
 CHECKS = [
@@ -111,8 +111,10 @@ CHECKS = [
      PreconditionError, "finite-difference step must be positive, got 0.0"),
     ("hessian-finite", lambda _: hessian_at(NAN_GRADIENT, np.zeros(1)),
      PreconditionError, "non-finite entries in finite-difference Hessian"),
-    ("rounding-columns", _rounding_points,
+    ("rounding-columns", _rounding_points(np.zeros((2, 3))),
      PreconditionError, "points must have 2 columns, got 3"),
+    ("rounding-no-points", _rounding_points(np.zeros((0, 2))),
+     PreconditionError, "need at least one bulk point, got 0"),
     # scaling
     ("study-scheme", lambda _: run_scaling_study("reference", [2], 0.1, seed=0),
      ScalingError, "scheme must be euler or leapfrog, got 'reference'"),

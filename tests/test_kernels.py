@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -488,19 +489,29 @@ class TestStepper:
 
     @pytest.mark.parametrize("kind, scheme, theta", [("unadjusted", "euler", 0.05),
                                                      ("unadjusted", "leapfrog", 0.05),
-                                                     ("ideal", "reference", 1e-10)])
+                                                     ("ideal", "reference", 1e-10),
+                                                     ("metropolis", "leapfrog", 0.05)])
     def test_step_without_carried_carries_itself(self, kind, scheme, theta):
-        # on a flow that is not linear, a step given no carried state computes
-        # carry(...) itself: the same q, dH and carried', bit for bit
+        # given no carried state, a Metropolis step computes carry(...) itself: the
+        # carried call's q, dH and carried', bit for bit; any other step returns the
+        # carried call's q alone, with no dH or carried', and evaluates no U
         spec = KernelSpec(kind, IntegratorSpec(scheme, theta=theta, T=0.7))
-        x, p = 2.0 * np.random.default_rng(4).standard_normal((2, 3, PERTURBED.dim))
-        step = stepper(PERTURBED, spec)
-        q, ok, d_h, after = step(x, p)
-        q_c, ok_c, d_h_c, after_c = step(x, p, None, carry(PERTURBED, spec, x))
-        assert q.tobytes() == q_c.tobytes() and ok.all() and ok_c.all()
+        rng = np.random.default_rng(4)
+        x, p = 2.0 * rng.standard_normal((2, 3, PERTURBED.dim))
+        u = rng.random(3)
+        values = [0]
+
+        def value(q, inner=PERTURBED.value):
+            values[0] += 1
+            return inner(q)
+        step = stepper(dataclasses.replace(PERTURBED, value=value), spec)
+        q, ok, d_h, after = step(x, p, u)
+        alone = values[0]
+        q_c, ok_c, d_h_c, after_c = step(x, p, u, carry(PERTURBED, spec, x))
+        assert q.tobytes() == q_c.tobytes() and ok.tobytes() == ok_c.tobytes()
+        if kind != "metropolis":
+            assert alone == 0 and ok.all() and d_h is None and after is None
+            return
         assert d_h.shape == (3,) and d_h.tobytes() == d_h_c.tobytes()
         assert after[0].tobytes() == after_c[0].tobytes()
-        if scheme == "leapfrog":
-            assert after[1].tobytes() == after_c[1].tobytes()
-        else:
-            assert after[1] is None and after_c[1] is None
+        assert after[1].tobytes() == after_c[1].tobytes()
