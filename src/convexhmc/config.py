@@ -255,9 +255,9 @@ def build_potential(target: dict, base_dir: str = ".") -> Potential:
 
 # the kind and scheme of each kernel task's block that leaves them out, and each
 # scheme's theta
-_KERNEL_DEFAULTS = {"sample": ("metropolis", "leapfrog"), "couple": ("ideal", "exact_gaussian"),
+_KERNEL_DEFAULTS = {"sample": ("metropolis", "leapfrog"), "couple": ("ideal", "reference"),
                     "drift": ("ideal", "reference")}
-_THETA_DEFAULTS = {"exact_gaussian": 1e-10, "reference": 1e-10, "euler": 1e-3, "leapfrog": 1e-3}
+_THETA_DEFAULTS = {"reference": 1e-10, "euler": 1e-3, "leapfrog": 1e-3}
 
 
 def build_kernel_spec(kernel: dict, pot: Potential, task: str) -> KernelSpec:

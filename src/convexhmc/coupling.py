@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .integrators import GoodSetSpec, PhasePoint, guarded_step, reference_flow
+from .integrators import GoodSetSpec, IntegratorSpec, guarded_step
 from .kernels import KernelSpec, default_integration_time, run_chain, stepper
 from .potentials import ConvexHMCError, Potential, SeparablePotential, uniform_ball
 
@@ -142,23 +142,22 @@ def contraction_certificate(pot: Potential, T: float, trials: int, seed: int,
     """Worst end-to-start distance ratio over random pairs with shared momenta.
 
     Draws position pairs uniformly in the ball of radius sqrt(d/m2) with a
-    common Gaussian momentum, integrates both with the reference flow, and
-    returns max |q_T^(2)-q_T^(1)| / |q_0^(2)-q_0^(1)|.  The certificate
+    common Gaussian momentum, moves both by one ideal kernel step to ``tol``,
+    and returns max |q_T^(2)-q_T^(1)| / |q_0^(2)-q_0^(1)|.  The certificate
     passes iff the result is <= 1 - m2 T^2/8 + 1e-6.
     """
     t_max = default_integration_time(pot)
-    if T < 0.0 or T > t_max * (1.0 + 1e-12):
+    if not 0.0 <= T <= t_max * (1.0 + 1e-12):  # a NaN T fails too
         raise CouplingError(f"T must lie in [0, {t_max:.6g}], got {T}")
     if trials < 1:
         raise CouplingError(f"trials must be >= 1, got {trials}")
-    if T == 0.0:
-        return 1.0
-    rng = np.random.default_rng(seed)
-    x0, y0, p = _pairs_with_shared_momenta(pot, trials, rng)
-    start = PhasePoint(np.vstack([x0, y0]), np.vstack([p, p]))
-    end = reference_flow(pot, start, T, tol=tol)
+    if not tol > 0.0:
+        raise CouplingError(f"tol must be positive, got {tol}")
+    step = stepper(pot, KernelSpec("ideal", IntegratorSpec("reference", theta=tol, T=T)))
+    x0, y0, p = _pairs_with_shared_momenta(pot, trials, np.random.default_rng(seed))
+    end = step(np.vstack([x0, y0]), np.vstack([p, p]))[0]
     d0 = np.linalg.norm(x0 - y0, axis=1)
-    d1 = np.linalg.norm(end.q[:trials] - end.q[trials:], axis=1)
+    d1 = np.linalg.norm(end[:trials] - end[trials:], axis=1)
     return float(np.max(d1 / d0))
 
 

@@ -1,12 +1,12 @@
-"""Hamiltonian flow maps: exact, Euler, leapfrog, eighth-order reference and guarded.
+"""Hamiltonian flow maps: Euler, leapfrog, the ideal flow (reference) and guarded.
 
 The composed integrator follows the convention that an accuracy parameter
 theta and order k translate into the smallest n with n theta^(1/k) >= T
 oracle applications, each advancing time theta^(1/k).  In particular the
 leapfrog oracle's internal step length is sqrt(theta).  The final step is
 taken at full length, so the composed map can overshoot time T by less
-than one step.  On a Gaussian target both oracle maps are linear, and the
-n-step map is applied in closed form.
+than one step.  On a Gaussian target every flow is linear: the oracle
+maps' n-step map and the exact flow are applied in closed form.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 
 from .potentials import ConvexHMCError, Potential
 
-SCHEMES = ("exact_gaussian", "euler", "leapfrog", "reference")
+SCHEMES = ("euler", "leapfrog", "reference")
 _ORACLE_ORDER = {"euler": 1, "leapfrog": 2}
 # Kahan and Li (1997), s17odr8a: a symmetric composition of 17 leapfrog
 # substeps, eighth order (Hairer, Lubich and Wanner, Geometric Numerical
@@ -58,8 +58,9 @@ class PhasePoint:
 class IntegratorSpec:
     """Identifies one numerical flow map.
 
-    For the ``reference`` scheme, ``theta`` is the tolerance of the
-    eighth-order, step-doubling, per-row refinement, not an oracle step.
+    For the ``reference`` scheme, the ideal flow, ``theta`` is the tolerance
+    of the eighth-order, step-doubling, per-row refinement, not an oracle
+    step; it is unused on a Gaussian target, where the flow is exact.
     """
 
     scheme: str
@@ -244,13 +245,13 @@ def _oracle_matrix(spec: IntegratorSpec, lam: np.ndarray) -> np.ndarray:
 def linear_flow(pot: Potential, spec: IntegratorSpec) -> Optional[tuple]:
     """(a, b, c, e) when the flow ``spec`` names is linear, else None.
 
-    On a Gaussian target the Euler, leapfrog and exact_gaussian flows act on
-    each coordinate as a 2x2 linear map [[a, b], [c, e]] of (q_i, p_i), built
-    here once as four (d,) arrays: rows (q, p) go to (a q + b p, c q + e p).
-    The oracle schemes take the per-coordinate matrix power M^n of n =
-    ``spec.oracle_steps`` steps; exact_gaussian is ``_rotation``, the exact flow.
+    A flow is linear iff the target is Gaussian.  Every scheme's flow then acts
+    on each coordinate as a 2x2 linear map [[a, b], [c, e]] of (q_i, p_i),
+    built here once as four (d,) arrays: rows (q, p) go to (a q + b p, c q +
+    e p).  The oracle schemes take the per-coordinate matrix power M^n of n =
+    ``spec.oracle_steps`` steps; reference is ``_rotation``, the exact flow.
     """
-    if not pot.is_gaussian or spec.scheme == "reference":
+    if not pot.is_gaussian:
         return None
     lam = pot.precision_eigenvalues
     if not spec.order:
@@ -264,9 +265,9 @@ def flow_map(pot: Potential, spec: IntegratorSpec):
     (q', p', g').  Euler takes n = ``spec.oracle_steps`` steps (q, p) -> (q +
     theta p, p - theta U'(q)).  Leapfrog takes n steps of length sqrt(theta),
     one gradient per point serving both half-kicks there (n + 1 calls, or n
-    given g), and returns the end gradient.  A ``linear_flow`` (every scheme
-    but reference, on a Gaussian target) calls no gradient: q' = a q + b p and
-    p' = c q + e p, and leapfrog's g' is lam q'."""
+    given g), and returns the end gradient.  A ``linear_flow`` (any scheme on a
+    Gaussian target) calls no gradient: q' = a q + b p and p' = c q + e p, and
+    leapfrog's g' is lam q'."""
     grad, theta, T = pot.gradient, spec.theta, spec.T
     n = spec.oracle_steps if spec.order else 0
     linear = linear_flow(pot, spec)
@@ -299,8 +300,6 @@ def flow_map(pot: Potential, spec: IntegratorSpec):
                 p = p - half * g
             return q, p, g
         return leapfrog
-    if spec.scheme == "exact_gaussian":
-        raise IntegratorError("exact_gaussian scheme requires a Gaussian potential")
 
     def reference(q, p, g=None):
         x = reference_flow(pot, PhasePoint(q, p), T, theta)

@@ -76,12 +76,12 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in KERNEL_KINDS:
             raise KernelError(f"unknown kernel kind {self.kind!r}; expected one of {KERNEL_KINDS}")
-        if self.kind == "ideal" and self.integrator.scheme not in ("exact_gaussian", "reference"):
-            raise KernelError("ideal kernel needs the exact_gaussian or reference scheme")
+        if self.kind == "ideal" and self.integrator.scheme != "reference":
+            raise KernelError("ideal kernel needs the reference scheme")
         # min(1, e^-dH) corrects only a reversible, volume-preserving flow; Euler is neither
         if self.kind == "metropolis" and self.integrator.scheme == "euler":
             raise KernelError("metropolis kernel needs a reversible, volume-preserving flow: "
-                              "leapfrog, exact_gaussian or reference, not euler")
+                              "leapfrog or reference, not euler")
 
 
 @dataclass
@@ -99,7 +99,7 @@ class ChainTrace:
 
 
 def ideal_step(pot: Potential, spec: KernelSpec, x: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Position after ``spec``'s exact_gaussian or reference flow, run as given."""
+    """Position after ``spec``'s flow, run as given."""
     return integrate(pot, spec.integrator, PhasePoint(x, p)).q
 
 

@@ -27,9 +27,10 @@ all-exact run.
 The thetas are decided in that order but measured in passes over the chain's
 seeded stream that draw each step's momenta once: the starting theta alone,
 then the next ``LADDER_WIDTH`` halvings or every midpoint of the next
-``REFINE_LEVELS`` levels, at most replicas/d thetas (one cost matrix's memory),
-each bit for bit its own run.  With d >= 16 costs from one matrix product, the
-benchmark's study (d = 8, 32) took 1.07 against 1.37 s (``BENCH_16.json``).
+``REFINE_LEVELS`` levels, at most 7 thetas (14.7 MB of endpoints at d = 256 and
+1,024 replicas), each bit for bit its own run.  With d >= 16 costs from one
+matrix product, the benchmark's study (d = 8, 32) took 1.07 against 1.37 s
+(``BENCH_16.json``).
 
 Rows are independent (row i is seeded with seed + i), so they run side by
 side in forked workers, one per usable CPU (the process's affinity mask) and
@@ -156,7 +157,7 @@ def _run_row(kernel: str, scheme: str, epsilon: float, replicas: int, dim: int,
     budget = floor + epsilon
     chain_seed = seed * 7 + 3
     matchings = []  # optimal matchings solved in this row
-    width, batches = max(1, replicas // dim), {}  # the last pass's batches by theta
+    batches = {}  # the last pass's batches by theta
     path = []
 
     def decide(theta, new_pass, decision, passed):
@@ -166,12 +167,12 @@ def _run_row(kernel: str, scheme: str, epsilon: float, replicas: int, dim: int,
 
     def measure(thetas):
         """(thetas[0] within budget, exact excess or None if a bound decided, ends); a
-        theta outside the last pass starts a new one with the next ``width`` thetas."""
+        theta outside the last pass starts a new one with all of ``thetas``."""
         new_pass = thetas[0] not in batches
         if new_pass:
             batches.clear()
-            batches.update(zip(thetas[:width], _endpoints(
-                pot, kernel, scheme, thetas[:width], T, steps, replicas, chain_seed)))
+            batches.update(zip(thetas, _endpoints(
+                pot, kernel, scheme, thetas, T, steps, replicas, chain_seed)))
         ends = batches[thetas[0]]
         cost = metrics.cdist(ends, ref)
         if matchings and min(metrics.matching_cost(cost, cols)

@@ -67,7 +67,7 @@ def test_criterion_1_deterministic_contraction():
 def test_criterion_2_coupled_chain_rate():
     pot = make_gaussian([1.0, 1.0, 1.0, 1.0])
     T = default_integration_time(pot)
-    spec = KernelSpec("ideal", IntegratorSpec("exact_gaussian", T=T))
+    spec = KernelSpec("ideal", IntegratorSpec("reference", T=T))
     rng = np.random.default_rng(7)
     radius = math.sqrt(pot.dim / pot.m2)
     x0 = rng.standard_normal(4)
@@ -154,7 +154,7 @@ def test_criterion_5_sandwich_bounds():
 def test_criterion_6_drift():
     pot = make_gaussian(np.ones(4))
     T = default_integration_time(pot)
-    spec = KernelSpec("ideal", IntegratorSpec("exact_gaussian", T=T))
+    spec = KernelSpec("ideal", IntegratorSpec("reference", T=T))
     radii = np.array([5.0, 10.0, 20.0, 40.0]) / math.sqrt(pot.m2)
     report = drift_check(pot, spec, radii, replicas=10_000, seed=500)
     top = int(np.argmax(report.radii))
@@ -171,7 +171,7 @@ def test_criterion_7_metropolis_exactness():
     spec = KernelSpec("metropolis", IntegratorSpec("leapfrog", theta=0.04, T=T))
     trace = run_chain(pot, spec, np.zeros(1), 1_000_000, seed=600)
     moments = gaussian_moment_test(trace, [1.0], burn_in=2000)
-    exact_spec = KernelSpec("metropolis", IntegratorSpec("exact_gaussian", T=T))
+    exact_spec = KernelSpec("metropolis", IntegratorSpec("reference", T=T))
     exact_trace = run_chain(pot, exact_spec, np.zeros(1), 100_000, seed=601)
     rate = exact_trace.ledger.accepted / 100_000
     passed = moments.passed and rate == 1.0

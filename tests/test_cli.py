@@ -226,17 +226,42 @@ class TestConfigValidation:
         assert code == 2
         assert err.startswith(error) and "Traceback" not in err
 
-    def test_ideal_kernel_runs_the_scheme_it_is_given(self, tmp_path, capsys):
-        # exact_gaussian has no closed form on a perturbed target
+    def test_ideal_kernel_runs_the_scheme_it_is_given(self, tmp_path):
+        # couple's default kernel, ideal reference, runs on a target that is not
+        # Gaussian: no kernel flags write what the flags naming it write
         target = tmp_path / "target.json"
         target.write_text(json.dumps({"kind": "perturbed", "dim": 2, "amplitude": 0.1,
                                       "seed": 1}))
-        code = main(["couple", "--target-config", str(target), "--kernel", "ideal",
-                     "--scheme", "exact_gaussian", "--steps", "3", "--seed", "0",
-                     "--out", str(tmp_path / "out")])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert err == "IntegratorError: exact_gaussian scheme requires a Gaussian potential\n"
+        argv = ["couple", "--target-config", str(target), "--steps", "3", "--seed", "0"]
+        assert main(argv + ["--out", str(tmp_path / "default")]) == 0
+        assert main(argv + ["--kernel", "ideal", "--scheme", "reference",
+                            "--out", str(tmp_path / "named")]) == 0
+        for name in ("couple.csv", "couple_summary.json"):
+            assert read(tmp_path / "default" / name) == read(tmp_path / "named" / name)
+
+    @pytest.mark.parametrize("path", ["flag", "config"])
+    def test_exact_gaussian_is_no_scheme(self, tmp_path, capsys, gaussian_target, path):
+        # the closed form is reference's flow on a Gaussian target; its old name
+        # exits 2 with one error line, and nothing is written
+        out = str(tmp_path / "out")
+        if path == "config":
+            conf = tmp_path / "exp.json"
+            conf.write_text(json.dumps({
+                "task": "couple", "target": {"kind": "gaussian", "eigenvalues": [1.0]},
+                "kernel": {"integrator": {"scheme": "exact_gaussian"}}, "run": {"seed": 1}}))
+            err = one_line_error(capsys, ["run", "--config", str(conf), "--out", out],
+                                 "ConfigError: ")
+            assert err == ("ConfigError: invalid experiment config: $.kernel.integrator.scheme: "
+                           "'exact_gaussian' is not one of ['euler', 'leapfrog', 'reference']\n")
+        else:
+            with pytest.raises(SystemExit) as exc:
+                main(["couple", "--target-config", gaussian_target, "--scheme", "exact_gaussian",
+                      "--seed", "1", "--out", out])
+            assert exc.value.code == 2
+            errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+            assert len(errors) == 1
+            assert "argument --scheme: invalid choice: 'exact_gaussian'" in errors[0]
+        assert not os.path.exists(out)
 
     @pytest.mark.parametrize("conf, error", [
         ({"task": "sample", "target": {"kind": "gaussian", "eigenvalues": [1.0]},
@@ -368,7 +393,7 @@ class TestRunSubcommand:
         conf = {
             "task": "couple",
             "target": {"kind": "gaussian", "eigenvalues": [1.0, 1.0]},
-            "kernel": {"kind": "ideal", "integrator": {"scheme": "exact_gaussian"}},
+            "kernel": {"kind": "ideal", "integrator": {"scheme": "reference"}},
             "run": {"steps": 50, "seed": 11},
         }
         path = tmp_path / "exp.json"
@@ -447,7 +472,7 @@ class TestRunSubcommand:
         conf = {
             "task": "drift",
             "target": {"kind": "gaussian", "eigenvalues": [1.0, 1.0]},
-            "kernel": {"kind": "ideal", "integrator": {"scheme": "exact_gaussian"}},
+            "kernel": {"kind": "ideal", "integrator": {"scheme": "reference"}},
             "drift": {"radii": [2.0, 8.0]},
             "run": {"seed": 4, "replicas": 400},
         }
@@ -677,20 +702,20 @@ class TestArgvToConfig:
 
     @pytest.mark.parametrize("command, scheme", [
         pytest.param(c, s, id=f"{s}-{c}")
-        for s in ["exact_gaussian", "euler", "leapfrog", "reference"] for c in ["sample", "couple"]
+        for s in ["euler", "leapfrog", "reference"] for c in ["sample", "couple"]
     ] + [pytest.param("goodset", "leapfrog", id="leapfrog-goodset")])
     def test_theta_defaults_by_scheme_on_both_paths(self, tmp_path, monkeypatch, command,
                                                     scheme):
         # an unset --theta is the config file's default: 1e-2 for goodset, else by
-        # scheme, 1e-10 for the exact and reference flows and 1e-3 for the Euler
-        # and leapfrog oracles
+        # scheme, 1e-10 for the reference flow and 1e-3 for the Euler and leapfrog
+        # oracles
         if command == "goodset":  # its kernel is always unadjusted leapfrog
             flows, T = self.goodset_flows(tmp_path, monkeypatch, [{"integrator": {}}])
             assert flows == [(1e-2, T)] * 2
             return
         target = tmp_path / "t.json"
         target.write_text(json.dumps(GAUSS))
-        kind = "ideal" if scheme in ("exact_gaussian", "reference") else "unadjusted"
+        kind = "ideal" if scheme == "reference" else "unadjusted"
         conf, _ = self.config([command, "--target-config", str(target), "--seed", "1",
                                "--kernel", kind, "--scheme", scheme])
         pot = build_potential(GAUSS)
@@ -699,7 +724,7 @@ class TestArgvToConfig:
             from_file, pot, command)
 
     KERNEL_DEFAULTS = {"sample": ("metropolis", "leapfrog", 1e-3),
-                       "couple": ("ideal", "exact_gaussian", 1e-10),
+                       "couple": ("ideal", "reference", 1e-10),
                        "drift": ("ideal", "reference", 1e-10)}
 
     @pytest.mark.parametrize("command", sorted([*KERNEL_DEFAULTS, "goodset"]))
@@ -847,13 +872,15 @@ class TestInputErrors:
           "--replicas", "16", "--seed", "2"],
          "ScalingError: theta bisection exhausted 20 halvings at d=2 without reaching the W1 "
          "budget 0.001\n"),
-        # fails in the task, after the target and kernel are built
+        # fails in the task, after the target and kernel are built: the reference
+        # flow refines on a target that is not Gaussian
         (["drift", "--radii", "1e6", "--replicas", "100", "--seed", "1"],
          "IntegratorError: flow did not converge"),
     ], ids=["scaling-dims", "scaling-bisection", "drift-radius"])
     def test_refused_run_writes_nothing(self, tmp_path, capsys, argv, prefix):
         target = tmp_path / "t.json"
-        target.write_text(json.dumps({"kind": "gaussian", "eigenvalues": [1.0]}))
+        target.write_text(json.dumps({"kind": "perturbed", "dim": 1, "amplitude": 0.1,
+                                      "seed": 1}))
         if argv[0] == "drift":
             argv = [*argv, "--target-config", str(target)]
         one_line_error(capsys, argv + ["--out", str(tmp_path / "out")], prefix)

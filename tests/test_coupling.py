@@ -16,9 +16,8 @@ SPHERICAL = make_gaussian([1.0, 1.0, 1.0, 1.0])
 
 
 def ideal_spec(pot):
-    T = default_integration_time(pot)
-    scheme = "exact_gaussian" if pot.is_gaussian else "reference"
-    return KernelSpec("ideal", IntegratorSpec(scheme, theta=1e-10, T=T))
+    return KernelSpec("ideal", IntegratorSpec("reference", theta=1e-10,
+                                              T=default_integration_time(pot)))
 
 
 class TestCoupleSynchronous:
@@ -55,21 +54,27 @@ class TestCoupleSynchronous:
         d = report.distances
         assert np.all(d[1:] <= (1.0 - kappa) * d[:-1] + cushion)
 
-    @pytest.mark.parametrize("kind, scheme, theta", [
-        ("metropolis", "leapfrog", 0.2), ("metropolis", "leapfrog", 2.0),
-        ("unadjusted", "leapfrog", 0.01), ("ideal", "reference", 1e-10),
-        ("ideal", "exact_gaussian", 1e-10)])
-    def test_equals_two_chains_run_alone(self, kind, scheme, theta):
-        # a synchronous coupling is two chains on the same seed
-        pot = (make_gaussian([0.5, 1.0, 2.0]) if scheme == "exact_gaussian"
-               else make_perturbed_quadratic(3, 0.1, seed=7))
-        spec = KernelSpec(kind, IntegratorSpec(scheme, theta=theta, T=0.5))
+    @staticmethod
+    def assert_two_chains_run_alone(pot, spec):
         x0, y0 = np.array([1.0, 0.0, -1.0]), np.array([-0.5, 0.8, 0.2])
         report = couple_synchronous(pot, spec, x0, y0, steps=30, seed=11)
         xs = run_chain(pot, spec, x0, 30, seed=11).states
         ys = run_chain(pot, spec, y0, 30, seed=11).states
         np.testing.assert_array_equal(report.distances,
                                       [np.linalg.norm(x - y) for x, y in zip(xs, ys)])
+
+    @pytest.mark.parametrize("kind, scheme, theta", [
+        ("metropolis", "leapfrog", 0.2), ("metropolis", "leapfrog", 2.0),
+        ("unadjusted", "leapfrog", 0.01), ("ideal", "reference", 1e-10)])
+    def test_equals_two_chains_run_alone(self, kind, scheme, theta):
+        # a synchronous coupling is two chains on the same seed
+        spec = KernelSpec(kind, IntegratorSpec(scheme, theta=theta, T=0.5))
+        self.assert_two_chains_run_alone(make_perturbed_quadratic(3, 0.1, seed=7), spec)
+
+    def test_ideal_gaussian_pair_equals_two_chains_run_alone(self):
+        # on a Gaussian target the ideal flow is the exact rotation, run in blocks
+        spec = KernelSpec("ideal", IntegratorSpec("reference", theta=1e-10, T=0.5))
+        self.assert_two_chains_run_alone(make_gaussian([0.5, 1.0, 2.0]), spec)
 
     @pytest.mark.parametrize("kind, scheme, theta", [
         ("metropolis", "leapfrog", 0.5), ("unadjusted", "leapfrog", 0.01),
@@ -134,6 +139,23 @@ class TestContractionCertificate:
         worst = contraction_certificate(pot, T, trials=100, seed=0)
         assert worst <= 1.0 - 1.0 / 64.0 + 1e-6
 
+    @pytest.mark.parametrize("pot", [make_gaussian([1.0, 4.0]),
+                                     make_perturbed_quadratic(3, 0.1, seed=7)],
+                             ids=["gaussian", "perturbed"])
+    def test_one_ideal_kernel_step(self, pot):
+        # both rows of each pair move by one ideal kernel step: the exact rotation on
+        # a Gaussian target, the reference flow to tol on any other
+        T, tol = default_integration_time(pot), 1e-9
+        x0, y0, p = coupling._pairs_with_shared_momenta(pot, 20, np.random.default_rng(4))
+        x, mom = np.vstack([x0, y0]), np.vstack([p, p])
+        if pot.is_gaussian:
+            w = np.sqrt(pot.precision_eigenvalues)
+            end = np.cos(w * T) * x + (np.sin(w * T) / w) * mom
+        else:
+            end = integrators.reference_flow(pot, integrators.PhasePoint(x, mom), T, tol).q
+        ratio = np.linalg.norm(end[:20] - end[20:], axis=1) / np.linalg.norm(x0 - y0, axis=1)
+        assert contraction_certificate(pot, T, trials=20, seed=4, tol=tol) == np.max(ratio)
+
     def test_zero_time_is_identity(self):
         assert contraction_certificate(SPHERICAL, 0.0, trials=10, seed=1) == 1.0
 
@@ -196,7 +218,7 @@ class TestDriftCheck:
 
     def test_passed_holds_at_criterion_6(self):
         pot = make_gaussian(np.ones(4))
-        spec = KernelSpec("ideal", IntegratorSpec("exact_gaussian",
+        spec = KernelSpec("ideal", IntegratorSpec("reference",
                                                   T=default_integration_time(pot)))
         report = drift_check(pot, spec, [5.0, 10.0, 20.0, 40.0], replicas=10_000, seed=500)
         assert report.slope < math.exp(-1.0)

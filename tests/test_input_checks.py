@@ -21,7 +21,7 @@ from convexhmc.scaling import ScalingError
 
 GAUSS = make_gaussian([1.0, 4.0])
 LEAPFROG = KernelSpec("metropolis", IntegratorSpec("leapfrog", theta=0.01, T=0.5))
-IDEAL = KernelSpec("ideal", IntegratorSpec("exact_gaussian", T=0.5))
+IDEAL = KernelSpec("ideal", IntegratorSpec("reference", T=0.5))
 SEPARABLE = make_separable([make_gaussian([1.0])] * 2)
 GOOD = GoodSetSpec(g_inf=10.0, g_2=0.0, block_dim=1)
 NAN_GRADIENT = Potential(dim=1, value=lambda q: np.zeros(np.shape(q)[:-1]),
@@ -65,6 +65,12 @@ CHECKS = [
      CouplingError, "steps must be >= 1, got 0"),
     ("certificate-trials", lambda _: contraction_certificate(GAUSS, 0.05, trials=0, seed=0),
      CouplingError, "trials must be >= 1, got 0"),
+    ("certificate-T-nan", lambda _: contraction_certificate(GAUSS, float("nan"), trials=1,
+                                                            seed=0),
+     CouplingError, "T must lie in [0, 0.0883883], got nan"),
+    ("certificate-tol", lambda _: contraction_certificate(GAUSS, 0.05, trials=1, seed=0,
+                                                          tol=0.0),
+     CouplingError, "tol must be positive, got 0.0"),
     ("drift-no-radii", lambda _: drift_check(GAUSS, IDEAL, [], replicas=100, seed=0),
      CouplingError, "radii must be a nonempty list of nonnegative reals"),
     ("drift-negative-radius", lambda _: drift_check(GAUSS, IDEAL, [-1.0], replicas=100, seed=0),

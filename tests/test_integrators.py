@@ -22,7 +22,7 @@ def pp(q, p):
 
 def exact_flow(eigs, x, T):
     """The closed-form flow for time T on the Gaussian of precision eigenvalues ``eigs``."""
-    return integrate(make_gaussian(eigs), IntegratorSpec("exact_gaussian", T=T), x)
+    return integrate(make_gaussian(eigs), IntegratorSpec("reference", T=T), x)
 
 
 def euler_step(pot, x, theta):
@@ -176,9 +176,15 @@ class TestComposedIntegrator:
         assert np.linalg.norm(approx.q - exact.q) <= bound
 
     def test_exact_scheme_requires_gaussian(self):
+        # the exact flow has its closed form on a Gaussian target only: elsewhere
+        # reference runs the refinement, and the closed form's old name is no scheme
         pot = make_perturbed_quadratic(2, 0.1, seed=0)
-        with pytest.raises(IntegratorError):
-            integrate(pot, IntegratorSpec("exact_gaussian", T=0.3), pp([1.0, 0.0], [0.0, 0.0]))
+        spec, x = IntegratorSpec("reference", theta=1e-10, T=0.3), pp([1.0, 0.0], [0.0, 0.5])
+        assert integrators.linear_flow(pot, spec) is None
+        out, ref = integrate(pot, spec, x), reference_flow(pot, x, 0.3, tol=1e-10)
+        assert out.q.tobytes() == ref.q.tobytes() and out.p.tobytes() == ref.p.tobytes()
+        with pytest.raises(IntegratorError, match="unknown scheme 'exact_gaussian'"):
+            IntegratorSpec("exact_gaussian", T=0.3)
 
     def test_order_comes_from_scheme(self):
         # k is the scheme's, never a second setting; guarded_step is no scheme
@@ -215,6 +221,14 @@ def linear_flow_cases(draw):
 
 class TestClosedFormOracleFlow:
     """On a Gaussian target, flow_map runs the oracle schemes as M^n per coordinate."""
+
+    @pytest.mark.parametrize("scheme", integrators.SCHEMES)
+    def test_a_flow_is_linear_iff_the_target_is_gaussian(self, scheme):
+        spec = IntegratorSpec(scheme, theta=0.01, T=0.5)
+        for pot in (make_gaussian([1.0, 4.0]), make_separable([make_gaussian([1.0, 2.0])] * 2)):
+            linear = integrators.linear_flow(pot, spec)
+            assert len(linear) == 4 and all(v.shape == (pot.dim,) for v in linear)
+        assert integrators.linear_flow(make_perturbed_quadratic(2, 0.1, seed=0), spec) is None
 
     @settings(max_examples=60, deadline=None, database=None)
     @given(linear_flow_cases())
@@ -504,7 +518,7 @@ class TestEnergyError:
     def test_exact_flow_conserves(self):
         pot = make_gaussian([1.0, 2.0])
         x = pp([1.0, 0.2], [0.1, -0.4])
-        assert energy_error(pot, IntegratorSpec("exact_gaussian", T=3.0), x) <= 1e-12
+        assert energy_error(pot, IntegratorSpec("reference", T=3.0), x) <= 1e-12
 
     def test_euler_energy_bound(self):
         # |dH| <= 7 (theta/T) H for 7 theta <= T (Euler error lemma)
