@@ -5,7 +5,7 @@ from .potentials import (ConvexHMCError, ConvexityReport, Potential, PotentialEr
                          make_ridge_logistic, make_separable, validate_convexity)
 from .integrators import (GoodSetSpec, IntegratorError, IntegratorSpec, PhasePoint,
                           default_good_set, flow_trajectory, flow_map, guarded_step,
-                          hamiltonian, integrate, reference_flow)
+                          integrate, reference_flow)
 from .kernels import (ChainTrace, CostLedger, KernelSpec, carry, default_integration_time,
                       ideal_step, metropolis_step, run_chain, stepper, update_sequence)
 from .coupling import (CouplingReport, DriftReport, contraction_bound,

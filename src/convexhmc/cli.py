@@ -22,7 +22,7 @@ import numpy as np
 from . import config as cfg
 from .coupling import (contraction_bound, contraction_certificate, couple_synchronous,
                        drift_check, good_set_statistics)
-from .integrators import SCHEMES, GoodSetSpec, default_good_set
+from .integrators import REFERENCE_TOL, SCHEMES, GoodSetSpec, default_good_set
 from .kernels import KERNEL_KINDS, default_integration_time, run_chain
 from .metrics import w1_assignment, w1_exact_1d, w1_sliced
 from .precondition import build_rounding, verify_rounding
@@ -40,8 +40,7 @@ def run_experiment(config: dict, base_dir: str = ".") -> dict:
     out = config.get("out", None if task == "distance" else ".")
     if out is not None and (not out or (os.path.exists(out) and not os.path.isdir(out))):
         raise cfg.ConfigError(f"out {out!r} is not a directory and cannot be made one")
-    pot = (cfg.build_potential(config["target"], base_dir)
-           if "target" in cfg.TASK_BLOCKS[task].split() else None)
+    pot = cfg.build_potential(config["target"], base_dir) if "target" in config else None
     summary, table = _SUBCOMMANDS[task.replace("_", "-")][0](config, pot, base_dir)
     summary["task"] = task
     if out is not None:
@@ -107,7 +106,7 @@ def _task_certify(config, pot, base_dir):
     opts = config.get("certify", {})
     T = opts.get("T", default_integration_time(pot))
     worst = contraction_certificate(pot, T, opts.get("trials", 200), config["run"]["seed"],
-                                    tol=opts.get("tol", 1e-10))
+                                    tol=opts.get("tol", REFERENCE_TOL))
     bound = contraction_bound(pot, T)
     return ({"T": T, "worst_ratio": worst, "bound": bound, "pass": worst <= bound + 1e-6},
             ("certify.csv", ["T", "worst_ratio", "bound"], [[T], [worst], [bound]]))
@@ -185,19 +184,9 @@ def _task_verify_rounding(config, pot, base_dir):
 
 
 def _task_scaling(config, pot, base_dir):
-    opts = config["scaling"]
-    run = config["run"]
-    kernel = opts.get("kernel", "unadjusted")
-    result = run_scaling_study(
-        scheme=opts["scheme"],
-        dims=opts["dims"],
-        epsilon=opts.get("epsilon", 0.05),
-        seed=run["seed"],
-        kernel=kernel,
-        replicas=opts.get("replicas", 1024),
-    )
+    result = run_scaling_study(seed=config["run"]["seed"], **config["scaling"])
     return {
-        "kernel": kernel,
+        "kernel": result.kernel,
         "scheme": result.scheme,
         "epsilon": result.epsilon,
         "slope": result.slope,
@@ -228,7 +217,8 @@ def _flag(*names, **kwargs):
     return names, kwargs
 
 
-# an unset flag is an absent field, which the task's .get or build_kernel_spec fills
+# an unset flag is an absent field, which the task's .get, build_kernel_spec or
+# run_scaling_study's defaults fill
 _TARGET = _flag("--target-config", dest="target", required=True, metavar="PATH",
                 help="JSON file holding the target block")
 _SEED = _flag("--seed", dest="run.seed", type=int, required=True)

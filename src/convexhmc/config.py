@@ -1,8 +1,10 @@
 """Experiment configuration: JSON schema, builders and deterministic file IO.
 
-Every run is a pure function of (config, seed): the schema pins the
-admissible fields, and all CSV/JSON writers format numbers via repr so
-identical configs produce byte-identical artifacts.
+Every run is a pure function of (config, seed).  A config admits only the
+fields its task reads: ``TASK_FIELDS`` lists them by dotted path, and each
+task's schema is derived from it, so any other field is refused with its
+JSON path.  All CSV/JSON writers format numbers via repr, so identical
+configs produce byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Any
 
 import numpy as np
 
-from .integrators import SCHEMES, IntegratorSpec
+from .integrators import REFERENCE_TOL, SCHEMES, IntegratorSpec
 from .kernels import KERNEL_KINDS, KernelSpec, default_integration_time
 from .metrics import ASSIGNMENT_GUARD
 from .potentials import (ConvexHMCError, Potential, make_gaussian, make_perturbed_quadratic,
@@ -51,145 +53,86 @@ _TARGET_SCHEMA = {
               for kind, fields in _TARGET_FIELDS.items()],
 }
 
-_INTEGRATOR_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "scheme": {"enum": list(SCHEMES)},
-        "theta": {"type": "number", "exclusiveMinimum": 0},
-        "T": {"type": "number", "minimum": 0},
-    },
-    "additionalProperties": False,
-}
-
-_KERNEL_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "kind": {"enum": list(KERNEL_KINDS)},
-        "integrator": _INTEGRATOR_SCHEMA,
-    },
-    "additionalProperties": False,
-}
-
-_RUN_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "steps": {"type": "integer", "minimum": 0},
-        "replicas": {"type": "integer", "minimum": 1},
-        "seed": {"type": "integer"},
-    },
-    "required": ["seed"],
-    "additionalProperties": False,
-}
-
-TASK_BLOCKS = {  # the blocks each task requires; verify_rounding also requires points_csv
-    "sample": "target run", "couple": "target run", "certify": "target run",
-    "drift": "target drift run", "goodset": "target run", "distance": "distance",
-    "precondition": "target", "verify_rounding": "target precondition", "scaling": "scaling run"}
 DISTANCE_METHODS = ("assignment", "sliced", "exact_1d")
+_VECTOR = {"type": "array", "items": {"type": "number"}}
 
-EXPERIMENT_SCHEMA = {
-    "$defs": {"target": _TARGET_SCHEMA},
-    "type": "object",
-    "properties": {
-        "task": {"enum": list(TASK_BLOCKS)},
-        "out": {"type": "string"},
-        "target": {"$ref": "#/$defs/target"},
-        "kernel": _KERNEL_SCHEMA,
-        "run": _RUN_SCHEMA,
-        "couple": {
-            "type": "object",
-            "properties": {
-                "x0": {"type": "array", "items": {"type": "number"}},
-                "y0": {"type": "array", "items": {"type": "number"}},
-            },
-            "additionalProperties": False,
-        },
-        "certify": {
-            "type": "object",
-            "properties": {
-                "T": {"type": "number", "minimum": 0},
-                "trials": {"type": "integer", "minimum": 1},
-                "tol": {"type": "number", "exclusiveMinimum": 0},
-            },
-            "additionalProperties": False,
-        },
-        "drift": {
-            "type": "object",
-            "properties": {
-                "radii": {"type": "array", "items": {"type": "number", "minimum": 0},
-                          "minItems": 1},
-            },
-            "required": ["radii"],
-            "additionalProperties": False,
-        },
-        "goodset": {
-            "type": "object",
-            "properties": {
-                "g_inf": {"type": "number", "exclusiveMinimum": 0},
-                "g_2": {"type": "number", "minimum": 0},
-                "block_dim": {"type": "integer", "minimum": 1},
-            },
-            "additionalProperties": False,
-        },
-        "precondition": {
-            "type": "object",
-            "properties": {
-                "anchor": {"type": "array", "items": {"type": "number"}},
-                "points_csv": {"type": "string"},
-            },
-            "additionalProperties": False,
-        },
-        "distance": {
-            "type": "object",
-            "properties": {
-                "a_csv": {"type": "string"},
-                "b_csv": {"type": "string"},
-                "method": {"enum": list(DISTANCE_METHODS)},
-                "directions": {"type": "integer", "minimum": 1},
-                "seed": {"type": "integer"},
-            },
-            "required": ["a_csv", "b_csv"],
-            "additionalProperties": False,
-        },
-        "scaling": {
-            "type": "object",
-            "properties": {
-                "kernel": {"enum": list(STUDY_KERNELS)},
-                "scheme": {"enum": list(STUDY_SCHEMES)},
-                "dims": {"type": "array", "items": {"type": "integer", "minimum": 1},
-                         "minItems": 1},
-                "epsilon": {"type": "number", "exclusiveMinimum": 0},
-                "replicas": {"type": "integer", "minimum": 2, "maximum": ASSIGNMENT_GUARD},
-            },
-            "required": ["scheme", "dims"],
-            "additionalProperties": False,
-        },
-    },
-    "required": ["task"],
-    "additionalProperties": False,
+# each config field's schema, by its dotted path
+_FIELDS = {
+    "out": {"type": "string"},
+    "target": {"$ref": "#/$defs/target"},
+    "kernel.kind": {"enum": list(KERNEL_KINDS)},
+    "kernel.integrator.scheme": {"enum": list(SCHEMES)},
+    "kernel.integrator.theta": {"type": "number", "exclusiveMinimum": 0},
+    "kernel.integrator.T": {"type": "number", "minimum": 0},
+    "run.steps": {"type": "integer", "minimum": 0},
+    "run.replicas": {"type": "integer", "minimum": 1},
+    "run.seed": {"type": "integer"},
+    "couple.x0": _VECTOR,
+    "couple.y0": _VECTOR,
+    "certify.T": {"type": "number", "minimum": 0},
+    "certify.trials": {"type": "integer", "minimum": 1},
+    "certify.tol": {"type": "number", "exclusiveMinimum": 0},
+    "drift.radii": {"type": "array", "items": {"type": "number", "minimum": 0}, "minItems": 1},
+    "goodset.g_inf": {"type": "number", "exclusiveMinimum": 0},
+    "goodset.g_2": {"type": "number", "minimum": 0},
+    "goodset.block_dim": {"type": "integer", "minimum": 1},
+    "precondition.anchor": _VECTOR,
+    "precondition.points_csv": {"type": "string"},
+    "distance.a_csv": {"type": "string"},
+    "distance.b_csv": {"type": "string"},
+    "distance.method": {"enum": list(DISTANCE_METHODS)},
+    "distance.directions": {"type": "integer", "minimum": 1},
+    "distance.seed": {"type": "integer"},
+    "scaling.kernel": {"enum": list(STUDY_KERNELS)},
+    "scaling.scheme": {"enum": list(STUDY_SCHEMES)},
+    "scaling.dims": {"type": "array", "items": {"type": "integer", "minimum": 1}, "minItems": 1},
+    "scaling.epsilon": {"type": "number", "exclusiveMinimum": 0},
+    "scaling.replicas": {"type": "integer", "minimum": 2, "maximum": ASSIGNMENT_GUARD},
 }
 
-# each task's rules beyond its required blocks: verify_rounding needs points_csv, and
-# goodset's guarded integrator has one kernel, so its kernel block holds only theta and T
-_TASK_RULES = {"verify_rounding": {"properties": {"precondition": {"required": ["points_csv"]}}},
-               "goodset": {"properties": {"kernel": {
-                   "properties": {"integrator": {"properties": {"theta": True, "T": True},
-                                                 "additionalProperties": False}},
-                   "additionalProperties": False}}}}
+_KERNEL = "kernel.kind kernel.integrator.scheme kernel.integrator.theta kernel.integrator.T"
+# the fields each task reads besides out, which every task reads; "!" marks a required
+# one.  goodset's guarded integrator has one kernel, so it reads only theta and T
+TASK_FIELDS = {
+    "sample": f"target! {_KERNEL} run.steps run.seed!",
+    "couple": f"target! {_KERNEL} run.steps run.seed! couple.x0 couple.y0",
+    "certify": "target! run.seed! certify.T certify.trials certify.tol",
+    "drift": f"target! {_KERNEL} drift.radii! run.replicas run.seed!",
+    "goodset": "target! kernel.integrator.theta kernel.integrator.T run.steps run.replicas "
+               "run.seed! goodset.g_inf goodset.g_2 goodset.block_dim",
+    "distance": "distance.a_csv! distance.b_csv! distance.method distance.directions "
+                "distance.seed",
+    "precondition": "target! precondition.anchor",
+    "verify_rounding": "target! precondition.anchor precondition.points_csv!",
+    "scaling": "scaling.kernel scaling.scheme! scaling.dims! scaling.epsilon scaling.replicas "
+               "run.seed!",
+}
+
+
+def _block() -> dict:
+    return {"type": "object", "properties": {}, "required": [], "additionalProperties": False}
 
 
 @functools.cache
 def _validator(task: str):
-    """The validator of ``task``'s configs, which requires the task's blocks, or
-    of any config for ``""``.  Built on first use, so importing this module
-    does not import jsonschema."""
+    """The validator of ``task``'s configs, which admit only the fields
+    ``TASK_FIELDS`` gives the task, or of the task field alone for ``""``.
+    Built on first use, so importing this module does not import jsonschema."""
     from jsonschema import Draft202012Validator
 
-    if not task:
-        return Draft202012Validator(EXPERIMENT_SCHEMA)
-    return Draft202012Validator({**EXPERIMENT_SCHEMA,
-                                 "required": ["task", *TASK_BLOCKS[task].split()],
-                                 "allOf": [_TASK_RULES.get(task, {})]})
+    schema = {"$defs": {"target": _TARGET_SCHEMA}, "type": "object",
+              "properties": {"task": {"enum": list(TASK_FIELDS)}}, "required": ["task"]}
+    if task:
+        schema["additionalProperties"] = False
+        for field in ["out", *TASK_FIELDS[task].split()]:
+            name = field.rstrip("!")
+            keys, node = name.split("."), schema
+            for depth, key in enumerate(keys, 1):  # a required field's blocks are required
+                if field != name and key not in node["required"]:
+                    node["required"].append(key)
+                node = node["properties"].setdefault(
+                    key, _FIELDS[name] if depth == len(keys) else _block())
+    return Draft202012Validator(schema)
 
 
 def _non_finite(obj, path: str = "$"):
@@ -206,7 +149,7 @@ def _non_finite(obj, path: str = "$"):
 
 def validate_config(config: dict) -> None:
     task = str(config.get("task"))
-    validator = _validator(task if task in TASK_BLOCKS else "")
+    validator = _validator(task if task in TASK_FIELDS else "")
     errors = sorted(validator.iter_errors(config), key=lambda e: e.json_path)
     problems = [f"{e.json_path}: {e.message}" for e in errors] + list(_non_finite(config))
     if problems:
@@ -257,7 +200,7 @@ def build_potential(target: dict, base_dir: str = ".") -> Potential:
 # scheme's theta
 _KERNEL_DEFAULTS = {"sample": ("metropolis", "leapfrog"), "couple": ("ideal", "reference"),
                     "drift": ("ideal", "reference")}
-_THETA_DEFAULTS = {"reference": 1e-10, "euler": 1e-3, "leapfrog": 1e-3}
+_THETA_DEFAULTS = {"reference": REFERENCE_TOL, "euler": 1e-3, "leapfrog": 1e-3}
 
 
 def build_kernel_spec(kernel: dict, pot: Potential, task: str) -> KernelSpec:

@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .integrators import GoodSetSpec, IntegratorSpec, guarded_step
+from .integrators import REFERENCE_TOL, GoodSetSpec, IntegratorSpec, guarded_step
 from .kernels import KernelSpec, default_integration_time, run_chain, stepper
 from .potentials import ConvexHMCError, Potential, SeparablePotential, uniform_ball
 
@@ -138,7 +138,7 @@ def _pairs_with_shared_momenta(pot: Potential, trials: int, rng: np.random.Gener
 
 
 def contraction_certificate(pot: Potential, T: float, trials: int, seed: int,
-                            tol: float = 1e-10) -> float:
+                            tol: float = REFERENCE_TOL) -> float:
     """Worst end-to-start distance ratio over random pairs with shared momenta.
 
     Draws position pairs uniformly in the ball of radius sqrt(d/m2) with a

@@ -30,6 +30,7 @@ _HALF = (0.13020248308889008088, 0.56116298177510838456, -0.38947496264484728641
 _COMPOSITION = _HALF + (-0.60550853383003451170,) + _HALF[::-1]
 # a row that never converges costs 1 + 17 (2^15 - 2) = 557,023 gradient rows
 _MAX_DOUBLINGS = 13
+REFERENCE_TOL = 1e-10  # the reference flow's default tolerance
 MAX_ORACLE_STEPS = 2**21  # above a scaling study's last halving, 2^20 Euler steps
 
 
@@ -148,11 +149,6 @@ def default_good_set(dim: int, block_dim: int) -> GoodSetSpec:
                        block_dim=block_dim)
 
 
-def hamiltonian(pot: Potential, x: PhasePoint) -> np.ndarray:
-    """H(q, p) = U(q) + |p|^2 / 2."""
-    return pot.value(x.q) + 0.5 * np.sum(np.asarray(x.p) ** 2, axis=-1)
-
-
 def _rotation(lam: np.ndarray, T: float) -> tuple:
     """(cos wT, sin(wT)/w, -w sin wT, cos wT), w = sqrt(lam): the entries (a, b,
     c, e) of the exact flow for time T on U(q) = 1/2 sum lam_i q_i^2; see
@@ -185,7 +181,8 @@ def _composition_path(pot, q, p, g, h, n, segments):
     return np.stack(path, axis=1)
 
 
-def reference_flow(pot: Potential, x: PhasePoint, T: float, tol: float = 1e-10) -> PhasePoint:
+def reference_flow(pot: Potential, x: PhasePoint, T: float,
+                   tol: float = REFERENCE_TOL) -> PhasePoint:
     """High-resolution stand-in for the exact flow: ``flow_trajectory``'s endpoint."""
     if T == 0.0 and tol > 0.0:  # flow_trajectory rejects tol <= 0
         return x
@@ -194,7 +191,7 @@ def reference_flow(pot: Potential, x: PhasePoint, T: float, tol: float = 1e-10) 
 
 
 def flow_trajectory(pot: Potential, x: PhasePoint, T: float, snapshots: int,
-                    tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                    tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Converged trajectory sampled at times j*T/snapshots, j = 0..snapshots.
 
     Returns (times, qs, ps) with qs[j], ps[j] the phase point at times[j].

@@ -109,6 +109,7 @@ class BisectionStep:
 class ScalingResult:
     """``bisection`` holds each row's path, a tuple of ``BisectionStep``, in the rows' order."""
 
+    kernel: str
     scheme: str
     epsilon: float
     rows: tuple
@@ -258,7 +259,7 @@ def _map_rows(row, dims: list, seeds: range) -> list:
                 future.cancel()
 
 
-def run_scaling_study(scheme: str, dims: Sequence[int], epsilon: float, seed: int,
+def run_scaling_study(scheme: str, dims: Sequence[int], epsilon: float = 0.05, *, seed: int,
                       kernel: str = "unadjusted", replicas: int = 1024) -> ScalingResult:
     """Fit the gradient-evaluation exponent on N(0, I_d) over a list of dimensions d.
 
@@ -295,5 +296,5 @@ def run_scaling_study(scheme: str, dims: Sequence[int], epsilon: float, seed: in
         resid = y - (y.mean() + slope * xc)
         dof = max(len(rows) - 2, 1)
         stderr = float(np.sqrt(np.dot(resid, resid) / dof / np.dot(xc, xc)))
-    return ScalingResult(scheme=scheme, epsilon=float(epsilon),
+    return ScalingResult(kernel=kernel, scheme=scheme, epsilon=float(epsilon),
                          rows=rows, slope=slope, slope_stderr=stderr, bisection=paths)

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from convexhmc import PhasePoint, flow_trajectory, hamiltonian, make_gaussian
+from convexhmc import PhasePoint, flow_trajectory, make_gaussian
 import convexhmc
 from convexhmc import IntegratorSpec, KernelSpec, default_integration_time
 from convexhmc import cli
@@ -30,6 +30,11 @@ def gaussian_target(tmp_path):
 def read(path):
     with open(path, "rb") as fh:
         return fh.read()
+
+
+def hamiltonian(pot, x):
+    """H(q, p) = U(q) + |p|^2 / 2."""
+    return pot.value(x.q) + 0.5 * np.sum(np.asarray(x.p) ** 2, axis=-1)
 
 
 class TestSampleCommand:
@@ -791,6 +796,105 @@ class TestArgvToConfig:
             for action in sub._actions:
                 if name != "run" and action.dest not in ("help", "target"):
                     assert action.dest in text, (name, action.dest)
+
+
+def admitted(task):
+    """The dotted fields that ``task``'s schema admits, besides the task."""
+    def leaves(schema, prefix):
+        for key, sub in schema["properties"].items():
+            if "properties" in sub:  # a block
+                yield from leaves(sub, f"{prefix}{key}.")
+            else:
+                yield prefix + key
+
+    return set(leaves(cfg._validator(task).schema, "")) - {"task"}
+
+
+class TestTaskFields:
+    """A config admits only the fields its task reads, as ``config.TASK_FIELDS``
+    lists them; any other field exits 2, naming its JSON path."""
+
+    def test_each_task_admits_its_table_row(self):
+        # out, which every task reads, and target count as one field each
+        for task, fields in cfg.TASK_FIELDS.items():
+            assert admitted(task) == {"out", *(f.rstrip("!") for f in fields.split())}, task
+        assert sum(len(admitted(task)) for task in cfg.TASK_FIELDS) == 63
+
+    @pytest.mark.parametrize("name", [c for c in _COMMANDS if c != "run"])
+    def test_each_flag_sets_a_field_its_task_reads(self, name):
+        sub = next(a for a in build_parser(name)._actions if a.dest == "command").choices[name]
+        dests = {a.dest for a in sub._actions if a.dest != "help"}
+        fields = admitted(name.replace("-", "_"))
+        assert dests <= fields, dests - fields
+
+    CASES = {
+        # the study's replicas are scaling.replicas
+        "scaling-run-replicas": ({"task": "scaling", "run": {"seed": 1, "replicas": 64},
+                                  "scaling": {"scheme": "euler", "dims": [2]}},
+                                 "$.run: Additional properties are not allowed ('replicas' was "
+                                 "unexpected)"),
+        "certify-blocks": ({"task": "certify", "target": GAUSS, "kernel": {"kind": "ideal"},
+                            "scaling": {"scheme": "euler", "dims": [2]},
+                            "drift": {"radii": [1.0]}, "run": {"seed": 1, "steps": 5}},
+                           "$: Additional properties are not allowed ('drift', 'kernel', "
+                           "'scaling' were unexpected); $.run: Additional properties are not "
+                           "allowed ('steps' was unexpected)"),
+        "precondition-points-run": ({"task": "precondition", "target": GAUSS,
+                                     "precondition": {"points_csv": "p.csv"},
+                                     "run": {"seed": 1}},
+                                    "$: Additional properties are not allowed ('run' was "
+                                    "unexpected); $.precondition: Additional properties are "
+                                    "not allowed ('points_csv' was unexpected)"),
+        "drift-steps-couple": ({"task": "drift", "target": GAUSS, "drift": {"radii": [1.0]},
+                                "run": {"seed": 1, "steps": 5}, "couple": {"x0": [0.0, 0.0]}},
+                               "$: Additional properties are not allowed ('couple' was "
+                               "unexpected); $.run: Additional properties are not allowed "
+                               "('steps' was unexpected)"),
+        "sample-run-replicas": ({"task": "sample", "target": GAUSS,
+                                 "run": {"seed": 1, "replicas": 10}},
+                                "$.run: Additional properties are not allowed ('replicas' was "
+                                "unexpected)"),
+        "couple-certify": ({"task": "couple", "target": GAUSS, "run": {"seed": 1},
+                            "certify": {"trials": 5}},
+                           "$: Additional properties are not allowed ('certify' was "
+                           "unexpected)"),
+        "goodset-drift": ({"task": "goodset", "target": GAUSS, "run": {"seed": 1},
+                           "drift": {"radii": [1.0]}},
+                          "$: Additional properties are not allowed ('drift' was unexpected)"),
+        # the sliced estimate's seed is distance.seed
+        "distance-run": ({"task": "distance", "run": {"seed": 3},
+                          "distance": {"a_csv": "a.csv", "b_csv": "b.csv"}},
+                         "$: Additional properties are not allowed ('run' was unexpected)"),
+        "verify-rounding-kernel": ({"task": "verify_rounding", "target": GAUSS,
+                                    "precondition": {"points_csv": "p.csv"},
+                                    "kernel": {"integrator": {"theta": 0.01}}},
+                                   "$: Additional properties are not allowed ('kernel' was "
+                                   "unexpected)"),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_unread_field_exits_2(self, tmp_path, capsys, case):
+        # refused before any input file is read, and nothing is written
+        conf, shown = self.CASES[case]
+        (tmp_path / "exp.json").write_text(json.dumps(conf))
+        err = one_line_error(capsys, ["run", "--config", str(tmp_path / "exp.json"), "--out",
+                                      str(tmp_path / "out")], "ConfigError: ")
+        assert err == f"ConfigError: invalid experiment config: {shown}\n"
+        assert sorted(os.listdir(tmp_path)) == ["exp.json"]
+
+    def test_scaling_defaults_have_one_home(self, tmp_path):
+        # a scaling block without epsilon, kernel and replicas runs the study's
+        # defaults, 0.05, unadjusted and 1024, and its summary names that kernel
+        block = {"scheme": "euler", "dims": [1]}
+        named = {**block, "epsilon": 0.05, "kernel": "unadjusted", "replicas": 1024}
+        for out, scaling in (("unset", block), ("named", named)):
+            summary = run_experiment({"task": "scaling", "run": {"seed": 1}, "scaling": scaling,
+                                      "out": str(tmp_path / out)})
+            assert (summary["kernel"], summary["epsilon"]) == ("unadjusted", 0.05)
+        rows = np.loadtxt(tmp_path / "unset" / "scaling.csv", delimiter=",", skiprows=1)
+        assert rows[4] == 1024  # the replicas column
+        for name in ("scaling.csv", "scaling_summary.json"):
+            assert read(tmp_path / "unset" / name) == read(tmp_path / "named" / name)
 
 
 class TestInputErrors:

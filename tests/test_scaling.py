@@ -91,7 +91,7 @@ def test_path_counts_every_solve(monkeypatch, scheme, kernel, epsilon):
     # the rows run in this process, where the counting solver sees each call
     calls = counting_solver(monkeypatch)
     rows, paths = zip(*in_process_rows((kernel, scheme, epsilon, 128), [8, 32], 3))
-    study = scaling.ScalingResult(scheme, epsilon, rows, None, None, paths)
+    study = scaling.ScalingResult(kernel, scheme, epsilon, rows, None, None, paths)
     assert calls[0] > len(rows) and path_solves(study) == calls[0]
     for path in paths:  # passes are numbered in order, from 0
         assert path[0].pass_index == 0
