@@ -1,17 +1,23 @@
-"""Experiment configuration: JSON schema, builders and deterministic file IO.
+"""Experiment configuration: field rules, the config check, builders and
+deterministic file IO.
 
 Every run is a pure function of (config, seed).  A config admits only the
 fields its task reads: ``TASK_FIELDS`` lists them by dotted path, and each
-task's schema is derived from it, so any other field is refused with its
-JSON path.  All CSV/JSON writers format numbers via repr, so identical
-configs produce byte-identical artifacts.
+task's tree of field rules is derived from it, so any other field is refused
+with its JSON path.  The rules use JSON Schema's keywords (type, enum, the
+four bounds, minItems, items, properties, required, additionalProperties),
+and ``validate_config`` reports a broken one in jsonschema's words, except
+that an integer field also refuses a float such as 20.0.  All CSV/JSON
+writers format numbers via repr, so identical configs produce
+byte-identical artifacts.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import math
+import numbers
+import operator
 import os
 from typing import Any
 
@@ -29,6 +35,9 @@ class ConfigError(ConvexHMCError, ValueError):
     pass
 
 
+# a field that holds a target, whose kind chooses its other fields
+_TARGET = {"target": True}
+
 # each target kind's fields, all required
 _TARGET_FIELDS = {
     "gaussian": {"eigenvalues": {"type": "array", "minItems": 1,
@@ -38,28 +47,24 @@ _TARGET_FIELDS = {
                   "seed": {"type": "integer"}},
     "logistic": {"data_csv": {"type": "string"},
                  "ridge": {"type": "number", "exclusiveMinimum": 0}},
-    "separable": {"block": {"$ref": "#/$defs/target"},
-                  "copies": {"type": "integer", "minimum": 1}},
+    "separable": {"block": _TARGET, "copies": {"type": "integer", "minimum": 1}},
 }
 
-# the branch is chosen by kind, so an error names the field at fault
-_TARGET_SCHEMA = {
-    "type": "object",
-    "properties": {"kind": {"enum": list(_TARGET_FIELDS)}},
-    "required": ["kind"],
-    "allOf": [{"if": {"properties": {"kind": {"const": kind}}, "required": ["kind"]},
-               "then": {"properties": {"kind": True, **fields}, "required": list(fields),
-                        "additionalProperties": False}}
-              for kind, fields in _TARGET_FIELDS.items()],
-}
+_KIND = {"enum": list(_TARGET_FIELDS)}
+# the rules of a target of each kind, and of one whose kind is absent or unknown,
+# so an error names the field at fault
+_TARGET_RULES = {kind: {"type": "object", "properties": {"kind": _KIND, **fields},
+                        "required": ["kind", *fields], "additionalProperties": False}
+                 for kind, fields in _TARGET_FIELDS.items()}
+_ANY_TARGET = {"type": "object", "properties": {"kind": _KIND}, "required": ["kind"]}
 
 DISTANCE_METHODS = ("assignment", "sliced", "exact_1d")
 _VECTOR = {"type": "array", "items": {"type": "number"}}
 
-# each config field's schema, by its dotted path
+# each config field's rules, by its dotted path
 _FIELDS = {
     "out": {"type": "string"},
-    "target": {"$ref": "#/$defs/target"},
+    "target": _TARGET,
     "kernel.kind": {"enum": list(KERNEL_KINDS)},
     "kernel.integrator.scheme": {"enum": list(SCHEMES)},
     "kernel.integrator.theta": {"type": "number", "exclusiveMinimum": 0},
@@ -113,30 +118,77 @@ def _block() -> dict:
     return {"type": "object", "properties": {}, "required": [], "additionalProperties": False}
 
 
-@functools.cache
-def _validator(task: str):
-    """The validator of ``task``'s configs, which admit only the fields
-    ``TASK_FIELDS`` gives the task, or of the task field alone for ``""``.
-    Built on first use, so importing this module does not import jsonschema."""
-    from jsonschema import Draft202012Validator
+def _task_rules(fields: str) -> dict:
+    """The rules of a config whose task reads ``fields``, a ``TASK_FIELDS`` row,
+    and out: a tree of blocks, each admitting only the fields below it."""
+    rules = {"type": "object", "properties": {"task": {"enum": list(TASK_FIELDS)}},
+             "required": ["task"], "additionalProperties": False}
+    for field in ["out", *fields.split()]:
+        name = field.rstrip("!")
+        keys, node = name.split("."), rules
+        for depth, key in enumerate(keys, 1):  # a required field's blocks are required
+            if field != name and key not in node["required"]:
+                node["required"].append(key)
+            node = node["properties"].setdefault(
+                key, _FIELDS[name] if depth == len(keys) else _block())
+    return rules
 
-    schema = {"$defs": {"target": _TARGET_SCHEMA}, "type": "object",
-              "properties": {"task": {"enum": list(TASK_FIELDS)}}, "required": ["task"]}
-    if task:
-        schema["additionalProperties"] = False
-        for field in ["out", *TASK_FIELDS[task].split()]:
-            name = field.rstrip("!")
-            keys, node = name.split("."), schema
-            for depth, key in enumerate(keys, 1):  # a required field's blocks are required
-                if field != name and key not in node["required"]:
-                    node["required"].append(key)
-                node = node["properties"].setdefault(
-                    key, _FIELDS[name] if depth == len(keys) else _block())
-    return Draft202012Validator(schema)
+
+_TASK_RULES = {task: _task_rules(fields) for task, fields in TASK_FIELDS.items()}
+# a config whose task is absent or unknown is checked for its task alone
+_ANY_TASK = {"type": "object", "properties": {"task": {"enum": list(TASK_FIELDS)}},
+             "required": ["task"]}
+
+# a bool is no JSON number; an integer is never a float, not even 20.0
+_TYPES = {"integer": int, "number": numbers.Real, "string": str, "array": list,
+          "object": dict}
+_BOUNDS = {"minimum": (operator.lt, "less than the minimum of"),
+           "exclusiveMinimum": (operator.le, "less than or equal to the minimum of"),
+           "maximum": (operator.gt, "greater than the maximum of"),
+           "exclusiveMaximum": (operator.ge, "greater than or equal to the maximum of")}
+
+
+def _is(value, kind: str) -> bool:
+    return isinstance(value, _TYPES[kind]) and not isinstance(value, bool)
+
+
+def _problems(value, rules: dict, path: str):
+    """(JSON path, message) for each of ``rules`` that ``value`` breaks, in
+    the order and words of jsonschema's Draft 2020-12 validator."""
+    if rules.get("target"):
+        kind = value.get("kind") if isinstance(value, dict) else None
+        rules = _TARGET_RULES.get(kind, _ANY_TARGET) if isinstance(kind, str) else _ANY_TARGET
+    if "type" in rules and not _is(value, rules["type"]):
+        yield path, f"{value!r} is not of type {rules['type']!r}"
+    if "enum" in rules and value not in rules["enum"]:
+        yield path, f"{value!r} is not one of {rules['enum']!r}"
+    if _is(value, "number"):
+        for key, (breaks, words) in _BOUNDS.items():
+            if key in rules and breaks(value, rules[key]):
+                yield path, f"{value!r} is {words} {rules[key]!r}"
+    if isinstance(value, list):
+        if len(value) < rules.get("minItems", 0):  # every minItems is 1
+            yield path, f"{value!r} should be non-empty"
+        for i, item in enumerate(value if "items" in rules else ()):
+            yield from _problems(item, rules["items"], f"{path}[{i}]")
+    if isinstance(value, dict):
+        fields = rules.get("properties", {})
+        for key, sub in fields.items():
+            if key in value:
+                yield from _problems(value[key], sub, f"{path}.{key}")
+        for key in rules.get("required", ()):
+            if key not in value:
+                yield path, f"{key!r} is a required property"
+        extras = [key for key in value if key not in fields]
+        if extras and rules.get("additionalProperties") is False:
+            extras.sort(key=str)
+            yield path, ("Additional properties are not allowed ("
+                         f"{', '.join(map(repr, extras))} "
+                         f"{'was' if len(extras) == 1 else 'were'} unexpected)")
 
 
 def _non_finite(obj, path: str = "$"):
-    """One message per NaN or infinite number in ``obj``: the schema's bounds pass NaN."""
+    """One message per NaN or infinite number in ``obj``: the bounds pass NaN."""
     if isinstance(obj, dict):
         for key, value in obj.items():
             yield from _non_finite(value, f"{path}.{key}")
@@ -148,10 +200,11 @@ def _non_finite(obj, path: str = "$"):
 
 
 def validate_config(config: dict) -> None:
-    task = str(config.get("task"))
-    validator = _validator(task if task in TASK_FIELDS else "")
-    errors = sorted(validator.iter_errors(config), key=lambda e: e.json_path)
-    problems = [f"{e.json_path}: {e.message}" for e in errors] + list(_non_finite(config))
+    task = config.get("task")
+    rules = _TASK_RULES.get(task, _ANY_TASK) if isinstance(task, str) else _ANY_TASK
+    problems = [f"{path}: {message}" for path, message in
+                sorted(_problems(config, rules, "$"), key=lambda problem: problem[0])]
+    problems += _non_finite(config)
     if problems:
         raise ConfigError("invalid experiment config: " + "; ".join(problems))
 

@@ -30,6 +30,11 @@ _HALF = (0.13020248308889008088, 0.56116298177510838456, -0.38947496264484728641
 _COMPOSITION = _HALF + (-0.60550853383003451170,) + _HALF[::-1]
 # a row that never converges costs 1 + 17 (2^15 - 2) = 557,023 gradient rows
 _MAX_DOUBLINGS = 13
+# a row's difference has stopped falling when it fell less than _FALL-fold in a
+# doubling (a converging row falls about 2^8-fold); rounding's random walk over a
+# level's 17 n substeps spans _FLOOR_SPACINGS sqrt(17 n) spacings of its largest |q|
+_FALL = 2.0**4
+_FLOOR_SPACINGS = 4.0
 REFERENCE_TOL = 1e-10  # the reference flow's default tolerance
 MAX_ORACLE_STEPS = 2**21  # above a scaling study's last halving, 2^20 Euler steps
 
@@ -200,7 +205,8 @@ def flow_trajectory(pot: Potential, x: PhasePoint, T: float, snapshots: int,
     The composition is of eighth order, so a doubling cuts the error about
     256-fold.  Converged rows leave the batch: later levels integrate only
     the rows still open, each from its row of the start gradient, which is
-    computed once.
+    computed once.  A row at the float64 floor raises at once rather than
+    after the last doubling: its levels would agree only if bit-equal.
     """
     if snapshots < 1 or not tol > 0.0:
         raise IntegratorError(f"need snapshots >= 1 and tol > 0, got {snapshots} and {tol}")
@@ -208,20 +214,37 @@ def flow_trajectory(pot: Potential, x: PhasePoint, T: float, snapshots: int,
     g = pot.gradient(q)
     path = np.empty((len(q), snapshots + 1, 2, pot.dim))
     todo, prev, n = np.arange(len(q)), None, 2
-    for _ in range(_MAX_DOUBLINGS + 1):
+    last = np.full(len(q), np.inf)  # each open row's difference at the previous level
+    for doublings in range(_MAX_DOUBLINGS + 1):
         cur = _composition_path(pot, q[todo], p[todo], g[todo], T / (snapshots * n), n,
                                 snapshots)
         if prev is not None:
-            pending = ~(np.max(np.linalg.norm(cur - prev, axis=-1), axis=(1, 2)) < tol)
+            diff = np.max(np.linalg.norm(cur - prev, axis=-1), axis=(1, 2))
+            pending = ~(diff < tol)
             path[todo[~pending]] = cur[~pending]
-            todo, cur = todo[pending], cur[pending]
+            todo, cur, diff, last = todo[pending], cur[pending], diff[pending], last[pending]
             if todo.size == 0:
                 path = np.moveaxis(path, 0, 2).reshape((snapshots + 1, 2) + x.q.shape)
                 return np.linspace(0.0, T, snapshots + 1), path[:, 0], path[:, 1]
+            # at the float64 floor, a row's levels can agree only if bit-equal: tol is
+            # below one spacing of its |q| after the start, or its difference has
+            # stopped falling within rounding's random walk, a spacing a substep
+            top = np.max(np.abs(cur[..., 0, :]), axis=(1, 2))
+            walk = _FLOOR_SPACINGS * np.spacing(top) * math.sqrt(17 * n * snapshots)
+            floor = ((np.spacing(np.max(np.abs(cur[:, 1:, 0]), axis=(1, 2))) >= tol)
+                     | ((diff > last / _FALL) & (diff <= walk)))
+            if floor.any():
+                raise _no_convergence(tol, f"at the float64 floor, after {doublings} of "
+                                      f"{_MAX_DOUBLINGS} doublings", float(np.max(top[floor])))
+            last = diff
         prev, n = cur, 2 * n
-    q = float(np.max(np.abs(prev[..., 0, :])))
-    raise IntegratorError(f"flow did not converge to tol={tol} within {_MAX_DOUBLINGS} doublings: "
-                          f"|q_i| reaches {q:.3g}, where float64 spacing is {np.spacing(q):.2g}")
+    raise _no_convergence(tol, f"within {_MAX_DOUBLINGS} doublings",
+                          float(np.max(np.abs(prev[..., 0, :]))))
+
+
+def _no_convergence(tol: float, when: str, q: float) -> IntegratorError:
+    return IntegratorError(f"flow did not converge to tol={tol} {when}: |q_i| reaches {q:.3g}, "
+                           f"where float64 spacing is {np.spacing(q):.2g}")
 
 
 def _oracle_matrix(spec: IntegratorSpec, lam: np.ndarray) -> np.ndarray:

@@ -169,7 +169,7 @@ class TestConfigValidation:
         assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_invalid_nested_block_is_one_line(self, tmp_path, capsys):
-        # a separable target's block is checked by the target schema it refers to
+        # a separable target's block is checked as a target of its own kind
         target = {"kind": "separable", "block": {"kind": "gaussian", "eigenvalues": [-1.0]},
                   "copies": 2}
         path = tmp_path / "target.json"
@@ -190,7 +190,7 @@ class TestConfigValidation:
          "'separable']"),
     ], ids=["misspelt-field", "amplitude-range", "unknown-kind"])
     def test_target_error_names_its_field(self, tmp_path, capsys, target, shown):
-        # the target's kind picks the one branch of the schema that checks it
+        # the target's kind picks the rules that check its other fields
         path = tmp_path / "target.json"
         path.write_text(json.dumps(target))
         err = one_line_error(capsys, ["certify", "--target-config", str(path), "--seed", "0",
@@ -198,10 +198,46 @@ class TestConfigValidation:
         assert err == f"ConfigError: invalid experiment config: {shown}\n"
         assert not (tmp_path / "out").exists()
 
-    def test_a_run_validates_its_target_once(self, tmp_path):
-        # validate_config checks the whole config, nested target included, with
-        # one validator built for the task; building the target checks nothing
-        cfg._validator.cache_clear()
+    @pytest.mark.parametrize("conf, shown", [
+        ({"task": "sample", "target": GAUSS, "run": {"steps": 20.0, "seed": 1}},
+         "$.run.steps: 20.0 is not of type 'integer'"),
+        ({"task": "sample", "target": GAUSS, "run": {"seed": 1.0}},
+         "$.run.seed: 1.0 is not of type 'integer'"),
+        ({"task": "scaling", "run": {"seed": 1}, "scaling": {"scheme": "euler", "dims": [2.0, 4]}},
+         "$.scaling.dims[0]: 2.0 is not of type 'integer'"),
+        ({"task": "scaling", "run": {"seed": 1},
+          "scaling": {"scheme": "euler", "dims": [2], "replicas": 64.0}},
+         "$.scaling.replicas: 64.0 is not of type 'integer'"),
+        ({"task": "certify", "run": {"seed": 1},
+          "target": {"kind": "perturbed", "dim": 2.0, "amplitude": 0.1, "seed": 3.0}},
+         "$.target.dim: 2.0 is not of type 'integer'; $.target.seed: 3.0 is not of type "
+         "'integer'"),
+    ], ids=["sample-steps", "sample-seed", "scaling-dims", "scaling-replicas", "perturbed"])
+    def test_integral_float_in_an_integer_field_exits_2(self, tmp_path, capsys, conf, shown):
+        # JSON's 20.0 is a float, which a step count, seed or dimension cannot
+        # take: the check refuses it, and nothing is written
+        (tmp_path / "exp.json").write_text(json.dumps(conf))
+        err = one_line_error(capsys, ["run", "--config", str(tmp_path / "exp.json"), "--out",
+                                      str(tmp_path / "out")], "ConfigError: ")
+        assert err == f"ConfigError: invalid experiment config: {shown}\n"
+        assert sorted(os.listdir(tmp_path)) == ["exp.json"]
+
+    def test_a_run_validates_its_target_once(self, tmp_path, monkeypatch):
+        # validate_config checks the whole config, nested target included, in one
+        # walk of the task's rules; building the target checks nothing
+        checks, targets = [], []
+
+        def validate(config, inner=cfg.validate_config):
+            checks.append(config["task"])
+            inner(config)
+
+        def problems(value, rules, path, inner=cfg._problems):
+            if rules.get("target"):
+                targets.append(path)
+            return inner(value, rules, path)
+
+        monkeypatch.setattr(cfg, "validate_config", validate)
+        monkeypatch.setattr(cfg, "_problems", problems)
         block = {"kind": "separable", "block": {"kind": "gaussian", "eigenvalues": [1.0]},
                  "copies": 1}
         summary = run_experiment({"task": "certify", "run": {"seed": 0},
@@ -209,8 +245,8 @@ class TestConfigValidation:
                                   "target": {"kind": "separable", "block": block,
                                              "copies": 2}})
         assert summary["pass"]
-        info = cfg._validator.cache_info()
-        assert (info.hits, info.misses, info.currsize) == (0, 1, 1)
+        assert checks == ["certify"]
+        assert targets == ["$.target", "$.target.block", "$.target.block.block"]
 
     @pytest.mark.parametrize("integrator, couple, error", [
         # a start of the wrong length for the 2-d target
@@ -427,7 +463,7 @@ class TestRunSubcommand:
         ("ideal", "reference"), ("unadjusted", None), (None, "leapfrog")])
     def test_goodset_rejects_other_kernels(self, tmp_path, capsys, kind, scheme):
         # the guarded integrator is the unadjusted leapfrog kernel's, so a goodset
-        # kernel block holds only theta and T: the schema refuses a kind or a scheme,
+        # kernel block holds only theta and T: the check refuses a kind or a scheme,
         # even the one goodset runs, before the target is built (its data file is
         # absent), and nothing is written
         kernel = {"integrator": {"theta": 0.01}}
@@ -799,15 +835,15 @@ class TestArgvToConfig:
 
 
 def admitted(task):
-    """The dotted fields that ``task``'s schema admits, besides the task."""
-    def leaves(schema, prefix):
-        for key, sub in schema["properties"].items():
+    """The dotted fields that ``task``'s rules admit, besides the task."""
+    def leaves(rules, prefix):
+        for key, sub in rules["properties"].items():
             if "properties" in sub:  # a block
                 yield from leaves(sub, f"{prefix}{key}.")
             else:
                 yield prefix + key
 
-    return set(leaves(cfg._validator(task).schema, "")) - {"task"}
+    return set(leaves(cfg._TASK_RULES[task], "")) - {"task"}
 
 
 class TestTaskFields:
@@ -1103,7 +1139,8 @@ class TestPointsPath:
 
 class TestCallCost:
     """A call builds only its own subcommand's parser, and importing the CLI
-    loads neither scipy's optimize, spatial and special modules nor jsonschema."""
+    loads neither scipy's optimize, spatial and special modules nor jsonschema,
+    which no task loads."""
 
     # the required arguments of each subcommand; a new one without an entry fails below
     REQUIRED = {
@@ -1157,14 +1194,29 @@ class TestCallCost:
         status, _, err = self.outcome(capsys, main, ["frob"])
         assert status == 2 and "argument command: invalid choice: 'frob'" in err
 
-    def test_importing_the_cli_leaves_scipy_and_jsonschema_unloaded(self):
+    def test_importing_the_cli_leaves_scipy_and_jsonschema_unloaded(self, tmp_path):
+        # importing the CLI loads none of ``heavy``; the README's Gaussian sample,
+        # couple and certify runs and a run config then run without jsonschema
         src = os.path.dirname(os.path.dirname(os.path.abspath(convexhmc.__file__)))
         # and the scaling study's process pool
         heavy = ["scipy.optimize", "scipy.spatial", "scipy.special", "jsonschema",
                  "multiprocessing", "concurrent.futures.process"]
-        code = (f"import sys, convexhmc.cli; "
-                f"print([m for m in {heavy!r} if m in sys.modules])")
+        (tmp_path / "target.json").write_text(json.dumps(GAUSS))
+        (tmp_path / "exp.json").write_text(json.dumps({
+            "task": "sample", "target": GAUSS, "run": {"steps": 100, "seed": 1}}))
+        target = ["--target-config", "target.json"]
+        runs = [["sample", *target, "--kernel", "metropolis", "--scheme", "leapfrog",
+                 "--theta", "0.001", "--steps", "10000", "--seed", "1", "--out", "run"],
+                ["couple", *target, "--steps", "200", "--seed", "2", "--out", "run"],
+                ["certify", *target, "--trials", "1000", "--seed", "3", "--out", "run"],
+                ["run", "--config", "exp.json", "--out", "conf"]]
+        code = (f"import contextlib, io, sys, convexhmc.cli as cli\n"
+                f"print([m for m in {heavy!r} if m in sys.modules])\n"
+                f"with contextlib.redirect_stdout(io.StringIO()):\n"
+                f"    codes = [cli.main(argv) for argv in {runs!r}]\n"
+                f"print(codes, [m for m in sys.modules if m.partition('.')[0] == 'jsonschema'])\n")
         path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
         loaded = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                                check=True, env={**os.environ, "PYTHONPATH": path}).stdout
-        assert loaded == "[]\n"
+                                check=True, cwd=tmp_path,
+                                env={**os.environ, "PYTHONPATH": path}).stdout
+        assert loaded == "[]\n[0, 0, 0, 0] []\n"

@@ -416,19 +416,34 @@ class TestReferenceFlowProperties:
             reference_flow(pot, pp(1.0, 0.3), 1.0)
 
     def test_nonconvergence_names_the_float_spacing(self, monkeypatch):
-        # at |q| = 1e6 one float64 spacing is above tol = 1e-10
+        # at |q| = 1e4 the perturbation's cosine swings many times along the flow,
+        # so few steps leave the levels far apart, above the float64 floor
         monkeypatch.setattr(integrators, "_MAX_DOUBLINGS", 4)
+        pot = make_perturbed_quadratic(1, 0.1, seed=1)
         with pytest.raises(IntegratorError, match=r"within 4 doublings: \|q_i\| reaches "
-                           r"1e\+06, where float64 spacing is 1.2e-10$"):
-            reference_flow(UNIT, pp(1e6, 0.0), 1.0, tol=1e-10)
+                           r"1e\+04, where float64 spacing is 1.8e-12$"):
+            reference_flow(pot, pp(1e4, 0.0), 1.0, tol=1e-10)
 
     def test_hopeless_row_raises_within_the_doubling_budget(self):
-        # tol = 1e-10 lies below the float64 spacing at |q| = 1e6, so no level
-        # converges; every one of the _MAX_DOUBLINGS + 1 levels is paid for once
+        # tol = 1e-10 lies below the float64 spacing at |q| = 1e6, so two levels
+        # agree only if bit-equal: the row raises at the first comparison, having
+        # paid for 2 of the 14 levels
         pot, rows = counted(UNIT)
-        with pytest.raises(IntegratorError, match="within 13 doublings"):
+        with pytest.raises(IntegratorError, match=r"at the float64 floor, after 1 of 13 "
+                           r"doublings: \|q_i\| reaches 1e\+06, where float64 spacing is "
+                           r"1.2e-10$"):
             reference_flow(pot, pp(1e6, 0.0), 1.0, tol=1e-10)
-        assert rows[0] <= 1 + 17 * (2**15 - 2)
+        assert rows[0] == 1 + 17 * (2**3 - 2)
+
+    def test_stalled_row_raises_at_the_floor(self):
+        # tol = 1e-13 lies above the float64 spacing at |q| = 300, but the level
+        # differences stop falling within the random walk of rounding errors
+        pot, rows = counted(UNIT)
+        with pytest.raises(IntegratorError, match=r"at the float64 floor, after 3 of 13 "
+                           r"doublings: \|q_i\| reaches 300, where float64 spacing is "
+                           r"5.7e-14$"):
+            reference_flow(pot, pp(300.0, 0.0), 0.3, tol=1e-13)
+        assert rows[0] == 1 + 17 * (2**5 - 2)
 
     def test_nonpositive_tol_raises_even_at_zero_time(self):
         for T in (0.0, 1.0):
