@@ -22,11 +22,11 @@ import numpy as np
 from . import config as cfg
 from .coupling import (contraction_bound, contraction_certificate, couple_synchronous,
                        drift_check, good_set_statistics)
-from .integrators import REFERENCE_TOL, SCHEMES, GoodSetSpec, default_good_set
-from .kernels import KERNEL_KINDS, default_integration_time, run_chain
+from .integrators import REFERENCE_TOL, GoodSetSpec, default_good_set
+from .kernels import default_integration_time, run_chain
 from .metrics import w1_assignment, w1_exact_1d, w1_sliced
 from .precondition import build_rounding, verify_rounding
-from .scaling import STUDY_KERNELS, STUDY_SCHEMES, run_scaling_study
+from .scaling import run_scaling_study
 from .potentials import ConvexHMCError, SeparablePotential, uniform_ball
 
 
@@ -200,82 +200,54 @@ def _task_scaling(config, pot, base_dir):
                         "raw_w1", "reference_floor"], list(zip(*map(astuple, result.rows))))
 
 
-class _FieldHelp(argparse.HelpFormatter):
-    """Shows each flag's value as the dotted config field it sets (a flag with
-    choices shows them instead, and names its field in its help)."""
-
-    def _get_default_metavar_for_optional(self, action):
-        return action.dest
-
-
-def _parse_vector(text):
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+def _list_of(kind):
+    """A comma-separated list flag of ``kind`` values; an empty token is skipped."""
+    def parse(text):
+        return [kind(tok) for tok in text.split(",") if tok.strip()]
+    parse.__name__ = f"{kind.__name__} list"  # argparse's "invalid int list value: ..."
+    return parse
 
 
-def _flag(*names, **kwargs):
-    """One ``add_argument`` call: its names and keywords."""
-    return names, kwargs
+_TYPES = {"integer": int, "number": float}  # a string flag takes its text
+# the flags whose argparse settings go beyond what their field's rules give
+_SETTINGS = {"target": {"metavar": "PATH", "help": "JSON file holding the target block"},
+             "out": {"help": "output directory"},
+             "precondition.points_csv": {"type": os.path.abspath, "help": "CSV of bulk points"}}
 
 
-# an unset flag is an absent field, which the task's .get, build_kernel_spec or
-# run_scaling_study's defaults fill
-_TARGET = _flag("--target-config", dest="target", required=True, metavar="PATH",
-                help="JSON file holding the target block")
-_SEED = _flag("--seed", dest="run.seed", type=int, required=True)
-_OUT = _flag("--out", help="output directory")
-_THETA = _flag("--theta", dest="kernel.integrator.theta", type=float)
-_STEPS = _flag("--steps", dest="run.steps", type=int)
-_REPLICAS = _flag("--replicas", dest="run.replicas", type=int)
-_ANCHOR = _flag("--anchor", dest="precondition.anchor", type=_parse_vector)
+def _arguments(task: str):
+    """(flag, keywords) of each field ``task`` reads that has a flag.  A "!" in its
+    ``config.TASK_FIELDS`` row makes the flag required; its rules give its type, or
+    choices that its help names, and any other flag shows its value as the field.  No
+    flag has a default: an unset flag is an absent field, which the task fills."""
+    row = {f.rstrip("!"): f.endswith("!") for f in ["out", *cfg.TASK_FIELDS[task].split()]}
+    for name, (flag, rules) in cfg._FIELDS.items():
+        if flag is None or name not in row:
+            continue
+        kwargs = {"dest": name, "required": row[name]} if flag.startswith("-") else {}
+        if "enum" in rules:
+            kwargs.update(choices=rules["enum"], help=name)
+        elif "items" in rules:
+            kwargs.update(metavar=name, type=_list_of(_TYPES[rules["items"]["type"]]))
+        else:
+            kwargs.update(metavar=name, type=_TYPES.get(rules.get("type")))
+        yield flag, {**kwargs, **_SETTINGS.get(name, {})}
 
 
-_CHAIN_FLAGS = (  # sample's and couple's
-    _TARGET, _SEED, _OUT,
-    _flag("--kernel", dest="kernel.kind", choices=KERNEL_KINDS, help="kernel.kind"),
-    _flag("--scheme", dest="kernel.integrator.scheme", choices=SCHEMES,
-          help="kernel.integrator.scheme"),
-    _THETA, _flag("--T", dest="kernel.integrator.T", type=float), _STEPS)
-
-
-# each subcommand's task (config task: its name with "_" for "-"), help and flags;
-# a flag's dest is the dotted config field it sets
+# each subcommand's task (config task: its name with "_" for "-") and help; its flags
+# set the fields its task reads
 _SUBCOMMANDS = {
-    "sample": (_task_sample, "run one chain and dump its trace", _CHAIN_FLAGS),
-    "couple": (_task_couple, "synchronous coupling of two chains", _CHAIN_FLAGS),
-    "certify": (_task_certify, "one-step contraction certificate", (
-        _TARGET, _SEED, _OUT, _flag("--T", dest="certify.T", type=float),
-        _flag("--trials", dest="certify.trials", type=int))),
-    "drift": (_task_drift, "exponential-moment drift check", (
-        _TARGET, _SEED, _OUT,
-        _flag("--radii", dest="drift.radii", type=_parse_vector, required=True), _REPLICAS)),
-    "goodset": (_task_goodset, "good-set exit statistics", (
-        _TARGET, _SEED, _OUT, _flag("--block-dim", dest="goodset.block_dim", type=int),
-        _flag("--g-inf", dest="goodset.g_inf", type=float),
-        _flag("--g-2", dest="goodset.g_2", type=float), _THETA, _STEPS, _REPLICAS)),
+    "sample": (_task_sample, "run one chain and dump its trace"),
+    "couple": (_task_couple, "synchronous coupling of two chains"),
+    "certify": (_task_certify, "one-step contraction certificate"),
+    "drift": (_task_drift, "exponential-moment drift check"),
+    "goodset": (_task_goodset, "good-set exit statistics"),
     # prints the summary, and writes it only when --out names a directory
-    "distance": (_task_distance, "W1 between two CSV point files", (
-        _OUT, _flag("distance.a_csv"), _flag("distance.b_csv"),
-        _flag("--method", dest="distance.method", choices=cfg.DISTANCE_METHODS,
-              help="distance.method"),
-        _flag("--directions", dest="distance.directions", type=int),
-        _flag("--seed", dest="distance.seed", type=int))),
-    "precondition": (_task_precondition, "estimate a rounding matrix",
-                     (_TARGET, _OUT, _ANCHOR)),
-    "verify-rounding": (_task_verify_rounding, "sandwich check on bulk points", (
-        _TARGET, _OUT, _ANCHOR,
-        _flag("--points", dest="precondition.points_csv", type=os.path.abspath,
-              required=True, help="CSV of bulk points"))),
-    "scaling": (_task_scaling, "dimension-scaling study", (
-        _SEED, _OUT,
-        _flag("--kernel", dest="scaling.kernel", choices=STUDY_KERNELS, help="scaling.kernel"),
-        _flag("--scheme", dest="scaling.scheme", choices=STUDY_SCHEMES, required=True,
-              help="scaling.scheme"),
-        _flag("--dims", dest="scaling.dims", required=True,
-              type=lambda s: [int(t) for t in s.split(",")]),
-        _flag("--epsilon", dest="scaling.epsilon", type=float),
-        _flag("--replicas", dest="scaling.replicas", type=int))),
-    "run": (None, "run a full JSON experiment config", (
-        _flag("--config", required=True, metavar="CONFIG"), _flag("--out", metavar="OUT"))),
+    "distance": (_task_distance, "W1 between two CSV point files"),
+    "precondition": (_task_precondition, "estimate a rounding matrix"),
+    "verify-rounding": (_task_verify_rounding, "sandwich check on bulk points"),
+    "scaling": (_task_scaling, "dimension-scaling study"),
+    "run": (None, "run a full JSON experiment config"),
 }
 _COMMANDS = tuple(_SUBCOMMANDS)
 
@@ -293,10 +265,13 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, metavar=None
                                 if len(names) > 1 else "{" + ",".join(_COMMANDS) + "}")
     for name in names:
-        _, help, flags = _SUBCOMMANDS[name]
-        p = sub.add_parser(name, help=help, formatter_class=_FieldHelp)
-        for flag, kwargs in flags:
-            p.add_argument(*flag, **kwargs)
+        p = sub.add_parser(name, help=_SUBCOMMANDS[name][1])
+        if name == "run":
+            p.add_argument("--config", required=True, metavar="CONFIG")
+            p.add_argument("--out", metavar="OUT")
+        else:
+            for flag, kwargs in _arguments(name.replace("-", "_")):
+                p.add_argument(flag, **kwargs)
     return parser
 
 

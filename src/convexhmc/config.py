@@ -1,5 +1,5 @@
-"""Experiment configuration: field rules, the config check, builders and
-deterministic file IO.
+"""Experiment configuration: field flags and rules, the config check, builders
+and deterministic file IO.
 
 Every run is a pure function of (config, seed).  A config admits only the
 fields its task reads: ``TASK_FIELDS`` lists them by dotted path, and each
@@ -44,7 +44,7 @@ _TARGET_FIELDS = {
                                  "items": {"type": "number", "exclusiveMinimum": 0}}},
     "perturbed": {"dim": {"type": "integer", "minimum": 1},
                   "amplitude": {"type": "number", "minimum": 0, "exclusiveMaximum": 0.25},
-                  "seed": {"type": "integer"}},
+                  "seed": {"type": "integer", "minimum": 0}},
     "logistic": {"data_csv": {"type": "string"},
                  "ridge": {"type": "number", "exclusiveMinimum": 0}},
     "separable": {"block": _TARGET, "copies": {"type": "integer", "minimum": 1}},
@@ -58,41 +58,44 @@ _TARGET_RULES = {kind: {"type": "object", "properties": {"kind": _KIND, **fields
                  for kind, fields in _TARGET_FIELDS.items()}
 _ANY_TARGET = {"type": "object", "properties": {"kind": _KIND}, "required": ["kind"]}
 
-DISTANCE_METHODS = ("assignment", "sliced", "exact_1d")
 _VECTOR = {"type": "array", "items": {"type": "number"}}
 
-# each config field's rules, by its dotted path
+# each config field's flag (a positional argument's name, or None: set by a run config
+# only) and rules, by its dotted path, in the order a parser shows its flags
 _FIELDS = {
-    "out": {"type": "string"},
-    "target": _TARGET,
-    "kernel.kind": {"enum": list(KERNEL_KINDS)},
-    "kernel.integrator.scheme": {"enum": list(SCHEMES)},
-    "kernel.integrator.theta": {"type": "number", "exclusiveMinimum": 0},
-    "kernel.integrator.T": {"type": "number", "minimum": 0},
-    "run.steps": {"type": "integer", "minimum": 0},
-    "run.replicas": {"type": "integer", "minimum": 1},
-    "run.seed": {"type": "integer"},
-    "couple.x0": _VECTOR,
-    "couple.y0": _VECTOR,
-    "certify.T": {"type": "number", "minimum": 0},
-    "certify.trials": {"type": "integer", "minimum": 1},
-    "certify.tol": {"type": "number", "exclusiveMinimum": 0},
-    "drift.radii": {"type": "array", "items": {"type": "number", "minimum": 0}, "minItems": 1},
-    "goodset.g_inf": {"type": "number", "exclusiveMinimum": 0},
-    "goodset.g_2": {"type": "number", "minimum": 0},
-    "goodset.block_dim": {"type": "integer", "minimum": 1},
-    "precondition.anchor": _VECTOR,
-    "precondition.points_csv": {"type": "string"},
-    "distance.a_csv": {"type": "string"},
-    "distance.b_csv": {"type": "string"},
-    "distance.method": {"enum": list(DISTANCE_METHODS)},
-    "distance.directions": {"type": "integer", "minimum": 1},
-    "distance.seed": {"type": "integer"},
-    "scaling.kernel": {"enum": list(STUDY_KERNELS)},
-    "scaling.scheme": {"enum": list(STUDY_SCHEMES)},
-    "scaling.dims": {"type": "array", "items": {"type": "integer", "minimum": 1}, "minItems": 1},
-    "scaling.epsilon": {"type": "number", "exclusiveMinimum": 0},
-    "scaling.replicas": {"type": "integer", "minimum": 2, "maximum": ASSIGNMENT_GUARD},
+    "target": ("--target-config", _TARGET),
+    "run.seed": ("--seed", {"type": "integer", "minimum": 0}),
+    "out": ("--out", {"type": "string"}),
+    "kernel.kind": ("--kernel", {"enum": list(KERNEL_KINDS)}),
+    "kernel.integrator.scheme": ("--scheme", {"enum": list(SCHEMES)}),
+    "certify.T": ("--T", {"type": "number", "minimum": 0}),
+    "certify.trials": ("--trials", {"type": "integer", "minimum": 1}),
+    "certify.tol": (None, {"type": "number", "exclusiveMinimum": 0}),
+    "goodset.block_dim": ("--block-dim", {"type": "integer", "minimum": 1}),
+    "goodset.g_inf": ("--g-inf", {"type": "number", "exclusiveMinimum": 0}),
+    "goodset.g_2": ("--g-2", {"type": "number", "minimum": 0}),
+    "kernel.integrator.theta": ("--theta", {"type": "number", "exclusiveMinimum": 0}),
+    "kernel.integrator.T": ("--T", {"type": "number", "minimum": 0}),
+    "drift.radii": ("--radii", {"type": "array", "items": {"type": "number", "minimum": 0},
+                                "minItems": 1}),
+    "run.steps": ("--steps", {"type": "integer", "minimum": 0}),
+    "run.replicas": ("--replicas", {"type": "integer", "minimum": 1}),
+    "couple.x0": (None, _VECTOR),
+    "couple.y0": (None, _VECTOR),
+    "precondition.anchor": ("--anchor", _VECTOR),
+    "precondition.points_csv": ("--points", {"type": "string"}),
+    "distance.a_csv": ("distance.a_csv", {"type": "string"}),
+    "distance.b_csv": ("distance.b_csv", {"type": "string"}),
+    "distance.method": ("--method", {"enum": ["assignment", "sliced", "exact_1d"]}),
+    "distance.directions": ("--directions", {"type": "integer", "minimum": 1}),
+    "distance.seed": ("--seed", {"type": "integer", "minimum": 0}),
+    "scaling.kernel": ("--kernel", {"enum": list(STUDY_KERNELS)}),
+    "scaling.scheme": ("--scheme", {"enum": list(STUDY_SCHEMES)}),
+    "scaling.dims": ("--dims", {"type": "array", "items": {"type": "integer", "minimum": 1},
+                                "minItems": 1}),
+    "scaling.epsilon": ("--epsilon", {"type": "number", "exclusiveMinimum": 0}),
+    "scaling.replicas": ("--replicas", {"type": "integer", "minimum": 2,
+                                        "maximum": ASSIGNMENT_GUARD}),
 }
 
 _KERNEL = "kernel.kind kernel.integrator.scheme kernel.integrator.theta kernel.integrator.T"
@@ -130,7 +133,7 @@ def _task_rules(fields: str) -> dict:
             if field != name and key not in node["required"]:
                 node["required"].append(key)
             node = node["properties"].setdefault(
-                key, _FIELDS[name] if depth == len(keys) else _block())
+                key, _FIELDS[name][1] if depth == len(keys) else _block())
     return rules
 
 

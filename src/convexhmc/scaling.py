@@ -267,12 +267,14 @@ def run_scaling_study(scheme: str, dims: Sequence[int], epsilon: float = 0.05, *
     the replica-endpoint batch against an exact reference batch.
     """
     dims = [int(d) for d in dims]
-    if any(b <= a for a, b in zip(dims, dims[1:])):
-        raise ScalingError("dims must be strictly increasing")
+    if any(b <= a for a, b in zip([0, *dims], dims)):
+        raise ScalingError(f"dims must be strictly increasing from at least 1, got {dims}")
     if scheme not in STUDY_SCHEMES:
         raise ScalingError(f"scheme must be {' or '.join(STUDY_SCHEMES)}, got {scheme!r}")
     if epsilon <= 0.0:
         raise ScalingError(f"epsilon must be positive, got {epsilon}")
+    if replicas < 2:
+        raise ScalingError(f"replicas must be at least 2, got {replicas}")
     if replicas > metrics.ASSIGNMENT_GUARD:
         raise ScalingError(
             f"replicas capped at {metrics.ASSIGNMENT_GUARD} by the exact assignment solver")

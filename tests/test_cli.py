@@ -630,13 +630,17 @@ class TestArgvToConfig:
             **T, "task": "certify", "certify": {"trials": 20, "T": 0.3}, "run": {"seed": 3}}),
         "drift": (["drift", "--seed", "4", "--radii", "2,8"], {
             **T, "task": "drift", "drift": {"radii": [2.0, 8.0]}, "run": {"seed": 4}}),
-        "drift-all": (["drift", "--seed", "4", "--radii", "3", "--replicas", "50"], {
-            **T, "task": "drift", "drift": {"radii": [3.0]}, "run": {"seed": 4, "replicas": 50}}),
+        "drift-all": (["drift", "--seed", "4", "--radii", "3", "--replicas", "50", "--kernel",
+                       "metropolis", "--scheme", "leapfrog", "--theta", "0.001", "--T", "0.4"], {
+            **T, "task": "drift", "drift": {"radii": [3.0]}, "run": {"seed": 4, "replicas": 50},
+            "kernel": {"kind": "metropolis",
+                       "integrator": {"scheme": "leapfrog", "theta": 0.001, "T": 0.4}}}),
         "goodset": (["goodset", "--seed", "5"], {**T, "task": "goodset", "run": {"seed": 5}}),
         "goodset-all": (["goodset", "--seed", "5", "--block-dim", "2", "--g-inf", "3",
-                         "--g-2", "2", "--theta", "0.02", "--steps", "10", "--replicas", "20"], {
+                         "--g-2", "2", "--theta", "0.02", "--T", "0.6", "--steps", "10",
+                         "--replicas", "20"], {
             **T, "task": "goodset", "goodset": {"block_dim": 2, "g_inf": 3.0, "g_2": 2.0},
-            "kernel": {"integrator": {"theta": 0.02}},
+            "kernel": {"integrator": {"theta": 0.02, "T": 0.6}},
             "run": {"seed": 5, "steps": 10, "replicas": 20}}),
         "precondition": (["precondition"], {**T, "task": "precondition"}),
         "precondition-all": (["precondition", "--anchor", "0.1,0.2", "--out", "o"], {
@@ -863,6 +867,43 @@ class TestTaskFields:
         fields = admitted(name.replace("-", "_"))
         assert dests <= fields, dests - fields
 
+    @pytest.mark.parametrize("name", [c for c in _COMMANDS if c != "run"])
+    def test_each_parser_is_derived_from_its_fields(self, name):
+        # an argument for each field with a flag, and none other: a "!" makes it
+        # required, an enum gives its choices and its rule's type parses its value
+        task = name.replace("-", "_")
+        row = {f.rstrip("!"): f.endswith("!") for f in ["out", *cfg.TASK_FIELDS[task].split()]}
+        sub = next(a for a in build_parser(name)._actions if a.dest == "command").choices[name]
+        actions = {a.dest: a for a in sub._actions if a.dest != "help"}
+        flagged = [field for field in row if cfg._FIELDS[field][0] is not None]
+        assert sorted(actions) == sorted(flagged)
+        flags = [cfg._FIELDS[field][0] for field in flagged]
+        assert len(set(flags)) == len(flags), flags  # no two of the task's fields share one
+        types = {"integer": int, "number": float}
+        for field, action in actions.items():
+            flag, rules = cfg._FIELDS[field]
+            assert (action.option_strings or [action.dest]) == [flag]
+            assert action.required == row[field], field
+            if "enum" in rules:
+                assert (list(action.choices), action.help) == (rules["enum"], field)
+                continue
+            assert action.metavar == ("PATH" if field == "target" else field)
+            kind = rules.get("items", rules).get("type")
+            if "items" in rules:
+                parsed = action.type("4,,8, 16,")
+                assert parsed == [4, 8, 16] and {type(v) for v in parsed} == {types[kind]}
+            elif kind in types:
+                assert type(action.type("2")) is types[kind]
+            else:  # a file path, or out's directory
+                assert action.type in (None, os.path.abspath), field
+
+    def test_list_flags_skip_empty_tokens(self):
+        dims = vars(build_parser("scaling").parse_args(
+            ["scaling", "--seed", "1", "--scheme", "euler", "--dims", "4,,8"]))["scaling.dims"]
+        radii = vars(build_parser("drift").parse_args(
+            ["drift", "--target-config", "t.json", "--seed", "1", "--radii", "5,,10"]))
+        assert (dims, radii["drift.radii"]) == ([4, 8], [5.0, 10.0])
+
     CASES = {
         # the study's replicas are scaling.replicas
         "scaling-run-replicas": ({"task": "scaling", "run": {"seed": 1, "replicas": 64},
@@ -945,6 +986,27 @@ class TestInputErrors:
         err = one_line_error(capsys, ["sample", "--target-config", str(target), "--seed", "0",
                                       "--out", str(tmp_path / "out")], "ConfigError: ")
         assert str(data) in err
+
+    @pytest.mark.parametrize("case, path", [
+        ("sample", "$.run.seed"), ("couple", "$.run.seed"), ("certify", "$.run.seed"),
+        ("drift", "$.run.seed"), ("goodset", "$.run.seed"), ("scaling", "$.run.seed"),
+        ("distance", "$.distance.seed"), ("perturbed", "$.target.seed")])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, monkeypatch, case, path):
+        # numpy's generators take no negative seed; the config check refuses it first
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "t.json").write_text(json.dumps(GAUSS))
+        (tmp_path / "p.json").write_text(json.dumps(
+            {"kind": "perturbed", "dim": 2, "amplitude": 0.1, "seed": -1}))
+        (tmp_path / "a.csv").write_text("0.0\n1.0\n")
+        target = ["--target-config", "t.json", "--seed", "-1"]
+        argv = {"drift": ["drift", *target, "--radii", "1"],
+                "scaling": ["scaling", "--scheme", "euler", "--dims", "2", "--seed", "-1"],
+                "distance": ["distance", "a.csv", "a.csv", "--method", "sliced", "--seed", "-1"],
+                "perturbed": ["certify", "--target-config", "p.json", "--seed", "1"],
+                }.get(case, [case, *target])
+        one_line_error(capsys, [*argv, "--out", "out"], "ConfigError: invalid experiment "
+                       f"config: {path}: -1 is less than the minimum of 0\n")
+        assert sorted(os.listdir(tmp_path)) == ["a.csv", "p.json", "t.json"]
 
     @pytest.mark.parametrize("rows", ["abc\n", "1,2\nabc,3\n"], ids=["header-only", "cell"])
     def test_malformed_points_csv_exits_2(self, tmp_path, capsys, monkeypatch, rows):

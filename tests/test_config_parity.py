@@ -196,7 +196,7 @@ def corpus(task):
                 yield conf, []
     for name in ["out", *names]:  # each field's every failure
         *head, key = name.split(".")
-        for value, refused in candidates(cfg._FIELDS[name], VALID[name]):
+        for value, refused in candidates(cfg._FIELDS[name][1], VALID[name]):
             conf = copy.deepcopy(full)
             at(conf, head)[key] = value
             yield conf, [(f"$.{name}{suffix}", v) for suffix, v in refused]

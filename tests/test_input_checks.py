@@ -128,6 +128,15 @@ CHECKS = [
      ScalingError, "epsilon must be positive, got 0.0"),
     ("study-replicas", lambda _: run_scaling_study("euler", [2], 0.1, seed=0, replicas=4096),
      ScalingError, "replicas capped at 2048 by the exact assignment solver"),
+    # the config's bounds: at least 2 replicas and a dimension of at least 1
+    ("study-replicas-zero", lambda _: run_scaling_study("euler", [2], 0.1, seed=0, replicas=0),
+     ScalingError, "replicas must be at least 2, got 0"),
+    ("study-replicas-one", lambda _: run_scaling_study("euler", [2], 0.1, seed=0, replicas=1),
+     ScalingError, "replicas must be at least 2, got 1"),
+    ("study-dims-zero", lambda _: run_scaling_study("euler", [0, 2], 0.1, seed=0),
+     ScalingError, "dims must be strictly increasing from at least 1, got [0, 2]"),
+    ("study-dims-negative", lambda _: run_scaling_study("euler", [-2], 0.1, seed=0),
+     ScalingError, "dims must be strictly increasing from at least 1, got [-2]"),
     ("study-kernel", lambda _: run_scaling_study("euler", [2], 0.1, seed=0, kernel="ideal"),
      ScalingError, "kernel must be unadjusted or metropolis, got 'ideal'"),
     # config
