@@ -36,7 +36,7 @@ _MAX_DOUBLINGS = 13
 _FALL = 2.0**4
 _FLOOR_SPACINGS = 4.0
 REFERENCE_TOL = 1e-10  # the reference flow's default tolerance
-MAX_ORACLE_STEPS = 2**21  # above a scaling study's last halving, 2^20 Euler steps
+MAX_ORACLE_STEPS = 2**21  # also where a scaling study's step search stops
 
 
 class IntegratorError(ConvexHMCError, RuntimeError):

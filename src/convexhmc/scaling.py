@@ -2,35 +2,36 @@
 
 For each dimension d, the study runs the chain (unadjusted by default) for
 I = max(50, ceil((M2/m2)^2 log(M2/(m2 eps)))) steps over many replicas and
-bisects theta downward until the endpoint batch is within the W1 budget of
-an exact reference sample.  The recorded cost is the modelled count, the
-accepted theta's ``IntegratorSpec.gradient_evals`` per replica and chain
-step, so the fitted log-log slope of gradient evaluations against dimension
-exposes the d^(1/2k) law of the k-th-order integrator.
+searches the smallest integer oracle-step count n whose endpoint batch is
+within the W1 budget of an exact reference sample.  Each n is run at
+theta_n = (T/n)^k, so its n steps of length theta_n^(1/k) end at T.  The
+recorded cost is the modelled count, k n gradient evaluations per replica
+and chain step, so the fitted log-log slope of gradient evaluations against
+dimension exposes the d^(1/2k) law of the k-th-order integrator.
 
 Empirical assignment-W1 between finite batches carries a sampling floor
 that grows like sqrt(d) even for perfect samples, so the budget is applied
 to the floor-corrected excess: W1(chain endpoints, reference) minus
 W1(second reference, reference), with common random numbers across the
-bisection.
+search.
 
-The bisection only asks whether the excess is within the budget, so each
-theta is decided from its cost matrix in three tries: a matching already
-solved in the row, applied to the new costs, bounds W1 from above and can
-decide a pass; the double c-transform dual bounds it from below and can
-decide a fail; only when neither clears floor + epsilon by the relative
-margin BOUND_MARGIN does the exact assignment solver run, from those duals,
-and its matching joins the row's list.  The accepted theta's excess is then
-solved exactly, so every decision and every reported number equals an
-all-exact run.
+The search measures n = 1, then doubles n until one passes, then bisects
+the integers between the last failing and the first passing n until the
+two are adjacent; the passing one is the row's n.  It only asks whether
+the excess is within the budget, so each n is decided from its cost matrix
+in three tries: a matching already solved in the row, applied to the new
+costs, bounds W1 from above and can decide a pass; the double c-transform
+dual bounds it from below and can decide a fail; only when neither clears
+floor + epsilon by the relative margin BOUND_MARGIN does the exact
+assignment solver run, from those duals, and its matching joins the row's
+list.  The accepted n's excess is then solved exactly, so every decision
+and every reported number equals an all-exact run.
 
-The thetas are decided in that order but measured in passes over the chain's
-seeded stream that draw each step's momenta once: the starting theta alone,
-then the next ``LADDER_WIDTH`` halvings or every midpoint of the next
-``REFINE_LEVELS`` levels, at most 7 thetas (14.7 MB of endpoints at d = 256 and
-1,024 replicas), each bit for bit its own run.  With d >= 16 costs from one
-matrix product, the benchmark's study (d = 8, 32) took 1.07 against 1.37 s
-(``BENCH_16.json``).
+The n are decided in that order but measured in passes over the chain's
+seeded stream that draw each step's momenta once: n = 1 alone, then the
+next ``LADDER_WIDTH`` doublings or every midpoint of the next
+``REFINE_LEVELS`` bisection levels, at most 7 n (14.7 MB of endpoints at
+d = 256 and 1,024 replicas), each bit for bit its own run.
 
 Rows are independent (row i is seeded with seed + i), so they run side by
 side in forked workers, one per usable CPU (the process's affinity mask) and
@@ -38,11 +39,9 @@ at most one per row, the largest d first; with one usable CPU, or where
 ``fork`` does not exist, they run in this process.  Nothing sets the worker
 count.  Results, and the first failing row's error, come back in dims order,
 so every output equals a serial run's.  The rows' arrays live in the workers,
-so this process's own peak RSS no longer includes them.  Each row returns its
-bisection path, every measured theta with its pass and decision, which is
-where a worker's measurements are counted.  On a 2-core host the benchmark's
-study took 0.81 against 1.09 s, and criterion 9 10.4 against 13.4 s
-(``BENCH_25.json``).
+so this process's own peak RSS does not include them.  Each row returns its
+search path, every measured n with its pass and decision, which is where a
+worker's measurements are counted.
 """
 
 from __future__ import annotations
@@ -55,19 +54,15 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .integrators import IntegratorSpec
+from .integrators import MAX_ORACLE_STEPS, IntegratorSpec
 from .kernels import KernelError, KernelSpec, default_integration_time, stepper
 from . import metrics
 from .potentials import ConvexHMCError, Potential, make_gaussian
 
-# a bound decides a theta only when it clears floor + epsilon by this relative
+# a bound decides an n only when it clears floor + epsilon by this relative
 # margin, far above float rounding, so it never flips an exact decision
 BOUND_MARGIN = 1e-9
-# theta halves at most this often before a row fails, then this many
-# log-scale bisection steps refine the first theta that passed
-MAX_HALVINGS = 20
-REFINE_STEPS = 5
-LADDER_WIDTH, REFINE_LEVELS = 4, 3  # thetas per pass: halving rungs, refinement levels
+LADDER_WIDTH, REFINE_LEVELS = 4, 3  # n per pass: doublings, bisection levels
 # the 50 in the chain length I of the module docstring
 MIN_CHAIN_STEPS = 50
 STUDY_KERNELS = ("unadjusted", "metropolis")
@@ -94,12 +89,13 @@ class ScalingRow:
 
 @dataclass(frozen=True)
 class BisectionStep:
-    """One theta a row measured, in the order the bisection decided them: the
-    endpoint pass (0, 1, ...) that computed its batch, and what decided whether
-    its excess is within the budget: an earlier matching's cost
-    (``upper_bound``), the dual bound (``lower_bound``) or the solver (``exact``)."""
+    """One oracle-step count n a row measured, at theta_n = (T/n)^k, in the order
+    the search decided them: the endpoint pass (0, 1, ...) that computed its
+    batch, and what decided whether its excess is within the budget: an earlier
+    matching's cost (``upper_bound``), the dual bound (``lower_bound``) or the
+    solver (``exact``)."""
 
-    theta: float
+    steps: int
     pass_index: int
     decision: str
     within_budget: bool
@@ -137,19 +133,30 @@ def _endpoints(pot: Potential, kernel: str, scheme: str, thetas: Sequence[float]
     return xs
 
 
-def _midpoints(lo: float, hi: float, levels: int) -> list:
-    """``levels`` levels of bisection midpoints on [lo, hi]: first, pass side, fail side."""
-    if not levels:
+def _step_theta(n: int, T: float, order: int) -> float:
+    """theta_n = (T/n)^k, raised by an ulp at a time while ceil(T/theta^(1/k))
+    counts n + 1 steps, so that count and ``IntegratorSpec.oracle_steps`` both give n."""
+    theta = (T / n) ** order
+    while math.ceil(T / theta ** (1.0 / order)) > n:
+        theta = math.nextafter(theta, math.inf)
+    return theta
+
+
+def _midpoints(fail: int, ok: int, levels: int) -> list:
+    """``levels`` levels of integer bisection midpoints strictly between a failing
+    and a passing n: first, pass side, fail side."""
+    if not levels or ok - fail < 2:
         return []
-    mid = 0.5 * (lo + hi)
-    return [mid, *_midpoints(mid, hi, levels - 1), *_midpoints(lo, mid, levels - 1)]
+    mid = (fail + ok) // 2
+    return [mid, *_midpoints(fail, mid, levels - 1), *_midpoints(mid, ok, levels - 1)]
 
 
 def _run_row(kernel: str, scheme: str, epsilon: float, replicas: int, dim: int,
              seed: int) -> tuple:
-    """(the study's row at ``dim``, its bisection path as a tuple of ``BisectionStep``)."""
+    """(the study's row at ``dim``, its search path as a tuple of ``BisectionStep``)."""
     pot = make_gaussian(np.ones(dim))
     T = default_integration_time(pot)
+    order = IntegratorSpec(scheme).order
     steps = chain_length(pot, epsilon)
     # exact draws from the target N(0, I_d)
     ref, ref2 = (np.random.default_rng(seed * 7 + k).standard_normal((replicas, dim))
@@ -158,65 +165,58 @@ def _run_row(kernel: str, scheme: str, epsilon: float, replicas: int, dim: int,
     budget = floor + epsilon
     chain_seed = seed * 7 + 3
     matchings = []  # optimal matchings solved in this row
-    batches = {}  # the last pass's batches by theta
+    batches = {}  # the last pass's batches by n
     path = []
 
-    def decide(theta, new_pass, decision, passed):
+    def decide(n, new_pass, decision, passed):
         pass_index = path[-1].pass_index + new_pass if path else 0
-        path.append(BisectionStep(theta, pass_index, decision, bool(passed)))
+        path.append(BisectionStep(n, pass_index, decision, bool(passed)))
         return passed
 
-    def measure(thetas):
-        """(thetas[0] within budget, exact excess or None if a bound decided, ends); a
-        theta outside the last pass starts a new one with all of ``thetas``."""
-        new_pass = thetas[0] not in batches
+    def measure(ns):
+        """(ns[0] within budget, exact excess or None if a bound decided, ends); an n
+        outside the last pass starts a new one with all of ``ns``."""
+        n, new_pass = ns[0], ns[0] not in batches
         if new_pass:
             batches.clear()
-            batches.update(zip(thetas, _endpoints(
-                pot, kernel, scheme, thetas, T, steps, replicas, chain_seed)))
-        ends = batches[thetas[0]]
+            batches.update(zip(ns, _endpoints(pot, kernel, scheme,
+                                              [_step_theta(m, T, order) for m in ns],
+                                              T, steps, replicas, chain_seed)))
+        ends = batches[n]
         cost = metrics.cdist(ends, ref)
         if matchings and min(metrics.matching_cost(cost, cols)
                              for cols in matchings) <= budget * (1.0 - BOUND_MARGIN):
-            return decide(thetas[0], new_pass, "upper_bound", True), None, ends
+            return decide(n, new_pass, "upper_bound", True), None, ends
         duals = metrics.dual_prices(cost)
         if metrics.w1_lower_bound(duals) >= budget * (1.0 + BOUND_MARGIN):
-            return decide(thetas[0], new_pass, "lower_bound", False), None, ends
+            return decide(n, new_pass, "lower_bound", False), None, ends
         w1, cols = metrics.assignment(ends, ref, cost, duals)
         matchings.append(cols)
         excess = w1 - floor
-        return decide(thetas[0], new_pass, "exact", excess <= epsilon), excess, ends
+        return decide(n, new_pass, "exact", excess <= epsilon), excess, ends
 
-    # the first oracle step theta^(1/k) is T itself, so no accepted step
-    # integrates past the kernel's time; halving it is exact
-    ladder = [T**IntegratorSpec(scheme).order / 2.0**j for j in range(MAX_HALVINGS + 1)]
-    for rung, theta in enumerate(ladder):
-        passed, excess, ends = measure(ladder[rung:rung + (LADDER_WIDTH if rung else 1)])
+    fail, ok = 0, None  # the last n that failed and the first that passed
+    while ok is None or ok - fail > 1:
+        if ok is not None:
+            ns = _midpoints(fail, ok, REFINE_LEVELS)
+        elif fail < MAX_ORACLE_STEPS:
+            ns = [n for n in (fail << j for j in range(1, LADDER_WIDTH + 1))
+                  if n <= MAX_ORACLE_STEPS] if fail else [1]
+        else:
+            raise ScalingError(f"step search reached the cap of {MAX_ORACLE_STEPS} oracle steps "
+                               f"at d={dim} without reaching the W1 budget {epsilon}")
+        passed, *accepted = measure(ns)
         if passed:
-            break
-    else:
-        raise ScalingError(
-            f"theta bisection exhausted {MAX_HALVINGS} halvings at d={dim} "
-            f"without reaching the W1 budget {epsilon}")
-    if rung:
-        lo, hi = math.log(theta), math.log(theta * 2.0)
-        best = (theta, excess, ends)
-        for step in range(REFINE_STEPS):
-            mids = _midpoints(lo, hi, min(REFINE_LEVELS, REFINE_STEPS - step))
-            mid_passed, *mid_rest = measure([math.exp(mid) for mid in mids])
-            if mid_passed:
-                lo = mids[0]
-                best = (math.exp(mids[0]), *mid_rest)
-            else:
-                hi = mids[0]
-        theta, excess, ends = best
+            ok, (excess, ends) = ns[0], accepted
+        else:
+            fail = ns[0]
     if excess is None:
         excess = metrics.assignment(ends, ref, metrics.cdist(ends, ref))[0] - floor
-    spec = IntegratorSpec(scheme, theta=theta, T=T)
+    spec = IntegratorSpec(scheme, theta=_step_theta(ok, T, order), T=T)
     per_chain = spec.gradient_evals * steps
     return ScalingRow(
         dim=dim,
-        theta=theta,
+        theta=spec.theta,
         oracle_steps=spec.oracle_steps,
         chain_steps=steps,
         replicas=replicas,

@@ -1069,11 +1069,11 @@ class TestInputErrors:
     @pytest.mark.parametrize("argv, prefix", [
         (["scaling", "--scheme", "euler", "--dims", "8,4", "--seed", "1"],
          "ScalingError: dims must be strictly increasing"),
-        # no theta on the halving ladder brings W1 within the budget
+        # no step count up to the cap brings W1 within the budget
         (["scaling", "--scheme", "euler", "--dims", "2", "--epsilon", "0.001",
           "--replicas", "16", "--seed", "2"],
-         "ScalingError: theta bisection exhausted 20 halvings at d=2 without reaching the W1 "
-         "budget 0.001\n"),
+         "ScalingError: step search reached the cap of 2097152 oracle steps at d=2 without "
+         "reaching the W1 budget 0.001\n"),
         # fails in the task, after the target and kernel are built: the reference
         # flow refines on a target that is not Gaussian
         (["drift", "--radii", "1e6", "--replicas", "100", "--seed", "1"],

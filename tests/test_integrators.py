@@ -152,7 +152,7 @@ class TestComposedIntegrator:
         assert IntegratorSpec("leapfrog", theta=theta, T=T).oracle_steps == 15
 
     def test_oracle_steps_capped(self):
-        # a scaling study's last halving, 2^20 Euler steps, stays admitted
+        # 2^20 Euler steps, below a scaling study's cap, stay admitted
         T = 0.35355339059327373
         assert IntegratorSpec("euler", theta=T / 2**20, T=T).oracle_steps == 2**20
         for scheme, theta, T in (("euler", 1e-300, 0.5), ("leapfrog", 5e-324, 1e300),

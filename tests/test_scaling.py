@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import convexhmc.cli  # noqa: F401  (loads every module, so every error class)
 from convexhmc import default_integration_time, make_gaussian, metrics, scaling
-from convexhmc.integrators import IntegratorSpec
+from convexhmc.integrators import MAX_ORACLE_STEPS, IntegratorSpec
 from convexhmc.kernels import KernelSpec, stepper
 from convexhmc.potentials import ConvexHMCError
 from convexhmc.scaling import ScalingError, run_scaling_study
@@ -31,12 +31,12 @@ def counting_solver(monkeypatch):
 
 
 def path_solves(study):
-    """Exact assignment solves read off a study's bisection paths: each row's
-    floor, each theta the solver decided, and the accepted theta's excess when
-    a bound decided it."""
+    """Exact assignment solves read off a study's search paths: each row's
+    floor, each n the solver decided, and the accepted n's excess when a bound
+    decided it."""
     solves = 0
     for row, path in zip(study.rows, study.bisection):
-        accepted, = (step for step in path if step.theta == row.theta)
+        accepted, = (step for step in path if step.steps == row.oracle_steps)
         solves += 1 + sum(step.decision == "exact" for step in path)
         solves += accepted.decision != "exact"
     return solves
@@ -48,27 +48,30 @@ def in_process_rows(study_args, dims, seed):
 
 
 def uninformative_bounds(monkeypatch):
-    """Makes the study see bounds that never decide, so every theta is solved exactly."""
+    """Makes the study see bounds that never decide, so every n is solved exactly."""
     exact_only = types.SimpleNamespace(**{**vars(metrics),
                                           "matching_cost": lambda cost, cols: math.inf,
                                           "w1_lower_bound": lambda cost: -math.inf})
     monkeypatch.setattr(scaling, "metrics", exact_only)
 
 
-# each case bisects at least one row: its excess W1 at the starting theta is
-# above epsilon
-BISECTING = pytest.mark.parametrize("scheme, kernel, epsilon", [
-    ("euler", "unadjusted", 0.1),
-    ("leapfrog", "metropolis", 0.0005),
-    ("leapfrog", "unadjusted", 0.055),
-    ("leapfrog", "metropolis", 0.001),
-])
+# each case searches past n = 1 in at least one row: its excess W1 there is
+# above epsilon.  A Metropolis chain on N(0, I_d) is exact at every n, so its
+# excess is noise; these two studies' first rows search to n = 3 and n = 19
+BISECTING_CASES = [
+    ("euler", "unadjusted", 0.1, [8, 32], 3),
+    ("leapfrog", "metropolis", 0.0005, [4, 8], 36),
+    ("leapfrog", "unadjusted", 0.055, [8, 32], 3),
+    ("leapfrog", "metropolis", 0.001, [3, 8], 60),
+]
+BISECTING = pytest.mark.parametrize("scheme, kernel, epsilon, dims, seed", BISECTING_CASES,
+                                    ids=["-".join(map(str, case[:3])) for case in BISECTING_CASES])
 
 
 @BISECTING
-def test_bounds_change_no_row(monkeypatch, scheme, kernel, epsilon):
+def test_bounds_change_no_row(monkeypatch, scheme, kernel, epsilon, dims, seed):
     def study():
-        return run_scaling_study(scheme, [8, 32], epsilon=epsilon, seed=3,
+        return run_scaling_study(scheme, dims, epsilon=epsilon, seed=seed,
                                  kernel=kernel, replicas=128)
 
     bounded = study()
@@ -78,19 +81,19 @@ def test_bounds_change_no_row(monkeypatch, scheme, kernel, epsilon):
         dataclasses.asdict(r) for r in exact.rows]
     assert (bounded.slope, bounded.slope_stderr) == (exact.slope, exact.slope_stderr)
     assert {step.decision for path in exact.bisection for step in path} == {"exact"}
-    assert [[(s.theta, s.within_budget) for s in path] for path in bounded.bisection] == [
-        [(s.theta, s.within_budget) for s in path] for path in exact.bisection]
+    assert [[(s.steps, s.within_budget) for s in path] for path in bounded.bisection] == [
+        [(s.steps, s.within_budget) for s in path] for path in exact.bisection]
     assert path_solves(bounded) < path_solves(exact)
-    # a bisection: every theta within the budget is at most the accepted one, every other above it
+    # a bisection: every n within the budget is at least the accepted one, every other below it
     for row, path in zip(bounded.rows, bounded.bisection):
-        assert all((s.theta <= row.theta) == s.within_budget for s in path)
+        assert all((s.steps >= row.oracle_steps) == s.within_budget for s in path)
 
 
 @BISECTING
-def test_path_counts_every_solve(monkeypatch, scheme, kernel, epsilon):
+def test_path_counts_every_solve(monkeypatch, scheme, kernel, epsilon, dims, seed):
     # the rows run in this process, where the counting solver sees each call
     calls = counting_solver(monkeypatch)
-    rows, paths = zip(*in_process_rows((kernel, scheme, epsilon, 128), [8, 32], 3))
+    rows, paths = zip(*in_process_rows((kernel, scheme, epsilon, 128), dims, seed))
     study = scaling.ScalingResult(kernel, scheme, epsilon, rows, None, None, paths)
     assert calls[0] > len(rows) and path_solves(study) == calls[0]
     for path in paths:  # passes are numbered in order, from 0
@@ -99,17 +102,19 @@ def test_path_counts_every_solve(monkeypatch, scheme, kernel, epsilon):
 
 
 def test_benchmark_study_solves_at_most_eleven():
-    # the benchmark's scaling workload at seed 1; an all-exact bisection solves 19
+    # the benchmark's scaling workload at seed 1 solves 7 (9 when the search
+    # bisected theta in log space); an all-exact search solves 12
     study = run_scaling_study("euler", [8, 32], epsilon=0.33, seed=1,
                               replicas=1024)
-    assert 2 < path_solves(study) <= 11
+    assert 2 < path_solves(study) <= 7
 
 
 @BISECTING
-def test_passes_of_many_thetas_change_no_row(monkeypatch, scheme, kernel, epsilon):
-    # one theta per pass is the plain bisection, measured in its own order
+def test_passes_of_many_thetas_change_no_row(monkeypatch, scheme, kernel, epsilon, dims,
+                                             seed):
+    # one n per pass is the plain search, measured in its own order
     def study():
-        return run_scaling_study(scheme, [8, 32], epsilon=epsilon, seed=3,
+        return run_scaling_study(scheme, dims, epsilon=epsilon, seed=seed,
                                  kernel=kernel, replicas=128)
 
     batched = study()
@@ -119,10 +124,10 @@ def test_passes_of_many_thetas_change_no_row(monkeypatch, scheme, kernel, epsilo
     assert [dataclasses.asdict(r) for r in batched.rows] == [
         dataclasses.asdict(r) for r in plain.rows]
     assert (batched.slope, batched.slope_stderr) == (plain.slope, plain.slope_stderr)
-    # the same thetas, decided alike, in fewer passes
-    assert [[(s.theta, s.decision, s.within_budget) for s in path]
+    # the same n, decided alike, in fewer passes
+    assert [[(s.steps, s.decision, s.within_budget) for s in path]
             for path in batched.bisection] == [
-        [(s.theta, s.decision, s.within_budget) for s in path] for path in plain.bisection]
+        [(s.steps, s.decision, s.within_budget) for s in path] for path in plain.bisection]
     assert all(path[-1].pass_index == len(path) - 1 for path in plain.bisection)
     assert any(path[-1].pass_index < len(path) - 1 for path in batched.bisection)
 
@@ -218,13 +223,13 @@ def test_study_equals_its_rows_run_in_process(monkeypatch, cpus):
     assert built == (dims if cpus == 1 else [])
     rows, paths = zip(*in_process_rows(("metropolis", "leapfrog", 0.001, 64), dims, 3))
     assert repr(study.rows) == repr(rows) and repr(study.bisection) == repr(paths)
-    assert any(len(path) > 1 for path in paths)  # some row bisects
+    assert any(len(path) > 1 for path in paths)  # some row searches past n = 1
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_failing_row_raises_the_serial_message(monkeypatch, cpus):
-    # both rows exhaust the halving ladder; the first in dims order is reported,
-    # and no worker outlives the call
+    # both rows reach the step cap; the first in dims order is reported, and no
+    # worker outlives the call
     monkeypatch.setattr(scaling, "_usable_cpus", lambda: cpus)
     with pytest.raises(ScalingError) as serial:
         in_process_rows(("unadjusted", "euler", 0.001, 16), [2], 2)
@@ -246,5 +251,66 @@ def test_every_error_survives_a_pickle_round_trip():
         todo += cls.__subclasses__()
     assert ScalingError in found and len(found) >= 9
     for cls in found:
-        err = pickle.loads(pickle.dumps(cls("theta bisection exhausted")))
-        assert type(err) is cls and str(err) == "theta bisection exhausted"
+        err = pickle.loads(pickle.dumps(cls("step search reached the cap")))
+        assert type(err) is cls and str(err) == "step search reached the cap"
+
+
+@pytest.mark.parametrize("scheme", ["euler", "leapfrog"])
+def test_step_theta_counts_n_both_ways(scheme):
+    # at the study's T the plain (T/n)^k is counted n + 1 by ceil(T/theta^(1/k))
+    # at 158 of these n, the first at n = 15
+    T = default_integration_time(make_gaussian([1.0]))
+    k = IntegratorSpec(scheme).order
+    assert math.ceil(T / ((T / 15) ** k) ** (1.0 / k)) == 16
+    for n in range(1, 2**12):
+        theta = scaling._step_theta(n, T, k)
+        assert math.ceil(T / theta ** (1.0 / k)) == n
+        assert IntegratorSpec(scheme, theta=theta, T=T).oracle_steps == n
+        assert theta ** (1.0 / k) <= T
+    cap = scaling._step_theta(MAX_ORACLE_STEPS, T, k)
+    assert IntegratorSpec(scheme, theta=cap, T=T).oracle_steps == MAX_ORACLE_STEPS
+
+
+def synthetic_row(monkeypatch, passes, scheme="euler"):
+    """A row at d = 1 whose W1 decision is ``passes(n)``, with no chain run: its
+    'endpoints' are n itself and no bound decides.  Returns (row, path)."""
+    monkeypatch.setattr(scaling, "_endpoints", lambda pot, kernel, scheme, thetas, T, *rest: [
+        IntegratorSpec(scheme, theta=theta, T=T).oracle_steps for theta in thetas])
+    monkeypatch.setattr(scaling, "metrics", types.SimpleNamespace(
+        w1_assignment=lambda a, b: 0.0, cdist=lambda n, ref: n,
+        matching_cost=lambda cost, cols: math.inf, dual_prices=lambda cost: None,
+        w1_lower_bound=lambda duals: -math.inf,
+        assignment=lambda n, ref, cost, duals=None: (0.0 if passes(n) else 1.0, None)))
+    return scaling._run_row("unadjusted", scheme, 0.5, 2, 1, 0)
+
+
+@pytest.mark.parametrize("scheme", ["euler", "leapfrog"])
+def test_search_finds_the_least_passing_n(monkeypatch, scheme):
+    for target in [*range(1, 301), 2**10, 2**10 + 1, 2**15 - 1, MAX_ORACLE_STEPS]:
+        row, path = synthetic_row(monkeypatch, lambda n: n >= target, scheme)
+        assert row.oracle_steps == target
+        assert all((s.steps >= target) == s.within_budget for s in path)
+        assert len({s.steps for s in path}) == len(path)
+        # doubling to the first passing n, then bisecting below it
+        doublings = math.ceil(math.log2(target))
+        assert len(path) <= 2 * doublings + 1
+        assert path[-1].pass_index + 1 <= math.log2(target) + 3
+
+
+def test_non_monotone_search_ends_at_adjacent_n(monkeypatch):
+    # passes at a random set of n below 400 and at every n from 400 on
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        passing = set(rng.integers(1, 400, size=rng.integers(0, 60)).tolist())
+        row, path = synthetic_row(monkeypatch, lambda n: n in passing or n >= 400)
+        decided = {s.steps: s.within_budget for s in path}
+        n = row.oracle_steps
+        assert decided[n] and (n in passing or n >= 400)
+        assert n == 1 or decided[n - 1] is False
+
+
+def test_step_cap_raises_a_scaling_error(monkeypatch):
+    with pytest.raises(ScalingError, match=(
+            f"^step search reached the cap of {MAX_ORACLE_STEPS} oracle steps at d=1 "
+            "without reaching the W1 budget 0.5$")):
+        synthetic_row(monkeypatch, lambda n: False, "leapfrog")
