@@ -1,16 +1,14 @@
-"""Distance estimators and convergence diagnostics.
+"""Wasserstein-1 distances between equal-weight empirical measures.
 
-Wasserstein-1 between equal-weight empirical measures is computed exactly:
-by sorting in one dimension and by an exact minimum-cost perfect matching
-in general, which starts from the duals of ``dual_prices``.  The sliced
-variant is a scalable lower-bound surrogate.  scipy is imported by the
-functions that call it, so a run that measures no distance never loads it.
+W1 is computed exactly: by sorting in one dimension and by an exact
+minimum-cost perfect matching in general, which starts from the duals of
+``dual_prices`` and returns W1 alone.  Those duals also bound W1 from
+below (``w1_lower_bound``) without a solve.  The sliced variant is a
+scalable lower-bound surrogate.  scipy is imported by the functions that
+call it, so a run that measures no distance never loads it.
 """
 
 from __future__ import annotations
-
-import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +19,6 @@ GEMM_MIN_DIM = 16
 # rows per block of the dual column minima and of the matched costs: 32 x n
 # and 32 x 32 temporaries, not a second n x n array
 BLOCK_ROWS = 32
-MOMENT_Z_LIMIT = 5.0
 
 
 class MetricError(ConvexHMCError, ValueError):
@@ -55,7 +52,7 @@ def w1_assignment(a, b) -> float:
         raise MetricError(f"assignment solver capped at n <= {ASSIGNMENT_GUARD}, got {pa.shape[0]}")
     from scipy.spatial import distance
 
-    return assignment(pa, pb, distance.cdist(pa, pb))[0]
+    return assignment(pa, pb, distance.cdist(pa, pb))
 
 
 def cdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -74,8 +71,8 @@ def cdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def assignment(a: np.ndarray, b: np.ndarray, cost: np.ndarray,
-               duals: tuple | None = None) -> tuple[float, np.ndarray]:
-    """Exact W1 of the (n, d) batches a, b and its optimal matching (row i -> cols[i]).
+               duals: tuple | None = None) -> float:
+    """Exact W1 of the (n, d) batches a, b.
 
     ``cost`` must hold ``cdist(a, b)`` and ``duals``, if given, its
     ``dual_prices``.  The solve leaves the reduced costs ``c - u[:, None] - v``
@@ -97,7 +94,8 @@ def assignment(a: np.ndarray, b: np.ndarray, cost: np.ndarray,
     matched = np.concatenate([
         distance.cdist(a[start:start + BLOCK_ROWS], b[cols[start:start + BLOCK_ROWS]]).diagonal()
         for start in range(0, len(cols), BLOCK_ROWS)])
-    return float(np.sort(matched).mean()), cols  # summed as matching_cost sums
+    # summing in sorted order makes W1 invariant under swapping the two batches
+    return float(np.sort(matched).mean())
 
 
 def linear_sum_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -105,13 +103,6 @@ def linear_sum_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     from scipy.optimize import linear_sum_assignment as solve
 
     return solve(cost)
-
-
-def matching_cost(cost: np.ndarray, cols: np.ndarray) -> float:
-    """Mean cost of the matching row i -> cols[i]: an upper bound on W1."""
-    # summing the matched costs in sorted order makes the value invariant
-    # under swapping the two batches
-    return float(np.sort(cost[np.arange(cost.shape[0]), cols]).mean())
 
 
 def dual_prices(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -150,71 +141,3 @@ def w1_sliced(a, b, directions: int, seed: int) -> float:
         u /= np.linalg.norm(u)
         best = max(best, w1_exact_1d(pa @ u, pb @ u))
     return best
-
-
-def integrated_autocorr_time(x: np.ndarray) -> float:
-    """Geyer initial-monotone-sequence estimate of the autocorrelation time."""
-    x = np.ravel(np.asarray(x, dtype=float))
-    n = x.size
-    if n < 8:
-        return 1.0
-    x = x - x.mean()
-    var = float(x @ x) / n
-    if var == 0.0:
-        return float(n)  # a constant series carries a single effective sample
-    nfft = 1 << (2 * n - 1).bit_length()
-    f = np.fft.rfft(x, nfft)
-    acov = np.fft.irfft(f * np.conj(f), nfft)[:n].real / n
-    rho = acov / acov[0]
-    # pair sums Gamma_k = rho_{2k} + rho_{2k+1}, truncated at the first
-    # nonpositive pair and forced monotone (Geyer's initial sequence)
-    m = n // 2
-    pairs = rho[0 : 2 * m : 2] + rho[1 : 2 * m : 2]
-    stop = np.argmax(pairs <= 0.0) if np.any(pairs <= 0.0) else len(pairs)
-    pairs = np.minimum.accumulate(pairs[:stop]) if stop else pairs[:0]
-    tau = 2.0 * float(np.sum(pairs)) - 1.0
-    return max(1.0, tau)
-
-
-def effective_sample_size(x: np.ndarray) -> float:
-    x = np.ravel(np.asarray(x, dtype=float))
-    return x.size / integrated_autocorr_time(x)
-
-
-@dataclass(frozen=True)
-class MomentTestResult:
-    passed: bool
-    z_mean: np.ndarray
-    z_var: np.ndarray
-
-
-def gaussian_moment_test(trace, eigs, burn_in: int) -> MomentTestResult:
-    """Check per-coordinate mean and variance against N(0, 1/lambda).
-
-    z-scores use autocorrelation-adjusted effective sample sizes; the test
-    passes iff every |z| < ``MOMENT_Z_LIMIT``.
-    """
-    states = np.asarray(getattr(trace, "states", trace), dtype=float)
-    if states.ndim == 1:
-        states = states[:, None]
-    if burn_in < 0 or burn_in >= states.shape[0]:
-        raise MetricError(f"burn_in must lie in [0, {states.shape[0] - 1}], got {burn_in}")
-    eigs = np.atleast_1d(np.asarray(eigs, dtype=float))
-    if eigs.size != states.shape[1]:
-        raise MetricError(f"got {eigs.size} eigenvalues for {states.shape[1]} coordinates")
-    x = states[burn_in:]
-    z_mean = np.empty(x.shape[1])
-    z_var = np.empty(x.shape[1])
-    for j in range(x.shape[1]):
-        col = x[:, j]
-        target_var = 1.0 / eigs[j]
-        ess_mean = effective_sample_size(col)
-        sample_var = float(np.var(col))
-        se_mean = math.sqrt(max(sample_var, 1e-300) / ess_mean)
-        z_mean[j] = float(col.mean()) / se_mean
-        centered_sq = (col - col.mean()) ** 2
-        ess_var = effective_sample_size(centered_sq)
-        se_var = target_var * math.sqrt(2.0 / ess_var)
-        z_var[j] = (sample_var - target_var) / se_var
-    passed = bool(np.all(np.abs([z_mean, z_var]) < MOMENT_Z_LIMIT))
-    return MomentTestResult(passed=passed, z_mean=z_mean, z_var=z_var)

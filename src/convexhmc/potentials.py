@@ -17,10 +17,6 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-# relative slack on the m2 and M2 bands before a secant ratio counts as a violation
-CONVEXITY_REL_TOL = 1e-7
-
-
 class ConvexHMCError(Exception):
     """Base of every error convexhmc raises on bad input or failed numerics."""
 
@@ -60,20 +56,6 @@ class SeparablePotential(Potential):
     """A potential that splits into independent blocks of equal dimension."""
 
     block_dim: int = 1
-
-
-@dataclass(frozen=True)
-class ConvexityReport:
-    pairs: int
-    worst_lower: float
-    worst_upper: float
-    violations: int
-    m2: float
-    M2: float
-
-    @property
-    def passed(self) -> bool:
-        return self.violations == 0
 
 
 def make_gaussian(precision_eigenvalues: Sequence[float]) -> Potential:
@@ -256,36 +238,3 @@ def uniform_ball(rng: np.random.Generator, n: int, dim: int, radius: float) -> n
     g /= np.linalg.norm(g, axis=1, keepdims=True)
     r = radius * rng.random(n) ** (1.0 / dim)
     return g * r[:, None]
-
-
-def validate_convexity(pot: Potential, samples: int, radius: float,
-                       seed: int) -> ConvexityReport:
-    """Empirically check both strong-convexity inequalities on random pairs.
-
-    Draws pairs inside the ball of the given radius and records the worst
-    observed secant ratios <U'(x)-U'(y), x-y>/|x-y|^2 (must stay >= m2) and
-    |U'(x)-U'(y)|/|x-y| (must stay <= M2).  Out-of-band ratios are counted
-    as violations, never raised.
-    """
-    if samples < 1:
-        raise PotentialError(f"samples must be >= 1, got {samples}")
-    rng = np.random.default_rng(seed)
-    xs = uniform_ball(rng, samples, pot.dim, radius)
-    ys = uniform_ball(rng, samples, pot.dim, radius)
-    delta = xs - ys
-    norms = np.linalg.norm(delta, axis=1)
-    keep = norms > 1e-12
-    xs, ys, delta, norms = xs[keep], ys[keep], delta[keep], norms[keep]
-    dg = pot.gradient(xs) - pot.gradient(ys)
-    lower = np.einsum("ij,ij->i", dg, delta) / norms**2
-    upper = np.linalg.norm(dg, axis=1) / norms
-    violations = int(np.sum(lower < pot.m2 * (1.0 - CONVEXITY_REL_TOL))
-                     + np.sum(upper > pot.M2 * (1.0 + CONVEXITY_REL_TOL)))
-    return ConvexityReport(
-        pairs=int(keep.sum()),
-        worst_lower=float(lower.min()) if lower.size else float("nan"),
-        worst_upper=float(upper.max()) if upper.size else float("nan"),
-        violations=violations,
-        m2=pot.m2,
-        M2=pot.M2,
-    )

@@ -19,13 +19,11 @@ The search measures n = 1, then doubles n until one passes, then bisects
 the integers between the last failing and the first passing n until the
 two are adjacent; the passing one is the row's n.  It only asks whether
 the excess is within the budget, so each n is decided from its cost matrix
-in three tries: a matching already solved in the row, applied to the new
-costs, bounds W1 from above and can decide a pass; the double c-transform
-dual bounds it from below and can decide a fail; only when neither clears
-floor + epsilon by the relative margin BOUND_MARGIN does the exact
-assignment solver run, from those duals, and its matching joins the row's
-list.  The accepted n's excess is then solved exactly, so every decision
-and every reported number equals an all-exact run.
+in two tries: the double c-transform dual bounds W1 from below and can
+decide a fail; only when it does not clear floor + epsilon by the relative
+margin BOUND_MARGIN does the exact assignment solver run, from those duals.
+Every pass is thus solved exactly, the accepted n's included, so every
+decision and every reported number equals an all-exact run.
 
 The n are decided in that order but measured in passes over the chain's
 seeded stream that draw each step's momenta once: n = 1 alone, then the
@@ -91,9 +89,8 @@ class ScalingRow:
 class BisectionStep:
     """One oracle-step count n a row measured, at theta_n = (T/n)^k, in the order
     the search decided them: the endpoint pass (0, 1, ...) that computed its
-    batch, and what decided whether its excess is within the budget: an earlier
-    matching's cost (``upper_bound``), the dual bound (``lower_bound``) or the
-    solver (``exact``)."""
+    batch, and what decided whether its excess is within the budget: the dual
+    bound (``lower_bound``) or the solver (``exact``)."""
 
     steps: int
     pass_index: int
@@ -164,17 +161,11 @@ def _run_row(kernel: str, scheme: str, epsilon: float, replicas: int, dim: int,
     floor = metrics.w1_assignment(ref2, ref)
     budget = floor + epsilon
     chain_seed = seed * 7 + 3
-    matchings = []  # optimal matchings solved in this row
     batches = {}  # the last pass's batches by n
     path = []
 
-    def decide(n, new_pass, decision, passed):
-        pass_index = path[-1].pass_index + new_pass if path else 0
-        path.append(BisectionStep(n, pass_index, decision, bool(passed)))
-        return passed
-
     def measure(ns):
-        """(ns[0] within budget, exact excess or None if a bound decided, ends); an n
+        """The excess of ns[0], inf where the dual bound decides a fail; an n
         outside the last pass starts a new one with all of ``ns``."""
         n, new_pass = ns[0], ns[0] not in batches
         if new_pass:
@@ -184,16 +175,14 @@ def _run_row(kernel: str, scheme: str, epsilon: float, replicas: int, dim: int,
                                               T, steps, replicas, chain_seed)))
         ends = batches[n]
         cost = metrics.cdist(ends, ref)
-        if matchings and min(metrics.matching_cost(cost, cols)
-                             for cols in matchings) <= budget * (1.0 - BOUND_MARGIN):
-            return decide(n, new_pass, "upper_bound", True), None, ends
         duals = metrics.dual_prices(cost)
         if metrics.w1_lower_bound(duals) >= budget * (1.0 + BOUND_MARGIN):
-            return decide(n, new_pass, "lower_bound", False), None, ends
-        w1, cols = metrics.assignment(ends, ref, cost, duals)
-        matchings.append(cols)
-        excess = w1 - floor
-        return decide(n, new_pass, "exact", excess <= epsilon), excess, ends
+            excess, decision = math.inf, "lower_bound"
+        else:
+            excess, decision = metrics.assignment(ends, ref, cost, duals) - floor, "exact"
+        pass_index = path[-1].pass_index + new_pass if path else 0
+        path.append(BisectionStep(n, pass_index, decision, bool(excess <= epsilon)))
+        return excess
 
     fail, ok = 0, None  # the last n that failed and the first that passed
     while ok is None or ok - fail > 1:
@@ -205,13 +194,11 @@ def _run_row(kernel: str, scheme: str, epsilon: float, replicas: int, dim: int,
         else:
             raise ScalingError(f"step search reached the cap of {MAX_ORACLE_STEPS} oracle steps "
                                f"at d={dim} without reaching the W1 budget {epsilon}")
-        passed, *accepted = measure(ns)
-        if passed:
-            ok, (excess, ends) = ns[0], accepted
+        excess_n = measure(ns)
+        if excess_n <= epsilon:
+            ok, excess = ns[0], excess_n
         else:
             fail = ns[0]
-    if excess is None:
-        excess = metrics.assignment(ends, ref, metrics.cdist(ends, ref))[0] - floor
     spec = IntegratorSpec(scheme, theta=_step_theta(ok, T, order), T=T)
     per_chain = spec.gradient_evals * steps
     return ScalingRow(

@@ -6,10 +6,10 @@ import pytest
 
 from convexhmc import (ConvexHMCError, GoodSetSpec, IntegratorSpec, KernelSpec, PhasePoint,
                        Potential, build_rounding, contraction_certificate, couple_synchronous,
-                       drift_check, gaussian_moment_test, good_set_statistics, hessian_at,
-                       make_gaussian, make_perturbed_quadratic, make_ridge_logistic,
-                       make_separable, metropolis_step, run_scaling_study, validate_convexity,
-                       verify_rounding, w1_exact_1d, w1_sliced)
+                       drift_check, good_set_statistics, hessian_at, make_gaussian,
+                       make_perturbed_quadratic, make_ridge_logistic, make_separable,
+                       metropolis_step, run_scaling_study, verify_rounding, w1_exact_1d,
+                       w1_sliced)
 from convexhmc.config import ConfigError, write_csv
 from convexhmc.coupling import CouplingError
 from convexhmc.integrators import IntegratorError
@@ -18,6 +18,7 @@ from convexhmc.metrics import MetricError
 from convexhmc.potentials import PotentialError
 from convexhmc.precondition import PreconditionError
 from convexhmc.scaling import ScalingError
+from oracles import gaussian_moment_test, validate_convexity
 
 GAUSS = make_gaussian([1.0, 4.0])
 LEAPFROG = KernelSpec("metropolis", IntegratorSpec("leapfrog", theta=0.01, T=0.5))

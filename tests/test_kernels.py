@@ -6,12 +6,12 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from convexhmc import (CostLedger, IntegratorSpec, KernelSpec, PhasePoint,
-                       carry, default_integration_time, effective_sample_size,
-                       gaussian_moment_test, ideal_step, integrate, make_gaussian,
+                       carry, default_integration_time, ideal_step, integrate, make_gaussian,
                        make_perturbed_quadratic, metropolis_step, run_chain, stepper,
                        update_sequence)
 from convexhmc.integrators import linear_flow
 from convexhmc.kernels import _PY_VALUES, KernelError
+from oracles import effective_sample_size, gaussian_moment_test
 from test_integrators import counted, hidden
 
 UNIT = make_gaussian([1.0])

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from convexhmc import (PotentialError, make_gaussian, make_perturbed_quadratic,
-                       make_ridge_logistic, make_separable, validate_convexity)
+                       make_ridge_logistic, make_separable)
+from oracles import validate_convexity
 
 
 def fd_gradient(pot, x, h=1e-6):

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from convexhmc import (IntegratorSpec, KernelSpec, Potential, build_rounding,
-                       default_integration_time, effective_sample_size, hessian_at,
-                       make_gaussian, make_perturbed_quadratic, run_chain,
-                       transform_potential, verify_rounding)
+                       default_integration_time, hessian_at, make_gaussian,
+                       make_perturbed_quadratic, run_chain, transform_potential,
+                       verify_rounding)
 from convexhmc.precondition import PreconditionError
+from oracles import effective_sample_size
 
 
 def quadratic_potential(matrix):

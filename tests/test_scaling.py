@@ -32,14 +32,8 @@ def counting_solver(monkeypatch):
 
 def path_solves(study):
     """Exact assignment solves read off a study's search paths: each row's
-    floor, each n the solver decided, and the accepted n's excess when a bound
-    decided it."""
-    solves = 0
-    for row, path in zip(study.rows, study.bisection):
-        accepted, = (step for step in path if step.steps == row.oracle_steps)
-        solves += 1 + sum(step.decision == "exact" for step in path)
-        solves += accepted.decision != "exact"
-    return solves
+    floor and each n the solver decided."""
+    return sum(1 + sum(step.decision == "exact" for step in path) for path in study.bisection)
 
 
 def in_process_rows(study_args, dims, seed):
@@ -48,9 +42,8 @@ def in_process_rows(study_args, dims, seed):
 
 
 def uninformative_bounds(monkeypatch):
-    """Makes the study see bounds that never decide, so every n is solved exactly."""
+    """Makes the study see a bound that never decides, so every n is solved exactly."""
     exact_only = types.SimpleNamespace(**{**vars(metrics),
-                                          "matching_cost": lambda cost, cols: math.inf,
                                           "w1_lower_bound": lambda cost: -math.inf})
     monkeypatch.setattr(scaling, "metrics", exact_only)
 
@@ -83,7 +76,10 @@ def test_bounds_change_no_row(monkeypatch, scheme, kernel, epsilon, dims, seed):
     assert {step.decision for path in exact.bisection for step in path} == {"exact"}
     assert [[(s.steps, s.within_budget) for s in path] for path in bounded.bisection] == [
         [(s.steps, s.within_budget) for s in path] for path in exact.bisection]
-    assert path_solves(bounded) < path_solves(exact)
+    # each n the lower bound decides is one solve fewer, and only those: 7 on
+    # the Euler case, none on the leapfrog ones
+    decided = sum(s.decision == "lower_bound" for path in bounded.bisection for s in path)
+    assert path_solves(exact) - path_solves(bounded) == decided
     # a bisection: every n within the budget is at least the accepted one, every other below it
     for row, path in zip(bounded.rows, bounded.bisection):
         assert all((s.steps >= row.oracle_steps) == s.within_budget for s in path)
@@ -101,7 +97,7 @@ def test_path_counts_every_solve(monkeypatch, scheme, kernel, epsilon, dims, see
         assert all(b.pass_index - a.pass_index in (0, 1) for a, b in zip(path, path[1:]))
 
 
-def test_benchmark_study_solves_at_most_eleven():
+def test_benchmark_study_solves_at_most_seven():
     # the benchmark's scaling workload at seed 1 solves 7 (9 when the search
     # bisected theta in log space); an all-exact search solves 12
     study = run_scaling_study("euler", [8, 32], epsilon=0.33, seed=1,
@@ -159,9 +155,8 @@ def test_one_pass_endpoints_equal_one_theta_passes(flow, dim, replicas, steps, s
 
 
 def test_duals_computed_once_per_cost_matrix(monkeypatch):
-    # each theta that reaches the lower bound prices its cost matrix once, and
-    # its exact solve starts from those prices; beyond those, a row prices its
-    # floor and, when a bound decided it, its accepted theta's final solve
+    # each n prices its cost matrix once, for the lower bound, and its exact
+    # solve starts from those prices; beyond those, a row prices its floor
     priced, bounds = [], [0]
 
     def dual_prices(cost, inner=metrics.dual_prices):
@@ -178,7 +173,7 @@ def test_duals_computed_once_per_cost_matrix(monkeypatch):
     dims = [8, 32]
     in_process_rows(("unadjusted", "euler", 0.1, 128), dims, 3)
     assert calls[0] > len(dims)  # some theta was solved exactly
-    assert bounds[0] + len(dims) <= len(priced) <= bounds[0] + 2 * len(dims)
+    assert len(priced) == bounds[0] + len(dims)
     assert len(set(priced)) == len(priced)
 
 
@@ -273,14 +268,13 @@ def test_step_theta_counts_n_both_ways(scheme):
 
 def synthetic_row(monkeypatch, passes, scheme="euler"):
     """A row at d = 1 whose W1 decision is ``passes(n)``, with no chain run: its
-    'endpoints' are n itself and no bound decides.  Returns (row, path)."""
+    'endpoints' are n itself and the bound never decides.  Returns (row, path)."""
     monkeypatch.setattr(scaling, "_endpoints", lambda pot, kernel, scheme, thetas, T, *rest: [
         IntegratorSpec(scheme, theta=theta, T=T).oracle_steps for theta in thetas])
     monkeypatch.setattr(scaling, "metrics", types.SimpleNamespace(
         w1_assignment=lambda a, b: 0.0, cdist=lambda n, ref: n,
-        matching_cost=lambda cost, cols: math.inf, dual_prices=lambda cost: None,
-        w1_lower_bound=lambda duals: -math.inf,
-        assignment=lambda n, ref, cost, duals=None: (0.0 if passes(n) else 1.0, None)))
+        dual_prices=lambda cost: None, w1_lower_bound=lambda duals: -math.inf,
+        assignment=lambda n, ref, cost, duals=None: 0.0 if passes(n) else 1.0))
     return scaling._run_row("unadjusted", scheme, 0.5, 2, 1, 0)
 
 
