@@ -114,6 +114,7 @@ def _task_certify(config, pot, base_dir):
 
 def _task_drift(config, pot, base_dir):
     spec = cfg.build_kernel_spec(config.get("kernel", {}), pot, "drift")
+    _warn_overshoot(spec)
     run = config["run"]
     report = drift_check(pot, spec, config["drift"]["radii"], run.get("replicas", 1000),
                          run["seed"])

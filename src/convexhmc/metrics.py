@@ -33,9 +33,13 @@ def _points(batch) -> np.ndarray:
 
 
 def w1_exact_1d(a, b) -> float:
-    """Exact W1 between two equal-size empirical measures on the line."""
-    a = np.ravel(np.asarray(a, dtype=float))
-    b = np.ravel(np.asarray(b, dtype=float))
+    """Exact W1 between two equal-size empirical measures on the line: each
+    batch is 1-d, or 2-d with one column."""
+    a, b = _points(a), _points(b)
+    if any(x.ndim != 2 or x.shape[1] != 1 for x in (a, b)):
+        raise MetricError(f"exact_1d needs points with one coordinate, got shapes "
+                          f"{a.shape} and {b.shape}")
+    a, b = a[:, 0], b[:, 0]
     if a.size != b.size:
         raise MetricError(f"sample sizes differ: {a.size} vs {b.size}")
     if a.size == 0:

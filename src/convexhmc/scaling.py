@@ -22,14 +22,10 @@ the excess is within the budget, so each n is decided from its cost matrix
 in two tries: the double c-transform dual bounds W1 from below and can
 decide a fail; only when it does not clear floor + epsilon by the relative
 margin BOUND_MARGIN does the exact assignment solver run, from those duals.
-Every pass is thus solved exactly, the accepted n's included, so every
-decision and every reported number equals an all-exact run.
-
-The n are decided in that order but measured in passes over the chain's
-seeded stream that draw each step's momenta once: n = 1 alone, then the
-next ``LADDER_WIDTH`` doublings or every midpoint of the next
-``REFINE_LEVELS`` bisection levels, at most 7 n (14.7 MB of endpoints at
-d = 256 and 1,024 replicas), each bit for bit its own run.
+So every decision and every reported number equals an all-exact run.
+A row draws its chain's momenta (and Metropolis uniforms) once, as one
+seeded stream, and runs each n on those draws: I x replicas x d floats,
+105 MB at d = 256 and 1,024 replicas.
 
 Rows are independent (row i is seeded with seed + i), so they run side by
 side in forked workers, one per usable CPU (the process's affinity mask) and
@@ -38,7 +34,7 @@ at most one per row, the largest d first; with one usable CPU, or where
 count.  Results, and the first failing row's error, come back in dims order,
 so every output equals a serial run's.  The rows' arrays live in the workers,
 so this process's own peak RSS does not include them.  Each row returns its
-search path, every measured n with its pass and decision, which is where a
+search path, every measured n with its decision, which is where a
 worker's measurements are counted.
 """
 
@@ -60,7 +56,6 @@ from .potentials import ConvexHMCError, Potential, make_gaussian
 # a bound decides an n only when it clears floor + epsilon by this relative
 # margin, far above float rounding, so it never flips an exact decision
 BOUND_MARGIN = 1e-9
-LADDER_WIDTH, REFINE_LEVELS = 4, 3  # n per pass: doublings, bisection levels
 # the 50 in the chain length I of the module docstring
 MIN_CHAIN_STEPS = 50
 STUDY_KERNELS = ("unadjusted", "metropolis")
@@ -88,12 +83,10 @@ class ScalingRow:
 @dataclass(frozen=True)
 class BisectionStep:
     """One oracle-step count n a row measured, at theta_n = (T/n)^k, in the order
-    the search decided them: the endpoint pass (0, 1, ...) that computed its
-    batch, and what decided whether its excess is within the budget: the dual
-    bound (``lower_bound``) or the solver (``exact``)."""
+    the search decided them, and what decided whether its excess is within the
+    budget: the dual bound (``lower_bound``) or the solver (``exact``)."""
 
     steps: int
-    pass_index: int
     decision: str
     within_budget: bool
 
@@ -116,18 +109,14 @@ def chain_length(pot: Potential, epsilon: float) -> int:
     return max(MIN_CHAIN_STEPS, math.ceil(ratio**2 * math.log(ratio / epsilon)))
 
 
-def _endpoints(pot: Potential, kernel: str, scheme: str, thetas: Sequence[float],
-               T: float, steps: int, replicas: int, seed: int) -> list:
-    """The chain's endpoints at each of ``thetas``, each step's draws shared."""
-    moves = [stepper(pot, KernelSpec(kernel, IntegratorSpec(scheme, theta=t, T=T))) for t in thetas]
-    rng = np.random.default_rng(seed)
-    xs, carried = [np.zeros((replicas, pot.dim)) for _ in thetas], [None] * len(thetas)
-    for _ in range(steps):
-        p = rng.standard_normal((replicas, pot.dim))
-        u = rng.random(replicas) if kernel == "metropolis" else None
-        for k, move in enumerate(moves):
-            xs[k], _, _, carried[k] = move(xs[k], p, u, carried[k])
-    return xs
+def _endpoints(pot: Potential, kernel: str, scheme: str, theta: float, T: float,
+               draws: list) -> np.ndarray:
+    """The chain's endpoints at ``theta`` from 0 on ``draws``, one (p, u) per step."""
+    move = stepper(pot, KernelSpec(kernel, IntegratorSpec(scheme, theta=theta, T=T)))
+    x, carried = np.zeros_like(draws[0][0]), None
+    for p, u in draws:
+        x, _, _, carried = move(x, p, u, carried)
+    return x
 
 
 def _step_theta(n: int, T: float, order: int) -> float:
@@ -137,15 +126,6 @@ def _step_theta(n: int, T: float, order: int) -> float:
     while math.ceil(T / theta ** (1.0 / order)) > n:
         theta = math.nextafter(theta, math.inf)
     return theta
-
-
-def _midpoints(fail: int, ok: int, levels: int) -> list:
-    """``levels`` levels of integer bisection midpoints strictly between a failing
-    and a passing n: first, pass side, fail side."""
-    if not levels or ok - fail < 2:
-        return []
-    mid = (fail + ok) // 2
-    return [mid, *_midpoints(fail, mid, levels - 1), *_midpoints(mid, ok, levels - 1)]
 
 
 def _run_row(kernel: str, scheme: str, epsilon: float, replicas: int, dim: int,
@@ -160,45 +140,34 @@ def _run_row(kernel: str, scheme: str, epsilon: float, replicas: int, dim: int,
                  for k in (1, 2))
     floor = metrics.w1_assignment(ref2, ref)
     budget = floor + epsilon
-    chain_seed = seed * 7 + 3
-    batches = {}  # the last pass's batches by n
+    rng = np.random.default_rng(seed * 7 + 3)
+    draws = [(rng.standard_normal((replicas, dim)),
+              rng.random(replicas) if kernel == "metropolis" else None) for _ in range(steps)]
     path = []
 
-    def measure(ns):
-        """The excess of ns[0], inf where the dual bound decides a fail; an n
-        outside the last pass starts a new one with all of ``ns``."""
-        n, new_pass = ns[0], ns[0] not in batches
-        if new_pass:
-            batches.clear()
-            batches.update(zip(ns, _endpoints(pot, kernel, scheme,
-                                              [_step_theta(m, T, order) for m in ns],
-                                              T, steps, replicas, chain_seed)))
-        ends = batches[n]
+    def measure(n):
+        """The excess of n, inf where the dual bound decides a fail."""
+        ends = _endpoints(pot, kernel, scheme, _step_theta(n, T, order), T, draws)
         cost = metrics.cdist(ends, ref)
         duals = metrics.dual_prices(cost)
         if metrics.w1_lower_bound(duals) >= budget * (1.0 + BOUND_MARGIN):
             excess, decision = math.inf, "lower_bound"
         else:
             excess, decision = metrics.assignment(ends, ref, cost, duals) - floor, "exact"
-        pass_index = path[-1].pass_index + new_pass if path else 0
-        path.append(BisectionStep(n, pass_index, decision, bool(excess <= epsilon)))
+        path.append(BisectionStep(n, decision, bool(excess <= epsilon)))
         return excess
 
     fail, ok = 0, None  # the last n that failed and the first that passed
     while ok is None or ok - fail > 1:
-        if ok is not None:
-            ns = _midpoints(fail, ok, REFINE_LEVELS)
-        elif fail < MAX_ORACLE_STEPS:
-            ns = [n for n in (fail << j for j in range(1, LADDER_WIDTH + 1))
-                  if n <= MAX_ORACLE_STEPS] if fail else [1]
-        else:
+        if ok is None and fail >= MAX_ORACLE_STEPS:
             raise ScalingError(f"step search reached the cap of {MAX_ORACLE_STEPS} oracle steps "
                                f"at d={dim} without reaching the W1 budget {epsilon}")
-        excess_n = measure(ns)
+        n = (fail + ok) // 2 if ok else 2 * fail or 1
+        excess_n = measure(n)
         if excess_n <= epsilon:
-            ok, excess = ns[0], excess_n
+            ok, excess = n, excess_n
         else:
-            fail = ns[0]
+            fail = n
     spec = IntegratorSpec(scheme, theta=_step_theta(ok, T, order), T=T)
     per_chain = spec.gradient_evals * steps
     return ScalingRow(

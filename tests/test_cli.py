@@ -322,15 +322,19 @@ class TestConfigValidation:
         assert code == 2
         assert err == f"ConfigError: invalid experiment config: {error}\n"
 
-    @pytest.mark.parametrize("command", ["sample", "couple"])
+    @pytest.mark.parametrize("command", ["sample", "couple", "drift"])
     def test_overshooting_step_is_reported(self, tmp_path, capsys, command):
-        # a leapfrog step sqrt(0.01) = 0.1 integrates past T = 0.088
+        # a leapfrog step sqrt(0.01) = 0.1 integrates past T = 0.088; drift's
+        # check fails at so short a T (slope near 1), so it exits 1 either way
         target = tmp_path / "target.json"
         target.write_text(json.dumps({"kind": "gaussian", "eigenvalues": [1.0, 4.0]}))
+        length = (["--radii", "1,2", "--replicas", "100"] if command == "drift"
+                  else ["--steps", "20"])
         argv = [command, "--target-config", str(target), "--kernel", "metropolis",
-                "--scheme", "leapfrog", "--T", "0.088", "--steps", "20", "--seed", "1"]
+                "--scheme", "leapfrog", "--T", "0.088", *length, "--seed", "1"]
         for theta, out in (("0.01", "long"), ("0.001", "short")):
-            assert main(argv + ["--theta", theta, "--out", str(tmp_path / out)]) == 0
+            code = main(argv + ["--theta", theta, "--out", str(tmp_path / out)])
+            assert code == (1 if command == "drift" else 0)
             captured = capsys.readouterr()
             assert captured.out == (tmp_path / out / f"{command}_summary.json").read_text()
             if theta == "0.01":
@@ -402,6 +406,24 @@ class TestDistanceCommand:
         w1 = w1_exact_1d(a, b) if method == "exact_1d" else w1_sliced(a, b, 16, 3)
         assert json.loads(printed) == {"w1": w1, "method": method, "pass": True,
                                        "task": "distance"}
+
+
+    @pytest.mark.parametrize("a, b, shapes", [
+        ("0,1\n0,1\n", "1,0\n1,0\n", "(2, 2) and (2, 2)"),
+        ("0\n1\n0\n1\n", "0,1\n0,1\n", "(4, 1) and (2, 2)"),
+    ], ids=["two-columns", "one-against-two"])
+    def test_exact_1d_refuses_points_off_the_line(self, tmp_path, capsys, monkeypatch, a, b,
+                                                  shapes):
+        # both pairs pool to the same coordinates, so pooling read W1 = 0; the
+        # first pair's assignment W1 is sqrt(2)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "a.csv").write_text(a)
+        (tmp_path / "b.csv").write_text(b)
+        one_line_error(capsys, ["distance", "a.csv", "b.csv", "--method", "exact_1d",
+                                "--out", "out"],
+                       f"MetricError: exact_1d needs points with one coordinate, got shapes "
+                       f"{shapes}\n")
+        assert sorted(os.listdir(tmp_path)) == ["a.csv", "b.csv"]
 
 
 class TestPreconditionCommands:

@@ -85,6 +85,8 @@ CHECKS = [
     # metrics
     ("w1-1d-empty", lambda _: w1_exact_1d([], []),
      MetricError, "samples must be nonempty"),
+    ("w1-1d-columns", lambda _: w1_exact_1d(POINTS, POINTS + [0.0, 1.0]),
+     MetricError, "exact_1d needs points with one coordinate, got shapes (3, 2) and (3, 2)"),
     ("sliced-directions", lambda _: w1_sliced(POINTS, POINTS, directions=0, seed=0),
      MetricError, "directions must be >= 1, got 0"),
     ("sliced-shapes", lambda _: w1_sliced(POINTS, np.zeros((4, 2)), 1, seed=0),

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import hashlib
 import math
@@ -92,9 +93,9 @@ def test_path_counts_every_solve(monkeypatch, scheme, kernel, epsilon, dims, see
     rows, paths = zip(*in_process_rows((kernel, scheme, epsilon, 128), dims, seed))
     study = scaling.ScalingResult(kernel, scheme, epsilon, rows, None, None, paths)
     assert calls[0] > len(rows) and path_solves(study) == calls[0]
-    for path in paths:  # passes are numbered in order, from 0
-        assert path[0].pass_index == 0
-        assert all(b.pass_index - a.pass_index in (0, 1) for a, b in zip(path, path[1:]))
+    for path in paths:  # from n = 1, each n measured once
+        assert path[0].steps == 1
+        assert len({s.steps for s in path}) == len(path)
 
 
 def test_benchmark_study_solves_at_most_seven():
@@ -105,29 +106,6 @@ def test_benchmark_study_solves_at_most_seven():
     assert 2 < path_solves(study) <= 7
 
 
-@BISECTING
-def test_passes_of_many_thetas_change_no_row(monkeypatch, scheme, kernel, epsilon, dims,
-                                             seed):
-    # one n per pass is the plain search, measured in its own order
-    def study():
-        return run_scaling_study(scheme, dims, epsilon=epsilon, seed=seed,
-                                 kernel=kernel, replicas=128)
-
-    batched = study()
-    monkeypatch.setattr(scaling, "LADDER_WIDTH", 1)
-    monkeypatch.setattr(scaling, "REFINE_LEVELS", 1)
-    plain = study()
-    assert [dataclasses.asdict(r) for r in batched.rows] == [
-        dataclasses.asdict(r) for r in plain.rows]
-    assert (batched.slope, batched.slope_stderr) == (plain.slope, plain.slope_stderr)
-    # the same n, decided alike, in fewer passes
-    assert [[(s.steps, s.decision, s.within_budget) for s in path]
-            for path in batched.bisection] == [
-        [(s.steps, s.decision, s.within_budget) for s in path] for path in plain.bisection]
-    assert all(path[-1].pass_index == len(path) - 1 for path in plain.bisection)
-    assert any(path[-1].pass_index < len(path) - 1 for path in batched.bisection)
-
-
 @settings(max_examples=40, deadline=None, database=None)
 @given(st.sampled_from([("euler", "unadjusted"), ("leapfrog", "unadjusted"),
                         ("leapfrog", "metropolis")]),
@@ -135,23 +113,47 @@ def test_passes_of_many_thetas_change_no_row(monkeypatch, scheme, kernel, epsilo
        st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=6))
 def test_one_pass_endpoints_equal_one_theta_passes(flow, dim, replicas, steps, seed,
                                                    fractions):
+    # each theta run on a row's held draws is the kernel's own chain on the
+    # seeded stream, whichever thetas ran on those draws before it
     scheme, kernel = flow
     pot = make_gaussian(np.linspace(0.5, 2.0, dim))
     T = default_integration_time(pot)
-    thetas = [f * T ** (1 if scheme == "euler" else 2) for f in fractions]
-    together = scaling._endpoints(pot, kernel, scheme, thetas, T, steps, replicas, seed)
-    assert len(together) == len(thetas)
-    for theta, ends in zip(thetas, together):
-        alone, = scaling._endpoints(pot, kernel, scheme, [theta], T, steps, replicas, seed)
-        assert ends.shape == (replicas, dim) and ends.tobytes() == alone.tobytes()
-        # and each is the kernel's own chain on the same draws
+    rng = np.random.default_rng(seed)
+    draws = [(rng.standard_normal((replicas, dim)),
+              rng.random(replicas) if kernel == "metropolis" else None) for _ in range(steps)]
+    for theta in (f * T ** (1 if scheme == "euler" else 2) for f in fractions):
+        ends = scaling._endpoints(pot, kernel, scheme, theta, T, draws)
         step = stepper(pot, KernelSpec(kernel, IntegratorSpec(scheme, theta=theta, T=T)))
         rng, x, carried = np.random.default_rng(seed), np.zeros((replicas, dim)), None
         for _ in range(steps):
             p = rng.standard_normal((replicas, dim))
             u = rng.random(replicas) if kernel == "metropolis" else None
             x, _, _, carried = step(x, p, u, carried)
-        assert ends.tobytes() == x.tobytes()
+        assert ends.shape == (replicas, dim) and ends.tobytes() == x.tobytes()
+
+
+@BISECTING
+def test_row_draws_its_chain_once(monkeypatch, scheme, kernel, epsilon, dims, seed):
+    # however many n a row measures, each chain step's momenta are drawn once;
+    # the row's two reference batches are one draw each
+    drawn = collections.Counter()
+
+    def default_rng(rng_seed, inner=np.random.default_rng):
+        rng = inner(rng_seed)
+
+        def standard_normal(*args):
+            drawn[rng_seed] += 1
+            return rng.standard_normal(*args)
+
+        return types.SimpleNamespace(standard_normal=standard_normal, random=rng.random)
+
+    monkeypatch.setattr(np.random, "default_rng", default_rng)
+    results = in_process_rows((kernel, scheme, epsilon, 128), dims, seed)
+    assert any(len(path) > 1 for _, path in results)
+    for i, (row, _) in enumerate(results):
+        row_seed = seed + i
+        assert [drawn[row_seed * 7 + k] for k in (1, 2, 3)] == [1, 1, row.chain_steps]
+    assert sum(drawn.values()) == sum(2 + row.chain_steps for row, _ in results)
 
 
 def test_duals_computed_once_per_cost_matrix(monkeypatch):
@@ -269,8 +271,8 @@ def test_step_theta_counts_n_both_ways(scheme):
 def synthetic_row(monkeypatch, passes, scheme="euler"):
     """A row at d = 1 whose W1 decision is ``passes(n)``, with no chain run: its
     'endpoints' are n itself and the bound never decides.  Returns (row, path)."""
-    monkeypatch.setattr(scaling, "_endpoints", lambda pot, kernel, scheme, thetas, T, *rest: [
-        IntegratorSpec(scheme, theta=theta, T=T).oracle_steps for theta in thetas])
+    monkeypatch.setattr(scaling, "_endpoints", lambda pot, kernel, scheme, theta, T, draws:
+                        IntegratorSpec(scheme, theta=theta, T=T).oracle_steps)
     monkeypatch.setattr(scaling, "metrics", types.SimpleNamespace(
         w1_assignment=lambda a, b: 0.0, cdist=lambda n, ref: n,
         dual_prices=lambda cost: None, w1_lower_bound=lambda duals: -math.inf,
@@ -288,7 +290,6 @@ def test_search_finds_the_least_passing_n(monkeypatch, scheme):
         # doubling to the first passing n, then bisecting below it
         doublings = math.ceil(math.log2(target))
         assert len(path) <= 2 * doublings + 1
-        assert path[-1].pass_index + 1 <= math.log2(target) + 3
 
 
 def test_non_monotone_search_ends_at_adjacent_n(monkeypatch):
