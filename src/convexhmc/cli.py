@@ -193,7 +193,6 @@ def _task_verify_rounding(config, pot, base_dir):
 def _task_scaling(config, pot, base_dir):
     result = run_scaling_study(seed=config["run"]["seed"], **config["scaling"])
     return {
-        "kernel": result.kernel,
         "scheme": result.scheme,
         "epsilon": result.epsilon,
         "slope": result.slope,

@@ -28,7 +28,7 @@ from .kernels import KERNEL_KINDS, KernelSpec, default_integration_time
 from .metrics import ASSIGNMENT_GUARD
 from .potentials import (ConvexHMCError, Potential, make_gaussian, make_perturbed_quadratic,
                          make_ridge_logistic, make_separable)
-from .scaling import STUDY_KERNELS, STUDY_SCHEMES
+from .scaling import STUDY_SCHEMES
 
 
 class ConfigError(ConvexHMCError, ValueError):
@@ -89,7 +89,6 @@ _FIELDS = {
     "distance.method": ("--method", {"enum": ["assignment", "sliced", "exact_1d"]}),
     "distance.directions": ("--directions", {"type": "integer", "minimum": 1}),
     "distance.seed": ("--seed", {"type": "integer", "minimum": 0}),
-    "scaling.kernel": ("--kernel", {"enum": list(STUDY_KERNELS)}),
     "scaling.scheme": ("--scheme", {"enum": list(STUDY_SCHEMES)}),
     "scaling.dims": ("--dims", {"type": "array", "items": {"type": "integer", "minimum": 1},
                                 "minItems": 1}),
@@ -112,8 +111,7 @@ TASK_FIELDS = {
                 "distance.seed",
     "precondition": "target! precondition.anchor",
     "verify_rounding": "target! precondition.anchor precondition.points_csv!",
-    "scaling": "scaling.kernel scaling.scheme! scaling.dims! scaling.epsilon scaling.replicas "
-               "run.seed!",
+    "scaling": "scaling.scheme! scaling.dims! scaling.epsilon scaling.replicas run.seed!",
 }
 
 

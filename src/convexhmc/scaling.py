@@ -1,13 +1,14 @@
 """Dimension-scaling study: gradient evaluations needed per target accuracy.
 
-For each dimension d, the study runs the chain (unadjusted by default) for
-I = max(50, ceil((M2/m2)^2 log(M2/(m2 eps)))) steps over many replicas and
-searches the smallest integer oracle-step count n whose endpoint batch is
-within the W1 budget of an exact reference sample.  Each n is run at
-theta_n = (T/n)^k, so its n steps of length theta_n^(1/k) end at T.  The
-recorded cost is the modelled count, k n gradient evaluations per replica
-and chain step, so the fitted log-log slope of gradient evaluations against
-dimension exposes the d^(1/2k) law of the k-th-order integrator.
+For each dimension d, the study runs the unadjusted chain, whose distance to
+pi the paper's step count bounds, for I = max(50, ceil((M2/m2)^2 log(M2/(m2 eps))))
+steps over many replicas and searches the smallest integer oracle-step count
+n whose endpoint batch is within the W1 budget of an exact reference sample.
+Each n is run at theta_n = (T/n)^k, so its n steps of length theta_n^(1/k)
+end at T.  The recorded cost is the modelled count, k n gradient evaluations
+per replica and chain step, so the fitted log-log slope of gradient
+evaluations against dimension exposes the d^(1/2k) law of the k-th-order
+integrator.
 
 Empirical assignment-W1 between finite batches carries a sampling floor
 that grows like sqrt(d) even for perfect samples, so the budget is applied
@@ -23,9 +24,9 @@ in two tries: the double c-transform dual bounds W1 from below and can
 decide a fail; only when it does not clear floor + epsilon by the relative
 margin BOUND_MARGIN does the exact assignment solver run, from those duals.
 So every decision and every reported number equals an all-exact run.
-A row draws its chain's momenta (and Metropolis uniforms) once, as one
-seeded stream, and runs each n on those draws: I x replicas x d floats,
-105 MB at d = 256 and 1,024 replicas.
+A row draws its chain's momenta once, as one seeded array of I batches,
+and runs each n on those draws: I x replicas x d floats, 105 MB at
+d = 256 and 1,024 replicas.
 
 Rows are independent (row i is seeded with seed + i), so they run side by
 side in forked workers, one per usable CPU (the process's affinity mask) and
@@ -49,7 +50,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .integrators import MAX_ORACLE_STEPS, IntegratorSpec
-from .kernels import KernelError, KernelSpec, default_integration_time, stepper
+from .kernels import KernelSpec, default_integration_time, stepper
 from . import metrics
 from .potentials import ConvexHMCError, Potential, make_gaussian
 
@@ -58,7 +59,6 @@ from .potentials import ConvexHMCError, Potential, make_gaussian
 BOUND_MARGIN = 1e-9
 # the 50 in the chain length I of the module docstring
 MIN_CHAIN_STEPS = 50
-STUDY_KERNELS = ("unadjusted", "metropolis")
 STUDY_SCHEMES = ("euler", "leapfrog")
 
 
@@ -95,7 +95,6 @@ class BisectionStep:
 class ScalingResult:
     """``bisection`` holds each row's path, a tuple of ``BisectionStep``, in the rows' order."""
 
-    kernel: str
     scheme: str
     epsilon: float
     rows: tuple
@@ -109,13 +108,13 @@ def chain_length(pot: Potential, epsilon: float) -> int:
     return max(MIN_CHAIN_STEPS, math.ceil(ratio**2 * math.log(ratio / epsilon)))
 
 
-def _endpoints(pot: Potential, kernel: str, scheme: str, theta: float, T: float,
-               draws: list) -> np.ndarray:
-    """The chain's endpoints at ``theta`` from 0 on ``draws``, one (p, u) per step."""
-    move = stepper(pot, KernelSpec(kernel, IntegratorSpec(scheme, theta=theta, T=T)))
-    x, carried = np.zeros_like(draws[0][0]), None
-    for p, u in draws:
-        x, _, _, carried = move(x, p, u, carried)
+def _endpoints(pot: Potential, scheme: str, theta: float, T: float,
+               momenta: np.ndarray) -> np.ndarray:
+    """The unadjusted chain's endpoints at ``theta`` from 0, one momentum batch per step."""
+    move = stepper(pot, KernelSpec("unadjusted", IntegratorSpec(scheme, theta=theta, T=T)))
+    x = np.zeros_like(momenta[0])
+    for p in momenta:
+        x = move(x, p)[0]
     return x
 
 
@@ -128,8 +127,7 @@ def _step_theta(n: int, T: float, order: int) -> float:
     return theta
 
 
-def _run_row(kernel: str, scheme: str, epsilon: float, replicas: int, dim: int,
-             seed: int) -> tuple:
+def _run_row(scheme: str, epsilon: float, replicas: int, dim: int, seed: int) -> tuple:
     """(the study's row at ``dim``, its search path as a tuple of ``BisectionStep``)."""
     pot = make_gaussian(np.ones(dim))
     T = default_integration_time(pot)
@@ -140,14 +138,12 @@ def _run_row(kernel: str, scheme: str, epsilon: float, replicas: int, dim: int,
                  for k in (1, 2))
     floor = metrics.w1_assignment(ref2, ref)
     budget = floor + epsilon
-    rng = np.random.default_rng(seed * 7 + 3)
-    draws = [(rng.standard_normal((replicas, dim)),
-              rng.random(replicas) if kernel == "metropolis" else None) for _ in range(steps)]
+    momenta = np.random.default_rng(seed * 7 + 3).standard_normal((steps, replicas, dim))
     path = []
 
     def measure(n):
         """The excess of n, inf where the dual bound decides a fail."""
-        ends = _endpoints(pot, kernel, scheme, _step_theta(n, T, order), T, draws)
+        ends = _endpoints(pot, scheme, _step_theta(n, T, order), T, momenta)
         cost = metrics.cdist(ends, ref)
         duals = metrics.dual_prices(cost)
         if metrics.w1_lower_bound(duals) >= budget * (1.0 + BOUND_MARGIN):
@@ -216,7 +212,7 @@ def _map_rows(row, dims: list, seeds: range) -> list:
 
 
 def run_scaling_study(scheme: str, dims: Sequence[int], epsilon: float = 0.05, *, seed: int,
-                      kernel: str = "unadjusted", replicas: int = 1024) -> ScalingResult:
+                      replicas: int = 1024) -> ScalingResult:
     """Fit the gradient-evaluation exponent on N(0, I_d) over a list of dimensions d.
 
     ``epsilon`` is the absolute budget on the floor-corrected excess W1 of
@@ -234,14 +230,8 @@ def run_scaling_study(scheme: str, dims: Sequence[int], epsilon: float = 0.05, *
     if replicas > metrics.ASSIGNMENT_GUARD:
         raise ScalingError(
             f"replicas capped at {metrics.ASSIGNMENT_GUARD} by the exact assignment solver")
-    if kernel not in STUDY_KERNELS:
-        raise ScalingError(f"kernel must be {' or '.join(STUDY_KERNELS)}, got {kernel!r}")
-    try:  # KernelSpec says which kernels a flow admits
-        KernelSpec(kernel, IntegratorSpec(scheme))
-    except KernelError as err:
-        raise ScalingError(str(err)) from None
     # row i is seeded with seed + i
-    results = _map_rows(functools.partial(_run_row, kernel, scheme, epsilon, replicas),
+    results = _map_rows(functools.partial(_run_row, scheme, epsilon, replicas),
                         dims, range(seed, seed + len(dims)))
     rows = tuple(r for r, _ in results)
     paths = tuple(path for _, path in results)
@@ -254,5 +244,5 @@ def run_scaling_study(scheme: str, dims: Sequence[int], epsilon: float = 0.05, *
         resid = y - (y.mean() + slope * xc)
         dof = max(len(rows) - 2, 1)
         stderr = float(np.sqrt(np.dot(resid, resid) / dof / np.dot(xc, xc)))
-    return ScalingResult(kernel=kernel, scheme=scheme, epsilon=float(epsilon),
+    return ScalingResult(scheme=scheme, epsilon=float(epsilon),
                          rows=rows, slope=slope, slope_stderr=stderr, bisection=paths)

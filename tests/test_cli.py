@@ -128,6 +128,21 @@ class TestCoupleCommand:
         assert summary["bound"] == convexhmc.kernel_contraction_bound(pot)
         assert summary["violations"] == 0
 
+    def test_ideal_chain_under_either_name(self, tmp_path):
+        # the unadjusted chain on the reference flow is the ideal chain: the same
+        # distances, and the same per-step check against the bound
+        target = tmp_path / "target.json"
+        target.write_text(json.dumps(
+            {"kind": "perturbed", "dim": 8, "amplitude": 0.1, "seed": 33}))
+        for kind in ("ideal", "unadjusted"):
+            assert main(["couple", "--target-config", str(target), "--kernel", kind,
+                         "--scheme", "reference", "--steps", "5", "--seed", "3",
+                         "--out", str(tmp_path / kind)]) == 0
+        for name in ("couple.csv", "couple_summary.json"):
+            assert read(tmp_path / "ideal" / name) == read(tmp_path / "unadjusted" / name)
+        summary = json.loads((tmp_path / "ideal" / "couple_summary.json").read_text())
+        assert summary["violations"] == 0
+
 
 class TestCertifyCommand:
     def test_known_pass(self, gaussian_target, tmp_path):
@@ -731,11 +746,9 @@ class TestArgvToConfig:
             "task": "scaling", "run": {"seed": 6},
             "scaling": {"scheme": "euler", "dims": [2, 4]}}),
         "scaling-all": (["scaling", "--seed", "6", "--scheme", "leapfrog", "--dims", "4",
-                         "--kernel", "metropolis", "--epsilon", "0.5", "--replicas", "64",
-                         "--out", "o"], {
+                         "--epsilon", "0.5", "--replicas", "64", "--out", "o"], {
             "task": "scaling", "out": "o", "run": {"seed": 6},
-            "scaling": {"kernel": "metropolis", "scheme": "leapfrog", "dims": [4],
-                        "epsilon": 0.5, "replicas": 64}}),
+            "scaling": {"scheme": "leapfrog", "dims": [4], "epsilon": 0.5, "replicas": 64}}),
     }
 
     @staticmethod
@@ -925,7 +938,7 @@ class TestTaskFields:
         # out, which every task reads, and target count as one field each
         for task, fields in cfg.TASK_FIELDS.items():
             assert admitted(task) == {"out", *(f.rstrip("!") for f in fields.split())}, task
-        assert sum(len(admitted(task)) for task in cfg.TASK_FIELDS) == 63
+        assert sum(len(admitted(task)) for task in cfg.TASK_FIELDS) == 62
 
     @pytest.mark.parametrize("name", [c for c in _COMMANDS if c != "run"])
     def test_each_flag_sets_a_field_its_task_reads(self, name):
@@ -1027,14 +1040,14 @@ class TestTaskFields:
         assert sorted(os.listdir(tmp_path)) == ["exp.json"]
 
     def test_scaling_defaults_have_one_home(self, tmp_path):
-        # a scaling block without epsilon, kernel and replicas runs the study's
-        # defaults, 0.05, unadjusted and 1024, and its summary names that kernel
+        # a scaling block without epsilon and replicas runs the study's defaults,
+        # 0.05 and 1024, and its summary names that epsilon
         block = {"scheme": "euler", "dims": [1]}
-        named = {**block, "epsilon": 0.05, "kernel": "unadjusted", "replicas": 1024}
+        named = {**block, "epsilon": 0.05, "replicas": 1024}
         for out, scaling in (("unset", block), ("named", named)):
             summary = run_experiment({"task": "scaling", "run": {"seed": 1}, "scaling": scaling,
                                       "out": str(tmp_path / out)})
-            assert (summary["kernel"], summary["epsilon"]) == ("unadjusted", 0.05)
+            assert summary["epsilon"] == 0.05 and "kernel" not in summary
         rows = np.loadtxt(tmp_path / "unset" / "scaling.csv", delimiter=",", skiprows=1)
         assert rows[4] == 1024  # the replicas column
         for name in ("scaling.csv", "scaling_summary.json"):
@@ -1112,14 +1125,12 @@ class TestInputErrors:
         assert "oracle steps" in err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("command", ["sample", "couple", "run", "scaling"])
+    @pytest.mark.parametrize("command", ["sample", "couple", "run"])
     def test_metropolis_euler_exits_2(self, tmp_path, capsys, gaussian_target, command):
         # the accept rule corrects only a reversible, volume-preserving flow
         out = ["--out", str(tmp_path / "out")]
         kernel = ["--kernel", "metropolis", "--scheme", "euler", "--seed", "1"]
-        argv = {"sample": ["sample", "--target-config", gaussian_target, *kernel, *out],
-                "couple": ["couple", "--target-config", gaussian_target, *kernel, *out],
-                "scaling": ["scaling", "--dims", "2,4", *kernel, *out]}.get(command)
+        argv = [command, "--target-config", gaussian_target, *kernel, *out]
         prefix = "KernelError: metropolis kernel needs a reversible, volume-preserving flow"
         if command == "run":
             path = tmp_path / "exp.json"
@@ -1128,10 +1139,47 @@ class TestInputErrors:
                 "kernel": {"kind": "metropolis", "integrator": {"scheme": "euler"}},
                 "run": {"seed": 1}}))
             argv = ["run", "--config", str(path), *out]
-        elif command == "scaling":
-            prefix = "ScalingError: metropolis kernel needs a reversible"
         one_line_error(capsys, argv, prefix)
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("path", ["flag", "config"])
+    def test_scaling_kernel_is_refused(self, tmp_path, capsys, path):
+        # the study runs the unadjusted chain only: neither --kernel nor scaling.kernel
+        # is read, so a run that names one exits 2 with one error line and writes nothing
+        out = str(tmp_path / "out")
+        study = ["--scheme", "leapfrog", "--dims", "2", "--epsilon", "0.5", "--replicas", "16",
+                 "--seed", "1", "--out", out]
+        if path == "flag":
+            with pytest.raises(SystemExit) as exc:
+                main(["scaling", *study, "--kernel", "metropolis"])
+            assert exc.value.code == 2
+            errors = [line for line in capsys.readouterr().err.splitlines() if "error" in line]
+            assert errors == ["convexhmc: error: unrecognized arguments: --kernel metropolis"]
+        else:
+            config = tmp_path / "exp.json"
+            config.write_text(json.dumps({"task": "scaling", "run": {"seed": 1}, "out": out,
+                                          "scaling": {"kernel": "unadjusted", "scheme": "euler",
+                                                      "dims": [2], "epsilon": 0.5,
+                                                      "replicas": 16}}))
+            one_line_error(capsys, ["run", "--config", str(config)],
+                           "ConfigError: invalid experiment config: $.scaling: Additional "
+                           "properties are not allowed ('kernel' was unexpected)\n")
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("flags", [["--radii", "1e300"],
+                                       ["--kernel", "metropolis", "--scheme", "leapfrog",
+                                        "--radii", "1e150,1e200"]],
+                             ids=["ideal", "metropolis"])
+    def test_drift_overflow_fails_quietly(self, tmp_path, capsys, flags):
+        # |X_1| overflows at these radii: the check fails, exit 1, with no numpy warning
+        target = tmp_path / "target.json"
+        target.write_text(json.dumps(GAUSS))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["drift", "--target-config", str(target), *flags, "--seed", "4",
+                         "--out", str(tmp_path / "out")])
+        assert code == 1 and caught == []
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("argv, prefix", [
         (["scaling", "--scheme", "euler", "--dims", "8,4", "--seed", "1"],

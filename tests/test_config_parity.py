@@ -35,7 +35,7 @@ VALID = {
     "precondition.anchor": [0.0, 0.0], "precondition.points_csv": "p.csv",
     "distance.a_csv": "a.csv", "distance.b_csv": "b.csv", "distance.method": "sliced",
     "distance.directions": 8, "distance.seed": 2,
-    "scaling.kernel": "unadjusted", "scaling.scheme": "euler", "scaling.dims": [2, 4],
+    "scaling.scheme": "euler", "scaling.dims": [2, 4],
     "scaling.epsilon": 0.1, "scaling.replicas": 64,
 }
 

@@ -140,8 +140,6 @@ CHECKS = [
      ScalingError, "dims must be strictly increasing from at least 1, got [0, 2]"),
     ("study-dims-negative", lambda _: run_scaling_study("euler", [-2], 0.1, seed=0),
      ScalingError, "dims must be strictly increasing from at least 1, got [-2]"),
-    ("study-kernel", lambda _: run_scaling_study("euler", [2], 0.1, seed=0, kernel="ideal"),
-     ScalingError, "kernel must be unadjusted or metropolis, got 'ideal'"),
     # config
     ("csv-columns", lambda path: write_csv(path, ["a", "b"], [[1.0]]),
      ConfigError, "{path}: 1 columns for 2 header names"),

@@ -50,23 +50,22 @@ def uninformative_bounds(monkeypatch):
 
 
 # each case searches past n = 1 in at least one row: its excess W1 there is
-# above epsilon.  A Metropolis chain on N(0, I_d) is exact at every n, so its
-# excess is noise; these two studies' first rows search to n = 3 and n = 19
+# above epsilon.  The second case's d = 4 row measures n = 1, 2, 4, ..., 32,
+# then bisects through 24, 20, 18 to n = 19
 BISECTING_CASES = [
-    ("euler", "unadjusted", 0.1, [8, 32], 3),
-    ("leapfrog", "metropolis", 0.0005, [4, 8], 36),
-    ("leapfrog", "unadjusted", 0.055, [8, 32], 3),
-    ("leapfrog", "metropolis", 0.001, [3, 8], 60),
+    ("euler", 0.1, [8, 32], 3),
+    ("euler", 0.05, [4, 8], 36),
+    ("leapfrog", 0.055, [8, 32], 3),
 ]
-BISECTING = pytest.mark.parametrize("scheme, kernel, epsilon, dims, seed", BISECTING_CASES,
-                                    ids=["-".join(map(str, case[:3])) for case in BISECTING_CASES])
+BISECTING = pytest.mark.parametrize("scheme, epsilon, dims, seed", BISECTING_CASES,
+                                    ids=[f"{case[0]}-unadjusted-{case[1]}"
+                                         for case in BISECTING_CASES])
 
 
 @BISECTING
-def test_bounds_change_no_row(monkeypatch, scheme, kernel, epsilon, dims, seed):
+def test_bounds_change_no_row(monkeypatch, scheme, epsilon, dims, seed):
     def study():
-        return run_scaling_study(scheme, dims, epsilon=epsilon, seed=seed,
-                                 kernel=kernel, replicas=128)
+        return run_scaling_study(scheme, dims, epsilon=epsilon, seed=seed, replicas=128)
 
     bounded = study()
     uninformative_bounds(monkeypatch)
@@ -78,7 +77,7 @@ def test_bounds_change_no_row(monkeypatch, scheme, kernel, epsilon, dims, seed):
     assert [[(s.steps, s.within_budget) for s in path] for path in bounded.bisection] == [
         [(s.steps, s.within_budget) for s in path] for path in exact.bisection]
     # each n the lower bound decides is one solve fewer, and only those: 7 on
-    # the Euler case, none on the leapfrog ones
+    # the first Euler case, 5 on the second, none on the leapfrog one
     decided = sum(s.decision == "lower_bound" for path in bounded.bisection for s in path)
     assert path_solves(exact) - path_solves(bounded) == decided
     # a bisection: every n within the budget is at least the accepted one, every other below it
@@ -87,11 +86,11 @@ def test_bounds_change_no_row(monkeypatch, scheme, kernel, epsilon, dims, seed):
 
 
 @BISECTING
-def test_path_counts_every_solve(monkeypatch, scheme, kernel, epsilon, dims, seed):
+def test_path_counts_every_solve(monkeypatch, scheme, epsilon, dims, seed):
     # the rows run in this process, where the counting solver sees each call
     calls = counting_solver(monkeypatch)
-    rows, paths = zip(*in_process_rows((kernel, scheme, epsilon, 128), dims, seed))
-    study = scaling.ScalingResult(kernel, scheme, epsilon, rows, None, None, paths)
+    rows, paths = zip(*in_process_rows((scheme, epsilon, 128), dims, seed))
+    study = scaling.ScalingResult(scheme, epsilon, rows, None, None, paths)
     assert calls[0] > len(rows) and path_solves(study) == calls[0]
     for path in paths:  # from n = 1, each n measured once
         assert path[0].steps == 1
@@ -107,53 +106,48 @@ def test_benchmark_study_solves_at_most_seven():
 
 
 @settings(max_examples=40, deadline=None, database=None)
-@given(st.sampled_from([("euler", "unadjusted"), ("leapfrog", "unadjusted"),
-                        ("leapfrog", "metropolis")]),
+@given(st.sampled_from(["euler", "leapfrog"]),
        st.integers(1, 4), st.integers(1, 9), st.integers(1, 12), st.integers(0, 2**32 - 1),
        st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=6))
-def test_one_pass_endpoints_equal_one_theta_passes(flow, dim, replicas, steps, seed,
+def test_one_pass_endpoints_equal_one_theta_passes(scheme, dim, replicas, steps, seed,
                                                    fractions):
-    # each theta run on a row's held draws is the kernel's own chain on the
-    # seeded stream, whichever thetas ran on those draws before it
-    scheme, kernel = flow
+    # each theta run on a row's held momenta, drawn as one array, is the unadjusted
+    # chain on the seeded stream drawn a step at a time, whichever thetas ran before it
     pot = make_gaussian(np.linspace(0.5, 2.0, dim))
     T = default_integration_time(pot)
-    rng = np.random.default_rng(seed)
-    draws = [(rng.standard_normal((replicas, dim)),
-              rng.random(replicas) if kernel == "metropolis" else None) for _ in range(steps)]
+    momenta = np.random.default_rng(seed).standard_normal((steps, replicas, dim))
     for theta in (f * T ** (1 if scheme == "euler" else 2) for f in fractions):
-        ends = scaling._endpoints(pot, kernel, scheme, theta, T, draws)
-        step = stepper(pot, KernelSpec(kernel, IntegratorSpec(scheme, theta=theta, T=T)))
+        ends = scaling._endpoints(pot, scheme, theta, T, momenta)
+        step = stepper(pot, KernelSpec("unadjusted", IntegratorSpec(scheme, theta=theta, T=T)))
         rng, x, carried = np.random.default_rng(seed), np.zeros((replicas, dim)), None
         for _ in range(steps):
-            p = rng.standard_normal((replicas, dim))
-            u = rng.random(replicas) if kernel == "metropolis" else None
-            x, _, _, carried = step(x, p, u, carried)
+            x, _, _, carried = step(x, rng.standard_normal((replicas, dim)), None, carried)
         assert ends.shape == (replicas, dim) and ends.tobytes() == x.tobytes()
 
 
 @BISECTING
-def test_row_draws_its_chain_once(monkeypatch, scheme, kernel, epsilon, dims, seed):
-    # however many n a row measures, each chain step's momenta are drawn once;
-    # the row's two reference batches are one draw each
-    drawn = collections.Counter()
+def test_row_draws_its_chain_once(monkeypatch, scheme, epsilon, dims, seed):
+    # however many n a row measures, its chain's momenta are one draw of every
+    # step's batch; the row's two reference batches are one draw each
+    drawn = collections.defaultdict(list)
 
     def default_rng(rng_seed, inner=np.random.default_rng):
         rng = inner(rng_seed)
 
-        def standard_normal(*args):
-            drawn[rng_seed] += 1
-            return rng.standard_normal(*args)
+        def standard_normal(shape):
+            drawn[rng_seed].append(shape)
+            return rng.standard_normal(shape)
 
-        return types.SimpleNamespace(standard_normal=standard_normal, random=rng.random)
+        return types.SimpleNamespace(standard_normal=standard_normal)
 
     monkeypatch.setattr(np.random, "default_rng", default_rng)
-    results = in_process_rows((kernel, scheme, epsilon, 128), dims, seed)
+    results = in_process_rows((scheme, epsilon, 128), dims, seed)
     assert any(len(path) > 1 for _, path in results)
     for i, (row, _) in enumerate(results):
-        row_seed = seed + i
-        assert [drawn[row_seed * 7 + k] for k in (1, 2, 3)] == [1, 1, row.chain_steps]
-    assert sum(drawn.values()) == sum(2 + row.chain_steps for row, _ in results)
+        row_seed, d = seed + i, row.dim
+        assert [drawn[row_seed * 7 + k] for k in (1, 2, 3)] == [
+            [(128, d)], [(128, d)], [(row.chain_steps, 128, d)]]
+    assert sum(map(len, drawn.values())) == 3 * len(results)
 
 
 def test_duals_computed_once_per_cost_matrix(monkeypatch):
@@ -173,7 +167,7 @@ def test_duals_computed_once_per_cost_matrix(monkeypatch):
     monkeypatch.setattr(metrics, "w1_lower_bound", w1_lower_bound)
     calls = counting_solver(monkeypatch)
     dims = [8, 32]
-    in_process_rows(("unadjusted", "euler", 0.1, 128), dims, 3)
+    in_process_rows(("euler", 0.1, 128), dims, 3)
     assert calls[0] > len(dims)  # some theta was solved exactly
     assert len(priced) == bounds[0] + len(dims)
     assert len(set(priced)) == len(priced)
@@ -197,7 +191,7 @@ def test_gaussian_study_row_calls_no_gradient(monkeypatch):
         return pot
 
     monkeypatch.setattr(scaling, "make_gaussian", counted_gaussian)
-    (row, _), = in_process_rows(("unadjusted", "euler", 0.3, 64), [4], 5)
+    (row, _), = in_process_rows(("euler", 0.3, 64), [4], 5)
     assert calls == [[0]]
     assert row.gradient_evals == row.oracle_steps * row.chain_steps * row.replicas
 
@@ -215,12 +209,12 @@ def test_study_equals_its_rows_run_in_process(monkeypatch, cpus):
     monkeypatch.setattr(scaling, "_usable_cpus", lambda: cpus)
     monkeypatch.setattr(scaling, "make_gaussian", counted_gaussian)
     dims = [4, 8, 16]
-    study = run_scaling_study("leapfrog", dims, epsilon=0.001, seed=3,
-                              kernel="metropolis", replicas=64)
+    study = run_scaling_study("euler", dims, epsilon=0.1, seed=3, replicas=64)
     assert built == (dims if cpus == 1 else [])
-    rows, paths = zip(*in_process_rows(("metropolis", "leapfrog", 0.001, 64), dims, 3))
+    rows, paths = zip(*in_process_rows(("euler", 0.1, 64), dims, 3))
     assert repr(study.rows) == repr(rows) and repr(study.bisection) == repr(paths)
-    assert any(len(path) > 1 for path in paths)  # some row searches past n = 1
+    # every row searches past n = 1: the rows take n = 4, 9 and 48
+    assert [row.oracle_steps for row in rows] == [4, 9, 48]
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
@@ -229,13 +223,13 @@ def test_failing_row_raises_the_serial_message(monkeypatch, cpus):
     # worker outlives the call
     monkeypatch.setattr(scaling, "_usable_cpus", lambda: cpus)
     with pytest.raises(ScalingError) as serial:
-        in_process_rows(("unadjusted", "euler", 0.001, 16), [2], 2)
+        in_process_rows(("euler", 0.001, 16), [2], 2)
     with pytest.raises(ScalingError) as study:
         run_scaling_study("euler", [2, 3], epsilon=0.001, seed=2, replicas=16)
     assert str(study.value) == str(serial.value)
     assert "at d=2 " in str(study.value)
     with pytest.raises(ScalingError, match="at d=3 "):
-        in_process_rows(("unadjusted", "euler", 0.001, 16), [3], 3)
+        in_process_rows(("euler", 0.001, 16), [3], 3)
     assert multiprocessing.active_children() == []
 
 
@@ -271,13 +265,13 @@ def test_step_theta_counts_n_both_ways(scheme):
 def synthetic_row(monkeypatch, passes, scheme="euler"):
     """A row at d = 1 whose W1 decision is ``passes(n)``, with no chain run: its
     'endpoints' are n itself and the bound never decides.  Returns (row, path)."""
-    monkeypatch.setattr(scaling, "_endpoints", lambda pot, kernel, scheme, theta, T, draws:
+    monkeypatch.setattr(scaling, "_endpoints", lambda pot, scheme, theta, T, momenta:
                         IntegratorSpec(scheme, theta=theta, T=T).oracle_steps)
     monkeypatch.setattr(scaling, "metrics", types.SimpleNamespace(
         w1_assignment=lambda a, b: 0.0, cdist=lambda n, ref: n,
         dual_prices=lambda cost: None, w1_lower_bound=lambda duals: -math.inf,
         assignment=lambda n, ref, cost, duals=None: 0.0 if passes(n) else 1.0))
-    return scaling._run_row("unadjusted", scheme, 0.5, 2, 1, 0)
+    return scaling._run_row(scheme, 0.5, 2, 1, 0)
 
 
 @pytest.mark.parametrize("scheme", ["euler", "leapfrog"])
