@@ -28,12 +28,15 @@ _HALF = (0.13020248308889008088, 0.56116298177510838456, -0.38947496264484728641
          0.15884190655515560090, -0.39590389413323757734, 0.18453964097831570709,
          0.25837438768632204729, 0.29501172360931029887)
 _COMPOSITION = _HALF + (-0.60550853383003451170,) + _HALF[::-1]
-# a row that never converges costs 1 + 17 (2^15 - 2) = 557,023 gradient rows
-_MAX_DOUBLINGS = 13
-# a row's difference has stopped falling when it fell less than _FALL-fold in a
-# doubling (a converging row falls about 2^8-fold); rounding's random walk over a
+# the reference flow's top step count: its ladder (see _ladder) ends at 12,137 steps,
+# the 22nd level, so a row that never converges costs 1 + 17 * 36,397 = 618,750
+# gradient rows
+_MAX_STEPS = 2**14
+# a row's difference has stopped falling when it fell less than _FALL-fold from one
+# level to the next (a level takes at least 1.5 times the steps of the one before, so
+# a converging row falls at least about 1.5^8 = 26-fold); rounding's random walk over a
 # level's 17 n substeps spans _FLOOR_SPACINGS sqrt(17 n) spacings of its largest |q|
-_FALL = 2.0**4
+_FALL = 1.5**4
 _FLOOR_SPACINGS = 4.0
 REFERENCE_TOL = 1e-10  # the reference flow's default tolerance
 MAX_ORACLE_STEPS = 2**21  # also where a scaling study's step search stops
@@ -65,8 +68,8 @@ class IntegratorSpec:
     """Identifies one numerical flow map.
 
     For the ``reference`` scheme, the ideal flow, ``theta`` is the tolerance
-    of the eighth-order, step-doubling, per-row refinement, not an oracle
-    step; it is unused on a Gaussian target, where the flow is exact.
+    of the eighth-order, per-row refinement over a ladder of step counts, not
+    an oracle step; it is unused on a Gaussian target, where the flow is exact.
     """
 
     scheme: str
@@ -195,27 +198,40 @@ def reference_flow(pot: Potential, x: PhasePoint, T: float,
     return PhasePoint(qs[-1], ps[-1])
 
 
+def _ladder() -> list[int]:
+    """The step counts ``flow_trajectory`` compares: n = 2, then n + ceil(n / 2)
+    while at most ``_MAX_STEPS``, giving 2, 3, 5, 8, 12, 18, 27, ..."""
+    levels, n = [], 2
+    while n <= _MAX_STEPS:
+        levels.append(n)
+        n += (n + 1) // 2
+    return levels
+
+
 def flow_trajectory(pot: Potential, x: PhasePoint, T: float, snapshots: int,
                     tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Converged trajectory sampled at times j*T/snapshots, j = 0..snapshots.
 
     Returns (times, qs, ps) with qs[j], ps[j] the phase point at times[j].
-    Steps double from 2 until two consecutive ``_composition_path`` runs of a
-    row agree to ``tol`` in q and p at every snapshot (a NaN never agrees).
-    The composition is of eighth order, so a doubling cuts the error about
-    256-fold.  Converged rows leave the batch: later levels integrate only
-    the rows still open, each from its row of the start gradient, which is
-    computed once.  A row at the float64 floor raises at once rather than
-    after the last doubling: its levels would agree only if bit-equal.
+    Step counts climb ``_ladder``, each level half again the one before, until
+    two consecutive ``_composition_path`` runs of a row agree to ``tol`` in q
+    and p at every snapshot (a NaN never agrees); the finer run is returned.
+    The composition is of eighth order, so a level cuts the error at least
+    about 1.5^8 = 26-fold.  Converged rows leave the batch: later levels
+    integrate only the rows still open, each from its row of the start
+    gradient, which is computed once.  A row at the float64 floor raises at
+    once rather than after the last level: its levels would agree only if
+    bit-equal.
     """
     if snapshots < 1 or not tol > 0.0:
         raise IntegratorError(f"need snapshots >= 1 and tol > 0, got {snapshots} and {tol}")
     q, p = x.q.reshape(-1, pot.dim), x.p.reshape(-1, pot.dim)
     g = pot.gradient(q)
     path = np.empty((len(q), snapshots + 1, 2, pot.dim))
-    todo, prev, n = np.arange(len(q)), None, 2
+    todo, prev = np.arange(len(q)), None
     last = np.full(len(q), np.inf)  # each open row's difference at the previous level
-    for doublings in range(_MAX_DOUBLINGS + 1):
+    levels = _ladder()
+    for level, n in enumerate(levels, 1):
         cur = _composition_path(pot, q[todo], p[todo], g[todo], T / (snapshots * n), n,
                                 snapshots)
         if prev is not None:
@@ -234,17 +250,25 @@ def flow_trajectory(pot: Potential, x: PhasePoint, T: float, snapshots: int,
             floor = ((np.spacing(np.max(np.abs(cur[:, 1:, 0]), axis=(1, 2))) >= tol)
                      | ((diff > last / _FALL) & (diff <= walk)))
             if floor.any():
-                raise _no_convergence(tol, f"at the float64 floor, after {doublings} of "
-                                      f"{_MAX_DOUBLINGS} doublings", float(np.max(top[floor])))
+                raise _no_convergence(tol, f"at the float64 floor, after {level} of "
+                                      f"{len(levels)} levels", cur[floor, :, 0])
             last = diff
-        prev, n = cur, 2 * n
-    raise _no_convergence(tol, f"within {_MAX_DOUBLINGS} doublings",
-                          float(np.max(np.abs(prev[..., 0, :]))))
+        prev = cur
+    raise _no_convergence(tol, f"within {len(levels)} levels, the last of {n} steps",
+                          prev[:, :, 0])
 
 
-def _no_convergence(tol: float, when: str, q: float) -> IntegratorError:
-    return IntegratorError(f"flow did not converge to tol={tol} {when}: |q_i| reaches {q:.3g}, "
-                           f"where float64 spacing is {np.spacing(q):.2g}")
+def _no_convergence(tol: float, when: str, q: np.ndarray) -> IntegratorError:
+    """The error for open rows whose positions along the path are ``q``, shape
+    (rows, snapshots + 1, d)."""
+    head = f"flow did not converge to tol={tol} {when}"
+    diverged = int(np.sum(~np.all(np.isfinite(q), axis=(1, 2))))
+    if diverged:
+        return IntegratorError(f"{head}: the flow diverged, q is not finite in {diverged} "
+                               f"of {len(q)} open rows")
+    top = float(np.max(np.abs(q)))
+    return IntegratorError(f"{head}: |q_i| reaches {top:.3g}, where float64 spacing is "
+                           f"{np.spacing(top):.2g}")
 
 
 def _oracle_matrix(spec: IntegratorSpec, lam: np.ndarray) -> np.ndarray:

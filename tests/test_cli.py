@@ -1203,6 +1203,23 @@ class TestInputErrors:
         one_line_error(capsys, argv + ["--out", str(tmp_path / "out")], prefix)
         assert not (tmp_path / "out").exists()
 
+    def test_diverged_flow_is_named_in_words(self, tmp_path, capsys, monkeypatch):
+        # at T = 1e6 every level of the reference flow overflows q to inf and nan; a
+        # small top step count reaches the last level in milliseconds
+        monkeypatch.setattr(convexhmc.integrators, "_MAX_STEPS", 12)
+        target = tmp_path / "t.json"
+        target.write_text(json.dumps({"kind": "perturbed", "dim": 2, "amplitude": 0.1,
+                                      "seed": 1}))
+        err = one_line_error(capsys, ["couple", "--target-config", str(target), "--kernel",
+                                      "ideal", "--scheme", "reference", "--T", "1e6",
+                                      "--steps", "1", "--seed", "1", "--out",
+                                      str(tmp_path / "out")],
+                             "IntegratorError: flow did not converge to tol=1e-10 within 5 "
+                             "levels, the last of 12 steps: the flow diverged, q is not "
+                             "finite in 2 of 2 open rows\n")
+        assert "nan" not in err.lower()
+        assert not (tmp_path / "out").exists()
+
     def test_out_must_be_a_string(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "exp.json").write_text(json.dumps({"task": "precondition",

@@ -410,40 +410,55 @@ class TestReferenceFlowProperties:
 
     def test_nan_never_converges(self, monkeypatch):
         # NaN differences compare false against tol; they must not end the loop
-        monkeypatch.setattr(integrators, "_MAX_DOUBLINGS", 4)
-        pot = dataclasses.replace(UNIT, gradient=lambda q: np.full_like(q, np.nan))
-        with pytest.raises(IntegratorError, match="within 4 doublings"):
+        monkeypatch.setattr(integrators, "_MAX_STEPS", 12)
+        pot, rows = counted(dataclasses.replace(UNIT, gradient=lambda q: np.full_like(q, np.nan)))
+        with pytest.raises(IntegratorError, match=r"within 5 levels, the last of 12 steps: the "
+                           r"flow diverged, q is not finite in 1 of 1 open rows$"):
             reference_flow(pot, pp(1.0, 0.3), 1.0)
+        assert rows[0] == 1 + 17 * (2 + 3 + 5 + 8 + 12)
 
     def test_nonconvergence_names_the_float_spacing(self, monkeypatch):
         # at |q| = 1e4 the perturbation's cosine swings many times along the flow,
         # so few steps leave the levels far apart, above the float64 floor
-        monkeypatch.setattr(integrators, "_MAX_DOUBLINGS", 4)
+        monkeypatch.setattr(integrators, "_MAX_STEPS", 12)
         pot = make_perturbed_quadratic(1, 0.1, seed=1)
-        with pytest.raises(IntegratorError, match=r"within 4 doublings: \|q_i\| reaches "
+        with pytest.raises(IntegratorError, match=r"within 5 levels, the last of 12 steps: "
+                           r"\|q_i\| reaches "
                            r"1e\+04, where float64 spacing is 1.8e-12$"):
             reference_flow(pot, pp(1e4, 0.0), 1.0, tol=1e-10)
 
-    def test_hopeless_row_raises_within_the_doubling_budget(self):
+    def test_hopeless_row_raises_at_the_first_comparison(self):
         # tol = 1e-10 lies below the float64 spacing at |q| = 1e6, so two levels
         # agree only if bit-equal: the row raises at the first comparison, having
-        # paid for 2 of the 14 levels
+        # paid for 2 of the 22 levels, 2 and 3 steps
         pot, rows = counted(UNIT)
-        with pytest.raises(IntegratorError, match=r"at the float64 floor, after 1 of 13 "
-                           r"doublings: \|q_i\| reaches 1e\+06, where float64 spacing is "
+        with pytest.raises(IntegratorError, match=r"at the float64 floor, after 2 of 22 "
+                           r"levels: \|q_i\| reaches 1e\+06, where float64 spacing is "
                            r"1.2e-10$"):
             reference_flow(pot, pp(1e6, 0.0), 1.0, tol=1e-10)
-        assert rows[0] == 1 + 17 * (2**3 - 2)
+        assert rows[0] == 1 + 17 * (2 + 3) == 86
 
     def test_stalled_row_raises_at_the_floor(self):
         # tol = 1e-13 lies above the float64 spacing at |q| = 300, but the level
         # differences stop falling within the random walk of rounding errors
         pot, rows = counted(UNIT)
-        with pytest.raises(IntegratorError, match=r"at the float64 floor, after 3 of 13 "
-                           r"doublings: \|q_i\| reaches 300, where float64 spacing is "
+        with pytest.raises(IntegratorError, match=r"at the float64 floor, after 5 of 22 "
+                           r"levels: \|q_i\| reaches 300, where float64 spacing is "
                            r"5.7e-14$"):
             reference_flow(pot, pp(300.0, 0.0), 0.3, tol=1e-13)
-        assert rows[0] == 1 + 17 * (2**5 - 2)
+        assert rows[0] == 1 + 17 * (2 + 3 + 5 + 8 + 12)
+
+    def test_ladder_grows_by_half_up_to_its_top_step_count(self):
+        # each level takes at least 1.5 times the steps of the one before, so a
+        # converging row's difference falls about 1.5^8-fold a level, more than _FALL
+        levels = integrators._ladder()
+        assert levels == [2, 3, 5, 8, 12, 18, 27, 41, 62, 93, 140, 210, 315, 473, 710, 1065,
+                          1598, 2397, 3596, 5394, 8091, 12137]
+        assert levels[-1] <= integrators._MAX_STEPS == 2**14 < levels[-1] * 1.5
+        assert all(n >= 1.5 * m for m, n in zip(levels, levels[1:]))
+        assert 1.5**8 > integrators._FALL
+        # a row that never agrees pays the start gradient and 17 n rows at each level
+        assert 1 + 17 * sum(levels) == 618_750
 
     def test_nonpositive_tol_raises_even_at_zero_time(self):
         for T in (0.0, 1.0):
@@ -472,14 +487,14 @@ class TestComposition:
 
     def test_converged_row_cost_and_accuracy_on_the_certificate_target(self):
         # 20 certify pairs on the perturbed d = 8 target: every row converges
-        # at the first comparison: the start gradient, then 17 * 2 and 17 * 4 gradient rows
+        # at the first comparison: the start gradient, then 17 * 2 and 17 * 3 gradient rows
         target = make_perturbed_quadratic(8, 0.1, seed=33)
         x0, y0, p = _pairs_with_shared_momenta(target, 20, np.random.default_rng(5))
         x = PhasePoint(np.vstack([x0, y0]), np.vstack([p, p]))
         T = default_integration_time(target)
         pot, rows = counted(target)
         end = reference_flow(pot, x, T, tol=1e-10)
-        assert rows[0] == 103 * 40
+        assert rows[0] == 86 * 40
         for i in range(40):
             sol = solve_ivp(lambda t, y: np.concatenate([y[8:], -target.gradient(y[:8])]),
                             (0.0, T), np.concatenate([x.q[i], x.p[i]]), method="DOP853",
