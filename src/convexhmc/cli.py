@@ -132,10 +132,9 @@ def _task_goodset(config, pot, base_dir):
         raise cfg.ConfigError("goodset task needs a separable target")
     integ = config.get("kernel", {}).get("integrator", {})
     opts = config.get("goodset", {})
-    block = opts.get("block_dim", pot.block_dim)
-    default = default_good_set(pot.dim, block)
+    default = default_good_set(pot.dim, pot.block_dim)
     good = GoodSetSpec(g_inf=opts.get("g_inf", default.g_inf),
-                       g_2=opts.get("g_2", default.g_2), block_dim=block)
+                       g_2=opts.get("g_2", default.g_2), block_dim=pot.block_dim)
     theta, T = integ.get("theta", 1e-2), integ.get("T", default_integration_time(pot))
     for k in (2, 1):  # the leapfrog flow inside the good set, the Euler flow outside
         _warn_overshoot(k, theta, T)
@@ -172,7 +171,7 @@ def _rounding(config, pot):
 
 def _task_precondition(config, pot, base_dir):
     anchor, transform = _rounding(config, pot)
-    return ({"anchor": list(anchor), "dim": pot.dim, "pass": True},
+    return ({"anchor": anchor.tolist(), "dim": pot.dim, "pass": True},
             ("rounding_matrix.csv", [f"c{j}" for j in range(pot.dim)], transform.matrix.T))
 
 

@@ -71,7 +71,6 @@ _FIELDS = {
     "certify.T": ("--T", {"type": "number", "minimum": 0}),
     "certify.trials": ("--trials", {"type": "integer", "minimum": 1}),
     "certify.tol": (None, {"type": "number", "exclusiveMinimum": 0}),
-    "goodset.block_dim": ("--block-dim", {"type": "integer", "minimum": 1}),
     "goodset.g_inf": ("--g-inf", {"type": "number", "exclusiveMinimum": 0}),
     "goodset.g_2": ("--g-2", {"type": "number", "minimum": 0}),
     "kernel.integrator.theta": ("--theta", {"type": "number", "exclusiveMinimum": 0}),
@@ -106,7 +105,7 @@ TASK_FIELDS = {
     "certify": "target! run.seed! certify.T certify.trials certify.tol",
     "drift": f"target! {_KERNEL} drift.radii! run.replicas run.seed!",
     "goodset": "target! kernel.integrator.theta kernel.integrator.T run.steps run.replicas "
-               "run.seed! goodset.g_inf goodset.g_2 goodset.block_dim",
+               "run.seed! goodset.g_inf goodset.g_2",
     "distance": "distance.a_csv! distance.b_csv! distance.method distance.directions "
                 "distance.seed",
     "precondition": "target! precondition.anchor",
@@ -155,7 +154,8 @@ def _is(value, kind: str) -> bool:
 
 def _problems(value, rules: dict, path: str):
     """(JSON path, message) for each of ``rules`` that ``value`` breaks, in
-    the order and words of jsonschema's Draft 2020-12 validator."""
+    the order and words of jsonschema's Draft 2020-12 validator, and for each
+    NaN or infinite number in ``value``, ruled or not: the bounds pass NaN."""
     if rules.get("target"):
         kind = value.get("kind") if isinstance(value, dict) else None
         rules = _TARGET_RULES.get(kind, _ANY_TARGET) if isinstance(kind, str) else _ANY_TARGET
@@ -167,16 +167,17 @@ def _problems(value, rules: dict, path: str):
         for key, (breaks, words) in _BOUNDS.items():
             if key in rules and breaks(value, rules[key]):
                 yield path, f"{value!r} is {words} {rules[key]!r}"
+    if isinstance(value, float) and not math.isfinite(value):
+        yield path, f"{value!r} is not a finite number"
     if isinstance(value, list):
         if len(value) < rules.get("minItems", 0):  # every minItems is 1
             yield path, f"{value!r} should be non-empty"
-        for i, item in enumerate(value if "items" in rules else ()):
-            yield from _problems(item, rules["items"], f"{path}[{i}]")
+        for i, item in enumerate(value):
+            yield from _problems(item, rules.get("items", {}), f"{path}[{i}]")
     if isinstance(value, dict):
         fields = rules.get("properties", {})
-        for key, sub in fields.items():
-            if key in value:
-                yield from _problems(value[key], sub, f"{path}.{key}")
+        for key, item in value.items():
+            yield from _problems(item, fields.get(key, {}), f"{path}.{key}")
         for key in rules.get("required", ()):
             if key not in value:
                 yield path, f"{key!r} is a required property"
@@ -188,24 +189,11 @@ def _problems(value, rules: dict, path: str):
                          f"{'was' if len(extras) == 1 else 'were'} unexpected)")
 
 
-def _non_finite(obj, path: str = "$"):
-    """One message per NaN or infinite number in ``obj``: the bounds pass NaN."""
-    if isinstance(obj, dict):
-        for key, value in obj.items():
-            yield from _non_finite(value, f"{path}.{key}")
-    elif isinstance(obj, list):
-        for i, value in enumerate(obj):
-            yield from _non_finite(value, f"{path}[{i}]")
-    elif isinstance(obj, float) and not math.isfinite(obj):
-        yield f"{path}: {obj!r} is not a finite number"
-
-
 def validate_config(config: dict) -> None:
     task = config.get("task")
     rules = _TASK_RULES.get(task, _ANY_TASK) if isinstance(task, str) else _ANY_TASK
     problems = [f"{path}: {message}" for path, message in
                 sorted(_problems(config, rules, "$"), key=lambda problem: problem[0])]
-    problems += _non_finite(config)
     if problems:
         raise ConfigError("invalid experiment config: " + "; ".join(problems))
 
@@ -247,7 +235,7 @@ def build_potential(target: dict, base_dir: str = ".") -> Potential:
         features, labels = load_logistic_csv(path)
         return make_ridge_logistic(features, labels, target["ridge"])
     block = build_potential(target["block"], base_dir)
-    return make_separable([block] * target["copies"])
+    return make_separable(block, target["copies"])
 
 
 # the kind and scheme of each kernel task's block that leaves them out, and each
@@ -311,13 +299,7 @@ def _plain(obj):
         return {k: _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_plain(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_plain(v) for v in obj.tolist()]
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
+    if isinstance(obj, float):
         return float(obj) if math.isfinite(obj) else None
     return obj
 

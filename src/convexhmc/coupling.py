@@ -204,9 +204,8 @@ def drift_check(pot: Potential, spec: KernelSpec, radii: Sequence[float],
     excess = log_means - (radii - 1.0)
     if np.any(excess > 0.0):
         # log(e^m - e^(r-1)) for the radii where the contraction term is exceeded
-        with np.errstate(divide="ignore"):
-            parts = [lm + math.log(-math.expm1(-e)) for lm, e in zip(log_means, excess) if e > 0.0]
-        log_a_hat = max(parts)
+        log_a_hat = max(lm + math.log(-math.expm1(-e)) for lm, e in zip(log_means, excess)
+                        if e > 0.0)
     else:
         log_a_hat = -math.inf
     top = int(np.argmax(radii))
@@ -225,8 +224,6 @@ def good_set_statistics(pot: SeparablePotential, good: GoodSetSpec, theta: float
     """
     if steps < 1 or replicas < 1:
         raise CouplingError("steps and replicas must both be >= 1")
-    if pot.dim % good.block_dim:
-        raise CouplingError("good-set block size must divide the dimension")
     rng = np.random.default_rng(seed)
     x = np.zeros((replicas, pot.dim))
     exited = np.zeros(replicas, dtype=bool)

@@ -193,44 +193,30 @@ def make_ridge_logistic(features: np.ndarray, labels: Sequence[float], ridge: fl
     return _recentred(raw_value, raw_gradient, shift, lam, lam + 0.25 * sig_max)
 
 
-def make_separable(blocks: Sequence[Potential]) -> SeparablePotential:
-    """Assemble independent blocks into one potential on the product space."""
-    blocks = tuple(blocks)
-    if not blocks:
-        raise PotentialError("need at least one block")
-    m = blocks[0].dim
-    if any(b.dim != m for b in blocks):
-        raise PotentialError("all blocks must share the same dimension")
-    nb = len(blocks)
-    dim = m * nb
-
-    if all(b.is_gaussian for b in blocks):
-        eigs = np.concatenate([b.precision_eigenvalues for b in blocks])
-        g = make_gaussian(eigs)
-        value, gradient, precision = g.value, g.gradient, eigs
+def make_separable(block: Potential, copies: int) -> SeparablePotential:
+    """``copies`` independent copies of ``block`` on the product space.  Copies
+    of a Gaussian are one Gaussian; any other block evaluates every copy in one
+    call on a (..., copies, block.dim) view, and U sums the copies in order."""
+    if copies < 1:
+        raise PotentialError(f"need at least one copy, got {copies}")
+    m = block.dim
+    if block.is_gaussian:
+        g = make_gaussian(np.tile(block.precision_eigenvalues, copies))
+        value, gradient, precision = g.value, g.gradient, g.precision_eigenvalues
     else:
         precision = None
 
         def value(q):
             q = np.asarray(q, dtype=float)
-            parts = q.reshape(q.shape[:-1] + (nb, m))
-            return sum(blocks[i].value(parts[..., i, :]) for i in range(nb))
+            parts = block.value(q.reshape(q.shape[:-1] + (copies, m)))
+            return sum(parts[..., i] for i in range(copies))
 
         def gradient(q):
             q = np.asarray(q, dtype=float)
-            parts = q.reshape(q.shape[:-1] + (nb, m))
-            grads = [blocks[i].gradient(parts[..., i, :]) for i in range(nb)]
-            return np.concatenate(grads, axis=-1)
+            return block.gradient(q.reshape(q.shape[:-1] + (copies, m))).reshape(q.shape)
 
-    return SeparablePotential(
-        dim=dim,
-        value=value,
-        gradient=gradient,
-        m2=min(b.m2 for b in blocks),
-        M2=max(b.M2 for b in blocks),
-        precision_eigenvalues=precision,
-        block_dim=m,
-    )
+    return SeparablePotential(dim=m * copies, value=value, gradient=gradient, m2=block.m2,
+                              M2=block.M2, precision_eigenvalues=precision, block_dim=m)
 
 
 def uniform_ball(rng: np.random.Generator, n: int, dim: int, radius: float) -> np.ndarray:

@@ -43,20 +43,13 @@ class RoundingReport:
         return self.lower <= self.min_eigenvalue and self.max_eigenvalue <= self.upper
 
 
-def default_fd_step(x: np.ndarray) -> float:
-    """Central-difference step (machine eps)^(1/3) * (1 + |x|)."""
-    return float(np.finfo(float).eps ** (1.0 / 3.0) * (1.0 + np.linalg.norm(x)))
-
-
-def hessian_at(pot: Potential, x: np.ndarray, h: float | None = None) -> np.ndarray:
-    """Symmetrized central finite differences of the gradient."""
+def hessian_at(pot: Potential, x: np.ndarray) -> np.ndarray:
+    """Symmetrized central finite differences of the gradient, with step
+    (machine eps)^(1/3) * (1 + |x|)."""
     x = np.asarray(x, dtype=float)
     if x.shape != (pot.dim,):
         raise PreconditionError(f"anchor must have shape ({pot.dim},), got {x.shape}")
-    if h is None:
-        h = default_fd_step(x)
-    if h <= 0.0:
-        raise PreconditionError(f"finite-difference step must be positive, got {h}")
+    h = float(np.finfo(float).eps ** (1.0 / 3.0) * (1.0 + np.linalg.norm(x)))
     cols = np.empty((pot.dim, pot.dim))
     for j in range(pot.dim):
         e = np.zeros(pot.dim)
@@ -105,16 +98,14 @@ def transform_potential(pot: Potential, t: RoundingTransform) -> Potential:
 def verify_rounding(pot: Potential, t: RoundingTransform, bulk_points) -> RoundingReport:
     """Eigenvalue sandwich check of the transformed Hessian on bulk points.
 
-    ``bulk_points`` are in the original coordinates (typically chain
+    ``bulk_points`` are rows in the original coordinates (typically chain
     output); each maps to z = A y before differentiating the transformed
     potential.  Passes iff all eigenvalues lie in
     [m2/M2 * (1 - tol), M2/m2 * (1 + tol)], tol = ``ROUNDING_REL_TOL``.
     """
     pts = np.asarray(bulk_points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[None, :]
-    if pts.shape[1] != pot.dim:
-        raise PreconditionError(f"points must have {pot.dim} columns, got {pts.shape[1]}")
+    if pts.ndim != 2 or pts.shape[1] != pot.dim:
+        raise PreconditionError(f"points must have {pot.dim} columns, got shape {pts.shape}")
     if len(pts) == 0:
         raise PreconditionError("need at least one bulk point, got 0")
     transformed = transform_potential(pot, t)

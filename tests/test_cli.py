@@ -528,7 +528,6 @@ class TestRunSubcommand:
             "target": {"kind": "separable",
                        "block": {"kind": "gaussian", "eigenvalues": [1.0]}, "copies": 8},
             "kernel": {"integrator": {"theta": 0.01}},
-            "goodset": {"block_dim": 1},
             "run": {"seed": 2, "steps": 20, "replicas": 30},
         }
         summary = run_experiment({**conf, "out": str(tmp_path)})
@@ -560,28 +559,24 @@ class TestRunSubcommand:
         assert err == "ConfigError: invalid experiment config: " + "; ".join(problems) + "\n"
         assert sorted(os.listdir(tmp_path)) == ["exp.json"]
 
-    def test_goodset_blocks_default_to_the_targets(self, tmp_path):
-        # three copies of a 2-d Gaussian: an unset --block-dim takes the target's
-        # block size, 2, and so g_inf = 10 sqrt(2), as --block-dim 2 gives
+    def test_goodset_blocks_are_the_targets(self, tmp_path):
+        # three copies of a 2-d Gaussian: the good set's blocks are 2-d, and so
+        # g_inf = 10 sqrt(2)
         target = tmp_path / "t.json"
         target.write_text(json.dumps({"kind": "separable", "copies": 3, "block": GAUSS}))
-        argv = ["goodset", "--target-config", str(target), "--seed", "5", "--out"]
-        assert main(argv + [str(tmp_path / "unset")]) == 0
-        assert main(argv + [str(tmp_path / "two"), "--block-dim", "2"]) == 0
-        row = read(tmp_path / "unset" / "goodset.csv").decode().splitlines()[1].split(",")
+        assert main(["goodset", "--target-config", str(target), "--seed", "5", "--out",
+                     str(tmp_path / "out")]) == 0
+        row = read(tmp_path / "out" / "goodset.csv").decode().splitlines()[1].split(",")
         assert row[0] == repr(10.0 * 2.0**0.5) and row[2] == "2"
-        assert read(tmp_path / "unset" / "goodset.csv") == read(tmp_path / "two" / "goodset.csv")
 
-    @pytest.mark.parametrize("target, flags, error", [
-        (GAUSS, [], "ConfigError: goodset task needs a separable target"),
-        ({"kind": "separable", "block": {"kind": "gaussian", "eigenvalues": [1.0]}, "copies": 3},
-         ["--block-dim", "2"], "CouplingError: good-set block size must divide the dimension"),
-    ], ids=["not-separable", "block-dim"])
-    def test_goodset_refusals_write_nothing(self, tmp_path, capsys, target, flags, error):
+    @pytest.mark.parametrize("target, error", [
+        (GAUSS, "ConfigError: goodset task needs a separable target"),
+    ], ids=["not-separable"])
+    def test_goodset_refusals_write_nothing(self, tmp_path, capsys, target, error):
         path = tmp_path / "t.json"
         path.write_text(json.dumps(target))
         err = one_line_error(capsys, ["goodset", "--target-config", str(path), "--seed", "1",
-                                      *flags, "--out", str(tmp_path / "out")], error)
+                                      "--out", str(tmp_path / "out")], error)
         assert err == error + "\n"
         assert sorted(os.listdir(tmp_path)) == ["t.json"]
 
@@ -637,6 +632,39 @@ class TestFileFormats:
             for row in zip(*columns):
                 fh.write(",".join(per_value(v) for v in row) + "\n")
         assert read(tmp_path / "new.csv") == read(tmp_path / "old.csv")
+
+    SMALL_RUNS = {
+        "sample": {"target": GAUSS, "run": {"seed": 1, "steps": 20}},
+        "couple": {"target": GAUSS, "run": {"seed": 2, "steps": 5}},
+        "certify": {"target": GAUSS, "run": {"seed": 3}, "certify": {"trials": 5}},
+        "drift": {"target": GAUSS, "run": {"seed": 4, "replicas": 100},
+                  "drift": {"radii": [1.0, 2.0]}},
+        "goodset": {"target": {"kind": "separable", "block": {"kind": "gaussian",
+                                                              "eigenvalues": [1.0]},
+                               "copies": 4}, "run": {"seed": 5, "steps": 5, "replicas": 10}},
+        "distance": {"distance": {"a_csv": "p.csv", "b_csv": "p.csv"}},
+        "precondition": {"target": GAUSS, "precondition": {"anchor": [0.5, -1.0]}},
+        "verify_rounding": {"target": GAUSS, "precondition": {"points_csv": "p.csv"}},
+        "scaling": {"run": {"seed": 6}, "scaling": {"scheme": "leapfrog", "dims": [4],
+                                                    "epsilon": 0.5, "replicas": 64}},
+    }
+
+    @pytest.mark.parametrize("task", sorted(SMALL_RUNS))
+    def test_summaries_hold_only_json_types(self, tmp_path, task):
+        # so the summary writer converts no numpy array, integer or bool
+        assert sorted(self.SMALL_RUNS) == sorted(cfg.TASK_FIELDS)
+        (tmp_path / "p.csv").write_text("0.0,0.0\n1.0,0.5\n")
+        summary = run_experiment({"task": task, "out": str(tmp_path / "out"),
+                                  **self.SMALL_RUNS[task]}, base_dir=str(tmp_path))
+
+        def values(obj):
+            yield obj
+            for item in obj.values() if isinstance(obj, dict) else (
+                    obj if isinstance(obj, list) else ()):
+                yield from values(item)
+
+        kinds = {type(v) for v in values(summary)}
+        assert kinds <= {dict, list, str, int, float, bool, type(None)}, kinds
 
     def test_trajectory_dump_format(self, tmp_path):
         pot = make_gaussian([1.0, 4.0])
@@ -718,10 +746,9 @@ class TestArgvToConfig:
             "kernel": {"kind": "metropolis",
                        "integrator": {"scheme": "leapfrog", "theta": 0.001, "T": 0.4}}}),
         "goodset": (["goodset", "--seed", "5"], {**T, "task": "goodset", "run": {"seed": 5}}),
-        "goodset-all": (["goodset", "--seed", "5", "--block-dim", "2", "--g-inf", "3",
-                         "--g-2", "2", "--theta", "0.02", "--T", "0.6", "--steps", "10",
-                         "--replicas", "20"], {
-            **T, "task": "goodset", "goodset": {"block_dim": 2, "g_inf": 3.0, "g_2": 2.0},
+        "goodset-all": (["goodset", "--seed", "5", "--g-inf", "3", "--g-2", "2", "--theta",
+                         "0.02", "--T", "0.6", "--steps", "10", "--replicas", "20"], {
+            **T, "task": "goodset", "goodset": {"g_inf": 3.0, "g_2": 2.0},
             "kernel": {"integrator": {"theta": 0.02, "T": 0.6}},
             "run": {"seed": 5, "steps": 10, "replicas": 20}}),
         "precondition": (["precondition"], {**T, "task": "precondition"}),
@@ -785,7 +812,8 @@ class TestArgvToConfig:
          "--family", "standard_gaussian"],
         ["precondition", "--target-config", "t.json", "--seed", "1"],
         ["verify-rounding", "--target-config", "t.json", "--points", "p.csv", "--seed", "1"],
-    ], ids=["scaling-family", "precondition-seed", "verify-rounding-seed"])
+        ["goodset", "--target-config", "t.json", "--seed", "5", "--block-dim", "1"],
+    ], ids=["scaling-family", "precondition-seed", "verify-rounding-seed", "goodset-block-dim"])
     def test_removed_options_exit_2(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -938,7 +966,7 @@ class TestTaskFields:
         # out, which every task reads, and target count as one field each
         for task, fields in cfg.TASK_FIELDS.items():
             assert admitted(task) == {"out", *(f.rstrip("!") for f in fields.split())}, task
-        assert sum(len(admitted(task)) for task in cfg.TASK_FIELDS) == 62
+        assert sum(len(admitted(task)) for task in cfg.TASK_FIELDS) == 61
 
     @pytest.mark.parametrize("name", [c for c in _COMMANDS if c != "run"])
     def test_each_flag_sets_a_field_its_task_reads(self, name):
@@ -1260,7 +1288,7 @@ class TestInputErrors:
                 "target": {"kind": "separable",
                            "block": {"kind": "gaussian", "eigenvalues": [1.0]}, "copies": 8},
                 "kernel": {"integrator": {"theta": 1e-8}},
-                "goodset": {"block_dim": 1}, "run": {"seed": 2, "steps": 20, "replicas": 30}}
+                "run": {"seed": 2, "steps": 20, "replicas": 30}}
         path = tmp_path / "exp.json"
         path.write_text(json.dumps(conf))
         one_line_error(capsys, ["run", "--config", str(path), "--out", str(tmp_path / "out")],
@@ -1294,6 +1322,16 @@ class TestInputErrors:
         err = one_line_error(capsys, ["run", "--config", str(path), "--out", str(tmp_path)],
                              "ConfigError: ")
         assert f"{field} is not a finite number" in err
+
+    def test_non_finite_and_rule_errors_sort_by_path(self, tmp_path, capsys):
+        # a NaN is reported in the walk that checks the rules, so its error takes its
+        # place by JSON path among theirs
+        path = tmp_path / "exp.json"
+        path.write_text('{"task": "certify", "target": {"kind": "gaussian", "eigenvalues": '
+                        '[1.0]}, "certify": {"T": NaN}, "run": {"seed": -1}}')
+        one_line_error(capsys, ["run", "--config", str(path), "--out", str(tmp_path / "out")],
+                       "ConfigError: invalid experiment config: $.certify.T: nan is not a "
+                       "finite number; $.run.seed: -1 is less than the minimum of 0\n")
 
     def test_non_finite_target_file_exits_2(self, tmp_path, capsys):
         target = tmp_path / "t.json"

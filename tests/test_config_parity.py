@@ -31,7 +31,7 @@ VALID = {
     "couple.x0": [0.0, 1.0], "couple.y0": [1.0, 0.0],
     "certify.T": 0.5, "certify.trials": 5, "certify.tol": 1e-8,
     "drift.radii": [1.0, 2.0],
-    "goodset.g_inf": 1.0, "goodset.g_2": 2.0, "goodset.block_dim": 1,
+    "goodset.g_inf": 1.0, "goodset.g_2": 2.0,
     "precondition.anchor": [0.0, 0.0], "precondition.points_csv": "p.csv",
     "distance.a_csv": "a.csv", "distance.b_csv": "b.csv", "distance.method": "sliced",
     "distance.directions": 8, "distance.seed": 2,

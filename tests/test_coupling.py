@@ -262,7 +262,7 @@ class TestDriftCheck:
 
 class TestGoodSetStatistics:
     def setup_method(self):
-        self.pot = make_separable([make_gaussian([1.0])] * 16)
+        self.pot = make_separable(make_gaussian([1.0]), 16)
         self.T = default_integration_time(self.pot)
 
     def test_everything_good(self):
@@ -288,7 +288,7 @@ class TestGoodSetStatistics:
         assert sorted(resolved) == ["euler", "leapfrog"]
 
     def test_default_good_set_rarely_exits(self):
-        pot = make_separable([make_gaussian([1.0])] * 64)
+        pot = make_separable(make_gaussian([1.0]), 64)
         good = default_good_set(pot.dim, 1)
         freq = good_set_statistics(pot, good, 0.01, default_integration_time(pot), steps=100,
                                    replicas=200, seed=2)

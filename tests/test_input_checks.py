@@ -23,7 +23,7 @@ from oracles import gaussian_moment_test, validate_convexity
 GAUSS = make_gaussian([1.0, 4.0])
 LEAPFROG = KernelSpec("metropolis", IntegratorSpec("leapfrog", theta=0.01, T=0.5))
 IDEAL = KernelSpec("ideal", IntegratorSpec("reference", T=0.5))
-SEPARABLE = make_separable([make_gaussian([1.0])] * 2)
+SEPARABLE = make_separable(make_gaussian([1.0]), 2)
 GOOD = GoodSetSpec(g_inf=10.0, g_2=0.0, block_dim=1)
 NAN_GRADIENT = Potential(dim=1, value=lambda q: np.zeros(np.shape(q)[:-1]),
                          gradient=lambda q: np.full(np.shape(q), np.nan), m2=1.0, M2=1.0)
@@ -109,19 +109,19 @@ CHECKS = [
     ("logistic-features-columns", lambda _: make_ridge_logistic(np.zeros((2, 0)), [1.0, -1.0],
                                                                 1.0),
      PotentialError, "features must have at least one column"),
-    ("separable-no-blocks", lambda _: make_separable([]),
-     PotentialError, "need at least one block"),
+    ("separable-no-blocks", lambda _: make_separable(GAUSS, 0),
+     PotentialError, "need at least one copy, got 0"),
     ("convexity-samples", lambda _: validate_convexity(GAUSS, 0, 1.0, seed=0),
      PotentialError, "samples must be >= 1, got 0"),
     # precondition
     ("hessian-anchor", lambda _: hessian_at(GAUSS, np.zeros(3)),
      PreconditionError, "anchor must have shape (2,), got (3,)"),
-    ("hessian-step", lambda _: hessian_at(GAUSS, np.zeros(2), h=0.0),
-     PreconditionError, "finite-difference step must be positive, got 0.0"),
     ("hessian-finite", lambda _: hessian_at(NAN_GRADIENT, np.zeros(1)),
      PreconditionError, "non-finite entries in finite-difference Hessian"),
     ("rounding-columns", _rounding_points(np.zeros((2, 3))),
-     PreconditionError, "points must have 2 columns, got 3"),
+     PreconditionError, "points must have 2 columns, got shape (2, 3)"),
+    ("rounding-rows", _rounding_points(np.zeros(2)),
+     PreconditionError, "points must have 2 columns, got shape (2,)"),
     ("rounding-no-points", _rounding_points(np.zeros((0, 2))),
      PreconditionError, "need at least one bulk point, got 0"),
     # scaling

@@ -230,7 +230,7 @@ class TestClosedFormOracleFlow:
     @pytest.mark.parametrize("scheme", integrators.SCHEMES)
     def test_a_flow_is_linear_iff_the_target_is_gaussian(self, scheme):
         spec = IntegratorSpec(scheme, theta=0.01, T=0.5)
-        for pot in (make_gaussian([1.0, 4.0]), make_separable([make_gaussian([1.0, 2.0])] * 2)):
+        for pot in (make_gaussian([1.0, 4.0]), make_separable(make_gaussian([1.0, 2.0]), 2)):
             linear = integrators.linear_flow(pot, spec)
             assert len(linear) == 4 and all(v.shape == (pot.dim,) for v in linear)
         assert integrators.linear_flow(make_perturbed_quadratic(2, 0.1, seed=0), spec) is None
@@ -505,7 +505,7 @@ class TestComposition:
 
 class TestGuardedStep:
     def setup_method(self):
-        self.pot = make_separable([make_perturbed_quadratic(1, 0.1, seed=4)] * 4)
+        self.pot = make_separable(make_perturbed_quadratic(1, 0.1, seed=4), 4)
         self.good = GoodSetSpec(g_inf=10.0, g_2=0.5, block_dim=1)
         self.step = guarded_step(self.pot, 0.01, 0.3, self.good)
 

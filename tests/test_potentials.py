@@ -32,7 +32,7 @@ def shipped_targets():
         ("gaussian", make_gaussian([1.0, 4.0])),
         ("perturbed", make_perturbed_quadratic(4, 0.2, seed=3)),
         ("logistic", make_ridge_logistic(X, y, ridge=0.7)),
-        ("separable", make_separable([make_perturbed_quadratic(2, 0.1, seed=5)] * 3)),
+        ("separable", make_separable(make_perturbed_quadratic(2, 0.1, seed=5), 3)),
     ]
 
 
@@ -119,32 +119,53 @@ class TestRidgeLogistic:
 
 
 class TestSeparable:
+    """Copies of a block evaluate in one block call on a (..., copies, m) view,
+    bit for bit as a loop over the copies, on 1-3 leading batch dimensions."""
+
+    BLOCKS = {"perturbed": make_perturbed_quadratic(2, 0.1, seed=1),
+              "nested": make_separable(make_perturbed_quadratic(1, 0.2, seed=2), 2)}
+    SHAPES = [(), (5,), (2, 3)]
+
+    @staticmethod
+    def per_copy(q, m, copies):
+        return [q[..., m * i:m * (i + 1)] for i in range(copies)]
+
     def test_value_is_block_sum(self):
-        blocks = [make_perturbed_quadratic(2, 0.1, seed=s) for s in (1, 2, 3)]
-        pot = make_separable(blocks)
         rng = np.random.default_rng(3)
-        q = rng.standard_normal(6)
-        expected = sum(b.value(q[2 * i:2 * i + 2]) for i, b in enumerate(blocks))
-        assert pot.value(q) == pytest.approx(expected, rel=1e-15)
+        for block in self.BLOCKS.values():
+            pot = make_separable(block, 3)
+            for shape in self.SHAPES:
+                q = rng.standard_normal(shape + (pot.dim,))
+                parts = self.per_copy(q, block.dim, 3)
+                expected = block.value(parts[0]) + block.value(parts[1]) + block.value(parts[2])
+                np.testing.assert_array_equal(pot.value(q), expected)
 
     def test_gradient_is_block_concatenation(self):
-        blocks = [make_perturbed_quadratic(2, 0.1, seed=s) for s in (1, 2, 3)]
-        pot = make_separable(blocks)
         rng = np.random.default_rng(4)
-        q = rng.standard_normal(6)
-        expected = np.concatenate([b.gradient(q[2 * i:2 * i + 2])
-                                   for i, b in enumerate(blocks)])
-        np.testing.assert_array_equal(pot.gradient(q), expected)
+        for block in [*self.BLOCKS.values(), make_gaussian([1.0, 4.0])]:
+            pot = make_separable(block, 3)
+            for shape in self.SHAPES:
+                q = rng.standard_normal(shape + (pot.dim,))
+                expected = np.concatenate(
+                    [block.gradient(part) for part in self.per_copy(q, block.dim, 3)], axis=-1)
+                np.testing.assert_array_equal(pot.gradient(q), expected)
 
     def test_gaussian_blocks_stay_gaussian(self):
-        pot = make_separable([make_gaussian([1.0, 4.0])] * 3)
+        # copies of a Gaussian are the Gaussian of the repeated eigenvalues, bit for bit;
+        # its value sums all coordinates at once, so it meets the per-copy sum to rounding
+        pot = make_separable(make_gaussian([1.0, 4.0]), 3)
         assert pot.is_gaussian
         np.testing.assert_array_equal(pot.precision_eigenvalues,
                                       [1.0, 4.0] * 3)
-
-    def test_mismatched_blocks_rejected(self):
-        with pytest.raises(PotentialError):
-            make_separable([make_gaussian([1.0]), make_gaussian([1.0, 2.0])])
+        flat = make_gaussian([1.0, 4.0] * 3)
+        rng = np.random.default_rng(5)
+        for shape in self.SHAPES:
+            q = rng.standard_normal(shape + (6,))
+            np.testing.assert_array_equal(pot.value(q), flat.value(q))
+            np.testing.assert_array_equal(pot.gradient(q), flat.gradient(q))
+            per_copy = sum(make_gaussian([1.0, 4.0]).value(part)
+                           for part in self.per_copy(q, 2, 3))
+            np.testing.assert_allclose(pot.value(q), per_copy, rtol=1e-15)
 
 
 class TestValidateConvexity:
